@@ -7,8 +7,6 @@ workaround — the same two-step dance the paper describes in §3.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.bannerclick.detect import BannerDetection
 from repro.browser import Browser, ClickOutcome, Page
 from repro.errors import MeasurementError
@@ -35,14 +33,3 @@ def reject_banner(
         raise MeasurementError("detection has no reject button to click")
     return browser.click(page, detection.reject_element)
 
-
-def subscribe_via_banner(
-    browser: Browser, page: Page, detection: BannerDetection
-) -> Optional[ClickOutcome]:
-    """Click the wall's subscribe button, if present (navigational)."""
-    if detection.container is None:
-        return None
-    for element in detection.container.elements():
-        if element.get_attribute("data-action") == "subscribe":
-            return browser.click(page, element)
-    return None

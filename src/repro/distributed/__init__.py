@@ -1,9 +1,10 @@
 """repro.distributed — the shard-bundle wire plane.
 
-The process backend already reduces a shard to a transport-agnostic
-bundle (world key + task tuples + per-task visit-id seeds + breaker
-snapshots) and gets canonically serialized record lines back.  This
-package ships that exact contract over a socket work queue:
+The engine reduces every shard to a transport-agnostic bundle (task
+tuples + per-task visit-id seeds + breaker snapshots) that its one
+shard runner executes; worker transports get canonically serialized
+record lines back.  This package ships that exact contract over a
+socket work queue:
 
 - :mod:`repro.distributed.wire` — the JSON-framed message protocol
   (one JSON object per line) and its typed message dataclasses.

@@ -1,10 +1,10 @@
 """The coordinator side of the wire: :class:`DistributedExecutor`.
 
-``EngineSpec.executor="distributed"`` plugs this executor into the
-engine's existing bundle path (``uses_processes`` contract): the
-engine builds the same picklable shard bundles it ships to the process
-pool, and this executor serializes them as JSON frames to workers that
-connected over a socket work queue.
+``EngineSpec.executor="distributed"`` selects this transport: it
+carries the engine's shard bundles — the same ones every backend runs
+through :func:`~repro.measure.engine.run_shard` — as JSON frames to
+workers that connected over a socket work queue, and hands each
+worker's result payload to the engine's one absorb path.
 
 Resilience model, riding the existing plane:
 
@@ -52,7 +52,7 @@ from repro.distributed.wire import (
     write_frame,
 )
 from repro.errors import TransportError, WireProtocolError, WorkerLostError
-from repro.measure.engine import Executor
+from repro.measure.engine import Executor, _kill_midway
 
 
 class _BundleState:
@@ -96,7 +96,7 @@ class DistributedExecutor(Executor):
         :class:`~repro.errors.WorkerLostError`.
     """
 
-    uses_processes = True
+    backend = "distributed"
 
     def __init__(
         self,
@@ -124,11 +124,7 @@ class DistributedExecutor(Executor):
         self.address: Optional[tuple] = None
         self._reset_run_state()
 
-    # -- engine hooks --------------------------------------------------
-    def bundle_overrides(self, shard_id: int, task_count: int) -> Dict:
-        """Extra bundle keys for *shard_id* (the fault-injection hook)."""
-        return {}
-
+    # -- fault-injection hook ------------------------------------------
     def redispatch_bundle(self, bundle: Dict) -> Dict:
         """The bundle to send on a re-dispatch (hook for fault tests)."""
         return dict(bundle)
@@ -314,10 +310,6 @@ class DistributedExecutor(Executor):
         self._pending.append(state)
         self._cond.notify_all()
 
-    def _requeue(self, state: _BundleState, error: str) -> None:
-        with self._cond:
-            self._requeue_locked(state, error)
-
     # -- transport degradation (taxonomy category "transport") ---------
     def _degraded_payload(self, state: _BundleState) -> Dict:
         """A synthetic shard payload: every task degraded, none dropped."""
@@ -341,9 +333,8 @@ class DistributedExecutor(Executor):
             "pid": 0,
             "elapsed": 0.0,
             "outcomes": outcomes,
-            "retries": [],
             "breakers": {},
-            "breaker_events": [],
+            "notes": [],
         }
 
     def _sanitize_payload(self, payload: Dict) -> Dict:
@@ -505,7 +496,7 @@ class DistributedExecutor(Executor):
 
 class FaultInjectingDistributedExecutor(DistributedExecutor):
     """Chaos harness: the chosen shards' *first* worker SIGKILLs itself
-    mid-shard (via the bundle's ``kill_after`` hook, exactly like
+    mid-shard (via the bundle's ``kill_after`` key, exactly like
     :class:`~repro.measure.engine.FaultInjectingProcessExecutor`); the
     re-dispatched bundle runs clean, modelling a worker lost to the
     environment rather than a poisoned shard.  Used by the kill/
@@ -516,10 +507,10 @@ class FaultInjectingDistributedExecutor(DistributedExecutor):
         super().__init__(workers, **kwargs)
         self.kill_shards = set(kill_shards)
 
-    def bundle_overrides(self, shard_id: int, task_count: int) -> Dict:
-        if shard_id in self.kill_shards:
-            return {"kill_after": task_count // 2}
-        return {}
+    def run_bundles(self, bundles, on_shard, shared):
+        super().run_bundles(
+            _kill_midway(bundles, self.kill_shards), on_shard, shared
+        )
 
     def redispatch_bundle(self, bundle: Dict) -> Dict:
         bundle = dict(bundle)

@@ -67,8 +67,8 @@ class WireBundle:
     """Coordinator -> worker: one shard of work.
 
     Mirrors the engine's picklable shard bundle
-    (:meth:`repro.measure.engine.CrawlEngine._run_process_shards`)
-    field for field; :meth:`from_bundle`/:meth:`to_bundle` convert the
+    (:meth:`repro.measure.engine.CrawlEngine._bundles`) field for
+    field; :meth:`from_bundle`/:meth:`to_bundle` convert the
     parts JSON cannot hold natively (int dict keys, tuples).
     """
 
@@ -119,10 +119,12 @@ class WireHeartbeat:
 class WireResult:
     """Worker -> coordinator: one completed shard's payload.
 
-    The fields are exactly the mapping
+    The fields carry the mapping
     :func:`repro.measure.engine._run_shard_bundle` returns — records
     are the worker's canonically serialized JSONL lines, passed through
-    to spools and checkpoints without a decode.
+    to spools and checkpoints without a decode; its ordered notes
+    travel split into ``task-retry`` notes (:attr:`retries`) and
+    ``breaker-*`` notes (:attr:`breaker_events`).
     """
 
     shard: int
@@ -135,26 +137,36 @@ class WireResult:
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "WireResult":
+        notes = payload["notes"]
         return cls(
             shard=payload["shard"],
             pid=payload["pid"],
             elapsed=payload["elapsed"],
             outcomes=tuple(payload["outcomes"]),
-            retries=tuple(payload.get("retries", ())),
+            retries=tuple(n for n in notes if n["kind"] == "task-retry"),
             breakers=payload.get("breakers") or None,
-            breaker_events=tuple(payload.get("breaker_events", ())),
+            breaker_events=tuple(
+                n for n in notes if n["kind"] != "task-retry"
+            ),
         )
 
     def to_payload(self) -> Dict:
-        """The engine-shaped payload ``_absorb_process_shard`` consumes."""
+        """The engine-shaped payload ``CrawlEngine._absorb_shard`` takes.
+
+        The runner orders notes by task (plan index), a task's retries
+        before its breaker transition, so a stable sort by index over
+        the two note fields restores that order.
+        """
         return {
             "shard": self.shard,
             "pid": self.pid,
             "elapsed": self.elapsed,
             "outcomes": list(self.outcomes),
-            "retries": list(self.retries),
             "breakers": dict(self.breakers) if self.breakers else {},
-            "breaker_events": list(self.breaker_events),
+            "notes": sorted(
+                self.retries + self.breaker_events,
+                key=lambda note: note["index"],
+            ),
         }
 
     def validate_against(self, bundle: "WireBundle") -> None:

@@ -2,10 +2,12 @@
 
 A worker dials the coordinator, introduces itself, installs the
 run-constant shared state the coordinator sends once, and then runs
-each received shard bundle through the exact same
-:func:`~repro.measure.engine._run_shard_bundle` the process pool uses
-in-process — the wire adds framing, never a second execution path, so
-a shard computes the same bytes no matter which transport carried it.
+each received shard bundle through
+:func:`~repro.measure.engine._run_shard_bundle` — the process pool's
+worker entry point, which rebuilds the crawler and runs the engine's
+one shard runner (:func:`~repro.measure.engine.run_shard`).  The wire
+adds framing, never a second execution path, so a shard computes the
+same bytes no matter which transport carried it.
 
 While a bundle runs, a sidecar thread heartbeats the coordinator so a
 long shard is distinguishable from a dead worker; the coordinator's

@@ -19,32 +19,34 @@ loop.  This module turns that loop into an explicit subsystem:
    so the same plan always shards the same way on every machine and
    run.  Within a shard, tasks keep plan order.
 
-3. **Execute.**  A pluggable executor runs the shards, selected by
-   ``backend`` (surfaced as ``EngineSpec.executor`` / ``--executor``):
+3. **Execute.**  One function, :func:`run_shard`, runs every shard:
+   breaker checks, the :class:`RetryPolicy` loop (transient
+   ``NetworkError``-family failures are retried, then degraded rather
+   than aborting the crawl), and visit-id selection live there alone.
+   The engine packs each shard into a picklable *bundle*; an executor,
+   selected by ``backend`` (``EngineSpec.executor`` / ``--executor``),
+   is only the transport that carries it:
 
-   - ``"serial"`` — :class:`SerialExecutor` walks the shards in shard
-     order on the calling thread.
-   - ``"thread"`` — :class:`ParallelExecutor` dispatches one shard at
-     a time to a ``ThreadPoolExecutor`` with ``workers`` threads.
-     Threads suit network-bound crawls — the netsim mirrors that via
-     ``Network.latency`` — since every task builds its own browser and
-     cookie jar, so no mutable state is shared.
-   - ``"process"`` — :class:`ProcessExecutor` ships each shard to a
-     worker *process* as a picklable task bundle (world key + task
-     list + per-task visit-id stream seeds) and gets serialized
-     outcomes back.  Processes sidestep the GIL, so this is the
-     backend for compute-bound scale-out (the netsim at zero
-     latency, heavy filter matching, parsing).  Workers rebuild the
-     world deterministically from its (seed, scale, evolution) key —
-     or, under the default ``fork`` start method, inherit the
-     parent's already-built world for free — so the bundle stays
-     small.  See *Pickling constraints* below.
+   - ``"serial"`` — :class:`SerialExecutor`, shard by shard on the
+     calling thread, on the live crawler.
+   - ``"thread"`` — :class:`ParallelExecutor`, one shard per thread of
+     a ``workers``-thread pool, on the live crawler.  Threads suit
+     network-bound crawls (the netsim's ``Network.latency``); every
+     task builds its own browser and jar, so no mutable state is
+     shared.
+   - ``"process"`` — :class:`ProcessExecutor` ships each bundle to a
+     worker *process* (:func:`_run_shard_bundle`) that rebuilds the
+     crawler and returns the records serialized: the GIL-free backend
+     for compute-bound scale-out.  Workers rebuild the world from its
+     (seed, scale, evolution) key — or, under ``fork``, inherit the
+     parent's — so bundles stay small.  See *Pickling constraints*.
+   - ``"distributed"`` — :class:`repro.distributed.DistributedExecutor`
+     carries the same bundles as JSON frames to ``worker serve``
+     processes running the same worker entry point.
 
-   With no explicit backend the engine keeps its historical rule:
-   ``workers == 1`` is serial, ``workers > 1`` is threads.  Each task
-   runs under a :class:`RetryPolicy` (transient ``NetworkError``-family
-   failures are retried, then recorded as a failed
-   :class:`TaskOutcome` rather than aborting the crawl).
+   Every finished shard is absorbed through one path (notes emitted,
+   breaker states adopted, outcomes persisted).  With no explicit
+   backend, ``workers == 1`` is serial and ``workers > 1`` threads.
 
 4. **Merge.**  Outcomes are re-assembled in **plan order** (their
    canonical order) regardless of which worker finished first, in one
@@ -179,9 +181,9 @@ TASK_MODES = ("detect", "accept", "reject", "subscription", "ublock")
 #: ``--executor``); ``None`` keeps the historical workers-based rule.
 EXECUTOR_BACKENDS = ("serial", "thread", "process", "distributed")
 
-#: Backends whose shards run outside this process (picklable bundle
-#: path, per-task visit-id regime, stock-crawler portability check).
-_BUNDLE_BACKENDS = ("process", "distributed")
+#: Backends that run shards in this process on the live crawler; the
+#: others rebuild it in worker processes from the run-constant state.
+_IN_PROCESS_BACKENDS = ("serial", "thread")
 
 #: Merge strategies: in-memory plan-order assembly, or the k-way
 #: streaming join over per-shard spools (O(shard buffer) memory).
@@ -376,21 +378,20 @@ def _execute_task(
     task: CrawlTask,
     context: Optional[Dict],
     retry: RetryPolicy,
-    id_streams,
+    id_base: Optional[int],
     on_retry: Callable[[int, str], None],
     clock=None,
 ) -> Tuple[Optional[object], Optional[str], int]:
     """Run one task under *retry*; returns ``(record, error, attempts)``.
 
-    The single retry loop shared by the in-process engine and the
-    process-backend workers, so both backends have identical retry
-    semantics by construction.
+    The single retry loop; :func:`run_shard` is its only caller, so
+    every backend has identical retry semantics by construction.
 
-    *id_streams* is a zero-arg factory producing a fresh visit-id
-    stream (or ``None`` for the serial regime).  The stream is rebuilt
-    **per attempt** so a retried task replays the same visit ids — a
-    consumed chaos fault then stays consumed and the recovered attempt
-    is byte-identical to a fault-free run.
+    *id_base* seeds the task's private visit-id stream (``None`` for
+    the serial regime's shared counter).  The stream is rebuilt **per
+    attempt** so a retried task replays the same visit ids — a consumed
+    chaos fault then stays consumed and the recovered attempt is
+    byte-identical to a fault-free run.
 
     Exhausted retries and breached task deadlines never lose the task:
     they return a deterministic degraded record alongside the error, so
@@ -402,7 +403,7 @@ def _execute_task(
         while True:
             attempts += 1
             meter.begin_attempt()
-            visit_ids = id_streams() if id_streams is not None else None
+            visit_ids = _id_stream(id_base) if id_base is not None else None
             try:
                 record = crawler.run_task(task, context, visit_ids=visit_ids)
             except retry.retry_on as exc:
@@ -438,8 +439,72 @@ def _execute_task(
                 return record, None, attempts
 
 
+def run_shard(
+    crawler,
+    items: List[Tuple[int, CrawlTask]],
+    context: Optional[Dict],
+    retry: RetryPolicy,
+    id_bases: Dict[int, int],
+    breakers: Dict[str, Dict],
+    on_task: Optional[Callable[[CrawlTask], None]] = None,
+) -> Tuple[List[TaskOutcome], Dict[str, Dict], List[Dict]]:
+    """Run one shard's ``(plan_index, task)`` *items* in plan order — the
+    only task loop, whichever backend carries the shard.
+
+    *id_bases* maps plan indices to per-task visit-id stream seeds
+    (empty: the serial regime's shared counter); *breakers* holds the
+    per-domain breaker snapshots entering the shard; *on_task* runs
+    after every task.  Returns the outcomes, the final breaker
+    snapshots, and the ordered ``task-retry``/``breaker-*`` notes (a
+    degraded task needs no note: its outcome's error records it).
+    """
+    network = getattr(getattr(crawler, "world", None), "network", None)
+    live: Dict[str, CircuitBreaker] = {}
+    if retry.breaker_threshold is not None:
+        for _, task in items:
+            if task.domain not in live:
+                live[task.domain] = CircuitBreaker(
+                    task.domain,
+                    threshold=retry.breaker_threshold,
+                    quarantine=retry.breaker_quarantine,
+                    snapshot=breakers.get(task.domain),
+                )
+    outcomes: List[TaskOutcome] = []
+    notes: List[Dict] = []
+    for index, task in items:
+        breaker = live.get(task.domain)
+        if breaker is not None and not breaker.allow():
+            # Quarantined domain: skip the task deterministically,
+            # recording a degraded outcome so no plan index is lost.
+            outcome = TaskOutcome(
+                index, task, degraded_record(task, "BreakerOpenError"),
+                "BreakerOpenError", attempts=0,
+            )
+        else:
+            record, error, attempts = _execute_task(
+                crawler, task, context, retry, id_bases.get(index),
+                lambda attempt, err, index=index: notes.append({
+                    "kind": "task-retry", "index": index,
+                    "attempt": attempt, "error": err,
+                }),
+                clock=getattr(network, "clock", None),
+            )
+            outcome = TaskOutcome(index, task, record, error, attempts)
+            if breaker is not None:
+                transition = breaker.record(error is None)
+                if transition is not None:
+                    notes.append(
+                        {"kind": f"breaker-{transition}", "index": index}
+                    )
+        outcomes.append(outcome)
+        if on_task is not None:
+            on_task(task)
+    snapshots = {domain: breaker.snapshot() for domain, breaker in live.items()}
+    return outcomes, snapshots, notes
+
+
 # ---------------------------------------------------------------------------
-# Process-backend worker side
+# Worker-process side
 # ---------------------------------------------------------------------------
 
 #: Worlds exported by the parent before the pool starts.  Under the
@@ -467,12 +532,7 @@ def _init_worker_shared(shared: Dict[str, object]) -> None:
 
 
 def _task_id_base(world_seed: int, task: CrawlTask) -> int:
-    """The per-task visit-id stream seed (one derivation, all backends).
-
-    Both the in-process engine and the process-backend bundles derive
-    stream seeds through this function, so the cross-backend
-    byte-identity contract cannot be broken by editing one copy.
-    """
+    """The per-task visit-id stream seed (one derivation, all backends)."""
     return derive_seed(
         world_seed, "engine-task-visits",
         task.vp, task.domain, task.mode, task.repeats,
@@ -504,14 +564,15 @@ def _worker_world(world_key: Tuple, latency: float, latency_mode: str = "virtual
 
 
 def _run_shard_bundle(bundle: Dict) -> Dict:
-    """Execute one picklable shard bundle inside a worker process.
+    """The worker-process entry point: run one shard bundle.
 
-    Returns serialized outcomes — each record is dumped **once**, in
-    the worker, to its canonical JSONL line
-    (:func:`~repro.measure.storage.encode_record_line`); the parent
-    passes those bytes through to spools and checkpoints without ever
-    decoding them — plus the worker's pid and elapsed time, so the
-    parent can attribute per-process throughput.
+    Rebuilds the stock crawler from the run-constant state (installed
+    by the pool initializer or the wire's shared frame), runs
+    :func:`run_shard`, and dumps each record **once**, here, to its
+    canonical JSONL line (:func:`~repro.measure.storage.
+    encode_record_line`) — the parent splices those bytes into spools
+    and checkpoints without decoding them.  The worker's pid and
+    elapsed time ride along for per-process throughput.
     """
     started = time.perf_counter()
     from repro.measure.crawl import Crawler
@@ -528,84 +589,36 @@ def _run_shard_bundle(bundle: Dict) -> Dict:
         language_detector=shared["language_detector"],
         ublock_lists=shared["ublock_lists"],
     )
-    retry: RetryPolicy = shared["retry"]
-    context = shared["context"]
-    chaos_ctx = (context or {}).get("chaos")
+    chaos_ctx = (shared["context"] or {}).get("chaos")
     world.network.chaos = (
         ChaosEngine(ChaosSpec.from_context(chaos_ctx)) if chaos_ctx else None
     )
-    breakers: Dict[str, CircuitBreaker] = {}
-    if retry.breaker_threshold is not None:
-        snapshots = bundle.get("breakers") or {}
-        for entry in bundle["tasks"]:
-            domain = entry[2]
-            if domain not in breakers:
-                breakers[domain] = CircuitBreaker(
-                    domain,
-                    threshold=retry.breaker_threshold,
-                    quarantine=retry.breaker_quarantine,
-                    snapshot=snapshots.get(domain),
-                )
+    items = [(entry[0], CrawlTask(*entry[1:])) for entry in bundle["tasks"]]
     kill_after = bundle.get("kill_after")
-    outcomes: List[Dict] = []
-    retries: List[Dict] = []
-    breaker_events: List[Dict] = []
-    for position, (index, vp, domain, mode, repeats) in enumerate(
-        bundle["tasks"]
-    ):
-        if kill_after is not None and position >= kill_after:
-            # Fault injection: die the way a real worker does — no
-            # cleanup, no exception, just gone (see
-            # FaultInjectingProcessExecutor).
-            os.kill(os.getpid(), signal.SIGKILL)
-        task = CrawlTask(vp=vp, domain=domain, mode=mode, repeats=repeats)
-        breaker = breakers.get(domain)
-        if breaker is not None and not breaker.allow():
-            outcomes.append({
-                "index": index,
-                "attempts": 0,
-                "error": "BreakerOpenError",
-                "record": encode_record_line(
-                    degraded_record(task, "BreakerOpenError")
-                ),
-            })
-            continue
-        base = bundle["id_bases"].get(index)
-        id_streams = (
-            (lambda base=base: _id_stream(base)) if base is not None else None
-        )
-        record, error, attempts = _execute_task(
-            crawler, task, context, retry, id_streams,
-            lambda attempt, err: retries.append({
-                "index": index, "vp": vp, "domain": domain, "mode": mode,
-                "attempt": attempt, "error": err,
-            }),
-            clock=world.network.clock,
-        )
-        if breaker is not None:
-            transition = breaker.record(error is None)
-            if transition is not None:
-                breaker_events.append(
-                    {"domain": domain, "transition": transition}
-                )
-        outcomes.append({
-            "index": index,
-            "attempts": attempts,
-            "error": error,
-            "record": (
-                encode_record_line(record) if record is not None else None
-            ),
-        })
+    outcomes, breakers, notes = run_shard(
+        crawler, items[:kill_after], shared["context"], shared["retry"],
+        bundle["id_bases"], bundle.get("breakers") or {},
+    )
+    if kill_after is not None:
+        # Fault injection (FaultInjectingProcessExecutor): die the way
+        # a real worker does — no cleanup, no exception, just gone.
+        os.kill(os.getpid(), signal.SIGKILL)
     return {
         "shard": bundle["shard"],
         "pid": os.getpid(),
         "elapsed": time.perf_counter() - started,
-        "outcomes": outcomes,
-        "retries": retries,
-        "breakers": {
-            domain: breaker.snapshot() for domain, breaker in breakers.items()
-        },
-        "breaker_events": breaker_events,
+        "outcomes": [
+            {
+                "index": outcome.index,
+                "attempts": outcome.attempts,
+                "error": outcome.error,
+                "record": None if outcome.record is None
+                else encode_record_line(outcome.record),
+            }
+            for outcome in outcomes
+        ],
+        "breakers": breakers,
+        "notes": notes,
     }
 
 
@@ -939,46 +952,78 @@ class EngineResult:
 
 
 class Executor:
-    """Strategy interface: run sharded tasks, return unordered outcomes."""
+    """A transport: carries shard bundles to :func:`run_shard` and hands
+    each finished shard's payload to *on_shard*.
 
-    def run(
+    *shared* is the run-constant half of the work: the live crawler,
+    plan tasks, and progress hook for in-process transports; the
+    picklable state :func:`_run_shard_bundle` rebuilds the crawler from
+    for worker transports.
+    """
+
+    #: The :data:`EXECUTOR_BACKENDS` name this transport implements.
+    backend = "serial"
+
+    def run_bundles(
         self,
-        sharded: List[List[Tuple[int, CrawlTask]]],
-        run_shard: Callable[[int, List[Tuple[int, CrawlTask]]], List[TaskOutcome]],
-    ) -> List[TaskOutcome]:
+        bundles: List[Dict],
+        on_shard: Callable[[Dict], None],
+        shared: Dict[str, object],
+    ) -> None:
         raise NotImplementedError
 
 
-class SerialExecutor(Executor):
-    """Runs shards one after another on the calling thread."""
+def _run_local_bundle(
+    bundle: Dict, on_shard: Callable[[Dict], None], shared: Dict
+) -> None:
+    """Run one bundle on the live crawler; records stay typed."""
+    started = time.perf_counter()
+    outcomes, breakers, notes = run_shard(
+        shared["crawler"],
+        [(entry[0], shared["tasks"][entry[0]]) for entry in bundle["tasks"]],
+        shared["context"], shared["retry"],
+        bundle["id_bases"], bundle["breakers"], shared["on_task"],
+    )
+    on_shard({
+        "shard": bundle["shard"],
+        "elapsed": time.perf_counter() - started,
+        "outcomes": outcomes,
+        "breakers": breakers,
+        "notes": notes,
+    })
 
-    def run(self, sharded, run_shard):
-        outcomes: List[TaskOutcome] = []
-        for shard_id, items in enumerate(sharded):
-            if items:
-                outcomes.extend(run_shard(shard_id, items))
-        return outcomes
+
+class SerialExecutor(Executor):
+    """Runs bundles one after another on the calling thread."""
+
+    def run_bundles(self, bundles, on_shard, shared):
+        for bundle in bundles:
+            _run_local_bundle(bundle, on_shard, shared)
 
 
 class ParallelExecutor(Executor):
-    """Runs shards concurrently on a thread pool of *workers* threads."""
+    """Runs bundles concurrently on a thread pool of *workers* threads.
+
+    Each thread absorbs its own shard, so a shard that raises never
+    stops its siblings from finishing and checkpointing; the first
+    failure in shard order re-raises once the pool has drained.
+    """
+
+    backend = "thread"
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
 
-    def run(self, sharded, run_shard):
-        outcomes: List[TaskOutcome] = []
+    def run_bundles(self, bundles, on_shard, shared):
         with _PyThreadPool(max_workers=self.workers) as pool:
             futures = [
-                pool.submit(run_shard, shard_id, items)
-                for shard_id, items in enumerate(sharded)
-                if items
+                pool.submit(_run_local_bundle, bundle, on_shard, shared)
+                for bundle in bundles
             ]
             for future in futures:
-                outcomes.extend(future.result())
-        return outcomes
+                future.result()
 
 
 class FaultInjectingExecutor(ParallelExecutor):
@@ -995,27 +1040,41 @@ class FaultInjectingExecutor(ParallelExecutor):
         self.fail_shards = set(fail_shards)
         self.partial = partial
 
-    def run(self, sharded, run_shard):
-        def wrapped(shard_id, items):
-            if shard_id in self.fail_shards:
-                if self.partial:
-                    run_shard(shard_id, items[: len(items) // 2])
-                raise RuntimeError(f"injected crash in shard {shard_id}")
-            return run_shard(shard_id, items)
+    def run_bundles(self, bundles, on_shard, shared):
+        def crash(payload):
+            if payload["shard"] not in self.fail_shards:
+                return on_shard(payload)
+            if self.partial:
+                on_shard(payload)
+            raise RuntimeError(f"injected crash in shard {payload['shard']}")
 
-        return super().run(sharded, wrapped)
+        doomed = [
+            dict(bundle, tasks=bundle["tasks"][
+                : len(bundle["tasks"]) // 2 if self.partial else 0
+            ])
+            if bundle["shard"] in self.fail_shards else bundle
+            for bundle in bundles
+        ]
+        super().run_bundles(doomed, crash, shared)
+
+
+def _kill_midway(bundles: List[Dict], kill_shards) -> List[Dict]:
+    """*bundles* with the chosen shards' workers set to SIGKILL
+    themselves halfway through (the ``kill_after`` bundle key)."""
+    return [
+        dict(bundle, kill_after=len(bundle["tasks"]) // 2)
+        if bundle["shard"] in kill_shards else bundle
+        for bundle in bundles
+    ]
 
 
 class ProcessExecutor(Executor):
-    """Runs shards in worker *processes* (``ProcessPoolExecutor``).
+    """Runs bundles in worker *processes* (``ProcessPoolExecutor``).
 
-    The closure-based :meth:`Executor.run` contract cannot cross a
-    process boundary, so this executor instead consumes picklable
-    shard bundles built by the engine (:meth:`CrawlEngine.
-    _process_bundle`) and hands each completed shard's serialized
-    payload back through a callback — in completion order, so the
-    engine checkpoints and spools shards exactly as eagerly as it
-    does under threads.
+    Each worker runs :func:`_run_shard_bundle` and hands its serialized
+    payload back; the payloads reach *on_shard* in completion order,
+    so the engine checkpoints and spools shards exactly as eagerly as
+    it does under threads.
 
     The start method defaults to ``fork`` where available (workers
     inherit the parent's already-built world through
@@ -1024,7 +1083,7 @@ class ProcessExecutor(Executor):
     first use.
     """
 
-    uses_processes = True
+    backend = "process"
 
     def __init__(self, workers: int, *, start_method: Optional[str] = None):
         if workers < 1:
@@ -1039,22 +1098,11 @@ class ProcessExecutor(Executor):
             method = "fork" if "fork" in available else "spawn"
         return multiprocessing.get_context(method)
 
-    def bundle_overrides(self, shard_id: int, task_count: int) -> Dict:
-        """Extra bundle keys for *shard_id* (the fault-injection hook)."""
-        return {}
+    def run_bundles(self, bundles, on_shard, shared):
+        """Run *bundles* in the pool, invoking *on_shard* per payload.
 
-    def run_bundles(
-        self,
-        bundles: List[Dict],
-        on_shard: Callable[[Dict], None],
-        shared: Dict[str, object],
-    ) -> None:
-        """Run *bundles*, invoking *on_shard* per completed payload.
-
-        *shared* is the run-constant half of the work (world key,
-        detectors, retry policy, context), installed once per worker
-        via the pool initializer rather than pickled into every
-        bundle.
+        *shared* is installed once per worker via the pool initializer
+        rather than pickled into every bundle.
 
         A worker that dies (or a bundle that raises) surfaces here as
         the pool's exception, after the shards whose results were
@@ -1102,10 +1150,10 @@ class FaultInjectingProcessExecutor(ProcessExecutor):
         super().__init__(workers, start_method=start_method)
         self.kill_shards = set(kill_shards)
 
-    def bundle_overrides(self, shard_id: int, task_count: int) -> Dict:
-        if shard_id in self.kill_shards:
-            return {"kill_after": task_count // 2}
-        return {}
+    def run_bundles(self, bundles, on_shard, shared):
+        super().run_bundles(
+            _kill_midway(bundles, self.kill_shards), on_shard, shared
+        )
 
 
 class CrawlEngine:
@@ -1122,11 +1170,11 @@ class CrawlEngine:
         (default) selects :class:`SerialExecutor` and ``>1`` a
         :class:`ParallelExecutor` with that many threads.
     backend:
-        Executor backend by name — ``"serial"``, ``"thread"``, or
-        ``"process"`` (see the module docstring); ``None`` keeps the
-        workers-based rule above.  The process backend requires a
-        stock crawler over a built world (pickling constraints) and
-        always uses per-task visit-id streams.
+        Executor backend by name — one of :data:`EXECUTOR_BACKENDS`
+        (see the module docstring); ``None`` keeps the workers-based
+        rule above.  The process and distributed backends require a
+        stock crawler over a built world (pickling constraints); every
+        backend but serial uses per-task visit-id streams.
     merge:
         ``"memory"`` (default) assembles the merged outcome list in
         memory; ``"spool"`` streams shard outcomes to per-shard spools
@@ -1169,8 +1217,9 @@ class CrawlEngine:
         mismatch raises :class:`CheckpointMismatch`; a missing
         checkpoint simply starts fresh.
     executor:
-        Override the executor strategy (a test/fault-injection hook);
-        by default chosen from *workers* as described above.
+        Override the executor (a test/fault-injection hook); its
+        ``backend`` then names the run's backend.  By default chosen
+        from *backend* and *workers* as described above.
     """
 
     def __init__(
@@ -1216,16 +1265,12 @@ class CrawlEngine:
         self.workers = workers
         self.backend = backend
         self.merge = merge
-        # An explicitly injected process executor is as parallel as a
-        # named backend — it must flip the shards default (and the
-        # visit-id regime below) exactly like backend="process".
-        parallel = (
-            workers > 1
-            or backend in ("thread",) + _BUNDLE_BACKENDS
-            or getattr(executor, "uses_processes", False)
-        )
+        self.executor = executor
+        #: Parallel runs default to more shards and always use per-task
+        #: visit-id streams (see :attr:`per_task_ids`).
+        self._parallel = workers > 1 or self.resolved_backend != "serial"
         self.shards = shards if shards is not None else (
-            workers * 4 if parallel else 1
+            workers * 4 if self._parallel else 1
         )
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
@@ -1242,7 +1287,6 @@ class CrawlEngine:
             # the caller believes the checkpoint was honoured.
             raise ValueError("resume=True requires a checkpoint_path")
         self.resume = resume
-        self.executor = executor
         self._spool_partial: Optional[Path] = None
         #: Spool-merge run state: part files written so far.
         self._merge_parts: List[Path] = []
@@ -1255,17 +1299,18 @@ class CrawlEngine:
         self._progress_lock = threading.Lock()
         self._done = 0
         self._total = 0
-        #: Per-domain circuit breakers (populated in execute() when the
-        #: retry policy enables them; adopted from checkpoint replays).
+        #: Per-domain circuit breakers, when the retry policy enables
+        #: them: restored from checkpoint replays and replaced by every
+        #: absorbed shard's final states.
         self._breakers: Dict[str, CircuitBreaker] = {}
-        #: The crawler world's virtual clock, when it has one — retry
-        #: backoff is paid here instead of sleeping.
-        self._clock = None
 
     # ------------------------------------------------------------------
     @property
     def resolved_backend(self) -> str:
-        """The effective backend name (explicit, or the workers rule)."""
+        """The effective backend name: the injected executor's, else the
+        explicit one, else the workers rule."""
+        if self.executor is not None:
+            return self.executor.backend
         if self.backend is not None:
             return self.backend
         return "serial" if self.workers == 1 else "thread"
@@ -1274,18 +1319,18 @@ class CrawlEngine:
     def per_task_ids(self) -> bool:
         """Whether tasks get private visit-id streams (module docstring).
 
-        True in parallel mode (any explicit thread/process backend —
-        or injected process executor — included: worker processes
-        cannot share the serial counter) and for every checkpointed
-        run: the serial shared-counter stream cannot survive a resume
-        boundary, since replayed tasks would no longer advance it.
+        True in parallel mode (any thread/process/distributed backend
+        included: worker processes cannot share the serial counter) and
+        for every checkpointed run: the serial shared-counter stream
+        cannot survive a resume boundary, since replayed tasks would no
+        longer advance it.
         """
-        return (
-            self.workers > 1
-            or self.checkpoint_path is not None
-            or self.backend in ("thread",) + _BUNDLE_BACKENDS
-            or getattr(self.executor, "uses_processes", False)
-        )
+        return self._parallel or self.checkpoint_path is not None
+
+    def _per_task_plan(self, plan: CrawlPlan) -> bool:
+        """Whether *plan* runs in the per-task visit-id regime: this
+        engine's rule, or a campaign/chaos plan that forces it."""
+        return self.per_task_ids or campaign_plan(plan) or chaos_plan(plan)
 
     def fingerprint(self, plan: CrawlPlan) -> str:
         """The :func:`plan_fingerprint` of *plan* under this engine."""
@@ -1296,9 +1341,7 @@ class CrawlEngine:
             world_seed=getattr(config, "seed", None),
             world_scale=getattr(config, "scale", None),
             world_evolution=getattr(world, "evolution_months", 0),
-            per_task_ids=(
-                self.per_task_ids or campaign_plan(plan) or chaos_plan(plan)
-            ),
+            per_task_ids=self._per_task_plan(plan),
         )
 
     def execute(self, plan: CrawlPlan) -> EngineResult:
@@ -1326,20 +1369,7 @@ class CrawlEngine:
                 save_records([], self._spool_partial)
         replay = self._reconcile_checkpoint(plan)
         self._breakers = {}
-        if self.retry.breaker_threshold is not None:
-            # Pre-created single-threaded: shard workers only ever look
-            # their domain's breaker up, never mutate the registry.
-            for task in plan.tasks:
-                if task.domain not in self._breakers:
-                    self._breakers[task.domain] = CircuitBreaker(
-                        task.domain,
-                        threshold=self.retry.breaker_threshold,
-                        quarantine=self.retry.breaker_quarantine,
-                    )
-            for domain, snapshot in replay.breakers.items():
-                breaker = self._breakers.get(domain)
-                if breaker is not None:
-                    breaker.adopt(snapshot)
+        self._adopt_breakers(replay.breakers)
         if replay.completed:
             sharded = [
                 [
@@ -1362,8 +1392,15 @@ class CrawlEngine:
                 "remaining": len(plan) - replay.count,
             })
         executor: Executor = self.executor or self._default_executor()
+        bundles = self._bundles(plan, sharded)
+        outcomes: List[TaskOutcome] = []
+
+        def on_shard(payload: Dict) -> None:
+            kept = self._absorb_shard(plan, payload)
+            with self._lock:
+                outcomes.extend(kept)
+
         network = getattr(getattr(self.crawler, "world", None), "network", None)
-        self._clock = getattr(network, "clock", None)
         chaos_ctx = plan.context.get("chaos")
         installed_chaos = False
         if network is not None and isinstance(chaos_ctx, dict):
@@ -1371,13 +1408,16 @@ class CrawlEngine:
             installed_chaos = True
         started = time.perf_counter()
         try:
-            if getattr(executor, "uses_processes", False):
-                outcomes = self._run_process_shards(executor, plan, sharded)
+            if executor.backend in _IN_PROCESS_BACKENDS:
+                executor.run_bundles(bundles, on_shard, {
+                    "crawler": self.crawler,
+                    "tasks": plan.tasks,
+                    "context": plan.context,
+                    "retry": self.retry,
+                    "on_task": self._advance,
+                })
             else:
-                outcomes = executor.run(
-                    sharded,
-                    lambda sid, items: self._run_shard(plan, sid, items),
-                )
+                self._run_in_workers(executor, plan, bundles, on_shard)
         finally:
             if installed_chaos:
                 network.chaos = None
@@ -1440,8 +1480,35 @@ class CrawlEngine:
         return ParallelExecutor(workers)
 
     # ------------------------------------------------------------------
-    # Process backend (picklable shard bundles)
+    # Bundles, worker transports, and the one absorb path
     # ------------------------------------------------------------------
+    def _bundles(
+        self, plan: CrawlPlan, sharded: List[List[Tuple[int, CrawlTask]]]
+    ) -> List[Dict]:
+        """One picklable bundle per non-empty shard: task tuples, per-task
+        visit-id stream seeds (none in the serial regime), and the
+        breaker snapshots entering the shard."""
+        config = getattr(getattr(self.crawler, "world", None), "config", None)
+        per_task = config is not None and self._per_task_plan(plan)
+        return [
+            {
+                "shard": shard_id,
+                "tasks": [
+                    (index, task.vp, task.domain, task.mode, task.repeats)
+                    for index, task in items
+                ],
+                "id_bases": {
+                    index: _task_id_base(config.seed, task)
+                    for index, task in items
+                } if per_task else {},
+                "breakers": {
+                    task.domain: self._breakers[task.domain].snapshot()
+                    for _, task in items if task.domain in self._breakers
+                },
+            }
+            for shard_id, items in enumerate(sharded) if items
+        ]
+
     def _check_process_portable(self) -> None:
         """Refuse crawls a worker process cannot reconstruct."""
         from repro.measure.crawl import Crawler
@@ -1474,12 +1541,15 @@ class CrawlEngine:
                 "backend)"
             )
 
-    def _run_process_shards(
+    def _run_in_workers(
         self,
-        executor: "ProcessExecutor",
+        executor: Executor,
         plan: CrawlPlan,
-        sharded: List[List[Tuple[int, CrawlTask]]],
-    ) -> List[TaskOutcome]:
+        bundles: List[Dict],
+        on_shard: Callable[[Dict], None],
+    ) -> None:
+        """Ship *bundles* to worker processes along with the run-constant
+        state :func:`_run_shard_bundle` rebuilds the crawler from."""
         self._check_process_portable()
         world = self.crawler.world
         config = world.config
@@ -1504,106 +1574,92 @@ class CrawlEngine:
             "context": plan.context,
             "retry": self.retry,
         }
-        bundles: List[Dict] = []
-        for shard_id, items in enumerate(sharded):
-            if not items:
-                continue
-            shard_breakers: Dict[str, Dict] = {}
-            for _, task in items:
-                breaker = self._breakers.get(task.domain)
-                if breaker is not None and task.domain not in shard_breakers:
-                    shard_breakers[task.domain] = breaker.snapshot()
-            bundle = {
-                "shard": shard_id,
-                "tasks": [
-                    (index, task.vp, task.domain, task.mode, task.repeats)
-                    for index, task in items
-                ],
-                "id_bases": {
-                    index: _task_id_base(config.seed, task)
-                    for index, task in items
-                },
-                "breakers": shard_breakers,
-            }
-            bundle.update(executor.bundle_overrides(shard_id, len(items)))
-            bundles.append(bundle)
-        collected: List[TaskOutcome] = []
         try:
-            executor.run_bundles(
-                bundles,
-                lambda payload: collected.extend(
-                    self._absorb_process_shard(plan, payload)
-                ),
-                shared,
-            )
+            executor.run_bundles(bundles, on_shard, shared)
         finally:
             _SHARED_WORLDS.pop(world_key, None)
-        return collected
 
-    def _absorb_process_shard(
+    def _absorb_shard(
         self, plan: CrawlPlan, payload: Dict
     ) -> List[TaskOutcome]:
-        """Deserialise one worker's shard payload into the merge path."""
-        pid = payload["pid"]
-        with self._lock:
-            stats = self._process_stats.setdefault(pid, [0, 0, 0.0])
-            stats[0] += 1
-            stats[1] += len(payload["outcomes"])
-            stats[2] += payload["elapsed"]
-        for note in payload["retries"]:
-            self._emit_retry(
-                note["index"],
-                plan.tasks[note["index"]],
-                note["attempt"],
-                note["error"],
-            )
-        outcomes = [
-            TaskOutcome(
-                index=entry["index"],
-                task=plan.tasks[entry["index"]],
-                # The worker shipped the canonical serialized line;
-                # wrap it opaque — spool and checkpoint writes splice
-                # these bytes straight through, and a decode happens
-                # only if a consumer inspects the record's fields.
-                record=(
-                    RawRecord(entry["record"])
-                    if entry["record"] is not None else None
-                ),
-                error=entry["error"],
-                attempts=entry["attempts"],
-            )
-            for entry in payload["outcomes"]
-        ]
-        # Adopt the worker-final breaker states *before* the shard
-        # flush, so the checkpoint's breaker line reflects them.
-        for domain, snapshot in payload.get("breakers", {}).items():
-            breaker = self._breakers.get(domain)
-            if breaker is not None:
-                breaker.adopt(snapshot)
-        for event in payload.get("breaker_events", []):
-            self._emit(
-                f"breaker-{event['transition']}",
-                f"engine://breaker/{event['domain']}",
-                {"domain": event["domain"]},
-            )
+        """Fold one finished shard into the run — every backend's only
+        absorb path.
+
+        A worker payload (one carrying a ``pid``) arrives serialized,
+        its progress not yet advanced; an in-process payload carries
+        typed outcomes whose progress hook already fired task by task.
+        """
+        pid = payload.get("pid")
+        outcomes = payload["outcomes"]
+        if pid is not None:
+            with self._lock:
+                stats = self._process_stats.setdefault(pid, [0, 0, 0.0])
+                stats[0] += 1
+                stats[1] += len(outcomes)
+                stats[2] += payload["elapsed"]
+            # The worker shipped canonical serialized lines; wrap them
+            # opaque — spool and checkpoint writes splice these bytes
+            # straight through, and a decode happens only if a consumer
+            # inspects the record's fields.
+            outcomes = [
+                TaskOutcome(
+                    entry["index"],
+                    plan.tasks[entry["index"]],
+                    None if entry["record"] is None
+                    else RawRecord(entry["record"]),
+                    entry["error"],
+                    entry["attempts"],
+                )
+                for entry in outcomes
+            ]
+        for note in payload["notes"]:
+            task = plan.tasks[note["index"]]
+            if note["kind"] == "task-retry":
+                self._emit(note["kind"], f"engine://task/{note['index']}", {
+                    "vp": task.vp,
+                    "domain": task.domain,
+                    "mode": task.mode,
+                    "attempt": note["attempt"],
+                    "error": note["error"],
+                })
+            else:
+                self._emit(
+                    note["kind"],
+                    f"engine://breaker/{task.domain}",
+                    {"domain": task.domain},
+                )
         for outcome in outcomes:
             if outcome.error is not None:
-                self._emit(
-                    "task-degraded",
-                    f"engine://task/{outcome.index}",
-                    {
-                        "index": outcome.index,
-                        "domain": outcome.task.domain,
-                        "error": outcome.error,
-                        "attempts": outcome.attempts,
-                    },
-                )
+                self._emit("task-degraded", f"engine://task/{outcome.index}", {
+                    "index": outcome.index,
+                    "domain": outcome.task.domain,
+                    "error": outcome.error,
+                    "attempts": outcome.attempts,
+                })
+        self._adopt_breakers(payload["breakers"])
         kept = self._finish_shard(
-            payload["shard"], outcomes, payload["elapsed"], pid=pid
+            payload["shard"], outcomes, payload["elapsed"],
+            payload["breakers"], pid,
         )
-        for outcome in outcomes:
-            self._advance(outcome.task)
+        if pid is not None:
+            for outcome in outcomes:
+                self._advance(outcome.task)
         return kept
+
+    def _adopt_breakers(self, snapshots: Dict[str, Dict]) -> None:
+        """Install breaker *snapshots* — a checkpoint's, or an absorbed
+        shard's final states — in the registry the next bundles read.
+        Each domain lives in one shard, so absorbing threads never
+        write the same entry."""
+        if self.retry.breaker_threshold is None:
+            return
+        for domain, snapshot in snapshots.items():
+            self._breakers[domain] = CircuitBreaker(
+                domain,
+                threshold=self.retry.breaker_threshold,
+                quarantine=self.retry.breaker_quarantine,
+                snapshot=snapshot,
+            )
 
     def _emit_process_throughput(self) -> None:
         for pid, (shards, tasks, elapsed) in sorted(
@@ -1800,18 +1856,6 @@ class CrawlEngine:
             replay.resume_part = resume_part
         return replay
 
-    def _breaker_snapshot_for(
-        self, outcomes: List[TaskOutcome]
-    ) -> Dict[str, Dict]:
-        """Current breaker snapshots for the domains in *outcomes*."""
-        snapshots: Dict[str, Dict] = {}
-        for outcome in outcomes:
-            domain = outcome.task.domain
-            breaker = self._breakers.get(domain)
-            if breaker is not None and domain not in snapshots:
-                snapshots[domain] = breaker.snapshot()
-        return snapshots
-
     @staticmethod
     def _outcome_line(outcome: TaskOutcome) -> str:
         head = {
@@ -1833,20 +1877,21 @@ class CrawlEngine:
             + ', "record": ' + raw + "}\n"
         )
 
-    def _checkpoint_outcomes(self, outcomes: List[TaskOutcome]) -> None:
+    def _checkpoint_outcomes(
+        self, outcomes: List[TaskOutcome], breakers: Dict[str, Dict]
+    ) -> None:
         """Append one finished shard's outcomes (caller holds the lock).
 
-        When breakers are enabled the flush also appends a snapshot of
-        this shard's breaker states; the scan applies them latest-wins,
-        so a resume restores each domain's quarantine where it stood at
-        the last completed flush.
+        When breakers are enabled the flush also appends the shard's
+        final breaker states; the scan applies them latest-wins, so a
+        resume restores each domain's quarantine where it stood at the
+        last completed flush.
         """
         with self.checkpoint_path.open("a", encoding="utf-8") as handle:
             for outcome in outcomes:
                 handle.write(self._outcome_line(outcome))
-            snapshots = self._breaker_snapshot_for(outcomes)
-            if snapshots:
-                handle.write(_breaker_line(snapshots))
+            if breakers:
+                handle.write(_breaker_line(breakers))
             handle.flush()
 
     @staticmethod
@@ -1901,61 +1946,13 @@ class CrawlEngine:
         )
 
     # ------------------------------------------------------------------
-    def _run_shard(
-        self,
-        plan: CrawlPlan,
-        shard_id: int,
-        items: List[Tuple[int, CrawlTask]],
-    ) -> List[TaskOutcome]:
-        started = time.perf_counter()
-        outcomes: List[TaskOutcome] = []
-        for index, task in items:
-            breaker = self._breakers.get(task.domain)
-            if breaker is not None and not breaker.allow():
-                # Quarantined domain: skip the task deterministically,
-                # recording a degraded outcome so no plan index is lost.
-                outcome = TaskOutcome(
-                    index,
-                    task,
-                    record=degraded_record(task, "BreakerOpenError"),
-                    error="BreakerOpenError",
-                    attempts=0,
-                )
-                self._emit_degraded(outcome)
-                self._advance(task)
-                outcomes.append(outcome)
-                continue
-            outcome = self._run_one(plan, index, task)
-            if breaker is not None:
-                transition = breaker.record(outcome.error is None)
-                if transition is not None:
-                    self._emit(
-                        f"breaker-{transition}",
-                        f"engine://breaker/{task.domain}",
-                        {"domain": task.domain},
-                    )
-            if outcome.error is not None:
-                self._emit_degraded(outcome)
-            outcomes.append(outcome)
-        return self._finish_shard(
-            shard_id, outcomes, time.perf_counter() - started
-        )
-
-    def _emit_degraded(self, outcome: TaskOutcome) -> None:
-        self._emit("task-degraded", f"engine://task/{outcome.index}", {
-            "index": outcome.index,
-            "domain": outcome.task.domain,
-            "error": outcome.error,
-            "attempts": outcome.attempts,
-        })
-
     def _finish_shard(
         self,
         shard_id: int,
         outcomes: List[TaskOutcome],
         elapsed: float,
-        *,
-        pid: Optional[int] = None,
+        breakers: Dict[str, Dict],
+        pid: Optional[int],
     ) -> List[TaskOutcome]:
         """Persist one finished shard and hand back what the merge keeps.
 
@@ -1989,7 +1986,7 @@ class CrawlEngine:
                         self._spool_partial, append=True,
                     )
                 if self.checkpoint_path is not None:
-                    self._checkpoint_outcomes(outcomes)
+                    self._checkpoint_outcomes(outcomes, breakers)
         detail = {
             "shard": shard_id,
             "tasks": len(outcomes),
@@ -2001,50 +1998,6 @@ class CrawlEngine:
         if self.merge == "spool":
             return [o for o in outcomes if o.error is not None]
         return outcomes
-
-    def _run_one(self, plan: CrawlPlan, index: int, task: CrawlTask) -> TaskOutcome:
-        per_task = (
-            self.per_task_ids or campaign_plan(plan) or chaos_plan(plan)
-        )
-        # A zero-arg factory: _execute_task rebuilds the stream per
-        # attempt so retries replay the same visit ids (chaos faults
-        # consumed on attempt 1 stay consumed on attempt 2).
-        id_streams = (
-            (lambda: self._task_id_stream(task)) if per_task else None
-        )
-        record, error, attempts = _execute_task(
-            self.crawler, task, plan.context, self.retry, id_streams,
-            lambda attempt, err: self._emit_retry(index, task, attempt, err),
-            clock=self._clock,
-        )
-        self._advance(task)
-        return TaskOutcome(
-            index, task, record=record, error=error, attempts=attempts
-        )
-
-    def _emit_retry(
-        self, index: int, task: CrawlTask, attempt: int, error: str
-    ) -> None:
-        self._emit("task-retry", f"engine://task/{index}", {
-            "vp": task.vp,
-            "domain": task.domain,
-            "mode": task.mode,
-            "attempt": attempt,
-            "error": error,
-        })
-
-    def _task_id_stream(self, task: CrawlTask) -> Optional[Callable[[], int]]:
-        """A private, deterministic visit-id stream for *task*.
-
-        Derived purely from the world seed and the task identity, so
-        parallel measurement results never depend on which thread ran
-        which task first (see the module docstring).
-        """
-        world = getattr(self.crawler, "world", None)
-        config = getattr(world, "config", None)
-        if config is None:
-            return None
-        return _id_stream(_task_id_base(config.seed, task))
 
     def _advance(self, task: CrawlTask) -> None:
         with self._lock:

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import DisconnectError
 from repro.httpkit import Headers, Request, Response
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,33 +58,3 @@ class StaticServer(OriginServer):
         for header in self.set_cookies:
             response.add_cookie(header)
         return response
-
-
-class FlakyServer(OriginServer):
-    """Wraps an origin server with a deterministic failure budget.
-
-    The first *failures* requests raise *error* (a transient
-    :class:`~repro.errors.NetworkError` by default) and every later
-    request is delegated to the wrapped server — the flaky-then-
-    recovering host the resilience layer's retry/backoff loop must
-    ride out.  The budget is counted under a lock so concurrent shard
-    workers see one consistent recovery point.
-    """
-
-    def __init__(self, inner: OriginServer, failures: int = 1,
-                 error: Optional[type] = None) -> None:
-        self.inner = inner
-        self.error = error or DisconnectError
-        self._remaining = failures
-        self._lock = threading.Lock()
-
-    def handle(self, request: Request, visitor: "VisitorContext") -> Response:
-        with self._lock:
-            failing = self._remaining > 0
-            if failing:
-                self._remaining -= 1
-        if failing:
-            raise self.error(
-                f"{request.url.host} dropped the connection (flaky host)"
-            )
-        return self.inner.handle(request, visitor)

@@ -20,6 +20,8 @@ import dataclasses
 import hashlib
 import heapq
 import json
+import os
+import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -183,15 +185,25 @@ class JobQueue:
 
 
 def persist_job(jobs_dir: Path, job: Job) -> Path:
-    """Durably record *job* (atomic replace, crash-safe)."""
+    """Durably record *job* (atomic replace, crash-safe).
+
+    Each call writes through its own uniquely named scratch file, so
+    concurrent persists of one job (the HTTP submit thread and the
+    runner thread) never replace each other's scratch; the last
+    ``replace`` wins with a complete file either way.
+    """
     jobs_dir.mkdir(parents=True, exist_ok=True)
     path = jobs_dir / f"{job.id}.json"
-    scratch = jobs_dir / f"{job.id}.json.tmp"
-    scratch.write_text(
-        json.dumps(job.to_dict(), indent=2, sort_keys=True),
-        encoding="utf-8",
+    fd, scratch = tempfile.mkstemp(
+        dir=jobs_dir, prefix=f"{job.id}.", suffix=".json.tmp"
     )
-    scratch.replace(path)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(job.to_dict(), indent=2, sort_keys=True))
+        os.replace(scratch, path)
+    except BaseException:
+        os.unlink(scratch)
+        raise
     return path
 
 

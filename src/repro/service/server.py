@@ -195,8 +195,12 @@ class CampaignService:
             job = self.queue.next_job(timeout=0.2)
             if job is None:
                 continue
-            self._persist(job)
-            self._execute(job)
+            try:
+                self._persist(job)
+                self._execute(job)
+            except Exception as error:  # noqa: BLE001 — one bad job never kills the runner
+                job.state = "failed"
+                job.error = f"{type(error).__name__}: {error}"
 
     def _execute(self, job: Job) -> None:
         def progress(done: int, total: int, task) -> None:
@@ -214,8 +218,9 @@ class CampaignService:
             job.state = "failed"
             job.error = f"{type(error).__name__}: {error}"
         else:
-            job.state = "done"
             summary = result.summary()
+            # The summary lands before the state flips: a poller that
+            # sees "done" always sees its summary.
             job.summary = {
                 "record_count": result.record_count,
                 "executed": summary.get("executed", result.executed),
@@ -223,6 +228,7 @@ class CampaignService:
                 "failures": len(result.failures),
                 "elapsed": result.elapsed,
             }
+            job.state = "done"
         self._persist(job)
 
     # ------------------------------------------------------------------

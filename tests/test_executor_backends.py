@@ -10,6 +10,7 @@ every backend runs in one pass.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -19,8 +20,10 @@ from repro.measure import (
     Crawler,
     FaultInjectingExecutor,
     FaultInjectingProcessExecutor,
+    RetryPolicy,
 )
 from repro.measure.instrumentation import EventLog
+from repro.resilience.chaos import ChaosSpec
 
 _ENV_BACKEND = os.environ.get("REPRO_EXECUTOR_BACKEND")
 if _ENV_BACKEND is not None and _ENV_BACKEND not in EXECUTOR_BACKENDS:
@@ -161,6 +164,56 @@ class TestBackendDeterminism:
         assert not checkpoint.exists()
         (resume_event,) = log.by_kind("resume")
         assert resume_event.detail["completed"] == result.resumed
+
+
+def resilience_events(crawler, world, engine_factory):
+    """The ``(kind, plan index or domain, error)`` multiset of the
+    retry/degrade/breaker events one chaos run with breakers emits."""
+    plan = crawler.plan_detection_crawl(
+        ["AU", "BR", "DE", "IN", "SE", "USE"], world.crawl_targets[:8]
+    )
+    plan.context["chaos"] = ChaosSpec(
+        seed=43, timeout_rate=0.3, permanent_rate=0.2
+    ).to_context()
+    log = EventLog()
+    engine_factory(
+        crawler, event_log=log, retry=RetryPolicy(
+            max_attempts=2, breaker_threshold=2, breaker_quarantine=1
+        ),
+    ).execute(plan)
+    events = Counter()
+    for event in log.events:
+        if event.kind in ("task-retry", "task-degraded"):
+            index = int(event.url.rsplit("/", 1)[1])
+            events[(event.kind, index, event.detail["error"])] += 1
+        elif event.kind in ("breaker-open", "breaker-close"):
+            events[(event.kind, event.detail["domain"], None)] += 1
+    return events
+
+
+@pytest.fixture(scope="module")
+def serial_resilience_events(small_world, small_crawler):
+    events = resilience_events(small_crawler, small_world, CrawlEngine)
+    kinds = {kind for kind, _, _ in events}
+    assert kinds == {
+        "task-retry", "task-degraded", "breaker-open", "breaker-close"
+    }, "pinned chaos regime does not exercise every resilience event"
+    return events
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_resilience_events_match_serial(
+    backend, small_world, small_crawler, serial_resilience_events,
+):
+    """Every backend runs the same shard runner and absorb path, so a
+    chaos run with breakers emits the serial run's retry, degrade, and
+    breaker events — compared as a multiset, since shards finish in
+    any order."""
+    events = resilience_events(
+        small_crawler, small_world,
+        lambda crawler, **kwargs: make_engine(backend, crawler, **kwargs),
+    )
+    assert events == serial_resilience_events
 
 
 @pytest.mark.skipif(

@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -97,6 +98,46 @@ class TestJobQueue:
         assert queue.cancel(doomed.id).state == "cancelled"
         assert queue.next_job(timeout=0.01) is survivor
         assert queue.next_job(timeout=0.01) is None
+
+    def test_concurrent_persists_of_one_job_never_collide(self, tmp_path):
+        """The HTTP submit thread and the runner thread both persist the
+        same job: no writer may lose a scratch-file race, and the
+        durable file must parse whenever it is read."""
+        from repro.service.jobs import persist_job
+
+        job = self.job(1)
+        jobs_dir = tmp_path / "jobs"
+        errors = []
+
+        def persist_repeatedly():
+            try:
+                for _ in range(200):
+                    path = persist_job(jobs_dir, job)
+                    json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as error:
+                errors.append(error)
+
+        # More writers than cores, switching threads as often as the
+        # interpreter allows, so a shared scratch name would collide.
+        threads = [
+            threading.Thread(target=persist_repeatedly) for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        restored = Job.from_dict(json.loads(
+            (jobs_dir / f"{job.id}.json").read_text(encoding="utf-8")
+        ))
+        assert restored.id == job.id
+        assert not list(jobs_dir.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------

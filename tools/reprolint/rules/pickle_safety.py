@@ -19,7 +19,7 @@ from tools.reprolint.core import Finding, ProjectRule, SourceFile
 
 #: The bundle surface: the engine's bundle dataclasses plus the live
 #: detector instances that travel in the worker-shared dict
-#: (``CrawlEngine._run_process_shards``).
+#: (``CrawlEngine._run_in_workers``).
 DEFAULT_ROOTS: Tuple[Tuple[str, str], ...] = (
     ("src/repro/measure/engine.py", "CrawlTask"),
     ("src/repro/measure/engine.py", "RetryPolicy"),
