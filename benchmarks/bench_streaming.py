@@ -100,7 +100,7 @@ def test_streaming_analysis_throughput(benchmark, bench_world, warm_crawl):
 def test_streaming_reconcile_memory(benchmark, tmp_path):
     """Peak allocation of checkpoint reconcile: streaming vs held-dict.
 
-    Crash a spool-merge crawl at ~half, leaving a checkpoint full of
+    Crash a spooled crawl at ~half, leaving a checkpoint full of
     replayable outcomes, then reconcile it two ways over the same
     bytes: the materialised baseline (every outcome payload parsed
     into one dict — the shape the streaming merge replaced) and the
@@ -117,7 +117,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
 
     crashed = CrawlEngine(
         crawler, workers=_RESUME_WORKERS, shards=_RESUME_SHARDS,
-        merge="spool", spool_path=out, checkpoint_path=checkpoint,
+        spool_path=out, checkpoint_path=checkpoint,
         executor=FaultInjectingExecutor(_RESUME_WORKERS, victims),
     )
     try:
@@ -142,8 +142,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
 
     resumer = CrawlEngine(
         crawler, workers=_RESUME_WORKERS, shards=_RESUME_SHARDS,
-        merge="spool", spool_path=out, checkpoint_path=checkpoint,
-        resume=True,
+        spool_path=out, checkpoint_path=checkpoint, resume=True,
     )
     replay_box = {}
 
@@ -155,7 +154,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
     )
     replay = replay_box["replay"]
     assert replay.count > 0
-    assert replay.outcomes == []  # spool mode holds no outcome objects
+    assert replay.outcomes == []  # spooled runs hold no outcome objects
     assert replay.resume_part is not None
 
     ratio = streaming_peak_kb / materialised_peak_kb

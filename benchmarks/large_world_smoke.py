@@ -187,7 +187,6 @@ def main(argv=None) -> int:
         workers=args.workers,
         shards=args.shards,
         backend="process",
-        merge="spool",
         spool_path=out,
         checkpoint_path=f"{out}.checkpoint",
     )

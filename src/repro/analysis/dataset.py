@@ -75,9 +75,6 @@ class DatasetStream:
     def iter_visit_records(self) -> Iterator[VisitRecord]:
         return iter_records(self.directory / "visits.jsonl")
 
-    def iter_cookie_measurements(self) -> Iterator[CookieMeasurement]:
-        return iter_records(self.directory / "cookies.jsonl")
-
     def iter_ublock_records(self) -> Iterator[UBlockRecord]:
         return iter_records(self.directory / "ublock.jsonl")
 

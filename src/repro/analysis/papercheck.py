@@ -146,9 +146,6 @@ class PaperComparison:
     def holding(self) -> int:
         return sum(1 for row in self.rows if row.holds)
 
-    def failing_rows(self) -> List[ComparisonRow]:
-        return [row for row in self.rows if not row.holds]
-
     def render_markdown(self) -> str:
         lines = [
             "| Experiment | Metric | Paper | Measured | Shape holds |",

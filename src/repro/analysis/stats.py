@@ -127,10 +127,6 @@ class OnlineStats:
             raise AnalysisError("variance of empty OnlineStats")
         return self._m2 / self.count
 
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
     def merge(self, other: "OnlineStats") -> "OnlineStats":
         """Absorb *other* (Chan's parallel-Welford combination)."""
         if other.count == 0:

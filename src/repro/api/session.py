@@ -295,9 +295,9 @@ class Session:
                 "the checkpoint lives next to the spool)"
             )
         if self.engine_spec.merge == "spool" and spool_path is None:
-            # Silently merging in memory when the caller asked for the
-            # O(shard-buffer) mode would be the resume-ignored bug all
-            # over again; the engine refuses this too.
+            # The spec asserts this run streams; silently merging in
+            # memory instead would be the resume-ignored bug all over
+            # again.
             raise SpecError(
                 "--merge spool requires an output path (--out / "
                 "output.path: the shard spools are joined into it)"
@@ -307,7 +307,6 @@ class Session:
             workers=self.engine_spec.workers,
             shards=self.engine_spec.shards,
             backend=self.engine_spec.executor,
-            merge=self.engine_spec.merge,
             retry=self.retry,
             event_log=self.event_log,
             progress=progress if progress is not None else self.progress,
@@ -414,13 +413,9 @@ class Session:
         output = output if output is not None else OutputSpec()
         domains = list(spec.domains) if spec.domains is not None else None
         if domains is None:
-            # The in-memory pre-pass never spools, so it must not run
-            # under resume (which requires a checkpoint) or the spool
-            # merge (which requires an output path); only the
+            # The in-memory pre-pass never spools; only the
             # measurement plan itself resumes/streams.
-            finder_engine = dataclasses.replace(
-                self.engine_spec, resume=False, merge="memory"
-            )
+            finder_engine = self.engine_spec.in_memory()
             finder = (
                 self._with_engine(finder_engine)
                 if finder_engine != self.engine_spec else self
@@ -457,13 +452,12 @@ class Session:
         The returned result's :attr:`~RunResult.campaign` is the live
         :class:`~repro.measure.longitudinal.LongitudinalRun`.
 
-        Note on ``merge="spool"``: the wave *files* are still produced
-        by the streaming join (byte-identical, resumable), but the
-        drift analysis (``compare_rounds``/``smp_growth``) consumes
-        every wave's records, so this method materialises them —
-        longitudinal memory is O(campaign records) whichever merge
-        mode runs the engine.  Streaming the analysis layer is a
-        ROADMAP direction, not a promise this method makes.
+        Note on memory: the wave *files* are produced by the streaming
+        join (byte-identical, resumable), but the drift analysis
+        (``compare_rounds``/``smp_growth``) consumes every wave's
+        records, so this method materialises them — longitudinal
+        memory is O(campaign records).  Streaming the analysis layer
+        is a ROADMAP direction, not a promise this method makes.
         """
         spec = spec if spec is not None else LongitudinalSpec()
         spec.validate()

@@ -167,8 +167,7 @@ class WorldSpec:
 #: historical rule: serial when ``workers == 1``, threads otherwise).
 EXECUTOR_BACKENDS = ("serial", "thread", "process", "distributed")
 
-#: Merge strategies: in-memory plan-order assembly, or the streaming
-#: k-way join over per-shard spools (O(shard buffer) memory).
+#: Values of ``EngineSpec.merge``: ``"spool"`` asserts the run streams.
 MERGE_MODES = ("memory", "spool")
 
 
@@ -187,8 +186,10 @@ class EngineSpec:
     #: over a socket work queue (:mod:`repro.distributed`) under the
     #: same portability rules.
     executor: Optional[str] = None
-    #: ``"memory"`` merges in memory; ``"spool"`` streams shard output
-    #: to per-shard spools and k-way-joins them (needs an output path).
+    #: Not a choice: the engine spool-joins whenever the run has an
+    #: output path and merges in memory otherwise.  ``"spool"`` only
+    #: asserts that this run must stream, so it is refused without an
+    #: output path; ``"memory"`` asserts nothing.
     merge: str = "memory"
     retry_max_attempts: int = 2
     retry_unreachable: bool = False
@@ -223,6 +224,11 @@ class EngineSpec:
             )
         if self.resume and not self.checkpoint:
             raise SpecError("engine.resume requires engine.checkpoint")
+
+    def in_memory(self) -> "EngineSpec":
+        """These settings for a run that writes no file: no resume and
+        no streaming assertion."""
+        return dataclasses.replace(self, resume=False, merge="memory")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "EngineSpec":

@@ -55,10 +55,6 @@ class BannerDetection:
     wall_word_match: bool = False
     currency_matches: List[str] = field(default_factory=list)
 
-    @property
-    def is_regular_banner(self) -> bool:
-        return self.found and not self.is_cookiewall
-
 
 class BannerClick:
     """The extended BannerClick detector.

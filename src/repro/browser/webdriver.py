@@ -72,10 +72,6 @@ class WebElement:
             raise NoSuchElementError(f"<{self.element.tag}> has no shadow root")
         return ShadowContext(self._driver, root)
 
-    def has_shadow_root(self) -> bool:
-        """True when an *open* shadow root is script-visible."""
-        return self.element.shadow_root is not None
-
     # -- interaction ------------------------------------------------------
     def click(self) -> ClickOutcome:
         return self._driver.browser.click(self._driver.page, self.element)
@@ -115,10 +111,6 @@ class WebDriver:
         if element.tag != "iframe" or element.content_document is None:
             raise NoSuchElementError("element is not a loaded iframe")
         self._context = element.content_document
-
-    @property
-    def current_context(self) -> Document:
-        return self._context
 
     # ------------------------------------------------------------------
     # Lookup

@@ -88,14 +88,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "byte-identical across backends)",
     )
     parser.add_argument(
-        "--merge", choices=("memory", "spool"),
-        default=argparse.SUPPRESS,
-        help="merge strategy (default memory; spool streams shard output "
-             "to per-shard files and k-way-joins them, keeping memory "
-             "O(one shard) for very large worlds — requires an output "
-             "path)",
-    )
-    parser.add_argument(
         "--resume", action="store_true", default=argparse.SUPPRESS,
         help="resume an interrupted run from its checkpoint "
              "(<out>.checkpoint); refuses when the checkpoint fingerprint "
@@ -474,8 +466,6 @@ def _compile_spec(kind: str, args: argparse.Namespace):
         overrides["engine"]["shards"] = args.shards
     if given("executor"):
         overrides["engine"]["executor"] = args.executor
-    if given("merge"):
-        overrides["engine"]["merge"] = args.merge
     if given("resume"):
         overrides["engine"]["resume"] = True
     if given("chaos_seed"):

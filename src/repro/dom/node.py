@@ -102,12 +102,6 @@ class Node:
             self.parent.children.remove(self)
             self.parent = None
 
-    def remove_child(self, child: "Node") -> "Node":
-        if child.parent is not self:
-            raise DOMError("node is not a child of this node")
-        child.detach()
-        return child
-
     def _has_ancestor(self, candidate: "Node") -> bool:
         node = self.parent
         while node is not None:
@@ -496,10 +490,6 @@ class Document(Node):
             if el.tag == "title":
                 return el.text_content()
         return ""
-
-    def create_element(self, tag: str, **attrs: str) -> Element:
-        """Create a detached element owned by this document."""
-        return Element(tag, {k.replace("_", "-"): v for k, v in attrs.items()})
 
     def get_element_by_id(self, element_id: str) -> Optional[Element]:
         from repro.dom.selector import first_element_by_id

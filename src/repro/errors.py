@@ -106,10 +106,6 @@ class ElementNotInteractableError(ReproError):
     """The element exists but cannot be clicked (hidden / detached)."""
 
 
-class BotDetectedError(NavigationError):
-    """The site identified the crawler as a bot and blocked the visit."""
-
-
 class FilterSyntaxError(ParseError):
     """An ad-block filter line could not be parsed."""
 

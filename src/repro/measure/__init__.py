@@ -11,7 +11,6 @@ from repro.measure.cookies_analysis import CookieCounts, count_cookies
 from repro.measure.crawl import Crawler, CrawlResult
 from repro.measure.engine import (
     EXECUTOR_BACKENDS,
-    MERGE_MODES,
     CheckpointCompaction,
     CheckpointMismatch,
     CrawlEngine,
@@ -52,7 +51,6 @@ __all__ = [
     "FaultInjectingExecutor",
     "FaultInjectingProcessExecutor",
     "EXECUTOR_BACKENDS",
-    "MERGE_MODES",
     "VisitRecord",
     "CookieMeasurement",
     "CookieCounts",

@@ -49,26 +49,20 @@ loop.  This module turns that loop into an explicit subsystem:
    backend, ``workers == 1`` is serial and ``workers > 1`` threads.
 
 4. **Merge.**  Outcomes are re-assembled in **plan order** (their
-   canonical order) regardless of which worker finished first, in one
-   of two modes:
+   canonical order) regardless of which worker finished first.  The
+   run's output decides how:
 
-   - ``merge="memory"`` (default): the merge holds every outcome and,
-     with a ``spool_path``, shard output is additionally appended to
-     a ``<path>.partial`` JSONL file as shards finish — crash
-     durability and live inspection, not a memory saving — and on
-     success the final file is written in canonical order and the
-     partial removed, so an interrupted run never clobbers a previous
-     complete output.
-   - ``merge="spool"``: each finished shard streams its outcomes to a
-     private ``<path>.shardNNNN.part`` JSONL spool (plan-index-sorted
+   - With a ``spool_path``, each finished shard streams its records to
+     a private ``<path>.shardNNNN.part`` JSONL spool (plan-index-sorted
      by construction) and the final file is produced by a k-way
      plan-order streaming join (:func:`~repro.measure.storage.
-     merge_record_spools`), so peak memory is O(one shard's buffer)
-     rather than O(world) — the mode for worlds far beyond paper
-     scale.  The returned :class:`EngineResult` carries counts and
-     the (small) failure list instead of materialised outcomes;
-     records stream lazily from the final spool.  Both modes produce
-     byte-identical files.
+     merge_record_spools`) through an atomic rename, so peak memory is
+     O(one shard's buffer) rather than O(world) and an interrupted run
+     never clobbers a previous complete output.  The returned
+     :class:`EngineResult` carries counts and the (small) failure list
+     instead of materialised outcomes; records stream lazily from the
+     final file.
+   - Without one, the merge holds every outcome in memory.
 
 Pickling constraints (process backend)
 --------------------------------------
@@ -165,7 +159,6 @@ from repro.measure.storage import (
     materialize_record,
     merge_record_spools,
     note_torn_line,
-    save_records,
     validate_record_payload,
 )
 from repro.rng import derive_seed
@@ -184,10 +177,6 @@ EXECUTOR_BACKENDS = ("serial", "thread", "process", "distributed")
 #: Backends that run shards in this process on the live crawler; the
 #: others rebuild it in worker processes from the run-constant state.
 _IN_PROCESS_BACKENDS = ("serial", "thread")
-
-#: Merge strategies: in-memory plan-order assembly, or the k-way
-#: streaming join over per-shard spools (O(shard buffer) memory).
-MERGE_MODES = ("memory", "spool")
 
 #: ``progress(done, total, task)`` — invoked after every completed task.
 ProgressHook = Callable[[int, int, "CrawlTask"], None]
@@ -830,11 +819,59 @@ def _merge_checkpoint_runs(
         yield held
 
 
+def _rewrite_checkpoint(
+    path: Path,
+    refusal: str,
+    *,
+    validate: Optional[Callable[[int, Dict], None]] = None,
+    on_header: Optional[Callable[[Dict], None]] = None,
+    on_outcome: Optional[Callable[[int, Dict, str], None]] = None,
+) -> Tuple[_CheckpointScan, int]:
+    """The checkpoint file's one rewrite, shared by resume and
+    compaction; returns the scan and the outcome lines kept.
+
+    Scans *path* (corruption is refused as :class:`CheckpointMismatch`
+    ending in *refusal*), then atomically replaces it through a temp
+    sibling with its canonical form: the header verbatim, one
+    consolidated breaker line (latest-wins already applied by the
+    scan), and the latest-wins outcomes in plan order, each of which
+    *on_outcome* also sees.  A failed rewrite leaves the original
+    file and no temp behind.
+    """
+    try:
+        scan = _scan_checkpoint(path, validate=validate, on_header=on_header)
+    except CheckpointMismatch:
+        raise
+    except (ValueError, KeyError, TypeError) as error:
+        # Mid-file corruption, a malformed outcome line, a bogus record
+        # payload — all land on the same refusal path the CLI already
+        # handles, instead of a raw traceback.
+        raise CheckpointMismatch(
+            f"{path}: corrupt checkpoint ({error}); {refusal}"
+        ) from error
+    tmp = path.with_name(path.name + ".rewrite")
+    kept = 0
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.write(scan.header_line + "\n")
+            if scan.breakers:
+                handle.write(_breaker_line(scan.breakers))
+            for index, payload, line in _merge_checkpoint_runs(path, scan):
+                handle.write(line + "\n")
+                kept += 1
+                if on_outcome is not None:
+                    on_outcome(index, payload, line)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return scan, kept
+
+
 @dataclass
 class CheckpointReplay:
     """What a streaming reconcile replays into the current run.
 
-    The spool-merge resume path deliberately holds no records: the
+    A spooled run's resume path deliberately holds no records: the
     completed *indices* (ints), the — small — permanent failures, and
     the path of the sorted replay part file the k-way join consumes.
     Only the in-memory merge materialises replayed outcomes, and even
@@ -843,11 +880,11 @@ class CheckpointReplay:
     """
 
     completed: Set[int] = field(default_factory=set)
-    #: Latest-wins permanently failed outcomes (spool merge only).
+    #: Latest-wins permanently failed outcomes (spooled runs only).
     failures: List["TaskOutcome"] = field(default_factory=list)
     #: In-memory merge only: every replayed outcome, records zero-copy.
     outcomes: List["TaskOutcome"] = field(default_factory=list)
-    #: Spool merge only: the index-sorted record replay file, if any
+    #: Spooled runs only: the index-sorted record replay file, if any
     #: completed outcome carried a record.
     resume_part: Optional[Path] = None
     #: Circuit-breaker snapshots restored from the checkpoint, keyed
@@ -864,9 +901,9 @@ class CheckpointReplay:
 class EngineResult:
     """Merged outcomes of one engine run, in canonical (plan) order.
 
-    In the default in-memory merge, :attr:`outcomes` holds every
-    :class:`TaskOutcome`.  Under ``merge="spool"`` the outcomes were
-    streamed to disk instead: :attr:`outcomes` is ``None``, the final
+    Without a ``spool_path``, :attr:`outcomes` holds every
+    :class:`TaskOutcome`.  With one, the outcomes were streamed to
+    disk instead: :attr:`outcomes` is ``None``, the final
     records live at :attr:`spool_path` (stream them with
     :meth:`iter_records`; :attr:`records` materialises them on
     demand), and only the counts plus the — small — permanent-failure
@@ -877,13 +914,13 @@ class EngineResult:
     elapsed: float = 0.0
     #: Outcomes replayed from a checkpoint rather than executed.
     resumed: int = 0
-    #: Spool-merge mode only: where the merged records were written.
+    #: Spooled runs only: where the merged records were written.
     spool_path: Optional[Path] = None
-    #: Spool-merge mode only: total task count (``len(plan)``).
+    #: Spooled runs only: total task count (``len(plan)``).
     total: Optional[int] = None
-    #: Spool-merge mode only: records written to :attr:`spool_path`.
+    #: Spooled runs only: records written to :attr:`spool_path`.
     spooled_records: int = 0
-    #: Spool-merge mode only: the permanently failed outcomes.
+    #: Spooled runs only: the permanently failed outcomes.
     spooled_failures: List[TaskOutcome] = field(default_factory=list)
 
     @property
@@ -1175,11 +1212,6 @@ class CrawlEngine:
         rule above.  The process and distributed backends require a
         stock crawler over a built world (pickling constraints); every
         backend but serial uses per-task visit-id streams.
-    merge:
-        ``"memory"`` (default) assembles the merged outcome list in
-        memory; ``"spool"`` streams shard outcomes to per-shard spools
-        and produces the final file via a k-way plan-order streaming
-        join, keeping memory O(one shard) — requires *spool_path*.
     shards:
         Shard count; defaults to ``1`` when serial and ``4 × workers``
         when parallel.  A shard is the unit of concurrency (tasks
@@ -1196,13 +1228,12 @@ class CrawlEngine:
         ``progress(done, total, task)`` called after every completed
         task (serialised under the engine lock).
     spool_path:
-        When set, each finished shard's records are appended to
-        ``<spool_path>.partial`` as the crawl runs (a crash leaves the
-        completed shards there and the previous complete output
-        untouched); on success the final file is written to
-        *spool_path* in canonical plan order — identical runs produce
-        byte-identical files.  This is crash durability, not a memory
-        saving: the merged result is still assembled in memory.
+        When set, each finished shard's records stream to its own part
+        file and the final file is their k-way plan-order join at
+        *spool_path* (module docstring, *Merge*) — identical runs
+        produce byte-identical files, a crash leaves the previous
+        complete output untouched, and memory stays O(one shard).
+        Without it the outcomes are merged in memory.
     checkpoint_path:
         When set, completed task outcomes (records *and* permanent
         failures, with their plan indices) are appended to this JSONL
@@ -1229,7 +1260,6 @@ class CrawlEngine:
         workers: int = 1,
         shards: Optional[int] = None,
         backend: Optional[str] = None,
-        merge: str = "memory",
         retry: Optional[RetryPolicy] = None,
         event_log: Optional[EventLog] = None,
         progress: Optional[ProgressHook] = None,
@@ -1251,20 +1281,9 @@ class CrawlEngine:
                 "backend='serial' contradicts workers > 1 "
                 "(pick 'thread' or 'process' to parallelise)"
             )
-        if merge not in MERGE_MODES:
-            raise ValueError(
-                f"unknown merge mode {merge!r} "
-                f"(known: {', '.join(MERGE_MODES)})"
-            )
-        if merge == "spool" and spool_path is None:
-            raise ValueError(
-                "merge='spool' streams to per-shard spools and needs a "
-                "spool_path for the final join"
-            )
         self.crawler = crawler
         self.workers = workers
         self.backend = backend
-        self.merge = merge
         self.executor = executor
         #: Parallel runs default to more shards and always use per-task
         #: visit-id streams (see :attr:`per_task_ids`).
@@ -1278,7 +1297,7 @@ class CrawlEngine:
         self.event_log = event_log
         self.progress = progress
         self.progress_every = max(progress_every, 1)
-        self.spool_path = spool_path
+        self.spool_path = Path(spool_path) if spool_path is not None else None
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
@@ -1287,8 +1306,7 @@ class CrawlEngine:
             # the caller believes the checkpoint was honoured.
             raise ValueError("resume=True requires a checkpoint_path")
         self.resume = resume
-        self._spool_partial: Optional[Path] = None
-        #: Spool-merge run state: part files written so far.
+        #: Spooled-run state: part files written so far.
         self._merge_parts: List[Path] = []
         #: pid -> [shards, tasks, elapsed] for process-backend runs.
         self._process_stats: Dict[int, List] = {}
@@ -1348,7 +1366,6 @@ class CrawlEngine:
         """Run *plan* and return the plan-ordered merged result."""
         sharded = plan.sharded(self.shards)
         self._total = len(plan)
-        self._spool_partial = None
         self._merge_parts = []
         self._process_stats = {}
         # Spool preparation runs *before* the checkpoint reconcile: the
@@ -1356,17 +1373,11 @@ class CrawlEngine:
         # run's .resume.part, which the cleanup of an interrupted
         # earlier run's part files would otherwise delete.
         if self.spool_path is not None:
-            if self.merge == "spool":
-                # Part files from an interrupted earlier run would
-                # contaminate this run's k-way join; shards open their
-                # part files directly, so the directory must exist.
-                Path(self.spool_path).parent.mkdir(
-                    parents=True, exist_ok=True
-                )
-                self._cleanup_parts()
-            else:
-                self._spool_partial = Path(f"{self.spool_path}.partial")
-                save_records([], self._spool_partial)
+            # Part files from an interrupted earlier run would
+            # contaminate this run's k-way join; shards open their part
+            # files directly, so the directory must exist.
+            self.spool_path.parent.mkdir(parents=True, exist_ok=True)
+            self._cleanup_parts()
         replay = self._reconcile_checkpoint(plan)
         self._breakers = {}
         self._adopt_breakers(replay.breakers)
@@ -1384,7 +1395,7 @@ class CrawlEngine:
             "shards": self.shards,
             "workers": self.workers,
             "backend": self.resolved_backend,
-            "merge": self.merge,
+            "merge": "memory" if self.spool_path is None else "spool",
         })
         if replay.count:
             self._emit("resume", "engine://resume", {
@@ -1423,7 +1434,7 @@ class CrawlEngine:
                 network.chaos = None
         elapsed = time.perf_counter() - started
         self._emit_process_throughput()
-        if self.merge == "spool":
+        if self.spool_path is not None:
             result = self._finalise_spool_merge(
                 plan, replay, outcomes, elapsed
             )
@@ -1433,22 +1444,6 @@ class CrawlEngine:
             result = EngineResult(
                 outcomes=outcomes, elapsed=elapsed, resumed=replay.count
             )
-            if self.spool_path is not None:
-                # Shards appended to the .partial file in completion
-                # order (a crash leaves them there, and the previous
-                # complete output untouched); success writes the
-                # canonical file and drops the partial.  Iterating the
-                # outcomes directly (not .records) keeps zero-copy
-                # records serialized end to end.
-                save_records(
-                    (
-                        o.record for o in outcomes
-                        if o.record is not None
-                    ),
-                    self.spool_path,
-                )
-                if self._spool_partial is not None:
-                    self._spool_partial.unlink(missing_ok=True)
         if self.checkpoint_path is not None:
             # The run completed; its durable output (if any) is final.
             self.checkpoint_path.unlink(missing_ok=True)
@@ -1674,14 +1669,13 @@ class CrawlEngine:
             })
 
     # ------------------------------------------------------------------
-    # Spool-backed merge
+    # Spooled merge
     # ------------------------------------------------------------------
     def _part_path(self, shard_id: int) -> Path:
         return Path(f"{self.spool_path}.shard{shard_id:04d}.part")
 
     def _cleanup_parts(self) -> None:
-        spool = Path(self.spool_path)
-        for stale in spool.parent.glob(f"{spool.name}.shard*.part"):
+        for stale in self.spool_path.parent.glob(f"{self.spool_path.name}.shard*.part"):
             stale.unlink(missing_ok=True)
         Path(f"{self.spool_path}.resume.part").unlink(missing_ok=True)
 
@@ -1712,7 +1706,7 @@ class CrawlEngine:
             outcomes=None,
             elapsed=elapsed,
             resumed=replay.count,
-            spool_path=Path(self.spool_path),
+            spool_path=self.spool_path,
             total=len(plan),
             spooled_records=count,
             spooled_failures=failures,
@@ -1736,7 +1730,7 @@ class CrawlEngine:
         The checkpoint is rewritten as header + latest-wins outcomes in
         plan order (so it stays canonical — and compact — across
         repeated resumes) in one k-way streaming pass over its sorted
-        runs; under the spool merge the replay records flow straight
+        runs; in a spooled run the replay records flow straight
         into the ``.resume.part`` file during that same pass.  The
         returned :class:`CheckpointReplay` therefore carries the
         completed index set, never the records.
@@ -1782,76 +1776,50 @@ class CrawlEngine:
                 # deserialising a record.
                 validate_record_payload(record_payload)
 
-        try:
-            scan = _scan_checkpoint(
-                path, validate=validate, on_header=on_header
-            )
-        except CheckpointMismatch:
-            raise
-        except (ValueError, KeyError, TypeError) as error:
-            # Mid-file corruption, a malformed outcome line, a bogus
-            # record payload — all land on the same refusal path the
-            # CLI already handles, instead of a raw traceback.
-            raise CheckpointMismatch(
-                f"{path}: corrupt checkpoint ({error}); "
-                "refusing to resume — rerun without resume to start over"
-            ) from error
-        replay = CheckpointReplay(
-            completed=scan.indices, breakers=dict(scan.breakers)
-        )
-        spooled = self.merge == "spool" and self.spool_path is not None
+        replay = CheckpointReplay()
+        spooled = self.spool_path is not None
         resume_part = (
             Path(f"{self.spool_path}.resume.part") if spooled else None
         )
         part_handle = None
-        tmp = path.with_name(path.name + ".reconcile")
+
+        def on_outcome(index: int, payload: Dict, line: str) -> None:
+            nonlocal part_handle
+            record_payload = payload.get("record")
+            outcome = TaskOutcome(
+                index=index,
+                task=plan.tasks[index],
+                error=payload.get("error"),
+                attempts=payload.get("attempts", 1),
+            )
+            if not spooled:
+                if record_payload is not None:
+                    outcome.record = RawRecord.from_payload(record_payload)
+                replay.outcomes.append(outcome)
+                return
+            if outcome.error is not None:
+                replay.failures.append(outcome)
+            if record_payload is not None:
+                # The replay records never enter memory: the original
+                # serialized lines stream to the sorted part file the
+                # k-way join consumes.
+                if part_handle is None:
+                    part_handle = resume_part.open("w", encoding="utf-8")
+                part_handle.write(line + "\n")
+
         try:
-            with tmp.open("w", encoding="utf-8") as handle:
-                handle.write(self._checkpoint_header(fingerprint, len(plan)))
-                if scan.breakers:
-                    # Consolidate the per-flush breaker lines into one
-                    # (latest-wins already applied by the scan).
-                    handle.write(_breaker_line(scan.breakers))
-                for index, payload, line in _merge_checkpoint_runs(
-                    path, scan
-                ):
-                    handle.write(line + "\n")
-                    record_payload = payload.get("record")
-                    error = payload.get("error")
-                    if spooled:
-                        if error is not None:
-                            replay.failures.append(TaskOutcome(
-                                index=index,
-                                task=plan.tasks[index],
-                                record=None,
-                                error=error,
-                                attempts=payload.get("attempts", 1),
-                            ))
-                        if record_payload is not None:
-                            # The replay records never enter memory:
-                            # the original serialized lines stream to
-                            # the sorted part file the k-way join
-                            # consumes.
-                            if part_handle is None:
-                                part_handle = resume_part.open(
-                                    "w", encoding="utf-8"
-                                )
-                            part_handle.write(line + "\n")
-                    else:
-                        replay.outcomes.append(TaskOutcome(
-                            index=index,
-                            task=plan.tasks[index],
-                            record=(
-                                RawRecord.from_payload(record_payload)
-                                if record_payload is not None else None
-                            ),
-                            error=error,
-                            attempts=payload.get("attempts", 1),
-                        ))
+            scan, _ = _rewrite_checkpoint(
+                path,
+                "refusing to resume — rerun without resume to start over",
+                validate=validate,
+                on_header=on_header,
+                on_outcome=on_outcome,
+            )
         finally:
             if part_handle is not None:
                 part_handle.close()
-        tmp.replace(path)
+        replay.completed = scan.indices
+        replay.breakers = dict(scan.breakers)
         if part_handle is not None:
             replay.resume_part = resume_part
         return replay
@@ -1912,32 +1880,13 @@ class CrawlEngine:
         Raises :class:`CheckpointMismatch` when *path* is not a crawl
         checkpoint (no header / mid-file corruption).
 
-        Shares the streaming run-merge machinery with the resume
-        reconcile: a boundary scan plus a k-way join over the sorted
-        runs, so compaction memory is one buffered line per run (plus
-        the index set), never the outcome payloads.
+        Shares its one rewrite with the resume reconcile: a boundary
+        scan plus a k-way join over the sorted runs, so compaction
+        memory is one buffered line per run (plus the index set), never
+        the outcome payloads.
         """
         path = Path(path)
-        try:
-            scan = _scan_checkpoint(path)
-        except CheckpointMismatch:
-            raise
-        except ValueError as error:
-            raise CheckpointMismatch(
-                f"{path}: corrupt checkpoint ({error}); refusing to compact"
-            ) from error
-        tmp = path.with_name(path.name + ".compact")
-        kept = 0
-        with tmp.open("w", encoding="utf-8") as handle:
-            # The header survives verbatim (same fingerprint, still
-            # resumable).
-            handle.write(scan.header_line + "\n")
-            if scan.breakers:
-                handle.write(_breaker_line(scan.breakers))
-            for _, _, line in _merge_checkpoint_runs(path, scan):
-                handle.write(line + "\n")
-                kept += 1
-        tmp.replace(path)
+        scan, kept = _rewrite_checkpoint(path, "refusing to compact")
         return CheckpointCompaction(
             path=path,
             kept=kept,
@@ -1956,19 +1905,14 @@ class CrawlEngine:
     ) -> List[TaskOutcome]:
         """Persist one finished shard and hand back what the merge keeps.
 
-        In the in-memory merge the full outcome list is returned; in
-        the spool merge the records are streamed to this shard's part
-        file first and only the (small) permanent failures are kept in
-        memory.
+        In the in-memory merge the full outcome list is returned; a
+        spooled run streams the records to this shard's part file first
+        and keeps only the (small) permanent failures in memory.
         """
-        has_sink = (
-            self.merge == "spool"
-            or self._spool_partial is not None
-            or self.checkpoint_path is not None
-        )
-        if outcomes and has_sink:
+        spooled = self.spool_path is not None
+        if outcomes and (spooled or self.checkpoint_path is not None):
             part: Optional[Path] = None
-            if self.merge == "spool":
+            if spooled:
                 # Each shard owns its part file, so the write needs no
                 # lock; plan order within the shard makes it index-
                 # sorted, which the k-way join requires.
@@ -1980,11 +1924,6 @@ class CrawlEngine:
             with self._lock:
                 if part is not None:
                     self._merge_parts.append(part)
-                if self._spool_partial is not None:
-                    save_records(
-                        [o.record for o in outcomes if o.record is not None],
-                        self._spool_partial, append=True,
-                    )
                 if self.checkpoint_path is not None:
                     self._checkpoint_outcomes(outcomes, breakers)
         detail = {
@@ -1995,7 +1934,7 @@ class CrawlEngine:
         if pid is not None:
             detail["pid"] = pid
         self._emit("shard", f"engine://shard/{shard_id}", detail)
-        if self.merge == "spool":
+        if spooled:
             return [o for o in outcomes if o.error is not None]
         return outcomes
 

@@ -312,18 +312,21 @@ def merge_record_spools(
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     # Stream to a sibling and rename on success: a crash mid-join must
-    # never truncate a previous complete output — the same invariant
-    # the in-memory merge's .partial protocol provides.
+    # never truncate a previous complete output, and a failed join
+    # (interrupt, full disk, invalid payload) leaves no temp behind.
     tmp = path.with_name(path.name + ".merging")
-    with tmp.open("w", encoding="utf-8") as handle:
-        for payload in iter_merged_jsonl(parts):
-            record_payload = payload.get("record")
-            if record_payload is None:
-                continue
-            validate_record_payload(record_payload)
-            handle.write(
-                json.dumps(record_payload, ensure_ascii=False) + "\n"
-            )
-            count += 1
-    tmp.replace(path)
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            for payload in iter_merged_jsonl(parts):
+                record_payload = payload.get("record")
+                if record_payload is None:
+                    continue
+                validate_record_payload(record_payload)
+                handle.write(
+                    json.dumps(record_payload, ensure_ascii=False) + "\n"
+                )
+                count += 1
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return count

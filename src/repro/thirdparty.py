@@ -211,8 +211,3 @@ def cmp_domains(listed: bool = True) -> List[str]:
     return [
         p.domain for p in by_kind("cmp") if p.in_annoyances == listed
     ]
-
-
-def serving_host(domain: str) -> str:
-    """The host third parties serve scripts from (``cdn.`` prefix)."""
-    return f"cdn.{domain}"

@@ -70,12 +70,6 @@ class URL:
     # ------------------------------------------------------------------
     # Manipulation
     # ------------------------------------------------------------------
-    def with_path(self, path: str) -> "URL":
-        """Return a copy of this URL with a different path."""
-        if not path.startswith("/"):
-            path = "/" + path
-        return replace(self, path=_normalize_path(path), fragment="", query="")
-
     def join(self, reference: str) -> "URL":
         """Resolve *reference* against this URL (RFC 3986 subset)."""
         reference = reference.strip()

@@ -26,10 +26,6 @@ class VantagePoint:
     regulation: Regulation
     in_eu: bool = False
 
-    @property
-    def is_gdpr(self) -> bool:
-        return self.regulation is Regulation.GDPR
-
     def __str__(self) -> str:
         return f"{self.city} ({self.code})"
 

@@ -96,11 +96,6 @@ class RegulationScenario:
             get_vantage_point(code)
         return self
 
-    @property
-    def is_baseline(self) -> bool:
-        """True when the scenario changes nothing about a crawl."""
-        return not self.relocations and not self.geo_blocked
-
     def exit_vp(self, vp_code: str, wave: int = 0) -> str:
         """The vantage point *vp_code*'s traffic exits from in *wave*."""
         if wave >= self.relocate_from_month:

@@ -113,11 +113,5 @@ class SiteSpec:
             return False
         return bucket is None or got == bucket
 
-    def wall_shows_for(self, vp_code: str, in_eu: bool) -> bool:
-        """Ground truth: does the wall show for this vantage point?"""
-        if self.wall is None:
-            return False
-        return vp_code in self.wall.regions
-
     def __repr__(self) -> str:
         return f"<SiteSpec {self.domain} {self.banner.value}>"

@@ -25,8 +25,7 @@ GUARDED = ("crawl", "measure", "longitudinal", "multivantage")
 #: Flags shared by every engine-backed subcommand, documented once in
 #: the README's common list rather than per subcommand.
 COMMON = {
-    "--scale", "--seed", "--workers", "--shards", "--executor", "--merge",
-    "--resume", "--chaos-seed", "--deadline", "--breaker", "--config",
+    "--scale", "--seed", "--workers", "--shards", "--executor", "--resume", "--chaos-seed", "--deadline", "--breaker", "--config",
 }
 
 
@@ -154,7 +153,7 @@ def test_readme_documents_streaming_analysis():
     for anchor in (
         "RawRecord", "record_decode_count", "materialize_record",
         "streaming=True", "BENCH_streaming.json", "--flat-scales",
-        "check_streaming_analysis.py",
+        "python -m tools.reprolint",
     ):
         assert anchor in section, (
             f"README 'Streaming analysis' section no longer mentions "
@@ -244,7 +243,7 @@ def test_readme_documents_static_analysis():
         "python -m tools.reprolint", "reprolint: disable=", "--explain",
         "--list-rules", "--format=github", "baseline.json",
         "--write-baseline", "bad-pragma", "unused-suppression",
-        "check_streaming_analysis.py", "test_reprolint.py",
+        "test_reprolint.py",
     ):
         assert anchor in section, (
             f"README 'Static analysis' section no longer mentions "

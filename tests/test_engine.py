@@ -16,6 +16,7 @@ from repro.measure import (
     RetryPolicy,
     iter_records,
     plan_fingerprint,
+    save_records,
 )
 from repro.measure.crawl import CrawlResult
 from repro.measure.engine import shard_of
@@ -286,15 +287,28 @@ class TestSpool:
             ).execute(plan)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_spool_partial_removed_on_success(self, tmp_path, medium_world, medium_crawler):
-        spool = tmp_path / "out.jsonl"
-        engine = CrawlEngine(medium_crawler, spool_path=spool)
+    def test_output_path_run_streams_and_leaves_no_temp_files(
+        self, tmp_path, medium_world, medium_crawler
+    ):
+        """A default engine with an output path spool-joins; its file
+        equals the in-memory run's records saved, and nothing else is
+        left in the directory."""
         plan = medium_crawler.plan_detection_crawl(
             ["DE"], medium_world.crawl_targets[:5]
         )
-        engine.execute(plan)
-        assert spool.exists()
-        assert not (tmp_path / "out.jsonl.partial").exists()
+        spool = tmp_path / "out.jsonl"
+        result = CrawlEngine(medium_crawler, spool_path=spool).execute(plan)
+        assert result.streamed
+        in_memory = CrawlEngine(medium_crawler).execute(plan)
+        assert not in_memory.streamed
+        reference = tmp_path / "reference.jsonl"
+        save_records(in_memory.records, reference)
+        assert spool.read_bytes() == reference.read_bytes()
+        leftovers = [
+            p.name for p in tmp_path.iterdir()
+            if p.name.endswith((".partial", ".part", ".merging"))
+        ]
+        assert leftovers == []
 
     def test_failed_run_preserves_previous_output(self, tmp_path, medium_world):
         class ExplodingCrawler(Crawler):
@@ -324,15 +338,7 @@ class TestSpool:
 
 
 class TestSpoolMerge:
-    """The streaming k-way merge (``merge='spool'``)."""
-
-    def test_requires_spool_path(self, medium_crawler):
-        with pytest.raises(ValueError, match="spool_path"):
-            CrawlEngine(medium_crawler, merge="spool")
-
-    def test_unknown_merge_mode_rejected(self, medium_crawler):
-        with pytest.raises(ValueError, match="unknown merge mode"):
-            CrawlEngine(medium_crawler, merge="teleport", spool_path="x")
+    """The streaming k-way merge every run with a ``spool_path`` uses."""
 
     def test_streamed_result_and_bytes_match_memory(
         self, tmp_path, medium_world, medium_crawler
@@ -340,13 +346,14 @@ class TestSpoolMerge:
         targets = medium_world.crawl_targets[:40]
         plan = medium_crawler.plan_detection_crawl(["DE"], targets)
         memory = tmp_path / "memory.jsonl"
-        CrawlEngine(
-            medium_crawler, workers=2, shards=4, spool_path=memory
-        ).execute(plan)
+        save_records(
+            CrawlEngine(medium_crawler, workers=2, shards=4)
+            .execute(plan).records,
+            memory,
+        )
         streamed = tmp_path / "streamed.jsonl"
         result = CrawlEngine(
             medium_crawler, workers=2, shards=4, spool_path=streamed,
-            merge="spool",
         ).execute(plan)
         assert streamed.read_bytes() == memory.read_bytes()
         assert result.streamed and result.outcomes is None
@@ -357,7 +364,7 @@ class TestSpoolMerge:
         assert [r.to_dict() for r in result.iter_records()] == [
             r.to_dict() for r in result.records
         ]
-        # No part files (or legacy .partial) left behind.
+        # No part files left behind.
         leftovers = [
             p.name for p in tmp_path.iterdir()
             if p.name not in ("memory.jsonl", "streamed.jsonl")
@@ -380,7 +387,7 @@ class TestSpoolMerge:
         plan = crawler.plan_detection_crawl(["DE"], targets)
         out = tmp_path / "partial-failures.jsonl"
         result = CrawlEngine(
-            crawler, workers=2, shards=4, spool_path=out, merge="spool",
+            crawler, workers=2, shards=4, spool_path=out,
             retry=RetryPolicy(max_attempts=1),
         ).execute(plan)
         assert len(result.failures) == len(dead)
@@ -407,7 +414,6 @@ class TestSpoolMerge:
         stale.write_text('{"kind": "outcome", "index": 0, "record": null}\n')
         result = CrawlEngine(
             medium_crawler, workers=2, shards=4, spool_path=out,
-            merge="spool",
         ).execute(plan)
         assert result.record_count == 20
         assert not stale.exists()
@@ -1011,7 +1017,7 @@ class TestStreamingReconcileMachinery:
         out = tmp_path / "streamed.jsonl"
         checkpoint = tmp_path / "streamed.jsonl.checkpoint"
         engine = CrawlEngine(
-            medium_crawler, workers=4, shards=8, merge="spool",
+            medium_crawler, workers=4, shards=8,
             spool_path=out, checkpoint_path=checkpoint,
             executor=FaultInjectingExecutor(4, (1, 4), partial=True),
         )
@@ -1019,7 +1025,7 @@ class TestStreamingReconcileMachinery:
             engine.execute(plan)
 
         resumer = CrawlEngine(
-            medium_crawler, workers=4, shards=8, merge="spool",
+            medium_crawler, workers=4, shards=8,
             spool_path=out, checkpoint_path=checkpoint, resume=True,
         )
         replay = resumer._reconcile_checkpoint(plan)

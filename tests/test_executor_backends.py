@@ -101,7 +101,7 @@ class TestBackendDeterminism:
     ):
         out = tmp_path / "streamed.jsonl"
         result = make_engine(
-            backend, small_crawler, spool_path=out, merge="spool"
+            backend, small_crawler, spool_path=out
         ).execute(detection_plan)
         assert result.streamed
         assert result.outcomes is None
@@ -131,9 +131,8 @@ class TestBackendDeterminism:
         ).execute(plan)
         assert out.read_bytes() == reference.read_bytes()
 
-    @pytest.mark.parametrize("merge", ["memory", "spool"])
     def test_crashed_run_resumes_byte_identical(
-        self, backend, merge, tmp_path, small_crawler, detection_plan,
+        self, backend, tmp_path, small_crawler, detection_plan,
         serial_reference,
     ):
         """Kill part of the run (worker SIGKILL under the process
@@ -142,7 +141,7 @@ class TestBackendDeterminism:
         out = tmp_path / "crashed.jsonl"
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
         engine = make_engine(
-            backend, small_crawler, spool_path=out, merge=merge,
+            backend, small_crawler, spool_path=out,
             checkpoint_path=checkpoint,
             executor=crash_executor(backend, fail_shards=(1, 4)),
         )
@@ -155,7 +154,7 @@ class TestBackendDeterminism:
 
         log = EventLog()
         result = make_engine(
-            backend, small_crawler, spool_path=out, merge=merge,
+            backend, small_crawler, spool_path=out,
             checkpoint_path=checkpoint, resume=True, event_log=log,
         ).execute(detection_plan)
         assert result.resumed > 0
@@ -340,7 +339,7 @@ class TestProcessBackendSpecifics:
         existing output directory must be created, as in memory mode."""
         out = tmp_path / "new" / "dir" / "out.jsonl"
         result = make_engine(
-            "process", small_crawler, spool_path=out, merge="spool"
+            "process", small_crawler, spool_path=out
         ).execute(detection_plan)
         assert result.record_count == len(detection_plan)
         assert out.read_bytes() == serial_reference

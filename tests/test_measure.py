@@ -372,3 +372,22 @@ class TestMergedJsonl:
         assert merge_record_spools([part], out) == 4
         save_records(records, oracle)
         assert out.read_bytes() == oracle.read_bytes()
+
+    def test_failed_join_keeps_previous_output_and_no_temp(self, tmp_path):
+        """An invalid payload mid-join aborts the merge: the previous
+        complete output keeps its bytes and no `.merging` temp is left."""
+        from repro.measure.storage import merge_record_spools
+
+        good = self._part(tmp_path, "a.part", self._records([0, 2]))
+        bad = tmp_path / "b.part"
+        bad.write_text(
+            '{"kind": "outcome", "index": 1, '
+            '"record": {"type": "Bogus", "data": {}}}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "merged.jsonl"
+        out.write_text("previous complete output\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown record type"):
+            merge_record_spools([good, bad], out)
+        assert out.read_text(encoding="utf-8") == "previous complete output\n"
+        assert list(tmp_path.glob("*.merging")) == []

@@ -371,15 +371,3 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "reprolint: OK" in proc.stdout
-
-
-def test_streaming_shim_still_works():
-    """The two-line shim for the absorbed standalone script."""
-    proc = subprocess.run(
-        [sys.executable, "tools/check_streaming_analysis.py"],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr

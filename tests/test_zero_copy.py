@@ -186,7 +186,7 @@ def test_process_worker_records_reach_spool_without_decode(
     out = tmp_path / "spooled.jsonl"
     engine = CrawlEngine(
         crawler, workers=2, shards=4, backend="process",
-        merge="spool", spool_path=out,
+        spool_path=out,
         checkpoint_path=tmp_path / "spooled.checkpoint",
     )
     before = record_decode_count()
@@ -198,17 +198,13 @@ def test_process_worker_records_reach_spool_without_decode(
     assert sum(1 for _ in iter_records(out)) == len(plan)
 
 
-def test_memory_merge_decodes_only_at_the_consumer_boundary(
-    tmp_path, zero_copy_plan
-):
+def test_memory_merge_decodes_only_at_the_consumer_boundary(zero_copy_plan):
     crawler, plan = zero_copy_plan
-    out = tmp_path / "memory.jsonl"
-    engine = CrawlEngine(
-        crawler, workers=2, shards=4, backend="process", spool_path=out
-    )
+    # No output path: the run merges in memory.
+    engine = CrawlEngine(crawler, workers=2, shards=4, backend="process")
     before = record_decode_count()
     result = engine.execute(plan)
-    # Execution (including the spool write) is pass-through...
+    # Execution is pass-through...
     assert record_decode_count() == before
     records = result.records
     # ...and materialisation decodes each absorbed record exactly once,
@@ -229,7 +225,7 @@ def test_resume_replay_stays_zero_copy(tmp_path, zero_copy_plan):
     checkpoint = tmp_path / "resumed.checkpoint"
     engine = CrawlEngine(
         crawler, workers=1, shards=4, backend="process",
-        merge="spool", spool_path=out, checkpoint_path=checkpoint,
+        spool_path=out, checkpoint_path=checkpoint,
         executor=FaultInjectingProcessExecutor(1, (3,)),
     )
     with pytest.raises(RuntimeError):
@@ -238,7 +234,7 @@ def test_resume_replay_stays_zero_copy(tmp_path, zero_copy_plan):
     before = record_decode_count()
     result = CrawlEngine(
         crawler, workers=1, shards=4, backend="process",
-        merge="spool", spool_path=out, checkpoint_path=checkpoint,
+        spool_path=out, checkpoint_path=checkpoint,
         resume=True,
     ).execute(plan)
     assert record_decode_count() == before

@@ -1,10 +1,10 @@
 """Streaming discipline: the analysis and merge paths stay single-pass.
 
-Absorbs ``tools/check_streaming_analysis.py`` (the original
-``load_records``-in-``analysis/`` ban) and generalises it: the flat-RSS
-gates (``large_world_smoke.py``, ``BENCH_streaming.json`` floors)
-assume no layer between a spool and an aggregate ever materialises a
-record file, so any whole-file read in those paths is a finding.
+Generalises the original ``load_records``-in-``analysis/`` ban: the
+flat-RSS gates (``large_world_smoke.py``, ``BENCH_streaming.json``
+floors) assume no layer between a spool and an aggregate ever
+materialises a record file, so any whole-file read in those paths is
+a finding.
 """
 
 from __future__ import annotations
