@@ -6,6 +6,7 @@ import time
 
 from conftest import BENCH_SCALE, BENCH_SEED, OUTPUT_DIR, run_once, write_artifact
 
+from repro.api import EngineSpec, Session
 from repro.measure.crawl import Crawler
 from repro.measure.engine import CrawlEngine, FaultInjectingExecutor, shard_of
 from repro.webgen import build_world
@@ -76,13 +77,21 @@ def test_parallel_crawl_speedup(benchmark):
     crawler = Crawler(world)
     sample = world.crawl_targets[:_SAMPLE_SIZE]
 
+    def sweep(workers):
+        session = Session(
+            world, engine=EngineSpec(workers=workers), crawler=crawler
+        )
+        return session.execute(
+            crawler.plan_detection_crawl(["DE"], sample)
+        ).records
+
     started = time.perf_counter()
-    serial_records = crawler.crawl_vp("DE", sample, workers=1)
+    serial_records = sweep(1)
     serial_elapsed = time.perf_counter() - started
     serial_rate = len(serial_records) / serial_elapsed
 
     def parallel_sweep():
-        return crawler.crawl_vp("DE", sample, workers=_PARALLEL_WORKERS)
+        return sweep(_PARALLEL_WORKERS)
 
     parallel_records = benchmark.pedantic(
         parallel_sweep, rounds=1, iterations=1, warmup_rounds=0

@@ -11,7 +11,8 @@ import sys
 
 from repro.analysis.report import compute_landscape
 from repro.analysis.tables import compute_table1
-from repro.measure import Crawler
+from repro.api import Session
+from repro.measure import CrawlResult
 from repro.webgen import build_world
 
 
@@ -21,8 +22,7 @@ def main() -> None:
     print(f"built world: {len(world.crawl_targets)} reachable targets, "
           f"{len(world.wall_domains)} true cookiewalls\n")
 
-    crawler = Crawler(world)
-    crawl = crawler.crawl_all()  # all 8 vantage points
+    crawl = CrawlResult(records=Session(world).crawl().records)  # all 8 VPs
 
     table = compute_table1(world, crawl)
     print(table.render())

@@ -10,8 +10,8 @@ like any other engine workload::
     python examples/longitudinal_drift.py
 """
 
+from repro.api import EngineSpec, LongitudinalSpec, Session
 from repro.measure.instrumentation import EventLog
-from repro.measure.longitudinal import run_longitudinal
 from repro.webgen import build_world
 
 
@@ -23,10 +23,10 @@ def main() -> None:
     ]
 
     log = EventLog()
-    campaign = run_longitudinal(
-        world_may, months=(0, 4), vp="DE", domains=targets,
-        workers=4, event_log=log,
-    )
+    session = Session(world_may, engine=EngineSpec(workers=4), event_log=log)
+    campaign = session.longitudinal(
+        LongitudinalSpec(vp="DE", months=(0, 4), domains=tuple(targets))
+    ).campaign
 
     september = campaign.waves[-1]
     print(september.summary.render())

@@ -6,7 +6,7 @@ Two families live here.  The list-based functions (:func:`mean`,
 oracles* the streaming analysis layer is tested against.  The
 single-pass aggregators (:class:`OnlineStats`, :class:`StreamingECDF`,
 :class:`TopK`) consume a value stream once with bounded state, so an
-analysis fed from :func:`~repro.measure.storage.iter_merged_jsonl` or
+analysis fed from :func:`~repro.measure.storage.iter_records` or
 :meth:`~repro.api.result.RunResult.iter_records` never holds the
 record stream in memory.
 

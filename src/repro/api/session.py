@@ -126,9 +126,7 @@ class Session:
     progress:
         Default per-task progress hook ``(done, total, task)`` wired
         into every engine this session builds — the single event path
-        all entry points share (see
-        :class:`~repro.measure.instrumentation.BatchedProgress` for
-        the batched legacy-callback adapter).
+        all entry points share.
     spool_dir:
         Directory for *named* products (``session.execute(plan,
         name=...)`` spools to ``<spool_dir>/<name>.jsonl``) — the
@@ -300,7 +298,7 @@ class Session:
             # again.
             raise SpecError(
                 "--merge spool requires an output path (--out / "
-                "output.path: the shard spools are joined into it)"
+                "output.path: the run's journal is joined into it)"
             )
         engine = CrawlEngine(
             crawler if crawler is not None else self.crawler,

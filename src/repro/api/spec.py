@@ -574,18 +574,18 @@ class RunSpec:
                     "output.path: the checkpoint lives next to the spool)"
                 )
         if self.engine.merge == "spool":
-            # The streaming merge joins per-shard spools into a final
+            # The streaming merge joins the run's journal into a final
             # file — without one there is nothing to stream to.
             if self.kind in _WAVE_KINDS and self.output.out_dir is None:
                 raise SpecError(
                     f"{self.kind} --merge spool requires --out-dir "
-                    "(output.out_dir: the per-shard spools live next to "
-                    "the wave files)"
+                    "(output.out_dir: each wave's journal is joined into "
+                    "its wave file)"
                 )
             if self.kind not in _WAVE_KINDS and self.output.path is None:
                 raise SpecError(
                     "--merge spool requires an output path (--out / "
-                    "output.path: shard spools are joined into it)"
+                    "output.path: the run's journal is joined into it)"
                 )
         return self
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.adblock import UBlockOrigin
 from repro.bannerclick import BannerClick, accept_banner, reject_banner
@@ -18,16 +18,11 @@ from repro.httpkit import CookieJar
 from repro.lang import LanguageDetector
 from repro.measure.cookies_analysis import CookieCounts, average_counts, count_cookies
 from repro.measure.engine import CrawlPlan, CrawlTask
-from repro.measure.instrumentation import BatchedProgress
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 from repro.smp import SMPPlatform
 from repro.vantage import VANTAGE_POINTS
 from repro.vantage.regulation import RegulationScenario
 from repro.webgen.world import World
-
-#: Legacy progress cadence of the serial crawler, kept for the wrappers.
-PROGRESS_BATCH = 1000
-
 
 @dataclass
 class CrawlResult:
@@ -165,72 +160,6 @@ class Crawler:
         """True when *domain* is a ground-truth accept-or-pay wall site."""
         spec = self.world.sites.get(domain)
         return spec is not None and spec.wall is not None
-
-    def crawl_vp(
-        self,
-        vp: str,
-        domains: Optional[Iterable[str]] = None,
-        *,
-        progress: Optional[Callable[[int, int], None]] = None,
-        workers: int = 1,
-        shards: Optional[int] = None,
-    ) -> List[VisitRecord]:
-        """Detection-crawl *domains* (default: the full target union).
-
-        A thin wrapper over the crawl engine: compiles a single-VP
-        detection plan and executes it with *workers* threads.
-        *progress* fires every :data:`PROGRESS_BATCH` sites and — unlike
-        the old serial loop — once more for the final partial batch, so
-        short crawls also report completion.
-        """
-        # Imported lazily: repro.api is built on this module.
-        from repro.api import EngineSpec, Session
-
-        plan = self.plan_detection_crawl([vp], domains)
-        hook = None
-        if progress is not None:
-            hook = BatchedProgress(progress, every=PROGRESS_BATCH)
-        session = Session(
-            self.world,
-            engine=EngineSpec(workers=workers, shards=shards),
-            crawler=self,
-            progress=hook,
-        )
-        return session.execute(plan).records
-
-    def crawl_all(
-        self,
-        vps: Optional[Sequence[str]] = None,
-        domains: Optional[Iterable[str]] = None,
-        *,
-        progress: Optional[Callable[[str, int, int], None]] = None,
-        workers: int = 1,
-        shards: Optional[int] = None,
-    ) -> CrawlResult:
-        """The full multi-VP detection crawl, engine-executed.
-
-        For a fixed world seed the returned records are identical for
-        every *workers*/*shards* combination: outcomes are merged in
-        plan (vp-major, then target) order and detection visits do not
-        depend on scheduling.
-        """
-        from repro.api import EngineSpec, Session
-
-        vps = list(vps) if vps is not None else list(VANTAGE_POINTS)
-        targets = list(domains) if domains is not None else self.world.crawl_targets
-        plan = self.plan_detection_crawl(vps, targets)
-        hook = None
-        if progress is not None:
-            hook = BatchedProgress(
-                progress, every=PROGRESS_BATCH, per_vp_total=len(targets)
-            )
-        session = Session(
-            self.world,
-            engine=EngineSpec(workers=workers, shards=shards),
-            crawler=self,
-            progress=hook,
-        )
-        return CrawlResult(records=session.execute(plan).records)
 
     # ------------------------------------------------------------------
     # Plan compilation (the engine's front end)

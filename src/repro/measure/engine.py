@@ -52,16 +52,18 @@ loop.  This module turns that loop into an explicit subsystem:
    canonical order) regardless of which worker finished first.  The
    run's output decides how:
 
-   - With a ``spool_path``, each finished shard streams its records to
-     a private ``<path>.shardNNNN.part`` JSONL spool (plan-index-sorted
-     by construction) and the final file is produced by a k-way
-     plan-order streaming join (:func:`~repro.measure.storage.
-     merge_record_spools`) through an atomic rename, so peak memory is
-     O(one shard's buffer) rather than O(world) and an interrupted run
-     never clobbers a previous complete output.  The returned
-     :class:`EngineResult` carries counts and the (small) failure list
-     instead of materialised outcomes; records stream lazily from the
-     final file.
+   - With a ``spool_path``, each finished shard appends its outcomes
+     once, as one plan-index-sorted run, to the run's *journal*: the
+     checkpoint when there is one, else a private ``<path>.journal``
+     that never outlives the run.  The engine notes each run's byte
+     range as it appends, and the final file is a latest-wins k-way
+     plan-order join over those runs (:func:`~repro.measure.storage.
+     merge_record_spools`) written through an atomic rename, so peak
+     memory is O(one shard's buffer) rather than O(world) and an
+     interrupted run never clobbers a previous complete output.  The
+     returned :class:`EngineResult` carries counts and the (small)
+     failure list the join reports instead of materialised outcomes;
+     records stream lazily from the final file.
    - Without one, the merge holds every outcome in memory.
 
 Pickling constraints (process backend)
@@ -82,11 +84,13 @@ With a ``checkpoint_path``, the engine is additionally *resumable*: a
 JSONL checkpoint records a header (a :func:`plan_fingerprint` binding
 the file to this exact plan, world seed, and visit-id regime) followed
 by one line per completed task outcome, appended as each shard
-finishes.  A crashed run leaves the completed outcomes there; starting
-the engine again with ``resume=True`` reconciles the checkpoint
-against the plan — already-completed tasks are skipped and their
-recorded outcomes replayed into the plan-order merge — so a resumed
-run produces **byte-identical** final output to an uninterrupted one.
+finishes (for a spooled run the checkpoint *is* the journal the output
+is joined from).  A crashed run leaves the completed outcomes there;
+starting the engine again with ``resume=True`` reconciles the
+checkpoint against the plan — already-completed tasks are skipped and
+their recorded outcomes replayed into the plan-order merge — so a
+resumed run produces **byte-identical** final output to an
+uninterrupted one.
 A fingerprint mismatch (different plan, world seed, or id regime)
 raises :class:`CheckpointMismatch` rather than silently mixing two
 different runs.  On success the checkpoint is removed.
@@ -129,7 +133,6 @@ instrumented browser session.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import json
 import multiprocessing
@@ -153,7 +156,9 @@ from repro.resilience.clock import TaskMeter, active_meter
 from repro.resilience.degrade import degraded_record
 from repro.measure.storage import (
     RawRecord,
+    Run,
     encode_record_line,
+    iter_journal_runs,
     iter_records,
     load_records,
     materialize_record,
@@ -632,14 +637,12 @@ class CheckpointCompaction:
 # ---------------------------------------------------------------------------
 # Streaming checkpoint machinery
 #
-# A checkpoint is append-only: each shard flush (and each reconcile
-# rewrite) appends one index-sorted batch of outcome lines, so the file
-# is a concatenation of *sorted runs*.  That structure makes both
-# resume and compaction streamable: a byte-offset scan finds the run
-# boundaries, then a k-way ``heapq.merge`` over the runs yields every
-# outcome in plan order — duplicates adjacent, latest occurrence last
-# (``heapq.merge`` is stable, and the runs are passed in file order) —
-# with one buffered line per run in memory, never the full replay set.
+# A checkpoint is a journal: each shard flush appends one index-sorted
+# run of outcome lines, so the file is a concatenation of *sorted
+# runs*.  A byte-offset scan recovers the run boundaries of a file
+# this process did not write, and the same latest-wins k-way merge the
+# output join uses (:func:`~repro.measure.storage.iter_journal_runs`)
+# streams resume and compaction with one buffered line per run.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -649,11 +652,10 @@ class _CheckpointScan:
     #: The header line exactly as found (no newline).
     header_line: str
     header: Dict
-    #: Byte offset where each sorted run's first outcome line starts.
-    runs: List[int]
-    #: Byte offset just past the last complete line (a torn trailing
-    #: line is excluded, as on any checkpoint read).
-    end: int
+    #: Byte range of each sorted run; the last one ends just past the
+    #: last complete line (a torn trailing line is excluded, as on any
+    #: checkpoint read).
+    runs: List[Run]
     #: Total outcome lines (duplicates included).
     outcome_lines: int
     #: Unique plan indices with a checkpointed outcome.
@@ -681,7 +683,7 @@ def _scan_checkpoint(
     """
     header_line: Optional[str] = None
     header: Optional[Dict] = None
-    runs: List[int] = []
+    starts: List[int] = []
     end = 0
     outcome_lines = 0
     indices: Set[int] = set()
@@ -746,7 +748,7 @@ def _scan_checkpoint(
             outcome_lines += 1
             indices.add(index)
             if prev_index is None or index <= prev_index:
-                runs.append(line_start)
+                starts.append(line_start)
             prev_index = index
             end = offset
     if pending is not None:
@@ -757,8 +759,7 @@ def _scan_checkpoint(
     return _CheckpointScan(
         header_line=header_line,
         header=header,
-        runs=runs,
-        end=end,
+        runs=list(zip(starts, starts[1:] + [end])),
         outcome_lines=outcome_lines,
         indices=indices,
         breakers=breakers,
@@ -774,61 +775,17 @@ def _breaker_line(snapshots: Dict[str, Dict]) -> str:
     ) + "\n"
 
 
-def _iter_checkpoint_run(
-    path: Path, start: int, stop: int
-) -> Iterator[Tuple[int, Dict, str]]:
-    """Stream one sorted run's ``(index, payload, line)`` triples."""
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        position = start
-        while position < stop:
-            raw = handle.readline()
-            if not raw:
-                break
-            position += len(raw)
-            text = raw.decode("utf-8").strip()
-            if not text:
-                continue
-            payload = json.loads(text)
-            if payload.get("kind") != "outcome":
-                continue
-            yield payload["index"], payload, text
-
-
-def _merge_checkpoint_runs(
-    path: Path, scan: _CheckpointScan
-) -> Iterator[Tuple[int, Dict, str]]:
-    """Latest-wins plan-order stream over a checkpoint's sorted runs.
-
-    Duplicated indices (a shard re-run after a crash) collapse to the
-    occurrence latest in the file — the append order is the authority
-    — exactly like the dict-based compaction this replaces, but with
-    one buffered line per run instead of the whole outcome set.
-    """
-    bounds = scan.runs + [scan.end]
-    streams = [
-        _iter_checkpoint_run(path, bounds[i], bounds[i + 1])
-        for i in range(len(scan.runs))
-    ]
-    held: Optional[Tuple[int, Dict, str]] = None
-    for item in heapq.merge(*streams, key=lambda item: item[0]):
-        if held is not None and item[0] != held[0]:
-            yield held
-        held = item
-    if held is not None:
-        yield held
-
-
 def _rewrite_checkpoint(
     path: Path,
     refusal: str,
     *,
     validate: Optional[Callable[[int, Dict], None]] = None,
     on_header: Optional[Callable[[Dict], None]] = None,
-    on_outcome: Optional[Callable[[int, Dict, str], None]] = None,
-) -> Tuple[_CheckpointScan, int]:
+    on_outcome: Optional[Callable[[int, Dict], None]] = None,
+) -> Tuple[_CheckpointScan, int, Run]:
     """The checkpoint file's one rewrite, shared by resume and
-    compaction; returns the scan and the outcome lines kept.
+    compaction; returns the scan, the outcome lines kept, and the byte
+    range of the one sorted run they form in the rewritten file.
 
     Scans *path* (corruption is refused as :class:`CheckpointMismatch`
     ending in *refusal*), then atomically replaces it through a temp
@@ -852,41 +809,53 @@ def _rewrite_checkpoint(
     tmp = path.with_name(path.name + ".rewrite")
     kept = 0
     try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(scan.header_line + "\n")
+        with tmp.open("wb") as handle:
+            handle.write((scan.header_line + "\n").encode("utf-8"))
             if scan.breakers:
-                handle.write(_breaker_line(scan.breakers))
-            for index, payload, line in _merge_checkpoint_runs(path, scan):
-                handle.write(line + "\n")
+                handle.write(_breaker_line(scan.breakers).encode("utf-8"))
+            start = handle.tell()
+            for index, payload, line in iter_journal_runs(path, scan.runs):
+                handle.write((line + "\n").encode("utf-8"))
                 kept += 1
                 if on_outcome is not None:
-                    on_outcome(index, payload, line)
+                    on_outcome(index, payload)
+            run = (start, handle.tell())
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)
-    return scan, kept
+    return scan, kept, run
+
+
+def _journal_outcome(
+    plan: CrawlPlan, index: int, payload: Dict
+) -> TaskOutcome:
+    """The :class:`TaskOutcome` a journal outcome line records; its
+    record stays zero-copy."""
+    record = payload.get("record")
+    return TaskOutcome(
+        index,
+        plan.tasks[index],
+        None if record is None else RawRecord.from_payload(record),
+        payload.get("error"),
+        payload.get("attempts", 1),
+    )
 
 
 @dataclass
 class CheckpointReplay:
     """What a streaming reconcile replays into the current run.
 
-    A spooled run's resume path deliberately holds no records: the
-    completed *indices* (ints), the — small — permanent failures, and
-    the path of the sorted replay part file the k-way join consumes.
+    A spooled run's resume path holds no outcomes at all, only the
+    completed *indices* (ints): the replayed outcomes stay in the
+    rewritten checkpoint, whose one sorted run the output join reads.
     Only the in-memory merge materialises replayed outcomes, and even
     those carry zero-copy :class:`~repro.measure.storage.RawRecord`
     payloads until a consumer looks inside.
     """
 
     completed: Set[int] = field(default_factory=set)
-    #: Latest-wins permanently failed outcomes (spooled runs only).
-    failures: List["TaskOutcome"] = field(default_factory=list)
     #: In-memory merge only: every replayed outcome, records zero-copy.
     outcomes: List["TaskOutcome"] = field(default_factory=list)
-    #: Spooled runs only: the index-sorted record replay file, if any
-    #: completed outcome carried a record.
-    resume_part: Optional[Path] = None
     #: Circuit-breaker snapshots restored from the checkpoint, keyed
     #: by domain — adopted into the engine's registry before execution
     #: so quarantine survives a kill/resume.
@@ -920,7 +889,8 @@ class EngineResult:
     total: Optional[int] = None
     #: Spooled runs only: records written to :attr:`spool_path`.
     spooled_records: int = 0
-    #: Spooled runs only: the permanently failed outcomes.
+    #: Spooled runs only: the permanently failed outcomes, as the join
+    #: read them back from the journal.
     spooled_failures: List[TaskOutcome] = field(default_factory=list)
 
     @property
@@ -1228,17 +1198,18 @@ class CrawlEngine:
         ``progress(done, total, task)`` called after every completed
         task (serialised under the engine lock).
     spool_path:
-        When set, each finished shard's records stream to its own part
-        file and the final file is their k-way plan-order join at
-        *spool_path* (module docstring, *Merge*) — identical runs
-        produce byte-identical files, a crash leaves the previous
-        complete output untouched, and memory stays O(one shard).
-        Without it the outcomes are merged in memory.
+        When set, each finished shard appends its outcomes once to the
+        run's journal and the final file at *spool_path* is the
+        journal's k-way plan-order join (module docstring, *Merge*) —
+        identical runs produce byte-identical files, a crash leaves
+        the previous complete output untouched, and memory stays
+        O(one shard).  Without it the outcomes are merged in memory.
     checkpoint_path:
         When set, completed task outcomes (records *and* permanent
         failures, with their plan indices) are appended to this JSONL
         checkpoint as shards finish, under a :func:`plan_fingerprint`
-        header.  Enables crash-safe resume — see the module docstring.
+        header; a spooled run joins its output from it.  Enables
+        crash-safe resume — see the module docstring.
         Checkpointed runs always use per-task visit-id streams, even
         when serial.  Removed on success.
     resume:
@@ -1306,8 +1277,11 @@ class CrawlEngine:
             # the caller believes the checkpoint was honoured.
             raise ValueError("resume=True requires a checkpoint_path")
         self.resume = resume
-        #: Spooled-run state: part files written so far.
-        self._merge_parts: List[Path] = []
+        #: The file each absorbed shard appends its outcome run to (the
+        #: checkpoint, or a spooled run's private journal), and the byte
+        #: range of every run it holds for this execution.
+        self._journal: Optional[Path] = None
+        self._runs: List[Run] = []
         #: pid -> [shards, tasks, elapsed] for process-backend runs.
         self._process_stats: Dict[int, List] = {}
         self._lock = threading.Lock()
@@ -1364,20 +1338,28 @@ class CrawlEngine:
 
     def execute(self, plan: CrawlPlan) -> EngineResult:
         """Run *plan* and return the plan-ordered merged result."""
+        private = self.spool_path is not None and self.checkpoint_path is None
+        self._journal = (
+            Path(f"{self.spool_path}.journal") if private
+            else self.checkpoint_path
+        )
+        self._runs = []
+        if private:
+            # Only this run's join reads a private journal: it starts
+            # empty (whatever a crashed run left is stale) and never
+            # outlives the run, so it makes nothing resumable.
+            self.spool_path.parent.mkdir(parents=True, exist_ok=True)
+            self._journal.write_bytes(b"")
+        try:
+            return self._execute(plan)
+        finally:
+            if private:
+                self._journal.unlink(missing_ok=True)
+
+    def _execute(self, plan: CrawlPlan) -> EngineResult:
         sharded = plan.sharded(self.shards)
         self._total = len(plan)
-        self._merge_parts = []
         self._process_stats = {}
-        # Spool preparation runs *before* the checkpoint reconcile: the
-        # reconcile streams the replay records straight into this
-        # run's .resume.part, which the cleanup of an interrupted
-        # earlier run's part files would otherwise delete.
-        if self.spool_path is not None:
-            # Part files from an interrupted earlier run would
-            # contaminate this run's k-way join; shards open their part
-            # files directly, so the directory must exist.
-            self.spool_path.parent.mkdir(parents=True, exist_ok=True)
-            self._cleanup_parts()
         replay = self._reconcile_checkpoint(plan)
         self._breakers = {}
         self._adopt_breakers(replay.breakers)
@@ -1407,9 +1389,10 @@ class CrawlEngine:
         outcomes: List[TaskOutcome] = []
 
         def on_shard(payload: Dict) -> None:
-            kept = self._absorb_shard(plan, payload)
-            with self._lock:
-                outcomes.extend(kept)
+            absorbed = self._absorb_shard(plan, payload)
+            if self.spool_path is None:
+                with self._lock:
+                    outcomes.extend(absorbed)
 
         network = getattr(getattr(self.crawler, "world", None), "network", None)
         chaos_ctx = plan.context.get("chaos")
@@ -1435,9 +1418,7 @@ class CrawlEngine:
         elapsed = time.perf_counter() - started
         self._emit_process_throughput()
         if self.spool_path is not None:
-            result = self._finalise_spool_merge(
-                plan, replay, outcomes, elapsed
-            )
+            result = self._join(plan, replay.count, elapsed)
         else:
             outcomes.extend(replay.outcomes)
             outcomes.sort(key=lambda outcome: outcome.index)
@@ -1632,14 +1613,21 @@ class CrawlEngine:
                     "attempts": outcome.attempts,
                 })
         self._adopt_breakers(payload["breakers"])
-        kept = self._finish_shard(
-            payload["shard"], outcomes, payload["elapsed"],
-            payload["breakers"], pid,
-        )
+        if outcomes and self._journal is not None:
+            with self._lock:
+                self._append_run(outcomes, payload["breakers"])
+        detail = {
+            "shard": payload["shard"],
+            "tasks": len(outcomes),
+            "elapsed": payload["elapsed"],
+        }
+        if pid is not None:
+            detail["pid"] = pid
+        self._emit("shard", f"engine://shard/{payload['shard']}", detail)
         if pid is not None:
             for outcome in outcomes:
                 self._advance(outcome.task)
-        return kept
+        return outcomes
 
     def _adopt_breakers(self, snapshots: Dict[str, Dict]) -> None:
         """Install breaker *snapshots* — a checkpoint's, or an absorbed
@@ -1669,43 +1657,44 @@ class CrawlEngine:
             })
 
     # ------------------------------------------------------------------
-    # Spooled merge
+    # The journal and the output join
     # ------------------------------------------------------------------
-    def _part_path(self, shard_id: int) -> Path:
-        return Path(f"{self.spool_path}.shard{shard_id:04d}.part")
+    def _append_run(
+        self, outcomes: List[TaskOutcome], breakers: Dict[str, Dict]
+    ) -> None:
+        """Append one finished shard's outcomes to the journal as one
+        sorted run and note its byte range (caller holds the lock).
 
-    def _cleanup_parts(self) -> None:
-        for stale in self.spool_path.parent.glob(f"{self.spool_path.name}.shard*.part"):
-            stale.unlink(missing_ok=True)
-        Path(f"{self.spool_path}.resume.part").unlink(missing_ok=True)
-
-    def _finalise_spool_merge(
-        self,
-        plan: CrawlPlan,
-        replay: CheckpointReplay,
-        failure_outcomes: List[TaskOutcome],
-        elapsed: float,
-    ) -> EngineResult:
-        """The k-way plan-order streaming join over the shard spools.
-
-        The replay records were already streamed to their own sorted
-        part file during the checkpoint reconcile; they join here as
-        one more input to the merge — the resume path never holds
-        them in memory.
+        Plan order within a shard makes the run index-sorted, which the
+        join requires.  When breakers are enabled the run ends with the
+        shard's final breaker states; the scan applies them
+        latest-wins, so a resume restores each domain's quarantine
+        where it stood at the last completed flush.
         """
-        parts = list(self._merge_parts)
-        failures = list(failure_outcomes)
-        if replay.resume_part is not None:
-            parts.append(replay.resume_part)
-        failures.extend(replay.failures)
-        count = merge_record_spools(parts, self.spool_path)
-        for part in parts:
-            Path(part).unlink(missing_ok=True)
-        failures.sort(key=lambda outcome: outcome.index)
+        with self._journal.open("ab") as handle:
+            start = handle.tell()
+            for outcome in outcomes:
+                handle.write(self._outcome_line(outcome).encode("utf-8"))
+            if breakers:
+                handle.write(_breaker_line(breakers).encode("utf-8"))
+            self._runs.append((start, handle.tell()))
+
+    def _join(
+        self, plan: CrawlPlan, resumed: int, elapsed: float
+    ) -> EngineResult:
+        """Join the journal's runs into :attr:`spool_path`; the same
+        pass reports the permanent failures, replayed ones included."""
+        failures: List[TaskOutcome] = []
+        count = merge_record_spools(
+            self._journal, self._runs, self.spool_path,
+            on_failure=lambda index, payload: failures.append(
+                _journal_outcome(plan, index, payload)
+            ),
+        )
         return EngineResult(
             outcomes=None,
             elapsed=elapsed,
-            resumed=replay.count,
+            resumed=resumed,
             spool_path=self.spool_path,
             total=len(plan),
             spooled_records=count,
@@ -1730,10 +1719,9 @@ class CrawlEngine:
         The checkpoint is rewritten as header + latest-wins outcomes in
         plan order (so it stays canonical — and compact — across
         repeated resumes) in one k-way streaming pass over its sorted
-        runs; in a spooled run the replay records flow straight
-        into the ``.resume.part`` file during that same pass.  The
-        returned :class:`CheckpointReplay` therefore carries the
-        completed index set, never the records.
+        runs.  That rewritten run is the first run of this execution's
+        journal, so a spooled run's :class:`CheckpointReplay` carries
+        the completed index set, never the records.
         """
         replay = CheckpointReplay()
         if self.checkpoint_path is None:
@@ -1777,51 +1765,23 @@ class CrawlEngine:
                 validate_record_payload(record_payload)
 
         replay = CheckpointReplay()
-        spooled = self.spool_path is not None
-        resume_part = (
-            Path(f"{self.spool_path}.resume.part") if spooled else None
+
+        def on_outcome(index: int, payload: Dict) -> None:
+            replay.outcomes.append(_journal_outcome(plan, index, payload))
+
+        scan, kept, run = _rewrite_checkpoint(
+            path,
+            "refusing to resume — rerun without resume to start over",
+            validate=validate,
+            on_header=on_header,
+            # A spooled run's join reads the replayed outcomes straight
+            # from the rewritten file; only the in-memory merge holds them.
+            on_outcome=on_outcome if self.spool_path is None else None,
         )
-        part_handle = None
-
-        def on_outcome(index: int, payload: Dict, line: str) -> None:
-            nonlocal part_handle
-            record_payload = payload.get("record")
-            outcome = TaskOutcome(
-                index=index,
-                task=plan.tasks[index],
-                error=payload.get("error"),
-                attempts=payload.get("attempts", 1),
-            )
-            if not spooled:
-                if record_payload is not None:
-                    outcome.record = RawRecord.from_payload(record_payload)
-                replay.outcomes.append(outcome)
-                return
-            if outcome.error is not None:
-                replay.failures.append(outcome)
-            if record_payload is not None:
-                # The replay records never enter memory: the original
-                # serialized lines stream to the sorted part file the
-                # k-way join consumes.
-                if part_handle is None:
-                    part_handle = resume_part.open("w", encoding="utf-8")
-                part_handle.write(line + "\n")
-
-        try:
-            scan, _ = _rewrite_checkpoint(
-                path,
-                "refusing to resume — rerun without resume to start over",
-                validate=validate,
-                on_header=on_header,
-                on_outcome=on_outcome,
-            )
-        finally:
-            if part_handle is not None:
-                part_handle.close()
+        if kept:
+            self._runs.append(run)
         replay.completed = scan.indices
         replay.breakers = dict(scan.breakers)
-        if part_handle is not None:
-            replay.resume_part = resume_part
         return replay
 
     @staticmethod
@@ -1845,23 +1805,6 @@ class CrawlEngine:
             + ', "record": ' + raw + "}\n"
         )
 
-    def _checkpoint_outcomes(
-        self, outcomes: List[TaskOutcome], breakers: Dict[str, Dict]
-    ) -> None:
-        """Append one finished shard's outcomes (caller holds the lock).
-
-        When breakers are enabled the flush also appends the shard's
-        final breaker states; the scan applies them latest-wins, so a
-        resume restores each domain's quarantine where it stood at the
-        last completed flush.
-        """
-        with self.checkpoint_path.open("a", encoding="utf-8") as handle:
-            for outcome in outcomes:
-                handle.write(self._outcome_line(outcome))
-            if breakers:
-                handle.write(_breaker_line(breakers))
-            handle.flush()
-
     @staticmethod
     def compact_checkpoint(path: Union[str, Path]) -> CheckpointCompaction:
         """Rewrite an append-only checkpoint, keeping only the latest
@@ -1881,12 +1824,13 @@ class CrawlEngine:
         checkpoint (no header / mid-file corruption).
 
         Shares its one rewrite with the resume reconcile: a boundary
-        scan plus a k-way join over the sorted runs, so compaction
+        scan plus the latest-wins k-way merge over the sorted runs
+        (:func:`~repro.measure.storage.iter_journal_runs`), so compaction
         memory is one buffered line per run (plus the index set), never
         the outcome payloads.
         """
         path = Path(path)
-        scan, kept = _rewrite_checkpoint(path, "refusing to compact")
+        scan, kept, _ = _rewrite_checkpoint(path, "refusing to compact")
         return CheckpointCompaction(
             path=path,
             kept=kept,
@@ -1895,49 +1839,6 @@ class CrawlEngine:
         )
 
     # ------------------------------------------------------------------
-    def _finish_shard(
-        self,
-        shard_id: int,
-        outcomes: List[TaskOutcome],
-        elapsed: float,
-        breakers: Dict[str, Dict],
-        pid: Optional[int],
-    ) -> List[TaskOutcome]:
-        """Persist one finished shard and hand back what the merge keeps.
-
-        In the in-memory merge the full outcome list is returned; a
-        spooled run streams the records to this shard's part file first
-        and keeps only the (small) permanent failures in memory.
-        """
-        spooled = self.spool_path is not None
-        if outcomes and (spooled or self.checkpoint_path is not None):
-            part: Optional[Path] = None
-            if spooled:
-                # Each shard owns its part file, so the write needs no
-                # lock; plan order within the shard makes it index-
-                # sorted, which the k-way join requires.
-                part = self._part_path(shard_id)
-                with part.open("w", encoding="utf-8") as handle:
-                    for outcome in outcomes:
-                        if outcome.record is not None:
-                            handle.write(self._outcome_line(outcome))
-            with self._lock:
-                if part is not None:
-                    self._merge_parts.append(part)
-                if self.checkpoint_path is not None:
-                    self._checkpoint_outcomes(outcomes, breakers)
-        detail = {
-            "shard": shard_id,
-            "tasks": len(outcomes),
-            "elapsed": elapsed,
-        }
-        if pid is not None:
-            detail["pid"] = pid
-        self._emit("shard", f"engine://shard/{shard_id}", detail)
-        if spooled:
-            return [o for o in outcomes if o.error is not None]
-        return outcomes
-
     def _advance(self, task: CrawlTask) -> None:
         with self._lock:
             self._done += 1

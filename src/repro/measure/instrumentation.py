@@ -63,54 +63,6 @@ class Event:
         return cls(**data)
 
 
-class BatchedProgress:
-    """Adapts the engine's per-task progress hook to batched callbacks.
-
-    Every entry point used to hand-roll its own ``engine_progress``
-    closure (one in ``Crawler.crawl_vp``, another in ``crawl_all``);
-    this is the single shared adapter the :class:`repro.api.Session`
-    event path wires instead, so progress reporting is identical
-    however a crawl is started.
-
-    The engine serialises hook calls, so no locking is needed here —
-    but parallel workers complete tasks out of plan order, so the
-    adapter counts completions itself rather than trusting the
-    engine's ``done`` snapshot to be monotonic per call.
-
-    Two shapes, matching the two legacy callbacks:
-
-    - ``BatchedProgress(cb, every=N)`` calls ``cb(done, total)`` every
-      *N* completions and once at the end (``crawl_vp`` style);
-    - ``BatchedProgress(cb, every=N, per_vp_total=T)`` calls
-      ``cb(vp, done_vp, T)`` on each vantage point's milestones
-      (``crawl_all`` style).
-    """
-
-    def __init__(
-        self,
-        callback,
-        *,
-        every: int = 1000,
-        per_vp_total: "int | None" = None,
-    ) -> None:
-        self.callback = callback
-        self.every = max(every, 1)
-        self.per_vp_total = per_vp_total
-        self._done = 0
-        self._done_by_vp: Dict[str, int] = {}
-
-    def __call__(self, done: int, total: int, task) -> None:
-        if self.per_vp_total is None:
-            self._done += 1
-            if self._done % self.every == 0 or self._done == total:
-                self.callback(self._done, total)
-            return
-        done_vp = self._done_by_vp.get(task.vp, 0) + 1
-        self._done_by_vp[task.vp] = done_vp
-        if done_vp % self.every == 0 or done_vp == self.per_vp_total:
-            self.callback(task.vp, done_vp, self.per_vp_total)
-
-
 class Instrument:
     """Hook interface the browser calls during page loads."""
 

@@ -4,10 +4,10 @@ The paper notes ecosystem drift between its May and September 2023
 snapshots (§4.4 footnote 5: contentpass 219→270, freechoice 167→184
 partners) and nearly doubled German top-1k prevalence versus 2022
 (§4.1).  This module measures exactly that kind of movement:
-:func:`run_longitudinal` re-crawls the same target list against
-successive :func:`~repro.webgen.evolve.evolve_world` snapshots
-("waves"), and :func:`compare_rounds` / :func:`smp_growth` diff the
-rounds.
+:meth:`repro.api.Session.longitudinal` re-crawls the same target list
+against successive :func:`~repro.webgen.evolve.evolve_world` snapshots
+("waves") into a :class:`LongitudinalRun`, and :func:`compare_rounds` /
+:func:`smp_growth` diff the rounds.
 
 Every wave is compiled into a
 :class:`~repro.measure.engine.CrawlPlan` and executed through the
@@ -20,12 +20,9 @@ campaign can die mid-wave and pick up where it stopped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Set
 
 from repro.measure.crawl import CrawlResult
-from repro.measure.engine import RetryPolicy
-from repro.measure.instrumentation import EventLog
 from repro.measure.storage import iter_records
 from repro.webgen.evolve import EvolutionSummary
 from repro.webgen.world import World
@@ -195,76 +192,6 @@ class MultiVantageRun:
         lines.append("")
         lines.append(self.report.render())
         return "\n".join(lines)
-
-
-def run_longitudinal(
-    world: World,
-    *,
-    months: Sequence[int] = (0, 4),
-    vp: str = "DE",
-    domains: Optional[Sequence[str]] = None,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
-    event_log: Optional[EventLog] = None,
-    out_dir: Union[str, Path, None] = None,
-    resume: bool = False,
-) -> LongitudinalRun:
-    """Crawl *world* and its evolved snapshots through the engine.
-
-    .. deprecated::
-        This is a compatibility shim over
-        :meth:`repro.api.Session.longitudinal` (kept for one release);
-        new code should build a :class:`~repro.api.LongitudinalSpec`
-        and run it through a :class:`~repro.api.Session` directly.
-
-    Each entry of *months* is one wave: ``0`` is the baseline world,
-    any other value an :func:`~repro.webgen.evolve.evolve_world`
-    snapshot that many months later.  Every wave detection-crawls the
-    *same* target list (defaulting to the baseline's crawl targets, so
-    sites that die mid-campaign are measured as unreachable rather
-    than silently dropped) from the single vantage point *vp*.
-
-    The crawl runs through :class:`~repro.measure.engine.CrawlEngine`
-    with the given *workers*/*shards*/*retry* configuration; engine
-    events (``plan``/``shard``/``progress``/``resume``/…) stream into
-    *event_log*.  With *out_dir*, wave records spool to
-    ``wave-<MM>.jsonl`` and each wave keeps a resumable checkpoint
-    (``<spool>.checkpoint``); pass ``resume=True`` to pick up an
-    interrupted campaign.  Resume works at two levels: a wave whose
-    spool is already complete (full record count, no checkpoint left
-    behind) is reloaded from disk without re-crawling, and the wave
-    that actually crashed resumes from its checkpoint.
-    """
-    if resume and out_dir is None:
-        # Without spools/checkpoints a "resumed" campaign would simply
-        # re-crawl everything while claiming otherwise.
-        raise ValueError("resume=True requires out_dir")
-    # Imported here: repro.api is built on this module (not vice versa).
-    from repro.api import (
-        EngineSpec,
-        LongitudinalSpec,
-        OutputSpec,
-        Session,
-    )
-
-    session = Session(
-        world,
-        engine=EngineSpec(workers=workers, shards=shards, resume=resume),
-        retry=retry,
-        event_log=event_log,
-    )
-    result = session.longitudinal(
-        LongitudinalSpec(
-            vp=vp,
-            months=tuple(months),
-            domains=tuple(domains) if domains is not None else None,
-        ),
-        output=OutputSpec(
-            out_dir=str(out_dir) if out_dir is not None else None
-        ),
-    )
-    return result.campaign
 
 
 def reload_completed_wave(spool_path, checkpoint_path, plan):

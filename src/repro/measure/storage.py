@@ -12,7 +12,7 @@ invalid JSON *followed by more records* is still hard corruption and
 raises.
 
 Zero-copy pass-through: a record that only travels (worker → parent →
-spool, or checkpoint → resume spool) never needs its typed object.
+journal → final output) never needs its typed object.
 :class:`RawRecord` wraps the canonical serialized line instead; it
 writes itself back byte-identically through :func:`save_records` and
 decodes lazily — only when a consumer actually inspects a field.
@@ -26,7 +26,17 @@ import heapq
 import json
 import warnings
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 
@@ -66,9 +76,10 @@ def decode_record(payload: Dict[str, object]):
 def record_decode_count() -> int:
     """How many :func:`decode_record` calls this process has made.
 
-    Pass-through paths (worker outcome absorption, spool writes,
-    checkpoint reconciliation) must not move this counter; tests pin
-    the zero-copy contract by snapshotting it around a transport leg.
+    Pass-through paths (worker outcome absorption, journal writes,
+    checkpoint reconciliation, the output join) must not move this
+    counter; tests pin the zero-copy contract by snapshotting it
+    around a transport leg.
     """
     return _DECODE_CALLS
 
@@ -135,8 +146,8 @@ class RawRecord:
     """A record still in its canonical serialized form (zero-copy).
 
     Wraps the exact JSONL line :func:`save_records` would write, so
-    transport paths (process-worker absorption, checkpoint lines,
-    spool writes) move bytes instead of decode/encode round-trips.
+    transport paths (process-worker absorption, journal lines, the
+    output join) move bytes instead of decode/encode round-trips.
     The typed record is built lazily — :meth:`materialize` on first
     field access — and cached; until then no :func:`decode_record`
     happens.  Attribute reads and equality forward to the
@@ -268,45 +279,81 @@ def load_records(path: Union[str, Path]) -> List:
 
 
 # ---------------------------------------------------------------------------
-# Spool-backed merging (the crawl engine's O(shard-buffer) merge)
+# The run journal and the output join
+#
+# The crawl engine appends each finished shard's outcomes to one
+# journal file (the checkpoint, or a private sibling of the output) as
+# a plan-index-sorted *run* of ``{"kind": "outcome", "index", ...,
+# "record"}`` lines, and remembers the byte range each run occupies.
+# A k-way ``heapq.merge`` over those ranges yields every outcome in
+# plan order with one buffered line per run: ``heapq.merge`` is stable
+# and the runs are passed in file order, so duplicated indices come out
+# adjacent, latest append last.
 # ---------------------------------------------------------------------------
 
-def iter_merged_jsonl(
-    paths: Sequence[Union[str, Path]], *, key: str = "index"
-) -> Iterator[Dict]:
-    """K-way merge of JSONL files whose payloads are sorted by *key*.
+#: ``(start, stop)`` byte range of one sorted run inside a journal.
+Run = Tuple[int, int]
 
-    Each input file must already be ordered by ``payload[key]`` (the
-    crawl engine writes per-shard spools in plan order, which is index
-    order within a shard).  The merge is streaming: memory use is one
-    buffered payload per input file, never the union — this is what
-    lets a merged crawl output stay O(shards) for worlds far beyond
-    paper scale.
+
+def _iter_run(
+    path: Path, start: int, stop: int
+) -> Iterator[Tuple[int, Dict, str]]:
+    """Stream one run's outcome lines as ``(index, payload, line)``;
+    other lines inside the range (breaker snapshots) are skipped."""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        position = start
+        while position < stop:
+            raw = handle.readline()
+            if not raw:
+                break
+            position += len(raw)
+            text = raw.decode("utf-8").strip()
+            if not text:
+                continue
+            payload = json.loads(text)
+            if payload.get("kind") == "outcome":
+                yield payload["index"], payload, text
+
+
+def iter_journal_runs(
+    path: Union[str, Path], runs: Sequence[Run]
+) -> Iterator[Tuple[int, Dict, str]]:
+    """Latest-wins plan-order merge of a journal's sorted *runs*.
+
+    Yields one ``(index, payload, line)`` per plan index: of several
+    outcomes for one index (a shard re-run after a crash) the one
+    appended last wins.  Each line is parsed once; memory is one
+    buffered line per run.
     """
-
-    def stream(path):
-        for _, payload in iter_jsonl(path):
-            yield payload
-
-    return heapq.merge(*(stream(p) for p in paths), key=lambda p: p[key])
+    path = Path(path)
+    held: Optional[Tuple[int, Dict, str]] = None
+    streams = [_iter_run(path, start, stop) for start, stop in runs]
+    for item in heapq.merge(*streams, key=lambda item: item[0]):
+        if held is not None and item[0] != held[0]:
+            yield held
+        held = item
+    if held is not None:
+        yield held
 
 
 def merge_record_spools(
-    parts: Sequence[Union[str, Path]], path: Union[str, Path]
+    journal: Union[str, Path],
+    runs: Sequence[Run],
+    path: Union[str, Path],
+    *,
+    on_failure: Optional[Callable[[int, Dict], None]] = None,
 ) -> int:
-    """Streaming plan-order join of outcome part files into a final
-    record JSONL; returns the number of records written.
+    """Join a journal's sorted *runs* into the final record JSONL at
+    *path*; returns the number of records written.
 
-    *parts* hold checkpoint-style ``{"kind": "outcome", "index", ...,
-    "record"}`` lines sorted by plan index (one file per shard, plus
-    the resume replay file).  The output is byte-identical to
-    :func:`save_records` over the same records in plan order: the
-    embedded payloads were produced by the canonical
-    :func:`encode_record` dump, so re-serialising the parsed payload
-    reproduces those bytes exactly — no record is ever *decoded* on
-    this path (the zero-copy contract), the payload is only
-    structurally validated, and one payload per part is held in
-    memory.
+    The output is byte-identical to :func:`save_records` over the same
+    records in plan order: the embedded payloads were produced by the
+    canonical :func:`encode_record` dump, so re-serialising the parsed
+    payload reproduces those bytes exactly.  No record is ever
+    *decoded* on this path (the zero-copy contract); each payload is
+    only structurally validated.  *on_failure* sees every latest-wins
+    outcome that carries an error, in plan order.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -317,7 +364,9 @@ def merge_record_spools(
     tmp = path.with_name(path.name + ".merging")
     try:
         with tmp.open("w", encoding="utf-8") as handle:
-            for payload in iter_merged_jsonl(parts):
+            for index, payload, _ in iter_journal_runs(journal, runs):
+                if on_failure is not None and payload.get("error") is not None:
+                    on_failure(index, payload)
                 record_payload = payload.get("record")
                 if record_payload is None:
                     continue

@@ -6,8 +6,9 @@ spool **byte-identical** to the fault-free run — across every executor
 backend, worker count, and kill/resume — while a regime with
 *unrecoverable* faults produces deterministic degraded output (same
 bytes on every backend, record count still equal to the plan size).
-Storage-layer chaos rides along: torn shard spools and torn checkpoint
-tails must be tolerated, never silently dropped.
+Storage-layer chaos rides along: torn checkpoint tails must be
+tolerated, never silently dropped, and a crash at each of the
+journal's write sites must resume to the same bytes.
 
 Like ``test_executor_backends.py``, CI runs this module once per
 backend (``REPRO_EXECUTOR_BACKEND=serial|thread|process``) under
@@ -17,6 +18,7 @@ runs in one pass.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +33,6 @@ from repro.measure import (
 from repro.measure.storage import (
     TornRecordWarning,
     iter_records,
-    merge_record_spools,
     torn_line_count,
 )
 from repro.resilience.chaos import ChaosSpec, tear_trailing_line
@@ -370,49 +371,6 @@ class TestTornWrites:
         with pytest.raises(ValueError, match="no tearable trailing line"):
             tear_trailing_line(path, seed=1)
 
-    def test_torn_shard_part_tolerated_in_kway_merge(
-        self, tmp_path, chaos_crawler, plan_factory,
-    ):
-        """A worker that died mid-append leaves a torn .part tail; the
-        k-way join must warn, skip exactly that line, and keep every
-        intact record."""
-        out = tmp_path / "run.jsonl"
-        chaos_execute(
-            CrawlEngine(chaos_crawler, spool_path=out), plan_factory, IDLE
-        )
-        lines = out.read_text(encoding="utf-8").splitlines()
-        parts = []
-        for shard, chunk in enumerate((lines[:10], lines[10:])):
-            part = tmp_path / f"run.jsonl.shard{shard:04d}.part"
-            part.write_text(
-                "".join(
-                    json.dumps(
-                        {
-                            "kind": "outcome",
-                            "index": index,
-                            "record": json.loads(line),
-                        },
-                        ensure_ascii=False,
-                    ) + "\n"
-                    for index, line in enumerate(
-                        chunk, start=shard and 10
-                    )
-                ),
-                encoding="utf-8",
-            )
-            parts.append(part)
-        tear_trailing_line(parts[1], seed=7)
-
-        merged = tmp_path / "merged.jsonl"
-        before = torn_line_count()
-        with pytest.warns(TornRecordWarning, match="torn trailing line"):
-            count = merge_record_spools(parts, merged)
-        assert torn_line_count() == before + 1
-        assert count == len(lines) - 1
-        assert merged.read_text(encoding="utf-8").splitlines() == (
-            lines[:-1]
-        )
-
     def test_torn_checkpoint_resumes_byte_identical(
         self, tmp_path, chaos_crawler, plan_factory, fault_free_reference,
     ):
@@ -445,3 +403,88 @@ class TestTornWrites:
         assert result.resumed > 0
         assert not result.failures
         assert out.read_bytes() == fault_free_reference
+
+
+def _crash_before_rename(monkeypatch, suffix):
+    """Make every rename of a ``*<suffix>`` temp die the way a killed
+    process does just before its ``replace``."""
+    real = Path.replace
+
+    def replace(self, target):
+        if self.name.endswith(suffix):
+            raise OSError(f"injected crash before renaming {self.name}")
+        return real(self, target)
+
+    monkeypatch.setattr(Path, "replace", replace)
+
+
+class TestJournalCrashPoints:
+    """A kill at each of the journal's write sites resumes to the bytes
+    of an uninterrupted run.  The torn append is
+    ``TestTornWrites.test_torn_checkpoint_resumes_byte_identical``."""
+
+    @staticmethod
+    def _engine(crawler, out, **kwargs):
+        return CrawlEngine(
+            crawler, spool_path=out, shards=SHARDS,
+            checkpoint_path=out.with_name(out.name + ".checkpoint"),
+            **kwargs,
+        )
+
+    def test_crash_in_resume_rewrite_keeps_checkpoint(
+        self, tmp_path, monkeypatch, chaos_crawler, plan_factory,
+        fault_free_reference,
+    ):
+        out = tmp_path / "run.jsonl"
+        checkpoint = tmp_path / "run.jsonl.checkpoint"
+        with pytest.raises(RuntimeError, match="injected crash"):
+            chaos_execute(
+                self._engine(
+                    chaos_crawler, out,
+                    executor=FaultInjectingExecutor(
+                        1, (SHARDS - 1,), partial=True
+                    ),
+                ),
+                plan_factory, IDLE,
+            )
+        crashed = checkpoint.read_bytes()
+        with monkeypatch.context() as patch:
+            _crash_before_rename(patch, ".rewrite")
+            with pytest.raises(OSError, match="injected crash"):
+                chaos_execute(
+                    self._engine(chaos_crawler, out, resume=True),
+                    plan_factory, IDLE,
+                )
+        assert checkpoint.read_bytes() == crashed
+        assert not list(tmp_path.glob("*.rewrite"))
+        result = chaos_execute(
+            self._engine(chaos_crawler, out, resume=True), plan_factory, IDLE
+        )
+        assert result.resumed > 0
+        assert out.read_bytes() == fault_free_reference
+        assert not checkpoint.exists()
+
+    def test_crash_in_join_keeps_output_and_checkpoint(
+        self, tmp_path, monkeypatch, chaos_crawler, plan_factory,
+        fault_free_reference,
+    ):
+        out = tmp_path / "run.jsonl"
+        checkpoint = tmp_path / "run.jsonl.checkpoint"
+        out.write_text("previous complete output\n", encoding="utf-8")
+        with monkeypatch.context() as patch:
+            _crash_before_rename(patch, ".merging")
+            with pytest.raises(OSError, match="injected crash"):
+                chaos_execute(
+                    self._engine(chaos_crawler, out), plan_factory, IDLE
+                )
+        assert out.read_text(encoding="utf-8") == "previous complete output\n"
+        assert checkpoint.exists()
+        assert not list(tmp_path.glob("*.merging"))
+        result = chaos_execute(
+            self._engine(chaos_crawler, out, resume=True), plan_factory, IDLE
+        )
+        # Every outcome was journaled before the join died: the resume
+        # only joins.
+        assert result.executed == 0
+        assert out.read_bytes() == fault_free_reference
+        assert not checkpoint.exists()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import EngineSpec, Session
 from repro.errors import NetworkError
 from repro.experiments import ExperimentContext
 from repro.measure import (
@@ -80,19 +81,18 @@ class TestDeterminism:
     def test_crawl_all_identical_across_configs(
         self, medium_world, medium_crawler, workers, shards
     ):
-        targets = medium_world.crawl_targets[:150]
-        vps = ["DE", "SE"]
-        baseline = [
-            r.to_dict()
-            for r in medium_crawler.crawl_all(vps, targets, workers=1).records
-        ]
-        got = [
-            r.to_dict()
-            for r in medium_crawler.crawl_all(
-                vps, targets, workers=workers, shards=shards
-            ).records
-        ]
-        assert got == baseline
+        plan = medium_crawler.plan_detection_crawl(
+            ["DE", "SE"], medium_world.crawl_targets[:150]
+        )
+
+        def crawl(**engine):
+            session = Session(
+                medium_world, engine=EngineSpec(**engine),
+                crawler=medium_crawler,
+            )
+            return [r.to_dict() for r in session.execute(plan).records]
+
+        assert crawl(workers=workers, shards=shards) == crawl(workers=1)
 
     def test_parallel_measurements_reproducible(self, medium_world, medium_crawler):
         """Parallel cookie measurements are a pure function of the
@@ -306,7 +306,7 @@ class TestSpool:
         assert spool.read_bytes() == reference.read_bytes()
         leftovers = [
             p.name for p in tmp_path.iterdir()
-            if p.name.endswith((".partial", ".part", ".merging"))
+            if p.name.endswith((".partial", ".part", ".journal", ".merging"))
         ]
         assert leftovers == []
 
@@ -402,21 +402,98 @@ class TestSpoolMerge:
         degraded = [r for r in spooled if r.flags.get("degraded")]
         assert sorted(r.domain for r in degraded) == sorted(dead)
 
-    def test_stale_parts_from_crashed_run_are_ignored(
+    def test_stale_journal_from_crashed_run_is_ignored(
         self, tmp_path, medium_world, medium_crawler
     ):
-        """Part files orphaned by a crash must not leak into the next
-        run's k-way join."""
+        """A private journal orphaned by a crash must not leak into the
+        next run's join, and the run removes its own journal."""
         targets = medium_world.crawl_targets[:20]
         plan = medium_crawler.plan_detection_crawl(["DE"], targets)
         out = tmp_path / "out.jsonl"
-        stale = tmp_path / "out.jsonl.shard0099.part"
+        stale = tmp_path / "out.jsonl.journal"
         stale.write_text('{"kind": "outcome", "index": 0, "record": null}\n')
         result = CrawlEngine(
             medium_crawler, workers=2, shards=4, spool_path=out,
         ).execute(plan)
         assert result.record_count == 20
+        assert len(list(iter_records(out))) == 20
         assert not stale.exists()
+
+    def test_checkpointed_spool_run_encodes_each_record_once(
+        self, tmp_path, monkeypatch, medium_world, medium_crawler
+    ):
+        """The checkpoint is the only file a spooled run writes before
+        the join: each record is encoded once, and no per-shard file
+        ever appears next to the output."""
+        import repro.measure.engine as engine_mod
+
+        encoded = []
+        encode = engine_mod.encode_record_line
+        monkeypatch.setattr(
+            engine_mod, "encode_record_line",
+            lambda record: encoded.append(record) or encode(record),
+        )
+        seen = set()
+        session = Session(
+            medium_world, engine=EngineSpec(workers=2, shards=4),
+            crawler=medium_crawler,
+            progress=lambda done, total, task: seen.update(
+                p.name for p in tmp_path.iterdir()
+            ),
+        )
+        plan = medium_crawler.plan_detection_crawl(
+            ["DE"], medium_world.crawl_targets[:40]
+        )
+        result = session.execute(plan, spool_path=tmp_path / "out.jsonl")
+        assert len(encoded) == result.record_count == 40
+        assert "out.jsonl.checkpoint" in seen
+        assert [name for name in seen if name.endswith(".part")] == []
+
+    def test_concurrent_appends_keep_every_run(
+        self, tmp_path, medium_world, medium_crawler
+    ):
+        """Many threads appending to one journal under a tiny switch
+        interval: a lost run or a torn interleaving would change the
+        joined bytes."""
+        import sys
+
+        plan = medium_crawler.plan_detection_crawl(
+            ["DE"], medium_world.crawl_targets[:64]
+        )
+        reference = tmp_path / "serial.jsonl"
+        save_records(
+            CrawlEngine(medium_crawler).execute(plan).records, reference
+        )
+        out = tmp_path / "out.jsonl"
+        engine = CrawlEngine(
+            medium_crawler, workers=8, shards=32, spool_path=out
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            engine.execute(plan)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.read_bytes() == reference.read_bytes()
+        occupied = sum(1 for shard in plan.sharded(32) if shard)
+        assert len(engine._runs) == occupied
+
+    def test_private_journal_removed_when_the_run_fails(
+        self, tmp_path, medium_world
+    ):
+        class ExplodingCrawler(Crawler):
+            def run_task(self, task, context=None, *, visit_ids=None):
+                raise RuntimeError("boom")
+
+        crawler = ExplodingCrawler(medium_world)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(RuntimeError):
+            CrawlEngine(crawler, spool_path=out).execute(
+                crawler.plan_detection_crawl(
+                    ["DE"], medium_world.crawl_targets[:2]
+                )
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_backend_validation(self, medium_crawler):
         with pytest.raises(ValueError, match="unknown executor backend"):
@@ -426,38 +503,47 @@ class TestSpoolMerge:
 
 
 class TestProgressReporting:
+    @staticmethod
+    def _run(world, crawler, vps, count):
+        calls = []
+        Session(
+            world, crawler=crawler,
+            progress=lambda done, total, task: calls.append(
+                (task.vp, done, total)
+            ),
+        ).execute(
+            crawler.plan_detection_crawl(vps, world.crawl_targets[:count])
+        )
+        return calls
+
     def test_final_partial_batch_reports(self, medium_world, medium_crawler):
-        calls = []
-        medium_crawler.crawl_vp(
-            "DE", medium_world.crawl_targets[:37],
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        # A short crawl used to never fire (only every 1000th site did).
-        assert calls == [(37, 37)]
-
-    def test_batches_and_final_report(self, monkeypatch, medium_world, medium_crawler):
-        import repro.measure.crawl as crawl_mod
-
-        monkeypatch.setattr(crawl_mod, "PROGRESS_BATCH", 10)
-        calls = []
-        medium_crawler.crawl_vp(
-            "DE", medium_world.crawl_targets[:25],
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        assert calls == [(10, 25), (20, 25), (25, 25)]
-
-    def test_crawl_all_reports_per_vp(self, monkeypatch, medium_world, medium_crawler):
-        import repro.measure.crawl as crawl_mod
-
-        monkeypatch.setattr(crawl_mod, "PROGRESS_BATCH", 10)
-        calls = []
-        medium_crawler.crawl_all(
-            ["DE", "USE"], medium_world.crawl_targets[:15],
-            progress=lambda vp, done, total: calls.append((vp, done, total)),
-        )
-        assert calls == [
-            ("DE", 10, 15), ("DE", 15, 15), ("USE", 10, 15), ("USE", 15, 15),
+        """The session's hook fires per task, so even a short crawl
+        reports its completion."""
+        calls = self._run(medium_world, medium_crawler, ["DE"], 37)
+        assert [(done, total) for _, done, total in calls] == [
+            (done, 37) for done in range(1, 38)
         ]
+
+    def test_batches_and_final_report(self, medium_world, medium_crawler):
+        """``progress`` events are batched every ``progress_every``
+        tasks, with one more for the final partial batch."""
+        log = EventLog()
+        CrawlEngine(
+            medium_crawler, event_log=log, progress_every=10
+        ).execute(medium_crawler.plan_detection_crawl(
+            ["DE"], medium_world.crawl_targets[:25]
+        ))
+        assert [
+            (e.detail["done"], e.detail["total"])
+            for e in log.by_kind("progress")
+        ] == [(10, 25), (20, 25), (25, 25)]
+
+    def test_crawl_all_reports_per_vp(self, medium_world, medium_crawler):
+        """Every call names its task, so per-VP progress needs no
+        adapter: a serial multi-VP crawl reports vp-major."""
+        calls = self._run(medium_world, medium_crawler, ["DE", "USE"], 15)
+        assert [vp for vp, _, _ in calls] == ["DE"] * 15 + ["USE"] * 15
+        assert [done for _, done, _ in calls] == list(range(1, 31))
 
 
 class TestCheckpointResume:
@@ -957,10 +1043,8 @@ class TestStreamingReconcileMachinery:
         assert scan.header["fingerprint"] == "f"
 
     def test_merge_is_plan_ordered_and_latest_wins(self, tmp_path):
-        from repro.measure.engine import (
-            _merge_checkpoint_runs,
-            _scan_checkpoint,
-        )
+        from repro.measure.engine import _scan_checkpoint
+        from repro.measure.storage import iter_journal_runs
 
         path = self._checkpoint(tmp_path, [
             '{"kind": "header", "version": 1, "fingerprint": "f"}',
@@ -970,18 +1054,15 @@ class TestStreamingReconcileMachinery:
             self._outcome(3, attempts=2),
             self._outcome(5),
         ])
-        merged = list(_merge_checkpoint_runs(path, _scan_checkpoint(path)))
+        merged = list(iter_journal_runs(path, _scan_checkpoint(path).runs))
         assert [index for index, _, _ in merged] == [0, 1, 3, 5]
         payloads = {index: payload for index, payload, _ in merged}
         # The later run's outcome supersedes the earlier duplicate.
         assert payloads[3]["attempts"] == 2
 
     def test_scan_excludes_torn_trailing_line(self, tmp_path):
-        from repro.measure.engine import (
-            _merge_checkpoint_runs,
-            _scan_checkpoint,
-        )
-        from repro.measure.storage import TornRecordWarning
+        from repro.measure.engine import _scan_checkpoint
+        from repro.measure.storage import TornRecordWarning, iter_journal_runs
 
         path = self._checkpoint(tmp_path, [
             '{"kind": "header", "version": 1, "fingerprint": "f"}',
@@ -992,7 +1073,7 @@ class TestStreamingReconcileMachinery:
         with pytest.warns(TornRecordWarning, match="torn trailing line"):
             scan = _scan_checkpoint(path)
         assert scan.indices == {0, 2}
-        merged = list(_merge_checkpoint_runs(path, scan))
+        merged = list(iter_journal_runs(path, scan.runs))
         assert [index for index, _, _ in merged] == [0, 2]
 
     def test_scan_rejects_mid_file_garbage(self, tmp_path):
@@ -1011,7 +1092,8 @@ class TestStreamingReconcileMachinery:
     ):
         """The resume path's memory contract: under the spool merge the
         reconcile returns only the completed index set — the replayed
-        records stream through the sorted part file."""
+        records stay in the rewritten checkpoint, one run the join
+        reads."""
         targets = medium_world.crawl_targets[:40]
         plan = medium_crawler.plan_detection_crawl(["DE"], targets)
         out = tmp_path / "streamed.jsonl"
@@ -1030,9 +1112,10 @@ class TestStreamingReconcileMachinery:
         )
         replay = resumer._reconcile_checkpoint(plan)
         assert replay.count > 0
-        assert replay.outcomes == []          # never materialised
-        assert replay.resume_part is not None  # streamed to disk instead
-        replay_lines = replay.resume_part.read_text().splitlines()
+        assert replay.outcomes == []  # the replay holds no records
+        # The rewritten outcomes are the journal's first run.
+        ((start, stop),) = resumer._runs
+        replay_lines = checkpoint.read_bytes()[start:stop].splitlines()
         assert len(replay_lines) == replay.count
         # The rewritten checkpoint is canonical: header + plan-ordered
         # unique outcomes, ready for the next append or resume.

@@ -379,14 +379,15 @@ class TestProcessBackendSpecifics:
 
         out = tmp_path / "out.jsonl"
         out.write_bytes(serial_reference)
-        part = tmp_path / "bad.part"
-        part.write_text(
+        journal = tmp_path / "out.jsonl.journal"
+        journal.write_text(
             '{"kind": "outcome", "index": 0, "record": {"type": "Nope"}}\n'
             '{"kind": "outcome", "index": 1, "record": null}\n'
         )
         with pytest.raises(ValueError):
-            merge_record_spools([part], out)
+            merge_record_spools(journal, [(0, journal.stat().st_size)], out)
         assert out.read_bytes() == serial_reference
+        assert not (tmp_path / "out.jsonl.merging").exists()
 
     def test_plan_event_names_backend(self, small_crawler, detection_plan):
         log = EventLog()

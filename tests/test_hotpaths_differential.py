@@ -29,6 +29,7 @@ except ImportError:  # pragma: no cover - exercised only on broken installs
 
 from repro import perf
 from repro.adblock import FilterEngine, NaiveFilterEngine
+from repro.api import Session
 from repro.browser import Browser
 from repro.dom import Document, Element, Text
 from repro.dom.selector import query_selector, query_selector_all
@@ -432,7 +433,9 @@ def _campaign():
     """
     world = build_world(scale=0.02, seed=2023)
     crawler = Crawler(world)
-    records = crawler.crawl_all(["DE", "SE"]).records
+    records = Session(world, crawler=crawler).execute(
+        crawler.plan_detection_crawl(["DE", "SE"])
+    ).records
     walls = [r.domain for r in records if r.is_cookiewall][:4]
     cookies = [
         crawler.measure_accept_cookies("DE", d, repeats=2) for d in walls

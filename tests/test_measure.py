@@ -78,8 +78,14 @@ class TestDetectionVisit:
         assert not record.is_cookiewall
 
     def test_crawl_vp_returns_all_records(self, medium_world, medium_crawler):
-        targets = medium_world.crawl_targets[:30]
-        records = medium_crawler.crawl_vp("DE", targets)
+        from repro.api import Session
+
+        plan = medium_crawler.plan_detection_crawl(
+            ["DE"], medium_world.crawl_targets[:30]
+        )
+        records = Session(medium_world, crawler=medium_crawler).execute(
+            plan
+        ).records
         assert len(records) == 30
         assert all(r.vp == "DE" for r in records)
 
@@ -299,22 +305,38 @@ class TestStorage:
 
 
 class TestMergedJsonl:
-    """Edge cases of the k-way spool join (`iter_merged_jsonl` /
-    `merge_record_spools`): the exact shapes a crashed or tiny crawl
-    leaves behind."""
+    """Edge cases of the journal join (`iter_journal_runs` /
+    `merge_record_spools`): the shapes a crashed, resumed or tiny crawl
+    leaves in a journal."""
 
     @staticmethod
-    def _part(tmp_path, name, records_by_index):
+    def _journal(tmp_path, runs_of_records, *, lead="", trail=""):
+        """Write one sorted run per entry of *runs_of_records* (each a
+        list of ``(index, record)``; a ``None`` record is a failure),
+        with *lead* before the runs and *trail* inside each run after
+        its outcomes; returns the path and the runs' byte ranges."""
         from repro.measure.storage import encode_record_line
 
-        path = tmp_path / name
-        with path.open("w", encoding="utf-8") as handle:
-            for index, record in records_by_index:
-                handle.write(
-                    '{"kind": "outcome", "index": %d, "record": %s}\n'
-                    % (index, encode_record_line(record))
-                )
-        return path
+        path = tmp_path / "out.jsonl.journal"
+        runs = []
+        with path.open("wb") as handle:
+            handle.write(lead.encode("utf-8"))
+            for records_by_index in runs_of_records:
+                start = handle.tell()
+                for index, record in records_by_index:
+                    line = (
+                        '{"kind": "outcome", "index": %d, "error": %s, '
+                        '"record": %s}\n' % (
+                            index,
+                            '"NetworkError"' if record is None else "null",
+                            "null" if record is None
+                            else encode_record_line(record),
+                        )
+                    )
+                    handle.write(line.encode("utf-8"))
+                handle.write(trail.encode("utf-8"))
+                runs.append((start, handle.tell()))
+        return path, runs
 
     @staticmethod
     def _records(indices):
@@ -322,37 +344,64 @@ class TestMergedJsonl:
             (i, VisitRecord(vp="DE", domain=f"site{i}.de")) for i in indices
         ]
 
-    def test_torn_trailing_line_in_one_part(self, tmp_path):
-        """A shard writer that died mid-append must not poison the
-        join: its complete lines merge, the torn tail is skipped with
-        the usual warning."""
-        from repro.measure import TornRecordWarning
+    def test_latest_run_wins_and_failures_come_from_the_join(self, tmp_path):
+        """A shard re-run after a crash appends a second outcome for
+        the same index: the later one is written, and only latest-wins
+        failures reach *on_failure*."""
         from repro.measure.storage import merge_record_spools
 
-        whole = self._part(tmp_path, "a.part", self._records([0, 2, 4]))
-        torn = self._part(tmp_path, "b.part", self._records([1, 3]))
-        with torn.open("a", encoding="utf-8") as handle:
-            handle.write(torn.read_text(encoding="utf-8").splitlines()[0][:41])
+        journal, runs = self._journal(tmp_path, [
+            [(0, None), (1, None), (2, VisitRecord(vp="DE", domain="old.de"))],
+            [(0, VisitRecord(vp="DE", domain="site0.de"))]
+            + self._records([2]),
+        ])
         out = tmp_path / "merged.jsonl"
-        with pytest.warns(TornRecordWarning, match="torn trailing line"):
-            count = merge_record_spools([whole, torn], out)
+        failed = []
+        count = merge_record_spools(
+            journal, runs, out,
+            on_failure=lambda index, payload: failed.append(index),
+        )
+        assert count == 2
+        assert [r.domain for r in load_records(out)] == [
+            "site0.de", "site2.de",
+        ]
+        assert failed == [1]
+
+    def test_torn_tail_past_the_last_run_is_never_read(self, tmp_path):
+        """A writer that died mid-append never recorded that run: the
+        join reads only recorded byte ranges, so the torn tail neither
+        poisons nor warns."""
+        import warnings
+
+        from repro.measure.storage import merge_record_spools
+
+        journal, runs = self._journal(
+            tmp_path, [self._records([0, 2, 4]), self._records([1, 3])]
+        )
+        with journal.open("a", encoding="utf-8") as handle:
+            handle.write('{"kind": "outcome", "index": 5, "rec')
+        out = tmp_path / "merged.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            count = merge_record_spools(journal, runs, out)
         assert count == 5
         assert [r.domain for r in load_records(out)] == [
             f"site{i}.de" for i in range(5)
         ]
 
-    def test_empty_part_files_are_harmless(self, tmp_path):
-        """A shard that crashed before its first flush leaves an empty
-        part; the merge must treat it as contributing nothing."""
+    def test_breaker_lines_inside_runs_are_skipped(self, tmp_path):
+        """A checkpoint journal starts with its header and ends each run
+        with a breaker snapshot; the join writes records only."""
         from repro.measure.storage import merge_record_spools
 
-        full = self._part(tmp_path, "a.part", self._records([0, 1, 2]))
-        for name in ("empty1.part", "empty2.part"):
-            (tmp_path / name).write_text("", encoding="utf-8")
-        out = tmp_path / "merged.jsonl"
-        count = merge_record_spools(
-            [tmp_path / "empty1.part", full, tmp_path / "empty2.part"], out
+        journal, runs = self._journal(
+            tmp_path,
+            [self._records([0, 2]), self._records([1])],
+            lead='{"kind": "header", "version": 1, "fingerprint": "f"}\n',
+            trail='{"kind": "breaker", "domains": {}}\n',
         )
+        out = tmp_path / "merged.jsonl"
+        count = merge_record_spools(journal, runs, out)
         assert count == 3
         assert [r.domain for r in load_records(out)] == [
             "site0.de", "site1.de", "site2.de",
@@ -361,15 +410,15 @@ class TestMergedJsonl:
     def test_single_shard_merge_is_byte_identical_passthrough(
         self, tmp_path
     ):
-        """shards=1 degenerates to a copy: the join of one part must
+        """shards=1 degenerates to a copy: the join of one run must
         reproduce `save_records` over the same records byte for byte."""
         from repro.measure.storage import merge_record_spools
 
         records = [r for _, r in self._records(range(4))]
-        part = self._part(tmp_path, "only.part", self._records(range(4)))
+        journal, runs = self._journal(tmp_path, [self._records(range(4))])
         out = tmp_path / "merged.jsonl"
         oracle = tmp_path / "oracle.jsonl"
-        assert merge_record_spools([part], out) == 4
+        assert merge_record_spools(journal, runs, out) == 4
         save_records(records, oracle)
         assert out.read_bytes() == oracle.read_bytes()
 
@@ -378,16 +427,17 @@ class TestMergedJsonl:
         complete output keeps its bytes and no `.merging` temp is left."""
         from repro.measure.storage import merge_record_spools
 
-        good = self._part(tmp_path, "a.part", self._records([0, 2]))
-        bad = tmp_path / "b.part"
-        bad.write_text(
-            '{"kind": "outcome", "index": 1, '
-            '"record": {"type": "Bogus", "data": {}}}\n',
-            encoding="utf-8",
-        )
+        journal, runs = self._journal(tmp_path, [self._records([0, 2])])
+        with journal.open("a", encoding="utf-8") as handle:
+            start = handle.tell()
+            handle.write(
+                '{"kind": "outcome", "index": 1, '
+                '"record": {"type": "Bogus", "data": {}}}\n'
+            )
+            runs.append((start, handle.tell()))
         out = tmp_path / "merged.jsonl"
         out.write_text("previous complete output\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown record type"):
-            merge_record_spools([good, bad], out)
+            merge_record_spools(journal, runs, out)
         assert out.read_text(encoding="utf-8") == "previous complete output\n"
         assert list(tmp_path.glob("*.merging")) == []

@@ -89,6 +89,7 @@ class TestExperimentDeterminism:
         assert results[0] == results[1]
 
     def test_visit_records_deterministic(self):
+        from repro.api import Session
         from repro.measure.crawl import Crawler
         from repro.webgen import build_world
 
@@ -96,7 +97,9 @@ class TestExperimentDeterminism:
         for _ in range(2):
             world = build_world(scale=0.01, seed=77)
             crawler = Crawler(world)
-            records = crawler.crawl_vp("DE", world.crawl_targets[:40])
+            records = Session(world, crawler=crawler).execute(
+                crawler.plan_detection_crawl(["DE"], world.crawl_targets[:40])
+            ).records
             snapshots.append([
                 (r.domain, r.banner_found, r.is_cookiewall) for r in records
             ])

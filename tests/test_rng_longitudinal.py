@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import EngineSpec, LongitudinalSpec, OutputSpec, Session
 from repro.measure.crawl import CrawlResult
 from repro.measure.instrumentation import EventLog
-from repro.measure.longitudinal import (
-    compare_rounds,
-    run_longitudinal,
-    smp_growth,
-)
+from repro.measure.longitudinal import compare_rounds, smp_growth
 from repro.measure.records import VisitRecord
 from repro.rng import SeedSequence, derive_seed, stable_shuffle, weighted_choice
 
@@ -137,13 +134,34 @@ class TestLongitudinal:
         assert "+50.0%" in growth.render()
 
 
+def longitudinal_campaign(
+    world, *, months, domains=None, workers=1, shards=None,
+    event_log=None, out_dir=None, resume=False,
+):
+    """A DE longitudinal campaign through :meth:`Session.longitudinal`."""
+    session = Session(
+        world,
+        engine=EngineSpec(workers=workers, shards=shards, resume=resume),
+        event_log=event_log,
+    )
+    return session.longitudinal(
+        LongitudinalSpec(
+            months=tuple(months),
+            domains=tuple(domains) if domains is not None else None,
+        ),
+        output=OutputSpec(
+            out_dir=str(out_dir) if out_dir is not None else None
+        ),
+    ).campaign
+
+
 class TestRunLongitudinal:
     """The longitudinal workload, routed through the crawl engine."""
 
     def test_waves_execute_through_engine_plans(self, medium_world):
         targets = medium_world.crawl_targets[:80]
         log = EventLog()
-        campaign = run_longitudinal(
+        campaign = longitudinal_campaign(
             medium_world, months=(0, 4), domains=targets,
             workers=2, shards=4, event_log=log,
         )
@@ -167,17 +185,20 @@ class TestRunLongitudinal:
         from repro.measure.crawl import Crawler
 
         targets = medium_world.crawl_targets[:60]
-        campaign = run_longitudinal(
+        campaign = longitudinal_campaign(
             medium_world, months=(0,), domains=targets, workers=4
         )
-        plain = Crawler(medium_world).crawl_all(["DE"], targets)
+        crawler = Crawler(medium_world)
+        plain = Session(medium_world, crawler=crawler).execute(
+            crawler.plan_detection_crawl(["DE"], targets)
+        )
         assert [r.to_dict() for r in campaign.waves[0].crawl.records] == [
             r.to_dict() for r in plain.records
         ]
         assert campaign.waves[0].summary is None
 
     def test_drift_summary_and_comparisons(self, medium_world):
-        campaign = run_longitudinal(
+        campaign = longitudinal_campaign(
             medium_world, months=(0, 4),
             domains=medium_world.crawl_targets[:400], workers=4,
         )
@@ -197,7 +218,7 @@ class TestRunLongitudinal:
 
     def test_out_dir_spools_and_resumes(self, tmp_path, medium_world):
         targets = medium_world.crawl_targets[:40]
-        first = run_longitudinal(
+        first = longitudinal_campaign(
             medium_world, months=(0, 2), domains=targets,
             workers=2, out_dir=tmp_path,
         )
@@ -206,7 +227,7 @@ class TestRunLongitudinal:
         assert not (tmp_path / "wave-00.jsonl.checkpoint").exists()
         # Resuming a finished campaign reloads every complete wave from
         # its spool instead of re-crawling it.
-        again = run_longitudinal(
+        again = longitudinal_campaign(
             medium_world, months=(0, 2), domains=targets,
             workers=2, out_dir=tmp_path, resume=True,
         )
@@ -218,14 +239,14 @@ class TestRunLongitudinal:
 
     def test_resume_requires_out_dir(self, medium_world):
         with pytest.raises(ValueError, match="requires out_dir"):
-            run_longitudinal(medium_world, months=(0,), resume=True)
+            longitudinal_campaign(medium_world, months=(0,), resume=True)
 
     def test_invalid_months_rejected(self, medium_world):
         with pytest.raises(ValueError):
-            run_longitudinal(medium_world, months=())
+            longitudinal_campaign(medium_world, months=())
         with pytest.raises(ValueError):
-            run_longitudinal(medium_world, months=(4, 0))
+            longitudinal_campaign(medium_world, months=(4, 0))
         with pytest.raises(ValueError):
-            run_longitudinal(medium_world, months=(0, 0))
+            longitudinal_campaign(medium_world, months=(0, 0))
         with pytest.raises(ValueError):
-            run_longitudinal(medium_world, months=(-1, 2))
+            longitudinal_campaign(medium_world, months=(-1, 2))

@@ -2,10 +2,10 @@
 
 A record produced by a process-backend worker is serialized exactly
 once (in the worker) and must reach the final spool — through
-absorption, checkpoint lines, part files, and the k-way join —
-without the parent ever calling ``decode_record``.  The observable
-half of that contract is :func:`record_decode_count`; these tests
-snapshot it around each transport leg.
+absorption, the journal, and the k-way join — without the parent ever
+calling ``decode_record``.  The observable half of that contract is
+:func:`record_decode_count`; these tests snapshot it around each
+transport leg.
 """
 
 import json
@@ -148,19 +148,20 @@ def test_outcome_line_without_record():
 
 def test_merge_record_spools_does_not_decode(tmp_path):
     records = [_visit_record(i) for i in range(6)]
-    parts = []
-    for shard, indices in enumerate(([0, 2, 4], [1, 3, 5])):
-        part = tmp_path / f"shard{shard}.part"
-        with part.open("w", encoding="utf-8") as handle:
+    journal = tmp_path / "out.jsonl.journal"
+    runs = []
+    with journal.open("wb") as handle:
+        for indices in ([0, 2, 4], [1, 3, 5]):
+            start = handle.tell()
             for index in indices:
-                handle.write(
+                handle.write((
                     '{"kind": "outcome", "index": %d, "record": %s}\n'
                     % (index, encode_record_line(records[index]))
-                )
-        parts.append(part)
+                ).encode("utf-8"))
+            runs.append((start, handle.tell()))
     out = tmp_path / "merged.jsonl"
     before = record_decode_count()
-    count = merge_record_spools(parts, out)
+    count = merge_record_spools(journal, runs, out)
     assert record_decode_count() == before
     assert count == len(records)
     oracle = tmp_path / "oracle.jsonl"
@@ -179,7 +180,7 @@ def zero_copy_plan(small_world):
 def test_process_worker_records_reach_spool_without_decode(
     tmp_path, zero_copy_plan
 ):
-    """The acceptance criterion: worker → absorb → part file → k-way
+    """The acceptance criterion: worker → absorb → journal → k-way
     join, all on serialized bytes; the parent's decode counter must
     not move."""
     crawler, plan = zero_copy_plan

@@ -31,7 +31,7 @@ MERGE_SCOPES = (
 BANNED_NAME = "load_records"
 
 #: Streaming iterators whose wholesale materialisation defeats them.
-STREAM_ITERATORS = {"iter_records", "iter_jsonl", "iter_merged_jsonl"}
+STREAM_ITERATORS = {"iter_records", "iter_jsonl", "iter_journal_runs"}
 
 
 def _callee_name(node: ast.Call) -> str:
@@ -56,7 +56,7 @@ in ``src/repro/analysis/`` (strictest — importing or referencing
 
 - ``load_records(...)`` — the one deliberately materialising API;
 - ``list(iter_records(...))`` / ``list(iter_jsonl(...))`` /
-  ``list(iter_merged_jsonl(...))`` and their ``tuple`` forms —
+  ``list(iter_journal_runs(...))`` and their ``tuple`` forms —
   load_records by another spelling;
 - ``handle.readlines()`` — a whole file as a list of lines;
 - ``json.load(...)`` (analysis scope only) — a whole document at once;
