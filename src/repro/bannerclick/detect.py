@@ -113,9 +113,9 @@ class BannerClick:
     def _scan_context(self, root: Node) -> Optional[BannerDetection]:
         """Find the most plausible banner container under *root*.
 
-        The container scan runs through the document's tag index (one
-        bucket lookup per container tag, in document order) instead of
-        walking every node.
+        The container scan is one filtered walk of *root*
+        (:func:`~repro.dom.selector.iter_elements_by_tags`); it never
+        builds the document's selector index.
         """
         candidates: List[Tuple[bool, int, Element]] = []
         for element in iter_elements_by_tags(root, _CONTAINER_TAGS):

@@ -140,26 +140,23 @@ class Node:
                 if node.children:
                     stack.extend(reversed(node.children))
             return
-        roots: List[Node] = list(self.children)
-        if isinstance(self, Element):
-            if include_shadow and self.attached_shadow_root is not None:
-                roots.append(self.attached_shadow_root)
-            if include_frames and self.content_document is not None:
-                roots.append(self.content_document)
-        stack: List[Node] = list(reversed(roots))
-        while stack:
+        # Pierced walk.  Pushing the frame document, then the shadow
+        # root, then the reversed children pops them in document order
+        # (children, shadow tree, frame) without building a per-node list.
+        stack = []
+        node: Node = self
+        while True:
+            if isinstance(node, Element):
+                if include_frames and node._content_document is not None:
+                    stack.append(node._content_document)
+                if include_shadow and node._shadow_root is not None:
+                    stack.append(node._shadow_root)
+            if node.children:
+                stack.extend(reversed(node.children))
+            if not stack:
+                return
             node = stack.pop()
             yield node
-            extra: List[Node] = []
-            if include_shadow and isinstance(node, Element):
-                shadow = node.attached_shadow_root
-                if shadow is not None:
-                    extra.append(shadow)
-            if include_frames and isinstance(node, Element):
-                inner = node.content_document
-                if inner is not None:
-                    extra.append(inner)
-            stack.extend(reversed(node.children + extra))
 
     def elements(self, **kwargs) -> Iterator["Element"]:
         """Yield descendant :class:`Element` nodes (same kwargs as descendants)."""

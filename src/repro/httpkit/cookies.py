@@ -86,21 +86,47 @@ def parse_cookie_header(value: Optional[str]) -> Dict[str, str]:
     return out
 
 
+class _BadMaxAge(CookieError):
+    """Raised by :func:`_parse_attributes`; :func:`parse_set_cookie`
+    re-raises it quoting the whole header."""
+
+
 def parse_set_cookie(header: str, request_url: URL) -> Cookie:
     """Parse a ``Set-Cookie`` header value in the context of a request.
 
     Raises :class:`CookieError` for cookies a browser would reject
     (empty names, domains that do not domain-match the request host,
     attempts to set cookies for a public suffix).
+
+    The ``name=value`` pair is parsed on every call (values embed the
+    visit id); the attribute tail comes from a small recurring
+    vocabulary, so it is parsed once per ``(tail, host)`` by
+    :func:`_parse_attributes`.
     """
-    parts = header.split(";")
-    name, sep, value = parts[0].partition("=")
+    pair, _, tail = header.partition(";")
+    name, sep, value = pair.partition("=")
     name = name.strip()
     value = value.strip().strip('"')
     if not sep or not name:
         raise CookieError(f"malformed cookie pair in {header!r}")
+    try:
+        attributes = _parse_attributes(tail, request_url.host)
+    except _BadMaxAge:
+        raise CookieError(f"bad Max-Age in {header!r}") from None
+    return Cookie(name, value, *attributes)
 
-    domain = request_url.host
+
+@lru_cache(maxsize=16384)
+def _parse_attributes(
+    tail: str, host: str
+) -> Tuple[str, str, bool, bool, bool, Optional[int], str]:
+    """The attribute fields of a Set-Cookie tail for a request *host*.
+
+    Returns ``(domain, path, secure, http_only, host_only, max_age,
+    same_site)`` in :class:`Cookie` field order.  Memoized; a rejected
+    tail raises and so is never cached.
+    """
+    domain = host
     host_only = True
     path = "/"
     secure = False
@@ -108,7 +134,7 @@ def parse_set_cookie(header: str, request_url: URL) -> Cookie:
     max_age: Optional[int] = None
     same_site = "lax"
 
-    for part in parts[1:]:
+    for part in tail.split(";"):
         attr, _, attr_value = part.partition("=")
         attr = attr.strip().lower()
         attr_value = attr_value.strip()
@@ -118,10 +144,10 @@ def parse_set_cookie(header: str, request_url: URL) -> Cookie:
                 raise CookieError(
                     f"cookie domain {candidate!r} is a public suffix"
                 )
-            if not domain_match(request_url.host, candidate):
+            if not domain_match(host, candidate):
                 raise CookieError(
                     f"cookie domain {candidate!r} does not match host "
-                    f"{request_url.host!r}"
+                    f"{host!r}"
                 )
             domain = candidate
             host_only = False
@@ -135,21 +161,11 @@ def parse_set_cookie(header: str, request_url: URL) -> Cookie:
             try:
                 max_age = int(attr_value)
             except ValueError:
-                raise CookieError(f"bad Max-Age in {header!r}") from None
+                raise _BadMaxAge() from None
         elif attr == "samesite" and attr_value:
             same_site = attr_value.lower()
 
-    return Cookie(
-        name=name,
-        value=value,
-        domain=domain,
-        path=path,
-        secure=secure,
-        http_only=http_only,
-        host_only=host_only,
-        max_age=max_age,
-        same_site=same_site,
-    )
+    return domain, path, secure, http_only, host_only, max_age, same_site
 
 
 class CookieJar:

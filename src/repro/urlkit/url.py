@@ -117,6 +117,18 @@ def parse(raw: str) -> URL:
     """
     if not isinstance(raw, str):
         raise URLError(f"URL must be a string, got {type(raw).__name__}")
+    return _parse(raw)
+
+
+@lru_cache(maxsize=16384)
+def _parse(raw: str) -> URL:
+    """:func:`parse` for a string.
+
+    Memoized: every visit re-parses the same page, subresource and
+    redirect URLs.  :class:`URL` is frozen, so sharing one instance
+    between callers is safe; malformed input raises and so is never
+    cached.
+    """
     raw = raw.strip()
     if not raw:
         raise URLError("empty URL")

@@ -169,8 +169,10 @@ def _adopt_new_walls(
 def _drop_walls(
     world: World, rng: random.Random, months: int, summary: EvolutionSummary
 ) -> None:
+    # Sorted: set order varies with PYTHONHASHSEED, and rng.sample
+    # picks by position.
     independents = [
-        d for d in world.wall_domains if world.sites[d].smp is None
+        d for d in sorted(world.wall_domains) if world.sites[d].smp is None
     ]
     count = int(len(independents) * _compound(DROPPED_WALL_RATE, months))
     for domain in rng.sample(independents, min(count, len(independents))):
@@ -186,7 +188,7 @@ def _change_prices(
     world: World, rng: random.Random, months: int, summary: EvolutionSummary
 ) -> None:
     independents = [
-        d for d in world.wall_domains
+        d for d in sorted(world.wall_domains)
         if world.sites[d].smp is None and world.sites[d].wall is not None
     ]
     count = int(len(independents) * _compound(PRICE_CHANGE_RATE, months))

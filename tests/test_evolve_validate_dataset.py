@@ -1,5 +1,11 @@
 """Tests for world validation, temporal drift, profiles, and datasets."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.dataset import export_dataset, load_dataset
@@ -117,6 +123,33 @@ class TestEvolve:
         _, summary_b = evolve_world(world_b, months=3)
         assert summary_a.new_walls == summary_b.new_walls
         assert summary_a.died == summary_b.died
+
+    def test_evolution_independent_of_hash_seed(self):
+        """Wall drops and price changes sample from the wall-domain set;
+        its iteration order varies with PYTHONHASHSEED, so the evolved
+        world must not depend on it."""
+        script = (
+            "import json\n"
+            "from repro.webgen import build_world\n"
+            "from repro.webgen.evolve import evolve_world\n"
+            "_, s = evolve_world(build_world(scale=0.05, seed=2023), months=4)\n"
+            "print(json.dumps([s.price_changes, s.dropped_walls]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        summaries = []
+        for hash_seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(src), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True, timeout=300,
+            )
+            summaries.append(json.loads(proc.stdout))
+        assert summaries[0][0], "no price changes to compare"
+        assert summaries[1] == summaries[0]
+        assert summaries[2] == summaries[0]
 
 
 class TestProfiles:

@@ -139,6 +139,81 @@ class TestJobQueue:
         assert restored.id == job.id
         assert not list(jobs_dir.glob("*.tmp"))
 
+    def test_crash_before_replace_keeps_previous_job_file(
+        self, tmp_path, monkeypatch
+    ):
+        """An exception after the scratch file is written but before its
+        rename: the durable ``<id>.json`` still holds the previous state,
+        byte for byte, and the scratch file is removed."""
+        from repro.service.jobs import load_jobs, persist_job
+
+        class Crash(BaseException):
+            pass
+
+        def crash(src, dst):
+            raise Crash
+
+        job = self.job(1)
+        jobs_dir = tmp_path / "jobs"
+        path = persist_job(jobs_dir, job)
+        before = path.read_bytes()
+        prior = job.to_dict()
+
+        job.state = "running"
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash)
+            with pytest.raises(Crash):
+                persist_job(jobs_dir, job)
+
+        assert path.read_bytes() == before
+        assert not list(jobs_dir.glob("*.json.tmp"))
+        assert [restored.to_dict() for restored in load_jobs(jobs_dir)] == [
+            prior
+        ]
+
+    def test_process_death_before_replace_keeps_previous_job_file(
+        self, tmp_path
+    ):
+        """Crash point: the process dies after writing the scratch file
+        but before its rename, so no cleanup runs.  The previous
+        ``<id>.json`` survives byte for byte, and ``load_jobs`` ignores
+        the leftover ``<id>.*.json.tmp``."""
+        from repro.service.jobs import load_jobs, persist_job
+
+        job = self.job(1)
+        jobs_dir = tmp_path / "jobs"
+        path = persist_job(jobs_dir, job)
+        before = path.read_bytes()
+        prior = job.to_dict()
+
+        child = (
+            "import os, sys\n"
+            "from pathlib import Path\n"
+            "from repro.service.jobs import load_jobs, persist_job\n"
+            "jobs_dir = Path(sys.argv[1])\n"
+            "[job] = load_jobs(jobs_dir)\n"
+            "job.state = 'running'\n"
+            "os.replace = lambda src, dst: os._exit(17)\n"
+            "persist_job(jobs_dir, job)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = (
+            src + os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH") else src
+        )
+        died = subprocess.run(
+            [sys.executable, "-c", child, str(jobs_dir)], env=env, timeout=60
+        )
+        assert died.returncode == 17
+
+        assert path.read_bytes() == before
+        [leftover] = jobs_dir.glob(f"{job.id}.*.json.tmp")
+        assert json.loads(leftover.read_text())["state"] == "running"
+        assert [restored.to_dict() for restored in load_jobs(jobs_dir)] == [
+            prior
+        ]
+
 
 # ---------------------------------------------------------------------------
 # HTTP lifecycle
