@@ -6,7 +6,10 @@ tracked across PRs:
 
 - ``filter_match``   — request decisions against a full-scale list
                        (naive linear scan vs trie/token-indexed engine);
-- ``parse_cache``    — parsing a site body vs cloning its cached parse;
+- ``parse_cache``    — parsing a site body vs cloning its cached parse
+                       (what a visit pays on its first DOM write; a
+                       read-only visit shares the parse and pays no
+                       clone);
 - ``selector``       — cosmetic-filter style queries, tree walk vs
                        compiled plans + document index;
 - ``end_to_end``     — the §4.5 uBlock-arm measurement (visits/sec)
@@ -127,7 +130,11 @@ def test_filter_match_speedup(benchmark):
 
 
 def test_parse_vs_clone(benchmark, bench_world):
-    """Re-tokenizing a site body vs cloning its cached parse."""
+    """Re-tokenizing a site body vs cloning its cached parse.
+
+    The cache hands out its shared read-only parse; the clone is what
+    ``Page.writable`` pays when a visit first writes to its DOM.
+    """
     domain = bench_world.crawl_targets[0]
     request = Request(url=f"https://{domain}/", resource_type="document")
     visitor = VisitorContext(vp=VANTAGE_POINTS["DE"], visit_id=1)
@@ -145,7 +152,7 @@ def test_parse_vs_clone(benchmark, bench_world):
     def clone_run():
         started = time.perf_counter()
         for _ in range(rounds):
-            cache.parse(body, f"https://{domain}/")
+            cache.parse(body, f"https://{domain}/").clone(deep=True)
         return time.perf_counter() - started
 
     clone_elapsed = benchmark.pedantic(

@@ -69,4 +69,4 @@ class UBlockOrigin(Extension):
             except SelectorError:
                 continue  # lists may carry syntax we do not support
             for element in matches:
-                element.detach()
+                page.writable(element).detach()

@@ -101,7 +101,7 @@ class BannerClick:
                 return self._classify(detection)
 
         if self.shadow_dom:
-            detection = self._scan_shadow_hosts(page.document)
+            detection = self._scan_shadow_hosts(page)
             if detection is not None:
                 return self._classify(detection)
 
@@ -113,9 +113,9 @@ class BannerClick:
     def _scan_context(self, root: Node) -> Optional[BannerDetection]:
         """Find the most plausible banner container under *root*.
 
-        The container scan is one filtered walk of *root*
-        (:func:`~repro.dom.selector.iter_elements_by_tags`); it never
-        builds the document's selector index.
+        The container scan (:func:`~repro.dom.selector.iter_elements_by_tags`)
+        filters a document's cached element list, or walks any other
+        root once; it never builds the document's selector index.
         """
         candidates: List[Tuple[bool, int, Element]] = []
         for element in iter_elements_by_tags(root, _CONTAINER_TAGS):
@@ -140,7 +140,8 @@ class BannerClick:
         return detection
 
     def _scan_iframes(self, document: Document) -> Optional[BannerDetection]:
-        for element in document.elements(include_shadow=self.shadow_dom):
+        light, pierced = document.element_lists()
+        for element in pierced if self.shadow_dom else light:
             if element.tag != "iframe" or element.content_document is None:
                 continue
             detection = self._scan_context(element.content_document)
@@ -150,11 +151,10 @@ class BannerClick:
                 return detection
         return None
 
-    def _scan_shadow_hosts(self, document: Document) -> Optional[BannerDetection]:
-        body = document.body
-        if body is None:
+    def _scan_shadow_hosts(self, page: Page) -> Optional[BannerDetection]:
+        if page.document.body is None:
             return None
-        for host in document.elements():
+        for host in page.document.element_lists()[0]:
             shadow = host.shadow_root  # open roots only
             mode = "shadow-open"
             if shadow is None and self.closed_shadow:
@@ -162,7 +162,11 @@ class BannerClick:
                 mode = "shadow-closed"
             if shadow is None:
                 continue
-            detection = self._clone_workaround(body, shadow)
+            # The workaround writes into the body: work on the page's
+            # private copy (cloned here on the first shadow host).
+            host = page.writable(host)
+            shadow = host.attached_shadow_root
+            detection = self._clone_workaround(page.document.body, shadow)
             if detection is not None:
                 detection.location = mode
                 detection.shadow_host = host

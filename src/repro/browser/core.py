@@ -214,14 +214,14 @@ class Browser:
         stylesheets, iframes), entering shadow roots and frames."""
         if depth > _MAX_FRAME_DEPTH:
             return
-        candidates = []
-        if isinstance(root, Element):
-            candidates.append(root)
-        candidates.extend(
-            el for el in root.elements(include_shadow=True)
-        )
+        if isinstance(root, Document):
+            candidates = root.element_lists()[1]
+        else:
+            candidates = [root] if isinstance(root, Element) else []
+            candidates.extend(root.elements(include_shadow=True))
         for element in candidates:
-            self._handle_element(page, element, depth)
+            # An effect may swap in the page's private copy mid-loop.
+            self._handle_element(page, page.current(element), depth)
 
     def _handle_element(self, page: Page, element: Element, depth: int) -> None:
         if id(element) in page.processed_elements:
@@ -257,8 +257,13 @@ class Browser:
         if response.content_type.startswith(EFFECTS_CONTENT_TYPE):
             return
         frame_url = page.url.join(src)
-        element.content_document = self._parse(response.body, str(frame_url))
-        self._process_tree(page, element.content_document, depth + 1)
+        frame = self._parse(response.body, str(frame_url))
+        if frame.shared:
+            # Attached to the page's private tree, it must be private too.
+            frame = frame.clone(deep=True)
+        element = page.writable(element)
+        element.content_document = frame
+        self._process_tree(page, frame, depth + 1)
 
     # ------------------------------------------------------------------
     # Interaction
@@ -271,11 +276,13 @@ class Browser:
         consent cookie name, just like real CMP buttons ultimately
         resolve to a consent-cookie write.
         """
+        element = page.current(element)
         if not element.is_visible():
             raise ElementNotInteractableError(f"{element!r} is not visible")
         if element.owner_document is None:
             raise ElementNotInteractableError(f"{element!r} is detached")
         if element.on_click is not None:
+            element = page.writable(element)
             element.on_click(element)
         action = element.get_attribute("data-action") or "none"
         outcome = ClickOutcome(action=action)
@@ -316,7 +323,7 @@ class Browser:
         node: Optional[Node] = element
         while node is not None:
             if isinstance(node, Element) and node.has_attribute("data-banner"):
-                node.detach()
+                page.writable(node).detach()
                 return True
             if isinstance(node, ShadowRoot):
                 node = node.host
@@ -332,7 +339,7 @@ class Browser:
 
     def _find_frame_element(self, page: Page, doc: Document) -> Optional[Element]:
         for candidate_doc in page.all_documents():
-            for el in candidate_doc.elements(include_shadow=True):
+            for el in candidate_doc.element_lists()[1]:
                 if el.tag == "iframe" and el.content_document is doc:
                     return el
         return None

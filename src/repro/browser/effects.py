@@ -89,6 +89,7 @@ class EffectRuntime:
             self.page.scroll_locked = True
             body = self.page.document.body
             if body is not None:
+                body = self.page.writable(body)
                 style = body.get_attribute("style") or ""
                 body.set_attribute("style", (style + ";overflow:hidden").lstrip(";"))
             return []
@@ -109,6 +110,7 @@ class EffectRuntime:
         target = self._resolve_target(target_selector)
         if target is None:
             return []
+        target = self.page.writable(target)
         nodes = parse_fragment(html)
         for node in nodes:
             target.append_child(node)
@@ -145,6 +147,7 @@ class EffectRuntime:
         removed = []
         element = query_selector(self.page.document, selector)
         while element is not None:
+            element = self.page.writable(element)
             element.detach()
             removed.append(element)
             element = query_selector(self.page.document, selector)

@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from repro import perf
-from repro.dom import Document, Element
+from repro.dom import Document, Element, Node
 from repro.httpkit import Request
 from repro.urlkit import URL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.browser.core import Browser
 
+N = TypeVar("N", bound=Node)
+
 
 class Page:
-    """A loaded page: DOM, frames, request log, and diagnostic flags."""
+    """A loaded page: DOM, frames, request log, and diagnostic flags.
+
+    ``document`` may be a shared read-only parse (see
+    :mod:`repro.soup.cache`).  Code that writes to the page's DOM takes
+    its node through :meth:`writable` first; the first such call swaps
+    in a private deep clone.  Node references taken before the swap
+    still point into the shared parse: :meth:`current` maps them onto
+    the page's copy.
+    """
 
     def __init__(self, browser: "Browser", url: URL, document: Document) -> None:
         self.browser = browser
@@ -39,6 +49,48 @@ class Page:
         self._frame_walk: Optional[
             Tuple[List[Element], List[Document], List[Tuple[Document, int]]]
         ] = None
+        #: After the copy-on-write swap: id(shared node) -> private copy.
+        self._copies: Optional[Dict[int, Node]] = None
+        #: The shared parse the copies came from; keeps its nodes (and
+        #: so the ids in ``_copies``) alive.
+        self._pristine: Optional[Document] = None
+
+    # ------------------------------------------------------------------
+    # Copy-on-write
+    # ------------------------------------------------------------------
+    def writable(self, node: Optional[N] = None) -> Optional[N]:
+        """Make this page's DOM private, and return the copy of *node*.
+
+        On a shared parse the first call deep-clones the document
+        (frames and shadow trees included) once, remaps
+        ``processed_elements`` onto the copies and drops the frame-walk
+        cache; later calls, and calls on a private page, only map.
+        Returns ``current(node)``.
+        """
+        if self.document.shared:
+            original = self.document
+            copy = original.clone(deep=True)
+            copies: Dict[int, Node] = {id(original): copy}
+            for source, target in zip(
+                original.descendants(include_shadow=True, include_frames=True),
+                copy.descendants(include_shadow=True, include_frames=True),
+            ):
+                copies[id(source)] = target
+            self._copies = copies
+            self._pristine = original
+            self.document = copy
+            self.processed_elements = {
+                id(copies[key]) for key in self.processed_elements
+            }
+            self._frame_walk = None
+        return self.current(node)
+
+    def current(self, node: Optional[N]) -> Optional[N]:
+        """The page's own copy of *node* (*node* itself before any swap,
+        or when it is not part of the shared parse)."""
+        if self._copies is None or node is None:
+            return node
+        return self._copies.get(id(node), node)  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Frame access
@@ -46,12 +98,12 @@ class Page:
     def _walk_frames(
         self,
     ) -> Tuple[List[Element], List[Document], List[Tuple[Document, int]]]:
-        """One pierced walk computing iframes and the document tree.
+        """One pass over every document's pierced element list
+        (:meth:`~repro.dom.Document.element_lists`) computing iframes
+        and the document tree.
 
-        ``iframes()`` and ``all_documents()`` used to re-walk
-        ``elements(include_shadow=True)`` on every call; within one load
-        the walk runs once and is reused until any involved document's
-        revision changes.
+        The result is reused until any involved document's revision
+        changes.
         """
         cached = self._frame_walk if perf.config.frame_cache else None
         if cached is not None and all(
@@ -66,7 +118,7 @@ class Page:
         stack = [self.document]
         while stack:
             doc = stack.pop()
-            for el in doc.elements(include_shadow=True):
+            for el in doc.element_lists()[1]:
                 if el.tag != "iframe":
                     continue
                 if doc is self.document:

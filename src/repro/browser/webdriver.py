@@ -196,8 +196,12 @@ class WebDriver:
 
         The primitive behind the paper's shadow-DOM workaround: clone
         shadow children into the main document body so that ordinary
-        XPath/CSS lookups can run over them.
+        XPath/CSS lookups can run over them.  Writing makes the page's
+        DOM private (``Page.writable``), so the current browsing context
+        moves onto the page's copy too.
         """
         clone = source.clone(deep=True)
+        target_parent = self.page.writable(target_parent)
+        self._context = self.page.current(self._context)
         target_parent.append_child(clone)
         return clone

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ClosedShadowRootError, DOMError
 
@@ -61,11 +61,19 @@ class Node:
 
         Every mutation that can change what a query or frame walk sees
         (structure, attributes, shadow/frame attachment) bumps the
-        owning :class:`Document`'s revision counter; the selector index
-        and ``Page`` walk caches compare revisions before reuse.
+        owning :class:`Document`'s revision counter; the selector index,
+        the element lists and ``Page`` walk caches compare revisions
+        before reuse.  Mutators call this *before* they write: on a
+        shared read-only parse it raises :class:`DOMError`, and the
+        refused write leaves no trace.
         """
         root = self.root_node()
         if isinstance(root, Document):
+            if root._shared:
+                raise DOMError(
+                    "document is a shared read-only parse; "
+                    "take Page.writable() before writing"
+                )
             root._revision += 1
 
     # ------------------------------------------------------------------
@@ -75,10 +83,10 @@ class Node:
         """Append *child* (detaching it from any previous parent)."""
         if child is self or self._has_ancestor(child):
             raise DOMError("cannot append a node inside itself")
+        self._bump_revision()
         child.detach()
         child.parent = self
         self.children.append(child)
-        self._bump_revision()
         return child
 
     def insert_before(self, child: "Node", reference: Optional["Node"]) -> "Node":
@@ -89,10 +97,10 @@ class Node:
             raise DOMError("reference node is not a child of this node")
         if child is self or self._has_ancestor(child):
             raise DOMError("cannot insert a node inside itself")
+        self._bump_revision()
         child.detach()
         child.parent = self
         self.children.insert(self.children.index(reference), child)
-        self._bump_revision()
         return child
 
     def detach(self) -> None:
@@ -264,7 +272,7 @@ class Comment(Node):
 class Element(Node):
     """An element node with attributes, optional shadow root / frame doc."""
 
-    __slots__ = ("tag", "attrs", "_shadow_root", "_content_document", "on_click")
+    __slots__ = ("tag", "attrs", "_shadow_root", "_content_document", "_on_click")
 
     def __init__(self, tag: str, attrs: Optional[Dict[str, str]] = None) -> None:
         super().__init__()
@@ -278,8 +286,17 @@ class Element(Node):
         self.attrs: Dict[str, str] = dict(attrs or {})
         self._shadow_root: Optional[ShadowRoot] = None
         self._content_document: Optional[Document] = None
-        #: Optional behaviour hook used by the browser layer.
-        self.on_click: Optional[Callable[["Element"], None]] = None
+        self._on_click: Optional[Callable[["Element"], None]] = None
+
+    @property
+    def on_click(self) -> Optional[Callable[["Element"], None]]:
+        """Optional behaviour hook used by the browser layer."""
+        return self._on_click
+
+    @on_click.setter
+    def on_click(self, hook: Optional[Callable[["Element"], None]]) -> None:
+        self._bump_revision()
+        self._on_click = hook
 
     # -- frames ---------------------------------------------------------
     @property
@@ -289,20 +306,22 @@ class Element(Node):
 
     @content_document.setter
     def content_document(self, document: Optional["Document"]) -> None:
-        self._content_document = document
         self._bump_revision()
+        self._content_document = document
 
     # -- attributes -----------------------------------------------------
     def get_attribute(self, name: str) -> Optional[str]:
         return self.attrs.get(name.lower())
 
     def set_attribute(self, name: str, value: str) -> None:
-        self.attrs[name.lower()] = value
         self._bump_revision()
+        self.attrs[name.lower()] = value
 
     def remove_attribute(self, name: str) -> None:
-        if self.attrs.pop(name.lower(), None) is not None:
+        name = name.lower()
+        if name in self.attrs:
             self._bump_revision()
+            del self.attrs[name]
 
     def has_attribute(self, name: str) -> bool:
         return name.lower() in self.attrs
@@ -318,9 +337,9 @@ class Element(Node):
     def add_class(self, name: str) -> None:
         classes = self.classes
         if name not in classes:
+            self._bump_revision()
             classes.append(name)
             self.attrs["class"] = " ".join(classes)
-            self._bump_revision()
 
     # -- shadow DOM -----------------------------------------------------
     def attach_shadow(self, *, mode: str = "open") -> "ShadowRoot":
@@ -329,8 +348,8 @@ class Element(Node):
             raise DOMError(f"invalid shadow root mode {mode!r}")
         if self._shadow_root is not None:
             raise DOMError("element already hosts a shadow root")
-        self._shadow_root = ShadowRoot(host=self, mode=mode)
         self._bump_revision()
+        self._shadow_root = ShadowRoot(host=self, mode=mode)
         return self._shadow_root
 
     @property
@@ -396,7 +415,7 @@ class Element(Node):
         copy.attrs = dict(self.attrs)
         copy._shadow_root = None
         copy._content_document = None
-        copy.on_click = self.on_click
+        copy._on_click = self._on_click
         return copy
 
     def clone(self, *, deep: bool = True) -> "Element":
@@ -437,7 +456,7 @@ class ShadowRoot(Node):
 class Document(Node):
     """A document node; the root of a page or iframe content tree."""
 
-    __slots__ = ("url", "_revision", "_query_index")
+    __slots__ = ("url", "_revision", "_query_index", "_shared", "_walk")
 
     def __init__(self, url: str = "about:blank") -> None:
         super().__init__()
@@ -447,11 +466,58 @@ class Document(Node):
         self._revision = 0
         #: Lazily built tag/id/class index (see repro.dom.selector).
         self._query_index = None
+        #: True for a parse shared by many pages (see repro.soup.cache):
+        #: every mutator then raises instead of writing.
+        self._shared = False
+        #: ``(revision, light, pierced)`` element lists (see element_lists).
+        self._walk: Optional[Tuple[int, List[Element], List[Element]]] = None
 
     @property
     def revision(self) -> int:
         """Monotonic mutation counter for cache validation."""
         return self._revision
+
+    # -- sharing ----------------------------------------------------------
+    @property
+    def shared(self) -> bool:
+        """True when this is a read-only parse shared between pages."""
+        return self._shared
+
+    def mark_shared(self) -> None:
+        """Make this document and its ``srcdoc`` frame documents read-only.
+
+        A frame document is a tree root of its own (the iframe is not its
+        parent), so it is marked separately.  Irreversible: a writer
+        takes a private clone instead (``Page.writable``).
+        """
+        self._shared = True
+        for node in self.descendants(include_shadow=True, include_frames=True):
+            if isinstance(node, Document):
+                node._shared = True
+
+    # -- cached walks -------------------------------------------------------
+    def element_lists(self) -> Tuple[List[Element], List[Element]]:
+        """``(light, pierced)``: this document's elements in document order.
+
+        ``light`` is ``list(self.elements())``; ``pierced`` is
+        ``list(self.elements(include_shadow=True))``.  Neither enters
+        frame documents.  Both are reused until the revision changes, so
+        the load pipeline and BannerClick's scans share them -- and on a
+        shared parse, every page served from it does.  Callers must not
+        mutate the lists.  The cache is published by one tuple
+        assignment, so concurrent readers see either no cache or a
+        complete one; a clone never inherits it.
+        """
+        walk = self._walk
+        if walk is not None and walk[0] == self._revision:
+            return walk[1], walk[2]
+        revision = self._revision
+        light = list(self.elements())
+        pierced = list(self.elements(include_shadow=True))
+        if len(pierced) == len(light):
+            pierced = light
+        self._walk = (revision, light, pierced)
+        return light, pierced
 
     # -- common accessors -------------------------------------------------
     @property

@@ -286,8 +286,9 @@ def _chains_for(selector: str) -> List[List[_Step]]:
 class _QueryIndex:
     """Tag/id/class buckets over one document's (non-pierced) tree.
 
-    Built in one document-order walk and revalidated against the
-    document's mutation revision; bucket lists are document-ordered, so
+    Built from the document's cached light element list
+    (:meth:`~repro.dom.Document.element_lists`) and revalidated against
+    the document's mutation revision; bucket lists are document-ordered, so
     queries served from a bucket come back in the same order a full
     walk would produce.  Shadow trees and iframe documents are *not*
     indexed — exactly the subtrees ``querySelectorAll`` cannot see
@@ -298,18 +299,14 @@ class _QueryIndex:
 
     def __init__(self, document: Document) -> None:
         self.revision = document.revision
-        self.order: Dict[Element, int] = {}
-        self.all_elements: List[Element] = []
+        self.all_elements: List[Element] = document.element_lists()[0]
+        self.order: Dict[Element, int] = {
+            node: seq for seq, node in enumerate(self.all_elements)
+        }
         self.by_id: Dict[str, List[Element]] = {}
         self.by_class: Dict[str, List[Element]] = {}
         self.by_tag: Dict[str, List[Element]] = {}
-        seq = 0
-        for node in document.descendants():
-            if not isinstance(node, Element):
-                continue
-            self.order[node] = seq
-            seq += 1
-            self.all_elements.append(node)
+        for node in self.all_elements:
             self.by_tag.setdefault(node.tag, []).append(node)
             element_id = node.attrs.get("id")
             if element_id:
@@ -393,12 +390,14 @@ def first_element_by_id(document: Document, element_id: str) -> Optional[Element
 def iter_elements_by_tags(root: Node, tags) -> List[Element]:
     """Document-order elements under *root* whose tag is in *tags*.
 
-    BannerClick's container and button scans run through this.  It is
-    one filtered walk and never reads or builds the document's
-    :class:`_QueryIndex`: a detection would build that index only to
-    answer this one scan, and a fresh index is almost never there to
-    reuse (40 of 18,742 scans in a seed-1 ``verify``).
+    BannerClick's container and button scans run through this.  A
+    document scan filters the document's cached element list
+    (:meth:`~repro.dom.Document.element_lists`), which a shared parse
+    builds once for every page served from it; any other root is
+    walked once.  It never builds the document's :class:`_QueryIndex`.
     """
+    if isinstance(root, Document):
+        return [el for el in root.element_lists()[0] if el.tag in tags]
     return [el for el in root.elements() if el.tag in tags]
 
 

@@ -33,7 +33,9 @@ class HotpathConfig:
     #: (off = the linear-scan naive matcher).
     filter_index: bool = True
     #: Parsed-document cache keyed by (body hash, url): repeated visits
-    #: clone a pristine parse instead of re-tokenizing the HTML.
+    #: share one read-only parse instead of re-tokenizing the HTML, and
+    #: a page clones it only on its first write (off = every visit
+    #: parses a private document).
     parse_cache: bool = True
     #: Compiled selector plans + per-document tag/id/class indexes
     #: (off = re-parse the selector and walk the whole tree per query).

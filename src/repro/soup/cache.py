@@ -1,22 +1,28 @@
-"""A parsed-document cache: clone a pristine parse instead of re-tokenizing.
+"""A parsed-document cache: share one read-only parse per page.
 
 The synthetic web renders a site's HTML deterministically from visitor
 state, so the same (body, url) pair shows up over and over — across the
 eight vantage points of a detection crawl, across the five repeats of a
 cookie/uBlock measurement, and across longitudinal waves.  Tokenizing
 and tree-building that HTML again on every visit is the single biggest
-per-visit cost; deep-cloning an already parsed tree is several times
-cheaper and gives each visit a private, freely mutable DOM.
+per-visit cost, so each distinct page is parsed once.
 
 Keys are ``(sha256(body), url)``: the URL participates because the
 parser stamps it on the produced :class:`~repro.dom.Document` (and on
 ``about:srcdoc`` frames nested inside), so the same markup served for
 two different pages must not share a cache entry.
 
-The cached master copy is parsed once and never handed out — every hit
-returns ``master.clone(deep=True)``, so no caller can corrupt the
-cache.  Entries are evicted LRU with a bounded size; the cache is
-lock-protected because parallel crawl workers share it.
+Every hit returns the cached parse itself, marked read-only
+(:meth:`~repro.dom.Document.mark_shared`, which covers its ``srcdoc``
+frames too).  Any mutator called on it raises :class:`DOMError` before
+writing, so no caller can corrupt the cache.  Most visits never write
+to their DOM (about 8% of the visits in a seed-1 ``verify`` do); the
+ones that do take a private deep clone on their first write through
+:meth:`repro.browser.Page.writable`.  A shared parse also keeps its
+cached element lists and selector index, so the walks behind the load
+pipeline and BannerClick's scans run once per cached page rather than
+once per visit.  Entries are evicted LRU with a bounded size; the cache
+is lock-protected because parallel crawl workers share it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from repro.soup.parser import parse_document
 
 
 class DocumentCache:
-    """Bounded LRU of pristine parsed documents, keyed by (body hash, url)."""
+    """Bounded LRU of shared read-only parses, keyed by (body hash, url)."""
 
     def __init__(self, max_entries: int = 8192) -> None:
         self._entries: LockedLRU = LockedLRU(max_entries)
@@ -41,20 +47,21 @@ class DocumentCache:
         self.misses = 0
 
     def parse(self, html: str, url: str = "about:blank") -> Document:
-        """Parse *html* (or clone the cached parse) into a private tree."""
+        """The shared read-only parse of *html* (parsed on first request)."""
         key: Tuple[str, str] = (
             hashlib.sha256(html.encode("utf-8")).hexdigest(), url
         )
         master = self._entries.get(key)
         if master is None:
             master = parse_document(html, url=url)
+            master.mark_shared()
             self._entries.put(key, master)
             with self._stats_lock:
                 self.misses += 1
         else:
             with self._stats_lock:
                 self.hits += 1
-        return master.clone(deep=True)
+        return master
 
     def clear(self) -> None:
         self._entries.clear()

@@ -319,6 +319,9 @@ class TestFrameWalkCache:
 
     def test_cache_invalidates_on_mutation(self):
         page = self._page()
+        # The visit serves a shared read-only parse; writing needs the
+        # page's private copy, taken before the walk is cached.
+        page.writable()
         before = page.iframes()
         assert before
         before[0].detach()
@@ -624,6 +627,28 @@ class TestSetCookieMemoDifferential:
             with pytest.raises(CookieError, match="does not match host"):
                 parse_set_cookie("a=1; Domain=other.de", url)
 
+    @given(
+        headers=st.lists(_set_cookie_header(), min_size=1, max_size=10),
+        host=st.sampled_from(_SET_COOKIE_HOSTS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_parsed_cookie_is_a_constructed_cookie(self, headers, host):
+        # parse_set_cookie skips the dataclass __init__; the result must
+        # still be indistinguishable from Cookie(...).
+        url = parse(f"https://{host}/a/b")
+        for header in headers:
+            try:
+                parsed = parse_set_cookie(header, url)
+            except CookieError:
+                continue
+            built = Cookie(**vars(parsed))
+            assert type(parsed) is Cookie
+            assert list(vars(parsed).items()) == list(vars(built).items())
+            assert parsed == built and hash(parsed) == hash(built)
+            assert repr(parsed) == repr(built)
+            with pytest.raises(AttributeError):
+                parsed.value = "changed"
+
 
 # ---------------------------------------------------------------------------
 # URL-parse memo: memoised parse against the un-memoised path.
@@ -750,6 +775,104 @@ class TestPiercedWalk:
 
 
 # ---------------------------------------------------------------------------
+# Cached element lists: Document.element_lists() against fresh walks.
+# ---------------------------------------------------------------------------
+
+def _fresh_lists(doc):
+    return list(doc.elements()), list(doc.elements(include_shadow=True))
+
+
+def _all_documents(doc):
+    return [doc] + [
+        node for node in doc.descendants(include_shadow=True, include_frames=True)
+        if isinstance(node, Document)
+    ]
+
+
+_LIST_MUTATORS = (
+    "append_child", "insert_before", "detach", "set_attribute",
+    "remove_attribute", "add_class", "attach_shadow", "content_document",
+    "on_click",
+)
+
+
+def _mutate(element, how):
+    if how == "append_child":
+        element.append_child(Element("div"))
+    elif how == "insert_before":
+        element.insert_before(
+            Element("span"), element.children[0] if element.children else None
+        )
+    elif how == "detach":
+        element.detach()
+    elif how == "set_attribute":
+        element.set_attribute("data-x", "v")
+    elif how == "remove_attribute":
+        element.set_attribute("data-y", "v")
+        element.remove_attribute("data-y")
+    elif how == "add_class":
+        element.add_class("fresh")
+    elif how == "attach_shadow":
+        if element.attached_shadow_root is None:
+            element.attach_shadow(mode="closed").append_child(Element("b"))
+        else:
+            element.attached_shadow_root.append_child(Element("b"))
+    elif how == "content_document":
+        element.content_document = (
+            None if element.content_document is not None else Document()
+        )
+    else:
+        element.on_click = lambda el: None
+
+
+class TestElementLists:
+    @given(doc=_pierced_document())
+    @settings(max_examples=200, deadline=None)
+    def test_lists_match_fresh_walks(self, doc):
+        for document in _all_documents(doc):
+            light, pierced = document.element_lists()
+            assert (light, pierced) == _fresh_lists(document)
+            # A second read serves the same cached lists.
+            again = document.element_lists()
+            assert again[0] is light and again[1] is pierced
+
+    @given(
+        doc=_pierced_document(),
+        how=st.sampled_from(_LIST_MUTATORS),
+        pick=st.integers(0, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lists_rebuilt_after_every_mutator(self, doc, how, pick):
+        for document in _all_documents(doc):
+            document.element_lists()
+        elements = list(doc.elements(include_shadow=True, include_frames=True))
+        target = elements[pick % len(elements)]
+        owner = target.root_node()
+        cached = owner.element_lists()
+        revision = owner.revision
+        _mutate(target, how)
+        assert owner.revision > revision
+        light, pierced = owner.element_lists()
+        assert light is not cached[0]
+        for document in _all_documents(doc):
+            assert document.element_lists() == _fresh_lists(document)
+
+    @given(doc=_pierced_document())
+    @settings(max_examples=100, deadline=None)
+    def test_clone_does_not_inherit_lists(self, doc):
+        originals = set()
+        for document in _all_documents(doc):
+            light, pierced = document.element_lists()
+            originals.update(map(id, pierced))
+        clone = doc.clone(deep=True)
+        for document in _all_documents(clone):
+            assert document._walk is None
+            light, pierced = document.element_lists()
+            assert (light, pierced) == _fresh_lists(document)
+            assert not originals & set(map(id, pierced))
+
+
+# ---------------------------------------------------------------------------
 # BannerClick tag scans: served from a fresh index only, never built.
 # ---------------------------------------------------------------------------
 
@@ -771,7 +894,7 @@ class TestTagScanIndex:
         ))
         browser = Browser(net, VANTAGE_POINTS["DE"])
         browser.visit("site.de")
-        page = browser.visit("site.de")  # served as a clone of the cached parse
+        page = browser.visit("site.de")  # served the shared cached parse
         assert BannerClick().detect(page).found
         assert [doc._query_index for doc in page.all_documents()] == [
             None, None

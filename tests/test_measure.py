@@ -1,5 +1,7 @@
 """Tests for the measurement harness (crawls, cookies, storage)."""
 
+import json
+
 import pytest
 
 from repro.measure import (
@@ -8,6 +10,7 @@ from repro.measure import (
     load_records,
     save_records,
 )
+from repro.measure import accuracy
 from repro.measure.accuracy import evaluate_records, random_audit
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 from repro.blocklists import JustDomainsList
@@ -214,6 +217,36 @@ class TestAccuracy:
         )
         assert report.recall == 1.0
         assert report.false_negatives == 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_audit_revisits_reproduce_crawl_records(self, seed, monkeypatch):
+        # The accuracy experiment's audit re-visits DE domains the
+        # detection crawl already recorded.  The re-visits produce the
+        # same records; they still cannot simply be reused, because
+        # skipping them shifts the shared serial visit-id counter that
+        # later cookie measurements draw from.
+        from repro.experiments.context import ExperimentContext
+        from repro.webgen import build_world
+
+        world = build_world(scale=0.01, seed=seed)
+        ctx = ExperimentContext(world, vps=["DE"])
+        crawled = {
+            r.domain: json.dumps(r.to_dict(), sort_keys=True)
+            for r in ctx.iter_detection_records("DE")
+        }
+        audited = []
+
+        def capture(world_, records):
+            audited.extend(records)
+            return evaluate_records(world_, records)
+
+        monkeypatch.setattr(accuracy, "evaluate_records", capture)
+        sample_size = min(1000, len(world.crawl_targets))
+        random_audit(world, ctx.crawler, vp="DE", sample_size=sample_size)
+        assert len(audited) == sample_size
+        assert [
+            json.dumps(r.to_dict(), sort_keys=True) for r in audited
+        ] == [crawled[r.domain] for r in audited]
 
 
 class TestStorage:

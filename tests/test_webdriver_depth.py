@@ -139,7 +139,9 @@ class TestClickBehaviourHook:
         )
         browser = Browser(net, VANTAGE_POINTS["DE"])
         page = browser.visit("drv.de")
-        button = page.document.get_element_by_id("b")
+        # The visit serves a shared read-only parse: take the page's
+        # private copy before installing a hook on it.
+        button = page.writable(page.document.get_element_by_id("b"))
         fired = []
         button.on_click = lambda el: fired.append(el.id)
         browser.click(page, button)
