@@ -6,9 +6,9 @@ the CI floor check:
 * **Idle overhead** — a seeded chaos spec with every rate at zero
   installs the plane but never injects; ``ChaosEngine.idle``
   short-circuits per request, so the crawl must cost within a few
-  percent of the chaos-free run.  Both sides run the thread backend
-  (the per-task visit-id regime chaos forces anyway), so the ratio
-  isolates the plane itself.
+  percent of the chaos-free run.  Both sides run serially in this
+  process, with no pool start-up to blur the ratio, so it isolates
+  the plane itself.
 * **Recovery throughput** — visits/sec under the pinned recoverable
   regime with a generous retry budget: every fault retries into a
   clean record (the differential oracle's happy half), and the floor
@@ -33,7 +33,6 @@ _IDLE_RATIO_CEILING = 1.05
 #: sustain hundreds — the floor leaves ~10x for slow runners).
 _RECOVERY_FLOOR_VISITS_PER_SEC = 30
 
-_WORKERS = 2
 _SHARDS = 8
 _SAMPLE_SIZE = 160
 _ROUNDS = 3
@@ -70,7 +69,7 @@ def _timed_run(crawler, sample, chaos=None, retry=None):
     if chaos is not None:
         plan.context["chaos"] = chaos.to_context()
     engine = CrawlEngine(
-        crawler, workers=_WORKERS, shards=_SHARDS, backend="thread",
+        crawler, shards=_SHARDS,
         retry=retry or RetryPolicy(),
     )
     started = time.perf_counter()
@@ -106,7 +105,7 @@ def test_idle_chaos_overhead():
     })
     write_artifact(
         "chaos_idle_overhead",
-        f"sample: {_SAMPLE_SIZE} visits, workers={_WORKERS}\n"
+        f"sample: {_SAMPLE_SIZE} visits, serial\n"
         f"chaos-free: {baseline:.3f}s\n"
         f"idle chaos plane: {idle:.3f}s\n"
         f"overhead: {ratio:.3f}x (ceiling {_IDLE_RATIO_CEILING}x)",

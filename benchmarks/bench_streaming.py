@@ -118,7 +118,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
     crashed = CrawlEngine(
         crawler, workers=_RESUME_WORKERS, shards=_RESUME_SHARDS,
         spool_path=out, checkpoint_path=checkpoint,
-        executor=FaultInjectingExecutor(_RESUME_WORKERS, victims),
+        executor=FaultInjectingExecutor(victims),
     )
     try:
         crashed.execute(plan)

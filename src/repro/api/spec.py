@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, Mapping, MutableMapping, Optional, Tuple, Union
 
+from repro.measure.engine import EXECUTOR_BACKENDS
 from repro.resilience.chaos import ChaosSpec as _ChaosPlaneSpec
 
 #: Campaign kinds a :class:`RunSpec` can describe, and the section
@@ -45,9 +46,10 @@ RUN_KINDS = ("crawl", "measure", "longitudinal", "multivantage")
 #: :meth:`RunSpec.to_dict` emits and the campaign service accepts.
 #: Version 1 is the pre-versioning format (no ``schema_version`` key);
 #: version 2 added the explicit key and the ``"distributed"`` executor
-#: backend.  Old versions are upgraded through :data:`_SPEC_MIGRATIONS`
-#: so queued/submitted campaigns survive spec evolution.
-SPEC_SCHEMA_VERSION = 2
+#: backend; version 3 dropped the ``"thread"`` backend.  Old versions
+#: are upgraded through :data:`_SPEC_MIGRATIONS` so queued/submitted
+#: campaigns survive spec evolution.
+SPEC_SCHEMA_VERSION = 3
 
 #: Kinds whose records land in a wave directory (``output.out_dir``)
 #: rather than a single spool file (``output.path``).
@@ -85,6 +87,16 @@ def spec_migration(version: int):
 @spec_migration(1)
 def _upgrade_v1(data: MutableMapping) -> MutableMapping:
     """v1 -> v2: the structure is unchanged; the version key is new."""
+    return data
+
+
+@spec_migration(2)
+def _upgrade_v2(data: MutableMapping) -> MutableMapping:
+    """v2 -> v3: the thread backend is gone; a stored ``"thread"``
+    executor runs on worker processes instead (same records)."""
+    engine = data.get("engine")
+    if isinstance(engine, Mapping) and engine.get("executor") == "thread":
+        data["engine"] = dict(engine, executor="process")
     return data
 
 
@@ -163,10 +175,6 @@ class WorldSpec:
         return cls(**data)
 
 
-#: Executor backends `EngineSpec.executor` can name (``None`` = the
-#: historical rule: serial when ``workers == 1``, threads otherwise).
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "distributed")
-
 #: Values of ``EngineSpec.merge``: ``"spool"`` asserts the run streams.
 MERGE_MODES = ("memory", "spool")
 
@@ -178,13 +186,13 @@ class EngineSpec:
     workers: int = 1
     #: ``None`` keeps the engine default (1 serial, 4 × workers parallel).
     shards: Optional[int] = None
-    #: Executor backend (serial/thread/process/distributed); ``None``
-    #: keeps the workers-based rule.  The process backend sidesteps the
-    #: GIL for compute-bound crawls but requires a picklable campaign
-    #: (stock crawler over a built world — see the engine docs);
-    #: ``distributed`` ships the same shard bundles to worker processes
-    #: over a socket work queue (:mod:`repro.distributed`) under the
-    #: same portability rules.
+    #: Executor backend, one of ``EXECUTOR_BACKENDS``
+    #: (serial/process/distributed); ``None`` picks serial when
+    #: ``workers == 1`` and process otherwise.  Process workers need a
+    #: picklable campaign (stock crawler over a built world — see the
+    #: engine docs); ``distributed`` ships the same shard bundles to
+    #: worker processes over a socket work queue
+    #: (:mod:`repro.distributed`) under the same portability rules.
     executor: Optional[str] = None
     #: Not a choice: the engine spool-joins whenever the run has an
     #: output path and merges in memory otherwise.  ``"spool"`` only
@@ -210,7 +218,7 @@ class EngineSpec:
         if self.executor == "serial" and self.workers > 1:
             raise SpecError(
                 "engine.executor='serial' contradicts engine.workers > 1 "
-                "(pick 'thread' or 'process' to parallelise)"
+                "(pick 'process' or 'distributed' to parallelise)"
             )
         if self.merge not in MERGE_MODES:
             raise SpecError(

@@ -64,7 +64,7 @@ class Browser:
         #: Optional private visit-id allocator.  By default navigations
         #: draw from the network's shared monotonic counter; the crawl
         #: engine's parallel mode supplies a deterministic per-task
-        #: stream instead so measurements don't depend on thread
+        #: stream instead so measurements don't depend on worker
         #: scheduling.
         self._visit_ids = visit_ids
         #: Parsed-document cache (None disables).  Identical response

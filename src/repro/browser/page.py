@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, TypeVar
 
-from repro import perf
 from repro.dom import Document, Element, Node
 from repro.httpkit import Request
 from repro.urlkit import URL
@@ -43,12 +42,6 @@ class Page:
         self.status: int = 200
         #: Resource elements already handled by the load pipeline.
         self.processed_elements: set = set()
-        #: One-walk frame cache: (iframes, documents, [(doc, revision)]).
-        #: Validated against every involved document's mutation revision,
-        #: so results stay identical to a fresh walk.
-        self._frame_walk: Optional[
-            Tuple[List[Element], List[Document], List[Tuple[Document, int]]]
-        ] = None
         #: After the copy-on-write swap: id(shared node) -> private copy.
         self._copies: Optional[Dict[int, Node]] = None
         #: The shared parse the copies came from; keeps its nodes (and
@@ -63,8 +56,8 @@ class Page:
 
         On a shared parse the first call deep-clones the document
         (frames and shadow trees included) once, remaps
-        ``processed_elements`` onto the copies and drops the frame-walk
-        cache; later calls, and calls on a private page, only map.
+        ``processed_elements`` onto the copies; later calls, and calls on
+        a private page, only map.
         Returns ``current(node)``.
         """
         if self.document.shared:
@@ -82,7 +75,6 @@ class Page:
             self.processed_elements = {
                 id(copies[key]) for key in self.processed_elements
             }
-            self._frame_walk = None
         return self.current(node)
 
     def current(self, node: Optional[N]) -> Optional[N]:
@@ -95,26 +87,12 @@ class Page:
     # ------------------------------------------------------------------
     # Frame access
     # ------------------------------------------------------------------
-    def _walk_frames(
-        self,
-    ) -> Tuple[List[Element], List[Document], List[Tuple[Document, int]]]:
+    def _walk_frames(self) -> Tuple[List[Element], List[Document]]:
         """One pass over every document's pierced element list
-        (:meth:`~repro.dom.Document.element_lists`) computing iframes
-        and the document tree.
-
-        The result is reused until any involved document's revision
-        changes.
-        """
-        cached = self._frame_walk if perf.config.frame_cache else None
-        if cached is not None and all(
-            doc.revision == revision for doc, revision in cached[2]
-        ):
-            return cached
+        (:meth:`~repro.dom.Document.element_lists`) computing the
+        top-level iframes and the document tree."""
         iframes: List[Element] = []
         documents: List[Document] = [self.document]
-        revisions: List[Tuple[Document, int]] = [
-            (self.document, self.document.revision)
-        ]
         stack = [self.document]
         while stack:
             doc = stack.pop()
@@ -126,15 +104,12 @@ class Page:
                 inner = el.content_document
                 if inner is not None:
                     documents.append(inner)
-                    revisions.append((inner, inner.revision))
                     stack.append(inner)
-        walked = (iframes, documents, revisions)
-        self._frame_walk = walked
-        return walked
+        return iframes, documents
 
     def iframes(self) -> List[Element]:
         """All iframe elements in the top-level document (pierces shadow)."""
-        return list(self._walk_frames()[0])
+        return self._walk_frames()[0]
 
     def all_documents(self) -> Iterator[Document]:
         """The main document plus every loaded frame document (recursive)."""

@@ -3,8 +3,8 @@
 The hot-path caches (parsed filter lists, compiled filter indexes,
 per-host cosmetic selectors, parsed documents) all need the same
 thing: a dict with move-to-front on read and oldest-first eviction,
-safe under the parallel crawl engine's worker threads.  One
-implementation keeps the lock discipline in one place.
+safe for concurrent threads.  One implementation keeps the lock
+discipline in one place.
 """
 
 from __future__ import annotations

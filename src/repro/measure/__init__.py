@@ -19,7 +19,6 @@ from repro.measure.engine import (
     EngineResult,
     FaultInjectingExecutor,
     FaultInjectingProcessExecutor,
-    ParallelExecutor,
     ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
@@ -46,7 +45,6 @@ __all__ = [
     "TaskOutcome",
     "RetryPolicy",
     "SerialExecutor",
-    "ParallelExecutor",
     "ProcessExecutor",
     "FaultInjectingExecutor",
     "FaultInjectingProcessExecutor",

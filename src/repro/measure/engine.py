@@ -29,24 +29,21 @@ loop.  This module turns that loop into an explicit subsystem:
 
    - ``"serial"`` — :class:`SerialExecutor`, shard by shard on the
      calling thread, on the live crawler.
-   - ``"thread"`` — :class:`ParallelExecutor`, one shard per thread of
-     a ``workers``-thread pool, on the live crawler.  Threads suit
-     network-bound crawls (the netsim's ``Network.latency``); every
-     task builds its own browser and jar, so no mutable state is
-     shared.
    - ``"process"`` — :class:`ProcessExecutor` ships each bundle to a
      worker *process* (:func:`_run_shard_bundle`) that rebuilds the
-     crawler and returns the records serialized: the GIL-free backend
-     for compute-bound scale-out.  Workers rebuild the world from its
-     (seed, scale, evolution) key — or, under ``fork``, inherit the
-     parent's — so bundles stay small.  See *Pickling constraints*.
+     crawler and returns the records serialized.  A visit is pure
+     Python under the default virtual latency, so processes, not
+     threads, are what parallelise it.  Workers rebuild the world from
+     its (seed, scale, evolution) key — or, under ``fork``, inherit
+     the parent's — so bundles stay small.  See *Pickling
+     constraints*.
    - ``"distributed"`` — :class:`repro.distributed.DistributedExecutor`
      carries the same bundles as JSON frames to ``worker serve``
      processes running the same worker entry point.
 
    Every finished shard is absorbed through one path (notes emitted,
    breaker states adopted, outcomes persisted).  With no explicit
-   backend, ``workers == 1`` is serial and ``workers > 1`` threads.
+   backend, ``workers == 1`` is serial and ``workers > 1`` process.
 
 4. **Merge.**  Outcomes are re-assembled in **plan order** (their
    canonical order) regardless of which worker finished first.  The
@@ -76,7 +73,7 @@ Crawler` over a world built by ``build_world(seed=…, scale=…)``
 instances travel in the bundle, so configured detectors behave
 identically in a worker).  Crawler subclasses, hand-assembled or
 knob-tuned worlds, and unpicklable detectors are refused with a
-clear error — use the thread backend for those.
+clear error — run those with ``workers=1``.
 
 Checkpoints and resume
 ----------------------
@@ -119,7 +116,7 @@ engine controls how ids are allocated:
   stream derived from (world seed, vp, domain, mode, repeats), so the
   records are a pure function of the world and the plan — identical
   across reruns and across *any* parallel worker/shard combination,
-  never dependent on thread scheduling.  (Parallel values differ from
+  never dependent on worker scheduling.  (Parallel values differ from
   the serial stream's, since the ids differ; each regime is internally
   deterministic.)
 
@@ -142,7 +139,6 @@ import threading
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor as _PyProcessPool
-from concurrent.futures import ThreadPoolExecutor as _PyThreadPool
 from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,12 +172,11 @@ CHECKPOINT_VERSION = 1
 TASK_MODES = ("detect", "accept", "reject", "subscription", "ublock")
 
 #: Executor backends selectable by name (``EngineSpec.executor`` /
-#: ``--executor``); ``None`` keeps the historical workers-based rule.
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "distributed")
-
-#: Backends that run shards in this process on the live crawler; the
-#: others rebuild it in worker processes from the run-constant state.
-_IN_PROCESS_BACKENDS = ("serial", "thread")
+#: ``--executor``); ``None`` picks serial for ``workers == 1`` and
+#: process otherwise.  Only serial runs shards in this process on the
+#: live crawler; the others rebuild it in worker processes from the
+#: run-constant state.
+EXECUTOR_BACKENDS = ("serial", "process", "distributed")
 
 #: ``progress(done, total, task)`` — invoked after every completed task.
 ProgressHook = Callable[[int, int, "CrawlTask"], None]
@@ -520,9 +515,25 @@ _WORKER_SHARED: Dict[str, object] = {}
 
 
 def _init_worker_shared(shared: Dict[str, object]) -> None:
-    """Pool initializer: install the run-constant half of the bundles."""
+    """Install the run-constant half of the bundles in this worker."""
     _WORKER_SHARED.clear()
     _WORKER_SHARED.update(shared)
+
+
+def _init_pool_worker(shared: Dict[str, object]) -> None:
+    """Process-pool initializer: install *shared*, and exit as soon as
+    the parent is gone.  A pool worker otherwise outlives a SIGKILLed
+    parent, blocked forever on its task queue with a world in memory.
+    """
+    _init_worker_shared(shared)
+    parent = os.getppid()
+
+    def exit_with_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
 def _task_id_base(world_seed: int, task: CrawlTask) -> int:
@@ -1008,61 +1019,31 @@ class SerialExecutor(Executor):
             _run_local_bundle(bundle, on_shard, shared)
 
 
-class ParallelExecutor(Executor):
-    """Runs bundles concurrently on a thread pool of *workers* threads.
-
-    Each thread absorbs its own shard, so a shard that raises never
-    stops its siblings from finishing and checkpointing; the first
-    failure in shard order re-raises once the pool has drained.
-    """
-
-    backend = "thread"
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def run_bundles(self, bundles, on_shard, shared):
-        with _PyThreadPool(max_workers=self.workers) as pool:
-            futures = [
-                pool.submit(_run_local_bundle, bundle, on_shard, shared)
-                for bundle in bundles
-            ]
-            for future in futures:
-                future.result()
-
-
-class FaultInjectingExecutor(ParallelExecutor):
+class FaultInjectingExecutor(SerialExecutor):
     """Chaos harness for the checkpoint/resume path: kills the chosen
     shards either before they run or — with ``partial=True`` — after
     half their tasks completed (and were checkpointed), which is what a
-    worker dying mid-shard looks like.  Surviving shards finish and
-    checkpoint normally, exactly as under a real crash of one worker.
+    worker dying mid-shard looks like.  Every other shard runs and
+    checkpoints normally; the first injected crash is raised after the
+    last shard, exactly as under a real crash of one worker.
     Used by the crash-safety tests and benchmarks; never the default.
     """
 
-    def __init__(self, workers: int, fail_shards, *, partial: bool = False):
-        super().__init__(workers)
+    def __init__(self, fail_shards, *, partial: bool = False):
         self.fail_shards = set(fail_shards)
         self.partial = partial
 
     def run_bundles(self, bundles, on_shard, shared):
-        def crash(payload):
-            if payload["shard"] not in self.fail_shards:
-                return on_shard(payload)
-            if self.partial:
-                on_shard(payload)
-            raise RuntimeError(f"injected crash in shard {payload['shard']}")
-
-        doomed = [
-            dict(bundle, tasks=bundle["tasks"][
-                : len(bundle["tasks"]) // 2 if self.partial else 0
-            ])
-            if bundle["shard"] in self.fail_shards else bundle
-            for bundle in bundles
-        ]
-        super().run_bundles(doomed, crash, shared)
+        crashed = [b["shard"] for b in bundles if b["shard"] in self.fail_shards]
+        for bundle in bundles:
+            if bundle["shard"] in crashed:
+                if not self.partial:
+                    continue
+                tasks = bundle["tasks"]
+                bundle = dict(bundle, tasks=tasks[: len(tasks) // 2])
+            _run_local_bundle(bundle, on_shard, shared)
+        if crashed:
+            raise RuntimeError(f"injected crash in shard {crashed[0]}")
 
 
 def _kill_midway(bundles: List[Dict], kill_shards) -> List[Dict]:
@@ -1080,30 +1061,21 @@ class ProcessExecutor(Executor):
 
     Each worker runs :func:`_run_shard_bundle` and hands its serialized
     payload back; the payloads reach *on_shard* in completion order,
-    so the engine checkpoints and spools shards exactly as eagerly as
-    it does under threads.
+    so the engine checkpoints and spools each shard as soon as it
+    finishes.
 
-    The start method defaults to ``fork`` where available (workers
-    inherit the parent's already-built world through
-    ``_SHARED_WORLDS`` for free) and falls back to ``spawn``, where
-    each worker deterministically rebuilds the world from its key on
-    first use.
+    Workers start with ``fork`` where available (they inherit the
+    parent's already-built world through ``_SHARED_WORLDS`` for free)
+    and with ``spawn`` elsewhere, where each worker deterministically
+    rebuilds the world from its key on first use.
     """
 
     backend = "process"
 
-    def __init__(self, workers: int, *, start_method: Optional[str] = None):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.start_method = start_method
-
-    def _mp_context(self):
-        method = self.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        return multiprocessing.get_context(method)
 
     def run_bundles(self, bundles, on_shard, shared):
         """Run *bundles* in the pool, invoking *on_shard* per payload.
@@ -1120,18 +1092,31 @@ class ProcessExecutor(Executor):
         Correctness is unaffected (the checkpoint holds exactly the
         delivered shards); the amount of re-executed work under a
         multi-worker crash is scheduling-dependent.
+
+        When *on_shard* raises (a failed absorb, or a progress hook
+        that cancels the run) the shards not yet started are cancelled,
+        so the run stops once the in-flight ones drain instead of
+        executing the rest of the plan.
         """
+        method = (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         with _PyProcessPool(
             max_workers=self.workers,
-            mp_context=self._mp_context(),
-            initializer=_init_worker_shared,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_init_pool_worker,
             initargs=(shared,),
         ) as pool:
             futures = [
                 pool.submit(_run_shard_bundle, bundle) for bundle in bundles
             ]
-            for future in as_completed(futures):
-                on_shard(future.result())
+            try:
+                for future in as_completed(futures):
+                    on_shard(future.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
 
 
 class FaultInjectingProcessExecutor(ProcessExecutor):
@@ -1147,14 +1132,8 @@ class FaultInjectingProcessExecutor(ProcessExecutor):
     Used by the kill/resume tests; never the default.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        kill_shards,
-        *,
-        start_method: Optional[str] = None,
-    ):
-        super().__init__(workers, start_method=start_method)
+    def __init__(self, workers: int, kill_shards):
+        super().__init__(workers)
         self.kill_shards = set(kill_shards)
 
     def run_bundles(self, bundles, on_shard, shared):
@@ -1175,7 +1154,7 @@ class CrawlEngine:
     workers:
         Degree of parallelism.  Without an explicit *backend*, ``1``
         (default) selects :class:`SerialExecutor` and ``>1`` a
-        :class:`ParallelExecutor` with that many threads.
+        :class:`ProcessExecutor` with that many worker processes.
     backend:
         Executor backend by name — one of :data:`EXECUTOR_BACKENDS`
         (see the module docstring); ``None`` keeps the workers-based
@@ -1250,7 +1229,7 @@ class CrawlEngine:
         if backend == "serial" and workers > 1:
             raise ValueError(
                 "backend='serial' contradicts workers > 1 "
-                "(pick 'thread' or 'process' to parallelise)"
+                "(pick 'process' or 'distributed' to parallelise)"
             )
         self.crawler = crawler
         self.workers = workers
@@ -1305,14 +1284,14 @@ class CrawlEngine:
             return self.executor.backend
         if self.backend is not None:
             return self.backend
-        return "serial" if self.workers == 1 else "thread"
+        return "serial" if self.workers == 1 else "process"
 
     @property
     def per_task_ids(self) -> bool:
         """Whether tasks get private visit-id streams (module docstring).
 
-        True in parallel mode (any thread/process/distributed backend
-        included: worker processes cannot share the serial counter) and
+        True in parallel mode (any process/distributed backend included:
+        worker processes cannot share the serial counter) and
         for every checkpointed run: the serial shared-counter stream
         cannot survive a resume boundary, since replayed tasks would no
         longer advance it.
@@ -1402,7 +1381,7 @@ class CrawlEngine:
             installed_chaos = True
         started = time.perf_counter()
         try:
-            if executor.backend in _IN_PROCESS_BACKENDS:
+            if executor.backend == "serial":
                 executor.run_bundles(bundles, on_shard, {
                     "crawler": self.crawler,
                     "tasks": plan.tasks,
@@ -1446,14 +1425,12 @@ class CrawlEngine:
         if backend == "serial":
             return SerialExecutor()
         workers = min(self.workers, self.shards)
-        if backend == "process":
-            return ProcessExecutor(workers)
         if backend == "distributed":
             # Imported lazily — repro.distributed builds on this module.
             from repro.distributed import DistributedExecutor
 
             return DistributedExecutor(workers)
-        return ParallelExecutor(workers)
+        return ProcessExecutor(workers)
 
     # ------------------------------------------------------------------
     # Bundles, worker transports, and the one absorb path
@@ -1494,7 +1471,7 @@ class CrawlEngine:
                 "the process backend ships picklable task bundles and "
                 "rebuilds the stock Crawler in each worker; "
                 f"{type(self.crawler).__name__} cannot cross the process "
-                "boundary (use the thread backend)"
+                "boundary (use workers=1)"
             )
         config = getattr(getattr(self.crawler, "world", None), "config", None)
         if config is None or getattr(config, "seed", None) is None:
@@ -1513,8 +1490,7 @@ class CrawlEngine:
             raise ValueError(
                 "the process backend rebuilds the world from (seed, "
                 "scale) alone; this world's config carries non-default "
-                "knobs a worker could not reproduce (use the thread "
-                "backend)"
+                "knobs a worker could not reproduce (use workers=1)"
             )
 
     def _run_in_workers(
@@ -1538,7 +1514,7 @@ class CrawlEngine:
         # The run-constant half, installed once per worker by the pool
         # initializer.  The live detector instances travel here, so
         # configured (e.g. ablation) detectors behave the same in a
-        # worker as under threads; an unpicklable custom detector
+        # worker as in-process; an unpicklable custom detector
         # fails loudly at pool start.
         shared = {
             "world": world_key,

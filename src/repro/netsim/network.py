@@ -52,7 +52,7 @@ class Network:
         #: Simulated per-request network round-trip time in seconds.
         #: Zero (the default) keeps the simulation purely compute-bound;
         #: benchmarks set it to model the network-bound regime of real
-        #: crawls, where the parallel crawl engine's thread workers
+        #: crawls, where the parallel crawl engine's worker processes
         #: overlap the waiting.
         self.latency = 0.0
         #: How latency is paid: ``"virtual"`` (default) advances the

@@ -40,9 +40,6 @@ class HotpathConfig:
     #: Compiled selector plans + per-document tag/id/class indexes
     #: (off = re-parse the selector and walk the whole tree per query).
     selector_index: bool = True
-    #: Per-load caching of ``Page.all_documents()`` / ``Page.iframes()``
-    #: frame walks (off = re-walk the pierced tree on every call).
-    frame_cache: bool = True
 
     def all_names(self) -> tuple:
         return tuple(f.name for f in fields(self))

@@ -86,21 +86,20 @@ class TestSessionBasics:
             output=OutputSpec(path=str(serial_out)),
         )
         Session(spec).run()
-        for backend in ("thread", "process"):
-            out = tmp_path / f"{backend}.jsonl"
-            result = Session(
-                RunSpec(
-                    kind="crawl", world=WORLD, crawl=CrawlSpec(vps=("DE",)),
-                    engine=EngineSpec(
-                        workers=2, executor=backend, merge="spool"
-                    ),
-                    output=OutputSpec(path=str(out)),
-                )
-            ).run()
-            assert out.read_bytes() == serial_out.read_bytes(), backend
-            # Spool-merged runs stay lazy: nothing materialised yet.
-            assert result._records is None
-            assert result.record_count == len(result.records)
+        out = tmp_path / "process.jsonl"
+        result = Session(
+            RunSpec(
+                kind="crawl", world=WORLD, crawl=CrawlSpec(vps=("DE",)),
+                engine=EngineSpec(
+                    workers=2, executor="process", merge="spool"
+                ),
+                output=OutputSpec(path=str(out)),
+            )
+        ).run()
+        assert out.read_bytes() == serial_out.read_bytes()
+        # Spool-merged runs stay lazy: nothing materialised yet.
+        assert result._records is None
+        assert result.record_count == len(result.records)
 
     def test_spool_merge_without_output_refused_not_downgraded(self):
         # Mirrors the resume rule: silently merging in memory when the
@@ -234,7 +233,7 @@ class TestSessionResume:
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=out,
             checkpoint_path=f"{out}.checkpoint",
-            executor=FaultInjectingExecutor(4, (1, 3, 5, 7), partial=True),
+            executor=FaultInjectingExecutor((1, 3, 5, 7), partial=True),
         )
         with pytest.raises(RuntimeError):
             engine.execute(plan)

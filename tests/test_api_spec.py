@@ -109,7 +109,9 @@ class TestValidation:
             EngineSpec(executor="fiber").validate()
         with pytest.raises(SpecError, match="contradicts"):
             EngineSpec(executor="serial", workers=4).validate()
-        for backend in ("serial", "thread", "process"):
+        with pytest.raises(SpecError, match="engine.executor"):
+            EngineSpec(executor="thread").validate()
+        for backend in ("serial", "process", "distributed"):
             EngineSpec(executor=backend).validate()
 
     def test_executor_round_trips(self):
@@ -264,6 +266,21 @@ class TestSchemaVersioning:
         payload = spec.to_dict()
         payload["schema_version"] = 1
         assert RunSpec.from_dict(payload) == spec
+
+    def test_v2_thread_executor_loads_as_process(self):
+        """Specs saved (or queued by `serve`) before the thread backend
+        went keep loading: their executor runs on worker processes."""
+        spec = RunSpec(
+            kind="crawl",
+            engine=EngineSpec(workers=2, executor="process"),
+        ).validate()
+        payload = spec.to_dict()
+        payload["schema_version"] = 2
+        payload["engine"]["executor"] = "thread"
+        assert RunSpec.from_dict(payload) == spec
+        # Other v2 executors pass through unchanged.
+        payload["engine"]["executor"] = "distributed"
+        assert RunSpec.from_dict(payload).engine.executor == "distributed"
 
     def test_future_version_rejected_readably(self):
         from repro.api import SpecVersionError

@@ -11,7 +11,7 @@ tolerated, never silently dropped, and a crash at each of the
 journal's write sites must resume to the same bytes.
 
 Like ``test_executor_backends.py``, CI runs this module once per
-backend (``REPRO_EXECUTOR_BACKEND=serial|thread|process``) under
+backend (``REPRO_EXECUTOR_BACKEND=serial|process``) under
 pinned chaos seeds; locally, with the variable unset, every backend
 runs in one pass.
 """
@@ -177,9 +177,7 @@ class TestDifferentialOracle:
         if backend == "process":
             executor = FaultInjectingProcessExecutor(1, (1, 4))
         else:
-            executor = FaultInjectingExecutor(
-                1 if backend == "serial" else WORKERS, (1, 4), partial=True
-            )
+            executor = FaultInjectingExecutor((1, 4), partial=True)
         engine = make_engine(
             backend, chaos_crawler, spool_path=out,
             checkpoint_path=checkpoint, executor=executor,
@@ -294,10 +292,7 @@ def test_breaker_state_survives_kill_and_resume(
     if backend == "process":
         executor = FaultInjectingProcessExecutor(1, (SHARDS - 1,))
     else:
-        executor = FaultInjectingExecutor(
-            1 if backend == "serial" else WORKERS, (SHARDS - 1,),
-            partial=True,
-        )
+        executor = FaultInjectingExecutor((SHARDS - 1,), partial=True)
     engine = make_engine(
         backend, chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
         executor=executor, retry=RetryPolicy(**BREAKER_RETRY),
@@ -336,7 +331,7 @@ def test_compacted_checkpoint_keeps_breaker_state(
     engine = CrawlEngine(
         chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
         retry=RetryPolicy(**BREAKER_RETRY),
-        executor=FaultInjectingExecutor(1, (0,), partial=True),
+        executor=FaultInjectingExecutor((0,), partial=True),
         shards=SHARDS,
     )
     with pytest.raises(RuntimeError):
@@ -382,7 +377,7 @@ class TestTornWrites:
         engine = CrawlEngine(
             chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
             shards=SHARDS,
-            executor=FaultInjectingExecutor(1, (SHARDS - 1,), partial=True),
+            executor=FaultInjectingExecutor((SHARDS - 1,), partial=True),
             retry=RetryPolicy(max_attempts=8),
         )
         with pytest.raises(RuntimeError):
@@ -442,7 +437,7 @@ class TestJournalCrashPoints:
                 self._engine(
                     chaos_crawler, out,
                     executor=FaultInjectingExecutor(
-                        1, (SHARDS - 1,), partial=True
+                        (SHARDS - 1,), partial=True
                     ),
                 ),
                 plan_factory, IDLE,

@@ -93,7 +93,7 @@ class TestResume:
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=out,
             checkpoint_path=f"{out}.checkpoint",
-            executor=FaultInjectingExecutor(4, (1, 3, 5, 7)),
+            executor=FaultInjectingExecutor((1, 3, 5, 7)),
         )
         with pytest.raises(RuntimeError):
             engine.execute(plan)
@@ -293,7 +293,7 @@ class TestCheckpointCompactVerb:
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=spool,
             checkpoint_path=f"{spool}.checkpoint",
-            executor=FaultInjectingExecutor(4, (1, 3), partial=True),
+            executor=FaultInjectingExecutor((1, 3), partial=True),
         )
         with pytest.raises(RuntimeError):
             engine.execute(plan)

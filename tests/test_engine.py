@@ -1,5 +1,6 @@
 """Tests for the sharded crawl engine (plan → shard → execute → merge)."""
 
+import multiprocessing
 import random
 
 import pytest
@@ -20,9 +21,20 @@ from repro.measure import (
     save_records,
 )
 from repro.measure.crawl import CrawlResult
-from repro.measure.engine import shard_of
+from repro.measure.engine import _run_shard_bundle, shard_of
 from repro.measure.instrumentation import EventLog
 from repro.webgen import build_world
+
+#: Where :func:`_logged_shard_bundle` records each bundle it starts.
+_BUNDLE_LOG = {}
+
+
+def _logged_shard_bundle(bundle):
+    """The worker entry point, appending the bundle's task count to
+    ``_BUNDLE_LOG["path"]`` before it runs."""
+    with open(_BUNDLE_LOG["path"], "a", encoding="utf-8") as handle:
+        handle.write(f"{len(bundle['tasks'])}\n")
+    return _run_shard_bundle(bundle)
 
 
 class TestPlanCompilation:
@@ -251,7 +263,7 @@ class TestEngineEvents:
         (plan_event,) = log.by_kind("plan")
         assert plan_event.detail == {
             "tasks": 30, "shards": 4, "workers": 2,
-            "backend": "thread", "merge": "memory",
+            "backend": "process", "merge": "memory",
         }
         occupied = sum(1 for shard in plan.sharded(4) if shard)
         assert len(log.by_kind("shard")) == occupied
@@ -387,7 +399,7 @@ class TestSpoolMerge:
         plan = crawler.plan_detection_crawl(["DE"], targets)
         out = tmp_path / "partial-failures.jsonl"
         result = CrawlEngine(
-            crawler, workers=2, shards=4, spool_path=out,
+            crawler, shards=4, spool_path=out,
             retry=RetryPolicy(max_attempts=1),
         ).execute(plan)
         assert len(result.failures) == len(dead)
@@ -452,7 +464,7 @@ class TestSpoolMerge:
     def test_concurrent_appends_keep_every_run(
         self, tmp_path, medium_world, medium_crawler
     ):
-        """Many threads appending to one journal under a tiny switch
+        """Many shards appending to one journal under a tiny switch
         interval: a lost run or a torn interleaving would change the
         joined bytes."""
         import sys
@@ -538,6 +550,42 @@ class TestProgressReporting:
             for e in log.by_kind("progress")
         ] == [(10, 25), (20, 25), (25, 25)]
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the patched entry point only under fork",
+    )
+    def test_raising_hook_cancels_queued_process_shards(
+        self, tmp_path, monkeypatch, medium_world, medium_crawler
+    ):
+        """A progress hook that raises (the service's cancel) stops a
+        process-backend run: the shards no worker has started are
+        cancelled, not run to the end of the plan."""
+        import repro.measure.engine as engine_mod
+
+        started = tmp_path / "started"
+        monkeypatch.setitem(_BUNDLE_LOG, "path", str(started))
+        monkeypatch.setattr(
+            engine_mod, "_run_shard_bundle", _logged_shard_bundle
+        )
+
+        class Cancelled(Exception):
+            pass
+
+        def cancel(done, total, task):
+            raise Cancelled
+
+        plan = medium_crawler.plan_detection_crawl(
+            ["DE"], medium_world.crawl_targets[:400]
+        )
+        engine = CrawlEngine(
+            medium_crawler, workers=2, shards=40, backend="process",
+            progress=cancel,
+        )
+        with pytest.raises(Cancelled):
+            engine.execute(plan)
+        executed = sum(int(n) for n in started.read_text().split())
+        assert 0 < executed < len(plan)
+
     def test_crawl_all_reports_per_vp(self, medium_world, medium_crawler):
         """Every call names its task, so per-VP progress needs no
         adapter: a serial multi-VP crawl reports vp-major."""
@@ -558,9 +606,7 @@ class TestCheckpointResume:
         engine = CrawlEngine(
             crawler, workers=self.WORKERS, shards=self.SHARDS,
             spool_path=out, checkpoint_path=f"{out}.checkpoint",
-            executor=FaultInjectingExecutor(
-                self.WORKERS, fail_shards, partial=partial
-            ),
+            executor=FaultInjectingExecutor(fail_shards, partial=partial),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)
@@ -771,8 +817,8 @@ class TestCheckpointResume:
         engine = CrawlEngine(
             crawler, retry=RetryPolicy(max_attempts=1),
             checkpoint_path=checkpoint,
-            executor=FaultInjectingExecutor(2, (1,)),
-            workers=2, shards=2,
+            executor=FaultInjectingExecutor((1,)),
+            shards=2,
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)
@@ -782,7 +828,7 @@ class TestCheckpointResume:
 
         resumed = CrawlEngine(
             crawler, retry=RetryPolicy(max_attempts=1),
-            checkpoint_path=checkpoint, resume=True, workers=2, shards=2,
+            checkpoint_path=checkpoint, resume=True, shards=2,
         ).execute(plan)
         # Only the killed shard re-ran; the failed outcomes replayed.
         assert crawler.calls == calls_before + (len(targets) - shard0)
@@ -919,9 +965,7 @@ class TestCheckpointCompaction:
         engine = CrawlEngine(
             crawler, workers=self.WORKERS, shards=self.SHARDS,
             spool_path=out, checkpoint_path=f"{out}.checkpoint",
-            executor=FaultInjectingExecutor(
-                self.WORKERS, (1, 3, 5), partial=True
-            ),
+            executor=FaultInjectingExecutor((1, 3, 5), partial=True),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)
@@ -1101,7 +1145,7 @@ class TestStreamingReconcileMachinery:
         engine = CrawlEngine(
             medium_crawler, workers=4, shards=8,
             spool_path=out, checkpoint_path=checkpoint,
-            executor=FaultInjectingExecutor(4, (1, 4), partial=True),
+            executor=FaultInjectingExecutor((1, 4), partial=True),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)

@@ -35,7 +35,7 @@ from repro.adblock import FilterEngine, NaiveFilterEngine
 from repro.api import Session
 from repro.bannerclick import BannerClick
 from repro.browser import Browser
-from repro.dom import Document, Element, Text
+from repro.dom import Document, Element, ShadowRoot, Text
 from repro.dom.selector import (
     iter_elements_by_tags,
     query_selector,
@@ -288,10 +288,10 @@ class TestSelectorDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Page frame-walk cache
+# Page frame walk
 # ---------------------------------------------------------------------------
 
-class TestFrameWalkCache:
+class TestFrameWalk:
     def _page(self):
         net = Network()
         net.register(
@@ -306,31 +306,37 @@ class TestFrameWalkCache:
         browser = Browser(net, VANTAGE_POINTS["DE"])
         return browser.visit("site.de")
 
-    def test_cached_walk_equals_fresh_walk(self):
-        page = self._page()
-        with perf.disabled("frame_cache"):
-            fresh_iframes = page.iframes()
-            fresh_docs = list(page.all_documents())
-        assert page.iframes() == fresh_iframes
-        assert list(page.all_documents()) == fresh_docs
-        # Second call serves from the cache and must be identical.
-        assert page.iframes() == fresh_iframes
-        assert list(page.all_documents()) == fresh_docs
+    @staticmethod
+    def _texts(page):
+        return [doc.body.text_content() for doc in page.all_documents()]
 
-    def test_cache_invalidates_on_mutation(self):
+    def test_walk_finds_shadow_and_nested_frames(self):
+        page = self._page()
+        shadowed, light = page.iframes()
+        # The first iframe sits in a shadow root, the second in <body>.
+        assert isinstance(shadowed.parent, ShadowRoot)
+        assert light.parent is page.document.body
+        docs = list(page.all_documents())
+        assert docs[0] is page.document
+        assert docs[1] is shadowed.content_document
+        assert docs[2] is light.content_document
+        # The nested frame's document is walked, not only top-level ones.
+        (nested,) = [
+            el for el in docs[2].element_lists()[0] if el.tag == "iframe"
+        ]
+        assert docs[3] is nested.content_document
+        assert self._texts(page) == ["", "inner", "", "deep"]
+
+    def test_walk_sees_a_detached_iframe_gone(self):
         page = self._page()
         # The visit serves a shared read-only parse; writing needs the
-        # page's private copy, taken before the walk is cached.
+        # page's private copy.
         page.writable()
         before = page.iframes()
-        assert before
+        assert len(before) == 2
         before[0].detach()
-        with perf.disabled("frame_cache"):
-            fresh = page.iframes()
-            fresh_docs = list(page.all_documents())
-        assert page.iframes() == fresh
-        assert list(page.all_documents()) == fresh_docs
-        assert len(fresh) == len(before) - 1
+        assert page.iframes() == before[1:]
+        assert self._texts(page) == ["", "", "deep"]
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,7 @@ def make_engine(backend, crawler, **kwargs):
 def crash_executor(backend, fail_shards):
     if backend == "process":
         return FaultInjectingProcessExecutor(1, fail_shards)
-    workers = 1 if backend == "serial" else WORKERS
-    return FaultInjectingExecutor(workers, fail_shards, partial=True)
+    return FaultInjectingExecutor(fail_shards, partial=True)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +101,7 @@ def serial_references(tmp_path_factory, small_crawler, campaign_targets):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("regime", REGIMES)
 class TestCampaignDeterminism:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_spool_matches_serial_reference(
         self, regime, backend, tmp_path, small_crawler, campaign_targets,
         serial_references,
@@ -114,7 +113,7 @@ class TestCampaignDeterminism:
         assert len(result) == len(VPS) * len(campaign_targets)
         assert out.read_bytes() == serial_references[regime]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_crashed_run_resumes_byte_identical(
         self, regime, backend, tmp_path, small_crawler, campaign_targets,
         serial_references,
@@ -145,9 +144,9 @@ class TestCampaignDeterminism:
         plan = campaign_plan(small_crawler, regime, campaign_targets)
         checkpoint = tmp_path / "run.checkpoint"
         engine = make_engine(
-            "thread", small_crawler, spool_path=tmp_path / "run.jsonl",
+            "serial", small_crawler, spool_path=tmp_path / "run.jsonl",
             checkpoint_path=checkpoint,
-            executor=crash_executor("thread", fail_shards=(2,)),
+            executor=crash_executor("serial", fail_shards=(2,)),
         )
         with pytest.raises(RuntimeError):
             engine.execute(plan)
@@ -157,7 +156,7 @@ class TestCampaignDeterminism:
         )
         with pytest.raises(CheckpointMismatch):
             make_engine(
-                "thread", small_crawler, spool_path=tmp_path / "run.jsonl",
+                "serial", small_crawler, spool_path=tmp_path / "run.jsonl",
                 checkpoint_path=checkpoint, resume=True,
             ).execute(changed)
 

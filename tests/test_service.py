@@ -344,6 +344,32 @@ class TestServiceCrashResume:
         url = banner.split("listening on ")[1].split()[0]
         return process, url
 
+    @staticmethod
+    def _children(pid):
+        """The pids of *pid*'s child processes, whichever of its threads
+        started them."""
+        children = set()
+        for task in Path(f"/proc/{pid}/task").glob("*"):
+            try:
+                listed = (task / "children").read_text()
+            except OSError:
+                continue
+            children.update(int(child) for child in listed.split())
+        return children
+
+    @staticmethod
+    def _running(pid):
+        """Whether *pid* exists and is not a zombie."""
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/task").is_dir(),
+        reason="needs /proc to list the server's worker processes",
+    )
     def test_sigkilled_campaign_resumes_from_checkpoint(self, tmp_path):
         data_dir = tmp_path / "data"
         spec = RunSpec(
@@ -351,7 +377,7 @@ class TestServiceCrashResume:
             world=WorldSpec(scale=0.02, seed=7),
             # Many shards so the engine checkpoints per-shard progress
             # long before the wave completes.
-            engine=EngineSpec(workers=2, shards=12, executor="thread"),
+            engine=EngineSpec(workers=2, shards=12, executor="process"),
             multivantage=MultiVantageSpec(months=(0, 2)),
         )
         process, url = self._serve(data_dir)
@@ -373,11 +399,21 @@ class TestServiceCrashResume:
                 assert process.poll() is None
                 time.sleep(0.005)
             assert client.status(job["id"])["state"] == "running"
+            workers = self._children(process.pid)
+            assert workers, "the process backend started no workers"
             os.kill(process.pid, signal.SIGKILL)
             process.wait(timeout=10)
         finally:
             if process.poll() is None:
                 process.kill()
+        # No worker process outlives the server it worked for.
+        deadline = time.monotonic() + 30
+        while any(self._running(pid) for pid in workers):
+            assert time.monotonic() < deadline, (
+                f"orphaned workers: "
+                f"{sorted(p for p in workers if self._running(p))}"
+            )
+            time.sleep(0.05)
 
         # The persisted job is still marked active from the dead server.
         persisted = json.loads(
