@@ -1,7 +1,7 @@
 """Chaos-plane benchmarks: idle overhead + recovery throughput.
 
-Two gates, both written to ``benchmarks/output/BENCH_chaos.json`` for
-the CI floor check:
+Two gates, each asserted by its test, which also records the
+measurement in ``benchmarks/output/BENCH_chaos.json``:
 
 * **Idle overhead** — a seeded chaos spec with every rate at zero
   installs the plane but never injects; ``ChaosEngine.idle``
@@ -16,11 +16,9 @@ the CI floor check:
   bottleneck.
 """
 
-import json
-import os
 import time
 
-from conftest import BENCH_SEED, OUTPUT_DIR, run_once, write_artifact
+from conftest import BENCH_SEED, run_once, update_bench_json, write_artifact
 
 from repro.measure.crawl import Crawler
 from repro.measure.engine import CrawlEngine, RetryPolicy
@@ -43,20 +41,6 @@ _RECOVERABLE = ChaosSpec(
     truncate_rate=0.02,
 )
 _IDLE = ChaosSpec(seed=99)
-
-
-def _update_payload(section: str, data: dict) -> None:
-    """Merge one section into BENCH_chaos.json (tests run in file
-    order under ``-x``; the CI gate reads the file after both)."""
-    out = OUTPUT_DIR / "BENCH_chaos.json"
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload[section] = data
-    payload.setdefault("meta", {})["cpus"] = os.cpu_count() or 1
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _bench_world():
@@ -96,7 +80,7 @@ def test_idle_chaos_overhead():
         _timed_run(crawler, sample, chaos=_IDLE)[1] for _ in range(_ROUNDS)
     )
     ratio = idle / baseline if baseline else 0.0
-    _update_payload("idle", {
+    update_bench_json("BENCH_chaos.json", "idle", {
         "baseline_sec": round(baseline, 4),
         "idle_sec": round(idle, 4),
         "ratio": round(ratio, 4),
@@ -133,7 +117,7 @@ def test_recovery_throughput(benchmark):
     # multi-attempt outcomes), or this measures nothing.
     retried = sum(1 for o in result.outcomes if o.attempts > 1)
     assert retried > 0, "pinned recoverable regime injected no faults"
-    _update_payload("recovery", {
+    update_bench_json("BENCH_chaos.json", "recovery", {
         "visits": _SAMPLE_SIZE,
         "retried_tasks": retried,
         "seconds": round(elapsed, 4),

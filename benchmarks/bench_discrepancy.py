@@ -1,7 +1,7 @@
 """Benchmarks for the streaming geo-discrepancy report.
 
-Two gates, both written to ``benchmarks/output/BENCH_discrepancy.json``
-for the CI floor check:
+Two gates, each asserted by its test, which also records the
+measurement in ``benchmarks/output/BENCH_discrepancy.json``:
 
 * **Report throughput** — records/sec through
   :class:`~repro.analysis.discrepancy.StreamingDiscrepancyReport`,
@@ -15,12 +15,10 @@ for the CI floor check:
   report state, not the input list.
 """
 
-import json
-import os
 import random
 import tracemalloc
 
-from conftest import OUTPUT_DIR, run_once, write_artifact
+from conftest import run_once, update_bench_json, write_artifact
 
 from repro.analysis.discrepancy import StreamingDiscrepancyReport
 from repro.measure.records import VisitRecord
@@ -79,20 +77,6 @@ def _campaign_records(domains: int, vps, waves, seed: int = 2023):
                 )
 
 
-def _update_payload(section: str, data: dict) -> None:
-    """Merge one section into BENCH_discrepancy.json (tests run in
-    file order under ``-x``; the CI gate reads the file after both)."""
-    out = OUTPUT_DIR / "BENCH_discrepancy.json"
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload[section] = data
-    payload.setdefault("meta", {})["cpus"] = os.cpu_count() or 1
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def _tracemalloc_peak_kb(fn) -> float:
     """Peak Python allocation (KB) while *fn* runs."""
     tracemalloc.start()
@@ -121,7 +105,7 @@ def test_discrepancy_report_throughput(benchmark):
     assert report.eu_delta()["delta"] > 0
     assert report.discrepancies()["wall_partial"]["domains"] > 0
 
-    _update_payload("throughput", {
+    update_bench_json("BENCH_discrepancy.json", "throughput", {
         "records": len(stream),
         "vps": len(VP_ORDER),
         "waves": len(_WAVES),
@@ -161,7 +145,7 @@ def test_discrepancy_memory_flat_in_vantage_points(benchmark):
     )
     ratio = wide_peak_kb / narrow_peak_kb
 
-    _update_payload("memory", {
+    update_bench_json("BENCH_discrepancy.json", "memory", {
         "domains": _DOMAINS,
         "narrow_vps": 2,
         "wide_vps": len(VP_ORDER),

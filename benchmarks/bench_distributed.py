@@ -1,7 +1,7 @@
 """Distributed-executor benchmarks: dispatch overhead + throughput.
 
-Two gates, written to ``benchmarks/output/BENCH_distributed.json``
-for the CI floor check (mirroring the other ``BENCH_*`` artefacts):
+Two gates, each asserted by its test, which also records the
+measurement in ``benchmarks/output/BENCH_distributed.json``:
 
 * **Dispatch overhead** — a near-empty plan through the distributed
   backend measures everything that is *not* crawling: spawning the
@@ -19,11 +19,9 @@ reference; a fast-but-wrong distributed plane must never pass the
 bench.
 """
 
-import json
-import os
 import time
 
-from conftest import BENCH_SEED, OUTPUT_DIR, write_artifact
+from conftest import BENCH_SEED, update_bench_json, write_artifact
 
 from repro.measure.crawl import Crawler
 from repro.measure.engine import CrawlEngine
@@ -41,24 +39,6 @@ _WORKERS = 2
 _SHARDS = 8
 _TINY_TASKS = 8
 _SAMPLE_SIZE = 240
-
-
-def _update_payload(section: str, data: dict) -> None:
-    """Merge one section into BENCH_distributed.json (tests run in
-    file order under ``-x``; the CI gate reads the file after both)."""
-    out = OUTPUT_DIR / "BENCH_distributed.json"
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload[section] = data
-    payload.setdefault("meta", {}).update({
-        "cpus": os.cpu_count() or 1,
-        "workers": _WORKERS,
-        "shards": _SHARDS,
-    })
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _bench_world():
@@ -96,11 +76,11 @@ def test_dispatch_overhead(tmp_path):
     assert spool == _serial_spool(
         crawler, sample, tmp_path / "serial.jsonl"
     )
-    _update_payload("dispatch", {
+    update_bench_json("BENCH_distributed.json", "dispatch", {
         "tasks": _TINY_TASKS,
         "seconds": round(elapsed, 4),
         "ceiling_sec": _DISPATCH_CEILING_SEC,
-    })
+    }, workers=_WORKERS, shards=_SHARDS)
     write_artifact(
         "distributed_dispatch_overhead",
         f"tiny plan: {_TINY_TASKS} tasks, {_WORKERS} socket workers\n"
@@ -121,12 +101,12 @@ def test_distributed_throughput(tmp_path):
         crawler, sample, tmp_path / "serial.jsonl"
     )
     rate = _SAMPLE_SIZE / elapsed if elapsed else 0.0
-    _update_payload("throughput", {
+    update_bench_json("BENCH_distributed.json", "throughput", {
         "tasks": _SAMPLE_SIZE,
         "seconds": round(elapsed, 4),
         "tasks_per_sec": round(rate, 1),
         "floor_tasks_per_sec": _THROUGHPUT_FLOOR_TASKS_PER_SEC,
-    })
+    }, workers=_WORKERS, shards=_SHARDS)
     write_artifact(
         "distributed_throughput",
         f"plan: {_SAMPLE_SIZE} tasks, {_WORKERS} socket workers, "

@@ -1,7 +1,7 @@
 """Benchmarks for the one-pass pipeline: streaming analysis + resume.
 
-Two gates, both written to ``benchmarks/output/BENCH_streaming.json``
-for the CI floor check:
+Two gates, each asserted by its test, which also records the
+measurement in ``benchmarks/output/BENCH_streaming.json``:
 
 * **Analysis throughput** — records/sec through
   :class:`~repro.analysis.streaming.StreamingCrawlAnalysis` (the
@@ -16,11 +16,9 @@ for the CI floor check:
   guarded separately by ``large_world_smoke.py --flat-scales``).
 """
 
-import json
-import os
 import tracemalloc
 
-from conftest import BENCH_SEED, OUTPUT_DIR, run_once, write_artifact
+from conftest import BENCH_SEED, run_once, update_bench_json, write_artifact
 
 from repro.analysis.streaming import StreamingCrawlAnalysis
 from repro.measure.crawl import Crawler
@@ -39,20 +37,6 @@ _RESUME_PEAK_RATIO_CEILING = 0.5
 
 _RESUME_WORKERS = 4
 _RESUME_SHARDS = 8
-
-
-def _update_payload(section: str, data: dict) -> None:
-    """Merge one section into BENCH_streaming.json (tests run in file
-    order under ``-x``; the CI gate reads the file after both)."""
-    out = OUTPUT_DIR / "BENCH_streaming.json"
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload[section] = data
-    payload.setdefault("meta", {})["cpus"] = os.cpu_count() or 1
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _tracemalloc_peak_kb(fn) -> float:
@@ -79,7 +63,7 @@ def test_streaming_analysis_throughput(benchmark, bench_world, warm_crawl):
     assert analysis.record_count == len(records)
     assert analysis.detected_wall_domains()
 
-    _update_payload("analysis", {
+    update_bench_json("BENCH_streaming.json", "analysis", {
         "records": len(records),
         "seconds": round(elapsed, 4),
         "records_per_sec": round(rate, 1),
@@ -158,7 +142,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
     assert resumer._runs  # the replay is the journal's first run
 
     ratio = streaming_peak_kb / materialised_peak_kb
-    _update_payload("resume", {
+    update_bench_json("BENCH_streaming.json", "resume", {
         "checkpoint_outcomes": replay.count,
         "checkpoint_kb": round(checkpoint_bytes / 1024.0, 1),
         "streaming_reconcile_peak_kb": round(streaming_peak_kb, 1),

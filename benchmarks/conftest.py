@@ -10,6 +10,7 @@ benchmarks then time the analysis that regenerates each artefact, and
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -45,6 +46,21 @@ def write_artifact(name: str, text: str) -> None:
     """Persist a rendered table/figure for EXPERIMENTS.md."""
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+
+
+def update_bench_json(name: str, section: str, data: dict, **meta) -> None:
+    """Merge *section* into ``output/<name>`` (one JSON file per bench
+    module, one section per test) and stamp its ``meta`` with the CPU
+    count plus any extra *meta* keys."""
+    out = OUTPUT_DIR / name
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+    payload = json.loads(out.read_text()) if out.exists() else {}
+    payload[section] = data
+    payload.setdefault("meta", {}).update(cpus=os.cpu_count() or 1, **meta)
+    out.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
 
 
 def run_once(benchmark, fn):

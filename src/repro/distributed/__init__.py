@@ -23,12 +23,15 @@ Determinism contract: bundles are pure functions of the plan, so a
 shard re-run by a different worker (or re-dispatched after a kill)
 produces the same bytes — the merged spool stays byte-identical to
 the serial backend.
+
+A bundle frame is data only (``shard, tasks, id_bases, breakers``):
+nothing in it can tell a worker to misbehave, and a re-dispatch
+resends the same frame.  A lost worker is a fault of the environment,
+so the tests produce one from outside — a peer that takes a bundle
+and hangs up, which the coordinator cannot tell from a killed worker.
 """
 
-from repro.distributed.executor import (
-    DistributedExecutor,
-    FaultInjectingDistributedExecutor,
-)
+from repro.distributed.executor import DistributedExecutor
 from repro.distributed.wire import (
     WIRE_PROTOCOL_VERSION,
     WireBundle,
@@ -44,7 +47,6 @@ from repro.distributed.worker import serve_worker
 
 __all__ = [
     "DistributedExecutor",
-    "FaultInjectingDistributedExecutor",
     "WIRE_PROTOCOL_VERSION",
     "WireBundle",
     "WireHeartbeat",

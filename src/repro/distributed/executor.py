@@ -52,11 +52,12 @@ from repro.distributed.wire import (
     write_frame,
 )
 from repro.errors import TransportError, WireProtocolError, WorkerLostError
-from repro.measure.engine import Executor, _kill_midway
+from repro.measure.engine import Executor
 
 
 class _BundleState:
-    """One shard bundle's dispatch bookkeeping."""
+    """One shard bundle's dispatch bookkeeping.  The bundle and its
+    wire frame are fixed: a re-dispatch resends the same frame."""
 
     __slots__ = ("bundle", "wire", "dispatches", "last_error")
 
@@ -123,11 +124,6 @@ class DistributedExecutor(Executor):
         #: ``(host, port)`` of the live work queue (None when idle).
         self.address: Optional[tuple] = None
         self._reset_run_state()
-
-    # -- fault-injection hook ------------------------------------------
-    def redispatch_bundle(self, bundle: Dict) -> Dict:
-        """The bundle to send on a re-dispatch (hook for fault tests)."""
-        return dict(bundle)
 
     # -- run state -----------------------------------------------------
     def _reset_run_state(self) -> None:
@@ -305,8 +301,6 @@ class DistributedExecutor(Executor):
         if state.dispatches >= self.max_dispatches:
             self._results.put(self._degraded_payload(state))
             return
-        state.bundle = self.redispatch_bundle(state.bundle)
-        state.wire = WireBundle.from_bundle(state.bundle)
         self._pending.append(state)
         self._cond.notify_all()
 
@@ -493,26 +487,3 @@ class DistributedExecutor(Executor):
             if entry is not None:
                 self._requeue_locked(entry[0], error)
 
-
-class FaultInjectingDistributedExecutor(DistributedExecutor):
-    """Chaos harness: the chosen shards' *first* worker SIGKILLs itself
-    mid-shard (via the bundle's ``kill_after`` key, exactly like
-    :class:`~repro.measure.engine.FaultInjectingProcessExecutor`); the
-    re-dispatched bundle runs clean, modelling a worker lost to the
-    environment rather than a poisoned shard.  Used by the kill/
-    re-dispatch tests; never the default.
-    """
-
-    def __init__(self, workers: int, kill_shards, **kwargs) -> None:
-        super().__init__(workers, **kwargs)
-        self.kill_shards = set(kill_shards)
-
-    def run_bundles(self, bundles, on_shard, shared):
-        super().run_bundles(
-            _kill_midway(bundles, self.kill_shards), on_shard, shared
-        )
-
-    def redispatch_bundle(self, bundle: Dict) -> Dict:
-        bundle = dict(bundle)
-        bundle.pop("kill_after", None)
-        return bundle

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import WireProtocolError
 
@@ -80,8 +80,6 @@ class WireBundle:
     id_bases: Tuple[Tuple[int, int], ...]
     #: Per-domain breaker snapshots entering the shard.
     breakers: Optional[Dict[str, Dict]] = None
-    #: Fault-injection hook: die after this many tasks (tests only).
-    kill_after: Optional[int] = None
 
     @classmethod
     def from_bundle(cls, bundle: Dict) -> "WireBundle":
@@ -90,12 +88,11 @@ class WireBundle:
             tasks=tuple(tuple(entry) for entry in bundle["tasks"]),
             id_bases=tuple(sorted(bundle["id_bases"].items())),
             breakers=bundle.get("breakers") or None,
-            kill_after=bundle.get("kill_after"),
         )
 
     def to_bundle(self) -> Dict:
         """The engine-shaped bundle dict ``_run_shard_bundle`` consumes."""
-        bundle: Dict = {
+        return {
             "shard": self.shard,
             "tasks": [tuple(entry) for entry in self.tasks],
             "id_bases": {
@@ -103,9 +100,6 @@ class WireBundle:
             },
             "breakers": dict(self.breakers) if self.breakers else {},
         }
-        if self.kill_after is not None:
-            bundle["kill_after"] = self.kill_after
-        return bundle
 
 
 @dataclass(frozen=True)

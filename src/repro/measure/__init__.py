@@ -18,7 +18,6 @@ from repro.measure.engine import (
     CrawlTask,
     EngineResult,
     FaultInjectingExecutor,
-    FaultInjectingProcessExecutor,
     ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
@@ -47,7 +46,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "FaultInjectingExecutor",
-    "FaultInjectingProcessExecutor",
     "EXECUTOR_BACKENDS",
     "VisitRecord",
     "CookieMeasurement",

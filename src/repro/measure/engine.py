@@ -134,7 +134,6 @@ import itertools
 import json
 import multiprocessing
 import os
-import signal
 import threading
 import time
 import zlib
@@ -496,15 +495,12 @@ def run_shard(
 # Worker-process side
 # ---------------------------------------------------------------------------
 
-#: Worlds exported by the parent before the pool starts.  Under the
-#: ``fork`` start method workers inherit this populated dict and skip
-#: the rebuild entirely; under ``spawn`` it starts empty and the first
-#: shard of each world pays one deterministic ``build_world``.
-_SHARED_WORLDS: Dict[Tuple, object] = {}
-
-#: Per-process world cache keyed by world key, for spawn-started
-#: workers that had to rebuild (fork-started ones use _SHARED_WORLDS).
-_WORKER_WORLDS: Dict[Tuple, object] = {}
+#: Worlds by world key.  The parent inserts its world before the pool
+#: starts (and pops it afterwards), so ``fork``-started workers inherit
+#: it and skip the rebuild; a ``spawn``-started or wire worker starts
+#: empty, and the first shard of each world pays one deterministic
+#: ``build_world`` and stores it here.
+_WORLDS: Dict[Tuple, object] = {}
 
 #: Run-constant state a worker shares across its shards (world key,
 #: detectors, retry policy, plan context).  Installed once per worker
@@ -522,7 +518,7 @@ def _init_worker_shared(shared: Dict[str, object]) -> None:
 
 def _init_pool_worker(shared: Dict[str, object]) -> None:
     """Process-pool initializer: install *shared*, and exit as soon as
-    the parent is gone.  A pool worker otherwise outlives a SIGKILLed
+    the parent is gone.  A pool worker otherwise outlives a hard-killed
     parent, blocked forever on its task queue with a world in memory.
     """
     _init_worker_shared(shared)
@@ -552,7 +548,7 @@ def _id_stream(base: int) -> Callable[[], int]:
 
 def _worker_world(world_key: Tuple, latency: float, latency_mode: str = "virtual"):
     """The (cached or fork-inherited) world a worker process uses."""
-    world = _SHARED_WORLDS.get(world_key) or _WORKER_WORLDS.get(world_key)
+    world = _WORLDS.get(world_key)
     if world is None:
         # Imported lazily — repro.measure.crawl imports this module.
         from repro.webgen.evolve import evolve_world
@@ -562,7 +558,7 @@ def _worker_world(world_key: Tuple, latency: float, latency_mode: str = "virtual
         world = build_world(scale=scale, seed=seed)
         if evolution:
             world, _ = evolve_world(world, months=evolution)
-        _WORKER_WORLDS[world_key] = world
+        _WORLDS[world_key] = world
     world.network.latency = latency
     world.network.latency_mode = latency_mode
     return world
@@ -598,16 +594,12 @@ def _run_shard_bundle(bundle: Dict) -> Dict:
     world.network.chaos = (
         ChaosEngine(ChaosSpec.from_context(chaos_ctx)) if chaos_ctx else None
     )
-    items = [(entry[0], CrawlTask(*entry[1:])) for entry in bundle["tasks"]]
-    kill_after = bundle.get("kill_after")
     outcomes, breakers, notes = run_shard(
-        crawler, items[:kill_after], shared["context"], shared["retry"],
+        crawler,
+        [(entry[0], CrawlTask(*entry[1:])) for entry in bundle["tasks"]],
+        shared["context"], shared["retry"],
         bundle["id_bases"], bundle.get("breakers") or {},
     )
-    if kill_after is not None:
-        # Fault injection (FaultInjectingProcessExecutor): die the way
-        # a real worker does — no cleanup, no exception, just gone.
-        os.kill(os.getpid(), signal.SIGKILL)
     return {
         "shard": bundle["shard"],
         "pid": os.getpid(),
@@ -1046,16 +1038,6 @@ class FaultInjectingExecutor(SerialExecutor):
             raise RuntimeError(f"injected crash in shard {crashed[0]}")
 
 
-def _kill_midway(bundles: List[Dict], kill_shards) -> List[Dict]:
-    """*bundles* with the chosen shards' workers set to SIGKILL
-    themselves halfway through (the ``kill_after`` bundle key)."""
-    return [
-        dict(bundle, kill_after=len(bundle["tasks"]) // 2)
-        if bundle["shard"] in kill_shards else bundle
-        for bundle in bundles
-    ]
-
-
 class ProcessExecutor(Executor):
     """Runs bundles in worker *processes* (``ProcessPoolExecutor``).
 
@@ -1065,7 +1047,7 @@ class ProcessExecutor(Executor):
     finishes.
 
     Workers start with ``fork`` where available (they inherit the
-    parent's already-built world through ``_SHARED_WORLDS`` for free)
+    parent's already-built world through ``_WORLDS`` for free)
     and with ``spawn`` elsewhere, where each worker deterministically
     rebuilds the world from its key on first use.
     """
@@ -1117,29 +1099,6 @@ class ProcessExecutor(Executor):
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-
-
-class FaultInjectingProcessExecutor(ProcessExecutor):
-    """Chaos harness for the process backend: the chosen shards'
-    workers SIGKILL themselves after completing half their tasks —
-    byte-for-byte what the OOM killer or a pod eviction does to a real
-    worker.  The engine run fails with the pool's
-    ``BrokenProcessPool``; shards whose results were delivered before
-    the kill stay checkpointed, while shards still in flight (in the
-    killed worker *or* — with multiple workers — in siblings, which a
-    broken pool voids too) re-run on resume.  Tests pin ``workers=1``
-    where they need the set of checkpointed shards deterministic.
-    Used by the kill/resume tests; never the default.
-    """
-
-    def __init__(self, workers: int, kill_shards):
-        super().__init__(workers)
-        self.kill_shards = set(kill_shards)
-
-    def run_bundles(self, bundles, on_shard, shared):
-        super().run_bundles(
-            _kill_midway(bundles, self.kill_shards), on_shard, shared
-        )
 
 
 class CrawlEngine:
@@ -1198,9 +1157,11 @@ class CrawlEngine:
         mismatch raises :class:`CheckpointMismatch`; a missing
         checkpoint simply starts fresh.
     executor:
-        Override the executor (a test/fault-injection hook); its
-        ``backend`` then names the run's backend.  By default chosen
-        from *backend* and *workers* as described above.
+        Override the transport (e.g. a preconfigured
+        :class:`~repro.distributed.DistributedExecutor`, or the serial
+        :class:`FaultInjectingExecutor` crash harness); its ``backend``
+        then names the run's backend.  By default chosen from
+        *backend* and *workers* as described above.
     """
 
     def __init__(
@@ -1510,7 +1471,7 @@ class CrawlEngine:
         )
         # Fork-started workers inherit this entry and skip the rebuild;
         # spawn-started ones build deterministically from the key.
-        _SHARED_WORLDS[world_key] = world
+        _WORLDS[world_key] = world
         # The run-constant half, installed once per worker by the pool
         # initializer.  The live detector instances travel here, so
         # configured (e.g. ablation) detectors behave the same in a
@@ -1529,7 +1490,7 @@ class CrawlEngine:
         try:
             executor.run_bundles(bundles, on_shard, shared)
         finally:
-            _SHARED_WORLDS.pop(world_key, None)
+            _WORLDS.pop(world_key, None)
 
     def _absorb_shard(
         self, plan: CrawlPlan, payload: Dict

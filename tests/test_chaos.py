@@ -27,7 +27,6 @@ from repro.measure import (
     CrawlEngine,
     Crawler,
     FaultInjectingExecutor,
-    FaultInjectingProcessExecutor,
     RetryPolicy,
 )
 from repro.measure.storage import (
@@ -64,6 +63,22 @@ def make_engine(backend, crawler, **kwargs):
     workers = 1 if backend == "serial" else WORKERS
     return CrawlEngine(
         crawler, workers=workers, shards=SHARDS, backend=backend, **kwargs
+    )
+
+
+def crash_engine(backend, crawler, fail_shards, **kwargs):
+    """An engine whose run dies in *fail_shards*: one pool worker,
+    SIGKILLed inside ``kill_workers(*fail_shards)``, under the process
+    backend (so the shards before the kill deterministically
+    checkpoint); the in-process crash harness otherwise."""
+    if backend == "process":
+        return CrawlEngine(
+            crawler, workers=1, shards=SHARDS, backend="process", **kwargs
+        )
+    return make_engine(
+        backend, crawler,
+        executor=FaultInjectingExecutor(fail_shards, partial=True),
+        **kwargs,
     )
 
 
@@ -167,23 +182,18 @@ class TestDifferentialOracle:
 
     def test_crashed_recoverable_run_resumes_byte_identical(
         self, backend, tmp_path, chaos_crawler, plan_factory,
-        fault_free_reference,
+        fault_free_reference, kill_workers,
     ):
         """Kill part of a recoverable-chaos run, resume it: re-crawled
         tasks re-fault and re-recover (the consumed-fault set is
         per-run), so the final spool still equals the fault-free one."""
         out = tmp_path / "crashed.jsonl"
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
-        if backend == "process":
-            executor = FaultInjectingProcessExecutor(1, (1, 4))
-        else:
-            executor = FaultInjectingExecutor((1, 4), partial=True)
-        engine = make_engine(
-            backend, chaos_crawler, spool_path=out,
-            checkpoint_path=checkpoint, executor=executor,
-            retry=RetryPolicy(max_attempts=8),
+        engine = crash_engine(
+            backend, chaos_crawler, (1, 4), spool_path=out,
+            checkpoint_path=checkpoint, retry=RetryPolicy(max_attempts=8),
         )
-        with pytest.raises(RuntimeError):
+        with kill_workers(1, 4), pytest.raises(RuntimeError):
             chaos_execute(engine, plan_factory, RECOVERABLE)
         assert checkpoint.exists()
 
@@ -279,25 +289,21 @@ def _breaker_checkpoint_domains(checkpoint):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_breaker_state_survives_kill_and_resume(
     backend, tmp_path, chaos_crawler, breaker_plan_factory, breaker_chaos,
-    breaker_reference,
+    breaker_reference, kill_workers,
 ):
-    """SIGKILL a worker mid-chaos (injected crash under
-    threads/serial): the checkpoint carries the breaker line, the
+    """SIGKILL a worker mid-chaos (injected crash under the other
+    backends): the checkpoint carries the breaker line, the
     resumed run restores the registry instead of restarting it closed,
     and the final spool — including which tasks were breaker-skipped —
     is byte-identical to the uninterrupted run."""
     reference_bytes, reference_snapshots = breaker_reference
     out = tmp_path / "killed.jsonl"
     checkpoint = tmp_path / "killed.jsonl.checkpoint"
-    if backend == "process":
-        executor = FaultInjectingProcessExecutor(1, (SHARDS - 1,))
-    else:
-        executor = FaultInjectingExecutor((SHARDS - 1,), partial=True)
-    engine = make_engine(
-        backend, chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
-        executor=executor, retry=RetryPolicy(**BREAKER_RETRY),
+    engine = crash_engine(
+        backend, chaos_crawler, (SHARDS - 1,), spool_path=out,
+        checkpoint_path=checkpoint, retry=RetryPolicy(**BREAKER_RETRY),
     )
-    with pytest.raises(RuntimeError):
+    with kill_workers(SHARDS - 1), pytest.raises(RuntimeError):
         chaos_execute(engine, breaker_plan_factory, breaker_chaos)
     # The interrupted checkpoint persisted breaker state alongside the
     # completed outcomes.

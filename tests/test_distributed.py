@@ -20,7 +20,6 @@ import pytest
 from repro.distributed import (
     WIRE_PROTOCOL_VERSION,
     DistributedExecutor,
-    FaultInjectingDistributedExecutor,
     WireBundle,
     WireHeartbeat,
     WireHello,
@@ -71,6 +70,26 @@ def distributed_engine(crawler, executor=None, **kwargs):
     )
 
 
+def execute_losing_a_worker(crawler, plan, **kwargs):
+    """Run *plan* on :data:`WORKERS` spawned workers while one more
+    peer takes a bundle and hangs up without a result — to the
+    coordinator, exactly a worker SIGKILLed mid-shard.  Returns the
+    result and the bundles the lost peer took."""
+    executor = DistributedExecutor(WORKERS)
+    taken = []
+    peer = threading.Thread(
+        target=_fake_worker,
+        args=(executor, lambda bundle: taken.append(bundle) or b""),
+        daemon=True,
+    )
+    peer.start()
+    result = distributed_engine(
+        crawler, executor=executor, **kwargs
+    ).execute(plan)
+    peer.join(timeout=10)
+    return result, taken
+
+
 # ---------------------------------------------------------------------------
 # The wire itself
 # ---------------------------------------------------------------------------
@@ -104,7 +123,6 @@ class TestWireProtocol:
                       (7, "US", "b.example", "accept", 5)],
             "id_bases": {0: 11, 7: 22},
             "breakers": {},
-            "kill_after": 1,
         }
         wire = WireBundle.from_bundle(bundle)
         assert decode_message(encode_message(wire)).to_bundle() == bundle
@@ -116,6 +134,8 @@ class TestWireProtocol:
         (b'{"type": "heartbeat", "shard": 1, "extra": 2}\n',
          "unknown field"),
         (b'{"type": "heartbeat"}\n', "heartbeat"),
+        (b'{"type": "bundle", "shard": 0, "tasks": [], "id_bases": [], '
+         b'"kill_after": 1}\n', "unknown field"),
     ])
     def test_malformed_frames_rejected(self, line, detail):
         with pytest.raises(WireProtocolError, match=detail):
@@ -159,17 +179,15 @@ class TestDistributedRuns:
     def test_worker_killed_mid_shard_redispatches_byte_identical(
         self, tmp_path, small_crawler, detection_plan, serial_reference
     ):
-        """SIGKILL one worker halfway through a shard: the lost shard
-        re-runs on a surviving worker and the merged spool still equals
-        the serial bytes — no degraded records, no gaps."""
+        """Lose one worker mid-shard: the lost shard re-runs on a
+        surviving worker and the merged spool still equals the serial
+        bytes — no degraded records, no gaps."""
         out = tmp_path / "killed.jsonl"
         log = EventLog()
-        result = distributed_engine(
-            small_crawler,
-            executor=FaultInjectingDistributedExecutor(WORKERS, {1}),
-            spool_path=out,
-            event_log=log,
-        ).execute(detection_plan)
+        result, taken = execute_losing_a_worker(
+            small_crawler, detection_plan, spool_path=out, event_log=log,
+        )
+        assert taken, "the lost worker never took a bundle"
         assert len(result) == len(detection_plan)
         assert not result.failures
         assert out.read_bytes() == serial_reference
@@ -178,8 +196,8 @@ class TestDistributedRuns:
         self, tmp_path, small_world, small_crawler
     ):
         """The acceptance scenario: a multi-vantage campaign plan runs
-        through 2 socket workers — and through 2 socket workers with
-        one killed mid-shard — and both spools equal the serial one."""
+        through 2 socket workers — and through 2 socket workers while a
+        third is lost mid-shard — and both spools equal the serial one."""
         from repro.api.spec import MultiVantageSpec
 
         spec = MultiVantageSpec(vps=("DE", "USE"))
@@ -205,11 +223,10 @@ class TestDistributedRuns:
         assert distributed_out.read_bytes() == serial_out.read_bytes()
 
         killed_out = tmp_path / "killed.jsonl"
-        distributed_engine(
-            small_crawler,
-            executor=FaultInjectingDistributedExecutor(WORKERS, {2}),
-            spool_path=killed_out,
-        ).execute(campaign_plan())
+        _, taken = execute_losing_a_worker(
+            small_crawler, campaign_plan(), spool_path=killed_out,
+        )
+        assert taken, "the lost worker never took a bundle"
         assert killed_out.read_bytes() == serial_out.read_bytes()
 
     def test_session_multivantage_distributed_matches_serial(

@@ -20,7 +20,6 @@ from repro.measure import (
     CrawlEngine,
     Crawler,
     FaultInjectingExecutor,
-    FaultInjectingProcessExecutor,
     RetryPolicy,
 )
 from repro.measure.instrumentation import EventLog
@@ -47,19 +46,27 @@ def make_engine(backend, crawler, **kwargs):
     )
 
 
-def crash_executor(backend, fail_shards):
-    """A fault-injecting executor matching *backend*'s failure mode.
+def crash_engine(backend, crawler, fail_shards, **kwargs):
+    """An engine whose run dies in *fail_shards*, the way *backend* does.
 
-    The process harness runs one worker so shards complete in
-    submission order: everything before the first killed shard is
-    deterministically checkpointed before the pool breaks (a broken
-    pool voids *running* futures, so a multi-worker kill could
-    otherwise lose arbitrary in-flight shards and make ``resumed``
-    flaky).
+    Under the process backend the shards' pool workers are SIGKILLed
+    (run it inside ``kill_workers(*fail_shards)``); the pool has one
+    worker so shards complete in submission order: everything before
+    the first killed shard is deterministically checkpointed before
+    the pool breaks (a broken pool voids *running* futures, so a
+    multi-worker kill could otherwise lose arbitrary in-flight shards
+    and make ``resumed`` flaky).  Other backends get the in-process
+    crash harness.
     """
     if backend == "process":
-        return FaultInjectingProcessExecutor(1, fail_shards)
-    return FaultInjectingExecutor(fail_shards, partial=True)
+        return CrawlEngine(
+            crawler, workers=1, shards=SHARDS, backend="process", **kwargs
+        )
+    return make_engine(
+        backend, crawler,
+        executor=FaultInjectingExecutor(fail_shards, partial=True),
+        **kwargs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -133,21 +140,20 @@ class TestBackendDeterminism:
 
     def test_crashed_run_resumes_byte_identical(
         self, backend, tmp_path, small_crawler, detection_plan,
-        serial_reference,
+        serial_reference, kill_workers,
     ):
         """Kill part of the run (worker SIGKILL under the process
         backend, an injected in-process crash otherwise), resume, and the
         final JSONL must equal the uninterrupted serial run's."""
         out = tmp_path / "crashed.jsonl"
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
-        engine = make_engine(
-            backend, small_crawler, spool_path=out,
+        engine = crash_engine(
+            backend, small_crawler, (1, 4), spool_path=out,
             checkpoint_path=checkpoint,
-            executor=crash_executor(backend, fail_shards=(1, 4)),
         )
         # BrokenProcessPool (process) subclasses RuntimeError, like the
         # in-process harness's injected crash.
-        with pytest.raises(RuntimeError):
+        with kill_workers(1, 4), pytest.raises(RuntimeError):
             engine.execute(detection_plan)
         assert checkpoint.exists()
         assert not out.exists()
@@ -222,21 +228,21 @@ def test_resilience_events_match_serial(
 class TestProcessBackendSpecifics:
     def test_worker_death_loses_only_unfinished_shards(
         self, tmp_path, small_crawler, detection_plan, serial_reference,
+        kill_workers,
     ):
         """A SIGKILLed worker must not take completed shards' work
         with it: the checkpoint retains them and the resume replays
         them instead of re-crawling."""
         out = tmp_path / "killed.jsonl"
         checkpoint = tmp_path / "killed.jsonl.checkpoint"
-        engine = make_engine(
-            "process", small_crawler, spool_path=out,
+        # One worker processes shards in submission order, so the
+        # shards before the killed one deterministically complete (and
+        # checkpoint) first.
+        engine = crash_engine(
+            "process", small_crawler, (SHARDS - 1,), spool_path=out,
             checkpoint_path=checkpoint,
-            # One worker processes shards in submission order, so the
-            # shards before the killed one deterministically complete
-            # (and checkpoint) first.
-            executor=FaultInjectingProcessExecutor(1, (SHARDS - 1,)),
         )
-        with pytest.raises(RuntimeError):
+        with kill_workers(SHARDS - 1), pytest.raises(RuntimeError):
             engine.execute(detection_plan)
         result = make_engine(
             "process", small_crawler, spool_path=out,

@@ -20,7 +20,6 @@ from repro.measure import (
     CrawlEngine,
     Crawler,
     FaultInjectingExecutor,
-    FaultInjectingProcessExecutor,
     VisitRecord,
 )
 from repro.vantage import (
@@ -57,10 +56,19 @@ def make_engine(backend, crawler, **kwargs):
     )
 
 
-def crash_executor(backend, fail_shards):
+def crash_engine(backend, crawler, fail_shards, **kwargs):
+    """An engine whose run dies in *fail_shards*: one pool worker,
+    SIGKILLed inside ``kill_workers(*fail_shards)``, under the process
+    backend; the in-process crash harness otherwise."""
     if backend == "process":
-        return FaultInjectingProcessExecutor(1, fail_shards)
-    return FaultInjectingExecutor(fail_shards, partial=True)
+        return CrawlEngine(
+            crawler, workers=1, shards=SHARDS, backend="process", **kwargs
+        )
+    return make_engine(
+        backend, crawler,
+        executor=FaultInjectingExecutor(fail_shards, partial=True),
+        **kwargs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -116,17 +124,16 @@ class TestCampaignDeterminism:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_crashed_run_resumes_byte_identical(
         self, regime, backend, tmp_path, small_crawler, campaign_targets,
-        serial_references,
+        serial_references, kill_workers,
     ):
         plan = campaign_plan(small_crawler, regime, campaign_targets)
         out = tmp_path / "crashed.jsonl"
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
-        engine = make_engine(
-            backend, small_crawler, spool_path=out,
+        engine = crash_engine(
+            backend, small_crawler, (1, 4), spool_path=out,
             checkpoint_path=checkpoint,
-            executor=crash_executor(backend, fail_shards=(1, 4)),
         )
-        with pytest.raises(RuntimeError):
+        with kill_workers(1, 4), pytest.raises(RuntimeError):
             engine.execute(plan)
         assert checkpoint.exists()
         result = make_engine(
@@ -143,10 +150,9 @@ class TestCampaignDeterminism:
         must reject resuming one regime's checkpoint under another."""
         plan = campaign_plan(small_crawler, regime, campaign_targets)
         checkpoint = tmp_path / "run.checkpoint"
-        engine = make_engine(
-            "serial", small_crawler, spool_path=tmp_path / "run.jsonl",
+        engine = crash_engine(
+            "serial", small_crawler, (2,), spool_path=tmp_path / "run.jsonl",
             checkpoint_path=checkpoint,
-            executor=crash_executor("serial", fail_shards=(2,)),
         )
         with pytest.raises(RuntimeError):
             engine.execute(plan)

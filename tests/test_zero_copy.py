@@ -216,20 +216,19 @@ def test_memory_merge_decodes_only_at_the_consumer_boundary(zero_copy_plan):
     assert record_decode_count() == before + len(records)
 
 
-def test_resume_replay_stays_zero_copy(tmp_path, zero_copy_plan):
+def test_resume_replay_stays_zero_copy(
+    tmp_path, zero_copy_plan, kill_workers
+):
     """Checkpoint replay re-emits serialized outcome lines: a resumed
     spool-merge run decodes nothing in the parent."""
-    from repro.measure import FaultInjectingProcessExecutor
-
     crawler, plan = zero_copy_plan
     out = tmp_path / "resumed.jsonl"
     checkpoint = tmp_path / "resumed.checkpoint"
     engine = CrawlEngine(
         crawler, workers=1, shards=4, backend="process",
         spool_path=out, checkpoint_path=checkpoint,
-        executor=FaultInjectingProcessExecutor(1, (3,)),
     )
-    with pytest.raises(RuntimeError):
+    with kill_workers(3), pytest.raises(RuntimeError):
         engine.execute(plan)
     assert checkpoint.exists()
     before = record_decode_count()
