@@ -5,7 +5,7 @@ measurement in ``benchmarks/output/BENCH_distributed.json``:
 
 * **Dispatch overhead** — a near-empty plan through the distributed
   backend measures everything that is *not* crawling: spawning the
-  worker processes, the socket handshake, shipping the pickled shared
+  worker processes, the socket handshake, shipping the JSON worker
   state, the workers' deterministic world rebuild, and the result
   merge.  The ceiling keeps that fixed cost bounded (a regression
   here taxes every distributed campaign, however large).

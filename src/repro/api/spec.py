@@ -188,11 +188,11 @@ class EngineSpec:
     shards: Optional[int] = None
     #: Executor backend, one of ``EXECUTOR_BACKENDS``
     #: (serial/process/distributed); ``None`` picks serial when
-    #: ``workers == 1`` and process otherwise.  Process workers need a
-    #: picklable campaign (stock crawler over a built world — see the
-    #: engine docs); ``distributed`` ships the same shard bundles to
-    #: worker processes over a socket work queue
-    #: (:mod:`repro.distributed`) under the same portability rules.
+    #: ``workers == 1`` and process otherwise.  Process workers rebuild
+    #: the campaign from JSON worker state (stock crawler and detectors
+    #: over a built world, a JSON plan context — see the engine docs);
+    #: ``distributed`` ships the same state and shard bundles to worker
+    #: processes over a socket work queue (:mod:`repro.distributed`).
     executor: Optional[str] = None
     #: Not a choice: the engine spool-joins whenever the run has an
     #: output path and merges in memory otherwise.  ``"spool"`` only

@@ -56,6 +56,7 @@ class BannerDetection:
     currency_matches: List[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True, kw_only=True)
 class BannerClick:
     """The extended BannerClick detector.
 
@@ -70,20 +71,11 @@ class BannerClick:
       the cookiewall classifier (§3).
     """
 
-    def __init__(
-        self,
-        *,
-        shadow_dom: bool = True,
-        closed_shadow: bool = True,
-        iframes: bool = True,
-        subscription_words: bool = True,
-        currency_patterns: bool = True,
-    ) -> None:
-        self.shadow_dom = shadow_dom
-        self.closed_shadow = closed_shadow
-        self.iframes = iframes
-        self.subscription_words = subscription_words
-        self.currency_patterns = currency_patterns
+    shadow_dom: bool = True
+    closed_shadow: bool = True
+    iframes: bool = True
+    subscription_words: bool = True
+    currency_patterns: bool = True
 
     # ------------------------------------------------------------------
     # Public API

@@ -10,7 +10,7 @@ socket work queue:
   (one JSON object per line) and its typed message dataclasses.
 - :mod:`repro.distributed.worker` — the worker side: ``repro-cookiewalls
   worker serve --connect HOST:PORT`` dials the coordinator, receives
-  the run-constant shared state once, then runs
+  the run-constant JSON worker state once, then runs
   :func:`~repro.measure.engine._run_shard_bundle` per bundle behind
   the wire, heartbeating while it works.
 - :mod:`repro.distributed.executor` — :class:`DistributedExecutor`,

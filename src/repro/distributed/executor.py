@@ -27,10 +27,8 @@ Resilience model, riding the existing plane:
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import pickle
 import queue
 import socket
 import subprocess
@@ -48,11 +46,14 @@ from repro.distributed.wire import (
     WireHello,
     WireResult,
     WireShared,
+    encode_message,
     read_frame,
     write_frame,
 )
 from repro.errors import TransportError, WireProtocolError, WorkerLostError
-from repro.measure.engine import Executor
+from repro.measure.engine import CrawlTask, Executor
+from repro.measure.storage import encode_record_line, validate_record_payload
+from repro.resilience.degrade import degraded_record
 
 
 class _BundleState:
@@ -127,11 +128,13 @@ class DistributedExecutor(Executor):
 
     # -- run state -----------------------------------------------------
     def _reset_run_state(self) -> None:
+        self._shared: Optional[WireShared] = None
         self._cond = threading.Condition()
         self._pending: deque = deque()
         self._inflight: Dict[int, List] = {}  # key -> [state, deadline]
         self._completed: set = set()
-        self._results: "queue.Queue[Dict]" = queue.Queue()
+        #: ``(payload, bundle)`` per finished (or degraded) shard.
+        self._results: "queue.Queue[tuple]" = queue.Queue()
         self._finished = threading.Event()
         self._live_workers = 0
         self._last_live = time.monotonic()
@@ -147,11 +150,23 @@ class DistributedExecutor(Executor):
     ) -> None:
         """Dispatch *bundles* over the wire; absorb payloads in order
         of completion via *on_shard* (the engine's absorb callback runs
-        on the calling thread, exactly like the process pool path)."""
+        on the calling thread, exactly like the process pool path).
+
+        *shared* is the JSON worker state; every connection receives
+        it once, as a :class:`WireShared` frame.
+        """
         if not bundles:
             return
-        blob = self._encode_shared(shared)
         self._reset_run_state()
+        self._shared = WireShared(state=shared)
+        try:  # fail here, not later in every connection thread
+            encode_message(self._shared)
+        except (TypeError, ValueError) as error:
+            raise TransportError(
+                "the distributed backend ships the run-constant worker "
+                "state (detectors, retry policy, plan context) as JSON, "
+                f"and it is not JSON data: {error}"
+            ) from error
         for bundle in bundles:
             self._pending.append(_BundleState(bundle))
         remaining = {bundle["shard"] for bundle in bundles}
@@ -159,14 +174,14 @@ class DistributedExecutor(Executor):
         self.address = listener.getsockname()[:2]
         self._last_live = time.monotonic()
         accept_thread = threading.Thread(
-            target=self._accept_loop, args=(listener, blob), daemon=True
+            target=self._accept_loop, args=(listener,), daemon=True
         )
         accept_thread.start()
         self._spawn_workers()
         try:
             while remaining:
                 try:
-                    payload = self._results.get(timeout=0.2)
+                    payload, bundle = self._results.get(timeout=0.2)
                 except queue.Empty:
                     self._check_liveness(bool(remaining))
                     continue
@@ -176,7 +191,7 @@ class DistributedExecutor(Executor):
                         continue  # re-dispatch raced a slow original
                     self._completed.add(shard)
                 remaining.discard(shard)
-                on_shard(self._sanitize_payload(payload))
+                on_shard(_sanitize(payload, bundle))
         finally:
             self.address = None
             self._finished.set()
@@ -187,19 +202,6 @@ class DistributedExecutor(Executor):
             except OSError:
                 pass
             self._shutdown_workers()
-
-    # -- shared state --------------------------------------------------
-    @staticmethod
-    def _encode_shared(shared: Dict[str, object]) -> str:
-        try:
-            return base64.b64encode(pickle.dumps(shared)).decode("ascii")
-        except Exception as error:
-            raise TransportError(
-                "the distributed backend ships the run-constant shared "
-                "state (detectors, retry policy, plan context) as a "
-                f"pickle inside the wire frame, and it does not pickle: "
-                f"{error}"
-            ) from error
 
     # -- worker processes ----------------------------------------------
     def _spawn_workers(self) -> None:
@@ -299,7 +301,7 @@ class DistributedExecutor(Executor):
         if any(s is state for s in self._pending):
             return  # already re-queued (lease expiry raced the EOF)
         if state.dispatches >= self.max_dispatches:
-            self._results.put(self._degraded_payload(state))
+            self._results.put((self._degraded_payload(state), state.bundle))
             return
         self._pending.append(state)
         self._cond.notify_all()
@@ -307,76 +309,21 @@ class DistributedExecutor(Executor):
     # -- transport degradation (taxonomy category "transport") ---------
     def _degraded_payload(self, state: _BundleState) -> Dict:
         """A synthetic shard payload: every task degraded, none dropped."""
-        from repro.measure.engine import CrawlTask
-        from repro.measure.storage import encode_record_line
-        from repro.resilience.degrade import degraded_record
-
-        outcomes = []
-        for index, vp, domain, mode, repeats in state.bundle["tasks"]:
-            task = CrawlTask(vp=vp, domain=domain, mode=mode, repeats=repeats)
-            outcomes.append({
-                "index": index,
-                "attempts": 0,
-                "error": state.last_error,
-                "record": encode_record_line(
-                    degraded_record(task, state.last_error)
-                ),
-            })
         return {
             "shard": state.bundle["shard"],
             "pid": 0,
             "elapsed": 0.0,
-            "outcomes": outcomes,
+            "outcomes": [
+                {"index": entry[0], "attempts": 0, "error": state.last_error,
+                 "record": _degraded_line(entry, state.last_error)}
+                for entry in state.bundle["tasks"]
+            ],
             "breakers": {},
             "notes": [],
         }
 
-    def _sanitize_payload(self, payload: Dict) -> Dict:
-        """Degrade any undecodable record line inside a valid reply.
-
-        The coordinator splices worker record lines into spools and
-        checkpoints without a typed decode, so a corrupt line would
-        poison the merged output far from its cause.  One structural
-        parse here converts it into a transport-degraded record at the
-        boundary instead.
-        """
-        from repro.measure.engine import CrawlTask
-        from repro.measure.storage import encode_record_line, validate_record_payload
-        from repro.resilience.degrade import degraded_record
-
-        tasks = {
-            entry[0]: entry
-            for entry in payload.get("_wire_tasks", ())
-        }
-        for outcome in payload["outcomes"]:
-            line = outcome.get("record")
-            if line is None:
-                continue
-            try:
-                parsed = json.loads(line)
-                validate_record_payload(parsed)
-            except (ValueError, TypeError):
-                entry = tasks.get(outcome["index"])
-                if entry is None:
-                    # No task context (should not happen: the wire
-                    # result was validated against its bundle) — drop
-                    # the record but keep the structured error.
-                    outcome["record"] = None
-                    outcome["error"] = "WireProtocolError"
-                    continue
-                _, vp, domain, mode, repeats = entry
-                task = CrawlTask(
-                    vp=vp, domain=domain, mode=mode, repeats=repeats
-                )
-                outcome["record"] = encode_record_line(
-                    degraded_record(task, "WireProtocolError")
-                )
-                outcome["error"] = "WireProtocolError"
-        payload.pop("_wire_tasks", None)
-        return payload
-
     # -- connection handling -------------------------------------------
-    def _accept_loop(self, listener: socket.socket, blob: str) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
         while not self._finished.is_set():
             try:
                 conn, _addr = listener.accept()
@@ -384,11 +331,11 @@ class DistributedExecutor(Executor):
                 return  # listener closed: run over
             self._connections.append(conn)
             threading.Thread(
-                target=self._serve_connection, args=(conn, blob),
+                target=self._serve_connection, args=(conn,),
                 daemon=True,
             ).start()
 
-    def _serve_connection(self, conn: socket.socket, blob: str) -> None:
+    def _serve_connection(self, conn: socket.socket) -> None:
         key = id(conn)
         state: Optional[_BundleState] = None
         try:
@@ -402,7 +349,7 @@ class DistributedExecutor(Executor):
                     f"worker speaks wire protocol {hello.protocol}, "
                     f"coordinator speaks {WIRE_PROTOCOL_VERSION}"
                 )
-            write_frame(wfile, WireShared(blob=blob))
+            write_frame(wfile, self._shared)
             with self._cond:
                 self._live_workers += 1
                 self._last_live = time.monotonic()
@@ -452,33 +399,24 @@ class DistributedExecutor(Executor):
         while True:
             try:
                 message = read_frame(rfile)
-            except WireProtocolError:
-                self._finish_inflight(key, "WireProtocolError")
-                return False
-            if message is None:  # EOF: the worker died mid-shard
-                self._finish_inflight(key, "WorkerLostError")
-                return False
-            if isinstance(message, WireHeartbeat):
-                with self._cond:
-                    entry = self._inflight.get(key)
-                    if entry is not None:
-                        entry[1] = time.monotonic() + self.lease_timeout
-                continue
-            if not isinstance(message, WireResult):
-                self._finish_inflight(key, "WireProtocolError")
-                return False
-            try:
+                if message is None:  # EOF: the worker died mid-shard
+                    self._finish_inflight(key, "WorkerLostError")
+                    return False
+                if isinstance(message, WireHeartbeat):
+                    with self._cond:
+                        entry = self._inflight.get(key)
+                        if entry is not None:
+                            entry[1] = time.monotonic() + self.lease_timeout
+                    continue
+                if not isinstance(message, WireResult):
+                    raise WireProtocolError("expected a result frame")
                 message.validate_against(state.wire)
             except WireProtocolError:
                 self._finish_inflight(key, "WireProtocolError")
                 return False
             with self._cond:
                 self._inflight.pop(key, None)
-            payload = message.to_payload()
-            # Task context rides along so undecodable records can be
-            # degraded (not dropped) by the absorbing thread.
-            payload["_wire_tasks"] = state.bundle["tasks"]
-            self._results.put(payload)
+            self._results.put((message.to_payload(), state.bundle))
             return True
 
     def _finish_inflight(self, key: int, error: str) -> None:
@@ -487,3 +425,31 @@ class DistributedExecutor(Executor):
             if entry is not None:
                 self._requeue_locked(entry[0], error)
 
+
+
+def _degraded_line(entry, error: str) -> str:
+    """The degraded record line for the bundle task tuple *entry*."""
+    return encode_record_line(degraded_record(CrawlTask(*entry[1:]), error))
+
+
+def _sanitize(payload: Dict, bundle: Dict) -> Dict:
+    """Degrade any undecodable record line inside a valid reply.
+
+    The coordinator splices worker record lines into spools and
+    checkpoints without a typed decode, so a corrupt line would
+    poison the merged output far from its cause.  One structural
+    parse here converts it into a transport-degraded record at the
+    boundary instead.
+    """
+    tasks = {entry[0]: entry for entry in bundle["tasks"]}
+    for outcome in payload["outcomes"]:
+        if outcome["record"] is None:
+            continue
+        try:
+            validate_record_payload(json.loads(outcome["record"]))
+        except (ValueError, TypeError):
+            outcome["record"] = _degraded_line(
+                tasks[outcome["index"]], "WireProtocolError"
+            )
+            outcome["error"] = "WireProtocolError"
+    return payload

@@ -9,15 +9,14 @@ message dataclasses below; unknown tags and malformed frames raise
 converts into re-dispatch (and, past the budget, into structured
 transport-degraded records) rather than a silent drop.
 
-The message dataclasses are deliberately primitive-only (ints, floats,
-strings, tuples, dicts of the same): they are part of the
-``bundle-pickle-safety`` reprolint surface, and the shard bundle they
-carry must survive ``dataclass -> JSON -> dataclass`` without losing
-the byte-identity of the records computed from it.  The one opaque
-field is :attr:`WireShared.blob` — the run-constant shared state
-(detector instances, retry policy) crosses as a base64 pickle inside
-the JSON frame, exactly the payload the process pool's initializer
-ships in-process.
+The message dataclasses hold JSON data only (ints, floats, strings,
+tuples, dicts of the same): the shard bundle they carry must survive
+``dataclass -> JSON -> dataclass`` without losing the byte-identity of
+the records computed from it.  That includes :attr:`WireShared.state`,
+the run-constant worker state (world key, detectors' constructor
+arguments, retry policy, plan context) — the same JSON object the
+process pool's initializer installs in-process.  Nothing that crosses
+the socket is ever unpickled or executed.
 """
 
 from __future__ import annotations
@@ -28,16 +27,40 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import WireProtocolError
+from repro.measure.engine import _NUMBER, TASK_MODES, conforms
+from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
 
 #: Version tag exchanged in the hello; a mismatch is refused up front
 #: (a worker from another release must not silently compute different
 #: bytes).
-WIRE_PROTOCOL_VERSION = 1
+WIRE_PROTOCOL_VERSION = 2
 
 #: Upper bound for one frame (a shard of records comes back as one
 #: result frame; 128 MiB is ~3 orders of magnitude above the largest
 #: shard the benchmarks produce).
 MAX_FRAME_BYTES = 128 * 1024 * 1024
+
+
+#: Shapes (:func:`~repro.measure.engine.conforms`) of what frames carry.
+_TASK = [int, str, str, frozenset(TASK_MODES), int]
+_SNAPSHOT = {"state": frozenset((CLOSED, OPEN, HALF_OPEN)), "consecutive": int, "skipped": int}
+_OUTCOME = {"index": int, "attempts": int, "error": (None, str), "record": (None, str)}
+_NOTE = (
+    {"kind": frozenset({"task-retry"}), "index": int, "attempt": int, "error": str},
+    {"kind": frozenset({"breaker-open", "breaker-close"}), "index": int},
+)
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise WireProtocolError(what)
+
+
+def _check_breakers(breakers, domains) -> None:
+    _check(breakers is None or isinstance(breakers, dict) and all(
+        domain in domains and conforms(snapshot, _SNAPSHOT)
+        for domain, snapshot in breakers.items()
+    ), "breakers must map the bundle's domains to breaker snapshots")
 
 
 @dataclass(frozen=True)
@@ -53,20 +76,19 @@ class WireHello:
 class WireShared:
     """Coordinator -> worker, once per connection, before any bundle.
 
-    ``blob`` is the base64-encoded pickle of the run-constant shared
-    dict (world key, latency, detectors, retry policy, plan context) —
-    the exact payload :func:`repro.measure.engine._init_worker_shared`
-    installs for the in-process pool.
+    ``state`` is the run-constant JSON worker state — the object
+    :func:`repro.measure.engine._init_worker_shared` checks and
+    installs, for the process pool too.
     """
 
-    blob: str
+    state: Dict
 
 
 @dataclass(frozen=True)
 class WireBundle:
     """Coordinator -> worker: one shard of work.
 
-    Mirrors the engine's picklable shard bundle
+    Mirrors the engine's plain-data shard bundle
     (:meth:`repro.measure.engine.CrawlEngine._bundles`) field for
     field; :meth:`from_bundle`/:meth:`to_bundle` convert the
     parts JSON cannot hold natively (int dict keys, tuples).
@@ -91,13 +113,19 @@ class WireBundle:
         )
 
     def to_bundle(self) -> Dict:
-        """The engine-shaped bundle dict ``_run_shard_bundle`` consumes."""
+        """The engine-shaped bundle dict ``_run_shard_bundle`` consumes;
+        :class:`WireProtocolError` unless it has the shape the runner unpacks."""
+        _check(
+            conforms(self.shard, int) and conforms(self.tasks, [_TASK])
+            and conforms(self.id_bases, [[int, int]]),
+            "a bundle carries an integer shard, (index, vp, domain, mode, "
+            "repeats) tasks and (index, id_base) integer pairs",
+        )
+        _check_breakers(self.breakers, {entry[2] for entry in self.tasks})
         return {
             "shard": self.shard,
             "tasks": [tuple(entry) for entry in self.tasks],
-            "id_bases": {
-                int(index): int(base) for index, base in self.id_bases
-            },
+            "id_bases": dict(self.id_bases),
             "breakers": dict(self.breakers) if self.breakers else {},
         }
 
@@ -113,88 +141,67 @@ class WireHeartbeat:
 class WireResult:
     """Worker -> coordinator: one completed shard's payload.
 
-    The fields carry the mapping
+    The fields are the mapping
     :func:`repro.measure.engine._run_shard_bundle` returns — records
     are the worker's canonically serialized JSONL lines, passed through
-    to spools and checkpoints without a decode; its ordered notes
-    travel split into ``task-retry`` notes (:attr:`retries`) and
-    ``breaker-*`` notes (:attr:`breaker_events`).
+    to spools and checkpoints without a decode.
     """
 
     shard: int
     pid: int
     elapsed: float
     outcomes: Tuple[Dict, ...]
-    retries: Tuple[Dict, ...] = ()
+    #: The ordered ``task-retry``/``breaker-*`` notes.
+    notes: Tuple[Dict, ...] = ()
     breakers: Optional[Dict[str, Dict]] = None
-    breaker_events: Tuple[Dict, ...] = ()
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "WireResult":
-        notes = payload["notes"]
-        return cls(
-            shard=payload["shard"],
-            pid=payload["pid"],
-            elapsed=payload["elapsed"],
+        return cls(**dict(
+            payload,
             outcomes=tuple(payload["outcomes"]),
-            retries=tuple(n for n in notes if n["kind"] == "task-retry"),
-            breakers=payload.get("breakers") or None,
-            breaker_events=tuple(
-                n for n in notes if n["kind"] != "task-retry"
-            ),
-        )
+            notes=tuple(payload["notes"]),
+        ))
 
     def to_payload(self) -> Dict:
-        """The engine-shaped payload ``CrawlEngine._absorb_shard`` takes.
-
-        The runner orders notes by task (plan index), a task's retries
-        before its breaker transition, so a stable sort by index over
-        the two note fields restores that order.
-        """
-        return {
-            "shard": self.shard,
-            "pid": self.pid,
-            "elapsed": self.elapsed,
-            "outcomes": list(self.outcomes),
-            "breakers": dict(self.breakers) if self.breakers else {},
-            "notes": sorted(
-                self.retries + self.breaker_events,
-                key=lambda note: note["index"],
-            ),
-        }
+        """The engine-shaped payload ``CrawlEngine._absorb_shard`` takes."""
+        return dict(vars(self), breakers=self.breakers or {})
 
     def validate_against(self, bundle: "WireBundle") -> None:
-        """Structural check: the reply must cover the bundle exactly.
+        """Structural check of every field against the dispatched bundle.
 
         A reply whose outcomes drop, duplicate, or invent task indices
-        would silently desynchronise the merge from the plan; raise
-        :class:`WireProtocolError` instead and let the coordinator's
-        re-dispatch/degrade machinery handle it.
+        would silently desynchronise the merge from the plan, and a
+        note or outcome of the wrong shape would abort the absorbing
+        run; raise :class:`WireProtocolError` instead and let the
+        coordinator's re-dispatch/degrade machinery handle it.
         """
         if self.shard != bundle.shard:
             raise WireProtocolError(
-                f"result names shard {self.shard}, expected {bundle.shard}"
+                f"result names shard {self.shard!r}, expected {bundle.shard}"
             )
-        expected = [entry[0] for entry in bundle.tasks]
-        got = []
-        for entry in self.outcomes:
-            if not isinstance(entry, dict):
-                raise WireProtocolError(
-                    f"shard {self.shard}: outcome is not an object"
-                )
-            index = entry.get("index")
-            record = entry.get("record")
-            if record is not None and not isinstance(record, str):
-                raise WireProtocolError(
-                    f"shard {self.shard}: outcome {index}: record is "
-                    "neither null nor a serialized line"
-                )
-            got.append(index)
-        if sorted(got, key=repr) != sorted(expected, key=repr):
+        where = f"shard {bundle.shard}"
+        _check(
+            conforms(self.pid, int) and conforms(self.elapsed, _NUMBER)
+            and conforms(self.outcomes, [_OUTCOME])
+            and all(entry["attempts"] >= 0 for entry in self.outcomes)
+            and conforms(self.notes, [_NOTE]),
+            f"{where}: the reply's fields are not the shape the engine "
+            "absorbs",
+        )
+        expected = sorted(entry[0] for entry in bundle.tasks)
+        got = sorted(entry["index"] for entry in self.outcomes)
+        if got != expected:
             raise WireProtocolError(
-                f"shard {self.shard}: reply covers indices {sorted(got, key=repr)!r}, "
-                f"bundle holds {sorted(expected, key=repr)!r}"
+                f"{where}: reply covers indices {got!r}, bundle holds "
+                f"{expected!r}"
             )
+        indices = set(expected)
+        _check(
+            all(note["index"] in indices for note in self.notes),
+            f"{where}: a note names a task outside the bundle",
+        )
+        _check_breakers(self.breakers, {entry[2] for entry in bundle.tasks})
 
 
 #: ``type`` tag -> message class (the wire's dispatch table).
@@ -223,20 +230,24 @@ def encode_message(message) -> bytes:
 def decode_message(line: bytes):
     """Parse one frame back into its message dataclass.
 
-    Every malformation — bad UTF-8, bad JSON, a non-object, an unknown
-    or missing ``type``, unexpected fields — raises
+    Every malformation — bad UTF-8, bad or too deeply nested JSON, a
+    non-object, an unknown or missing ``type``, unexpected fields —
+    raises
     :class:`WireProtocolError` with the offending detail.
     """
     try:
         body = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and overlong integer
+        # literals; RecursionError, nesting deeper than the parser's
+        # stack.
         raise WireProtocolError(f"undecodable frame: {error}") from error
     if not isinstance(body, dict):
         raise WireProtocolError(
             f"frame must be a JSON object, got {type(body).__name__}"
         )
     tag = body.pop("type", None)
-    cls = MESSAGE_TYPES.get(tag)
+    cls = MESSAGE_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise WireProtocolError(f"unknown frame type {tag!r}")
     known = {field.name for field in dataclasses.fields(cls)}

@@ -1,7 +1,9 @@
 """The worker side of the wire: ``repro-cookiewalls worker serve``.
 
 A worker dials the coordinator, introduces itself, installs the
-run-constant shared state the coordinator sends once, and then runs
+run-constant JSON worker state the coordinator sends once
+(:func:`~repro.measure.engine._init_worker_shared`, the process pool's
+installer too), and then runs
 each received shard bundle through
 :func:`~repro.measure.engine._run_shard_bundle` — the process pool's
 worker entry point, which rebuilds the crawler and runs the engine's
@@ -18,9 +20,7 @@ socket, which the coordinator converts into a re-dispatch.
 
 from __future__ import annotations
 
-import base64
 import os
-import pickle
 import socket
 import threading
 from typing import Optional
@@ -35,23 +35,7 @@ from repro.distributed.wire import (
     write_frame,
 )
 from repro.errors import WireProtocolError
-
-
-def _install_shared(message: WireShared) -> None:
-    """Decode the shared blob and install it for ``_run_shard_bundle``."""
-    from repro.measure.engine import _init_worker_shared
-
-    try:
-        shared = pickle.loads(base64.b64decode(message.blob.encode("ascii")))
-    except Exception as error:
-        raise WireProtocolError(
-            f"shared state blob does not unpickle: {error}"
-        ) from error
-    if not isinstance(shared, dict):
-        raise WireProtocolError(
-            "shared state blob is not the run-constant dict"
-        )
-    _init_worker_shared(shared)
+from repro.measure.engine import _init_worker_shared, _run_shard_bundle
 
 
 class _Heartbeat:
@@ -108,20 +92,20 @@ def serve_worker(
         wfile = conn.makefile("wb")
         write_lock = threading.Lock()
         write_frame(wfile, WireHello(worker=name, pid=os.getpid()))
+        installed = False
         while True:
             message = read_frame(rfile)
             if message is None:
                 break
             if isinstance(message, WireShared):
-                _install_shared(message)
+                _init_worker_shared(message.state)
+                installed = True
                 continue
-            if not isinstance(message, WireBundle):
+            if not (installed and isinstance(message, WireBundle)):
                 raise WireProtocolError(
-                    f"worker expected a bundle, got "
-                    f"{type(message).__name__}"
+                    f"worker expected {'a bundle' if installed else 'the shared state'}"
+                    f", got {type(message).__name__}"
                 )
-            from repro.measure.engine import _run_shard_bundle
-
             with _Heartbeat(
                 wfile, write_lock, message.shard, heartbeat_interval
             ):

@@ -48,10 +48,16 @@ class LanguageResult:
 
 
 class LanguageDetector:
-    """A multinomial Naive Bayes classifier over character trigrams."""
+    """A multinomial Naive Bayes classifier over character trigrams.
+
+    It keeps its constructor arguments (``corpora`` ``None`` meaning the
+    built-in :data:`~repro.lang.corpus.CORPORA`), so a worker process
+    can rebuild an identical detector from them.
+    """
 
     def __init__(self, corpora: Optional[Dict[str, List[str]]] = None,
                  *, min_confidence: float = 0.5) -> None:
+        self.corpora = corpora
         self.min_confidence = min_confidence
         self._log_probs: Dict[str, Dict[str, float]] = {}
         self._fallback: Dict[str, float] = {}

@@ -23,7 +23,7 @@ loop.  This module turns that loop into an explicit subsystem:
    breaker checks, the :class:`RetryPolicy` loop (transient
    ``NetworkError``-family failures are retried, then degraded rather
    than aborting the crawl), and visit-id selection live there alone.
-   The engine packs each shard into a picklable *bundle*; an executor,
+   The engine packs each shard into a plain-data *bundle*; an executor,
    selected by ``backend`` (``EngineSpec.executor`` / ``--executor``),
    is only the transport that carries it:
 
@@ -35,8 +35,7 @@ loop.  This module turns that loop into an explicit subsystem:
      Python under the default virtual latency, so processes, not
      threads, are what parallelise it.  Workers rebuild the world from
      its (seed, scale, evolution) key — or, under ``fork``, inherit
-     the parent's — so bundles stay small.  See *Pickling
-     constraints*.
+     the parent's — so bundles stay small.  See *Worker state*.
    - ``"distributed"`` — :class:`repro.distributed.DistributedExecutor`
      carries the same bundles as JSON frames to ``worker serve``
      processes running the same worker entry point.
@@ -63,17 +62,18 @@ loop.  This module turns that loop into an explicit subsystem:
      records stream lazily from the final file.
    - Without one, the merge holds every outcome in memory.
 
-Pickling constraints (process backend)
---------------------------------------
-A shard bundle must reconstruct the crawl inside another process, so
-the process backend requires the stock :class:`~repro.measure.crawl.
-Crawler` over a world built by ``build_world(seed=…, scale=…)``
-(identified by seed, scale, and evolution months; ``Network.latency``,
-``ublock_lists``, and the live BannerClick/language-detector
-instances travel in the bundle, so configured detectors behave
-identically in a worker).  Crawler subclasses, hand-assembled or
-knob-tuned worlds, and unpicklable detectors are refused with a
-clear error — run those with ``workers=1``.
+Worker state
+------------
+Out-of-process workers rebuild the crawl from one JSON object, the
+*worker state* (:meth:`CrawlEngine._worker_state`): the world key
+(seed, scale, evolution months), ``Network.latency``, the detectors'
+constructor arguments (so configured detectors behave identically in
+a worker), ``ublock_lists``, the plan context, and the
+:class:`RetryPolicy` fields.  :func:`_init_worker_shared` installs it
+once per worker, for the pool and the wire alike.  Crawler or
+detector subclasses, hand-assembled or knob-tuned worlds, and plan
+contexts that are not JSON data are refused — run those with
+``workers=1``.
 
 Checkpoints and resume
 ----------------------
@@ -139,11 +139,13 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor as _PyProcessPool
 from concurrent.futures import as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.errors import NetworkError
+from repro.bannerclick import BannerClick
+from repro.errors import NetworkError, WireProtocolError
+from repro.lang import LanguageDetector
 from repro.measure.instrumentation import Event, EventLog
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.chaos import ChaosEngine, ChaosSpec
@@ -305,11 +307,11 @@ class TaskOutcome:
 class RetryPolicy:
     """Per-task retry behaviour for transient failures.
 
-    ``retry_on`` handles exceptions escaping ``Crawler.run_task`` (the
-    stock crawler converts network failures into records instead of
-    raising, but subclasses and future transports may not).
-    ``retry_unreachable`` additionally re-runs detection visits that
-    came back ``reachable=False``; it defaults to off because the
+    A :class:`~repro.errors.NetworkError` escaping ``Crawler.run_task``
+    is retried (the stock crawler converts network failures into
+    records instead of raising, but chaos faults and subclasses may
+    not).  ``retry_unreachable`` additionally re-runs detection visits
+    that came back ``reachable=False``; it defaults to off because the
     paper's methodology counts unreachable sites (and a retry consumes
     extra visit ids from the serial stream).
 
@@ -318,11 +320,11 @@ class RetryPolicy:
     (jitter derives from the task identity, never a live RNG) so the
     same policy yields the same attempt schedule on every backend.
     ``breaker_threshold``/``breaker_quarantine`` configure the
-    per-domain circuit breakers; ``None`` disables them.
+    per-domain circuit breakers; ``None`` disables them.  Every field
+    is a number or flag, so ``RetryPolicy(**asdict(policy))`` round-trips.
     """
 
     max_attempts: int = 2
-    retry_on: Tuple[type, ...] = (NetworkError,)
     retry_unreachable: bool = False
     #: Exponential-backoff schedule (virtual seconds); base <= 0 means
     #: no inter-attempt delay.
@@ -394,7 +396,7 @@ def _execute_task(
             visit_ids = _id_stream(id_base) if id_base is not None else None
             try:
                 record = crawler.run_task(task, context, visit_ids=visit_ids)
-            except retry.retry_on as exc:
+            except NetworkError as exc:
                 error = type(exc).__name__
                 if attempts >= retry.max_attempts:
                     return degraded_record(task, error), error, attempts
@@ -497,31 +499,98 @@ def run_shard(
 
 #: Worlds by world key.  The parent inserts its world before the pool
 #: starts (and pops it afterwards), so ``fork``-started workers inherit
-#: it and skip the rebuild; a ``spawn``-started or wire worker starts
-#: empty, and the first shard of each world pays one deterministic
-#: ``build_world`` and stores it here.
+#: it and skip the rebuild; a ``spawn``-started or wire worker builds
+#: it deterministically from the key.
 _WORLDS: Dict[Tuple, object] = {}
 
-#: Run-constant state a worker shares across its shards (world key,
-#: detectors, retry policy, plan context).  Installed once per worker
-#: by the pool initializer instead of travelling in every bundle, so
-#: e.g. a multi-MB ublock_lists payload pickles per *worker*, not per
-#: shard.
+#: What a worker's shards share — the stock crawler, plan context and
+#: retry policy — built once per worker by :func:`_init_worker_shared`.
 _WORKER_SHARED: Dict[str, object] = {}
 
+_NUMBER = (int, float)
 
-def _init_worker_shared(shared: Dict[str, object]) -> None:
-    """Install the run-constant half of the bundles in this worker."""
-    _WORKER_SHARED.clear()
-    _WORKER_SHARED.update(shared)
+#: The JSON worker state :meth:`CrawlEngine._worker_state` builds.
+_WORKER_STATE = {
+    "world": [int, _NUMBER, int], "latency": _NUMBER, "latency_mode": str,
+    "bannerclick": {switch.name: bool for switch in fields(BannerClick)},
+    "language_detector": {"corpora": (None, [[str, [str]]]), "min_confidence": _NUMBER},
+    "ublock_lists": (None, [str]),
+    "context": dict,
+    "retry": {
+        "max_attempts": int, "retry_unreachable": bool, "backoff_base": _NUMBER,
+        "backoff_factor": _NUMBER, "backoff_max": _NUMBER, "jitter": _NUMBER,
+        "attempt_deadline": (None, _NUMBER), "task_deadline": (None, _NUMBER),
+        "breaker_threshold": (None, int), "breaker_quarantine": int,
+    },
+}
 
 
-def _init_pool_worker(shared: Dict[str, object]) -> None:
-    """Process-pool initializer: install *shared*, and exit as soon as
+def conforms(value, shape) -> bool:
+    """Whether the JSON *value* has *shape*: a type (a ``bool`` is no
+    ``int``), ``None``, a tuple of alternatives, a frozenset of allowed
+    strings, ``{key: shape}`` (exactly those keys), ``[shape]`` (a list
+    of it), or ``[shape, shape, …]`` (exactly those items)."""
+    if isinstance(shape, type):
+        return isinstance(value, shape) and (shape is bool or not isinstance(value, bool))
+    if shape is None:
+        return value is None
+    if isinstance(shape, tuple):
+        return any(conforms(value, option) for option in shape)
+    if isinstance(shape, frozenset):
+        return isinstance(value, str) and value in shape
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and value.keys() == shape.keys() and all(
+            conforms(value[key], sub) for key, sub in shape.items()
+        )
+    return isinstance(value, (list, tuple)) and (
+        all(conforms(item, shape[0]) for item in value)
+        if len(shape) == 1
+        else len(value) == len(shape) and all(map(conforms, value, shape))
+    )
+
+
+def _init_worker_shared(state: Dict) -> None:
+    """Install the JSON worker *state* — the pool initializer and
+    ``worker serve`` both install through here: check its shape (else
+    :class:`WireProtocolError`), then build the world, the crawler with
+    both detectors, and the retry policy once for every shard."""
+    # Imported lazily — repro.measure.crawl imports this module.
+    from repro.measure.crawl import Crawler
+    from repro.webgen.evolve import evolve_world
+    from repro.webgen.world import build_world
+
+    if not conforms(state, _WORKER_STATE):
+        raise WireProtocolError("malformed worker state: not the object the engine builds")
+    seed, scale, evolution = state["world"]
+    world = _WORLDS.get((seed, scale, evolution))
+    if world is None:
+        world = build_world(scale=scale, seed=seed)
+        if evolution:
+            world, _ = evolve_world(world, months=evolution)
+    world.network.latency = state["latency"]
+    world.network.latency_mode = state["latency_mode"]
+    lang = state["language_detector"]
+    _WORKER_SHARED.update(
+        crawler=Crawler(
+            world,
+            bannerclick=BannerClick(**state["bannerclick"]),
+            language_detector=LanguageDetector(
+                dict(lang["corpora"] or ()),
+                min_confidence=lang["min_confidence"],
+            ),
+            ublock_lists=state["ublock_lists"],
+        ),
+        context=state["context"],
+        retry=RetryPolicy(**state["retry"]),
+    )
+
+
+def _init_pool_worker(state: Dict) -> None:
+    """Process-pool initializer: install *state*, and exit as soon as
     the parent is gone.  A pool worker otherwise outlives a hard-killed
     parent, blocked forever on its task queue with a world in memory.
     """
-    _init_worker_shared(shared)
+    _init_worker_shared(state)
     parent = os.getppid()
 
     def exit_with_parent() -> None:
@@ -546,56 +615,24 @@ def _id_stream(base: int) -> Callable[[], int]:
     return lambda: derive_seed(base, next(counter))
 
 
-def _worker_world(world_key: Tuple, latency: float, latency_mode: str = "virtual"):
-    """The (cached or fork-inherited) world a worker process uses."""
-    world = _WORLDS.get(world_key)
-    if world is None:
-        # Imported lazily — repro.measure.crawl imports this module.
-        from repro.webgen.evolve import evolve_world
-        from repro.webgen.world import build_world
-
-        seed, scale, evolution = world_key
-        world = build_world(scale=scale, seed=seed)
-        if evolution:
-            world, _ = evolve_world(world, months=evolution)
-        _WORLDS[world_key] = world
-    world.network.latency = latency
-    world.network.latency_mode = latency_mode
-    return world
-
-
 def _run_shard_bundle(bundle: Dict) -> Dict:
     """The worker-process entry point: run one shard bundle.
 
-    Rebuilds the stock crawler from the run-constant state (installed
-    by the pool initializer or the wire's shared frame), runs
-    :func:`run_shard`, and dumps each record **once**, here, to its
+    Runs :func:`run_shard` on the crawler :func:`_init_worker_shared`
+    installed, and dumps each record **once**, here, to its
     canonical JSONL line (:func:`~repro.measure.storage.
     encode_record_line`) — the parent splices those bytes into spools
     and checkpoints without decoding them.  The worker's pid and
     elapsed time ride along for per-process throughput.
     """
     started = time.perf_counter()
-    from repro.measure.crawl import Crawler
-
     shared = _WORKER_SHARED
-    world = _worker_world(
-        tuple(shared["world"]),
-        shared["latency"],
-        shared.get("latency_mode", "virtual"),
-    )
-    crawler = Crawler(
-        world,
-        bannerclick=shared["bannerclick"],
-        language_detector=shared["language_detector"],
-        ublock_lists=shared["ublock_lists"],
-    )
-    chaos_ctx = (shared["context"] or {}).get("chaos")
-    world.network.chaos = (
+    chaos_ctx = shared["context"].get("chaos")
+    shared["crawler"].world.network.chaos = (
         ChaosEngine(ChaosSpec.from_context(chaos_ctx)) if chaos_ctx else None
     )
     outcomes, breakers, notes = run_shard(
-        crawler,
+        shared["crawler"],
         [(entry[0], CrawlTask(*entry[1:])) for entry in bundle["tasks"]],
         shared["context"], shared["retry"],
         bundle["id_bases"], bundle.get("breakers") or {},
@@ -966,9 +1003,9 @@ class Executor:
     each finished shard's payload to *on_shard*.
 
     *shared* is the run-constant half of the work: the live crawler,
-    plan tasks, and progress hook for in-process transports; the
-    picklable state :func:`_run_shard_bundle` rebuilds the crawler from
-    for worker transports.
+    plan tasks, and progress hook for in-process transports; the JSON
+    worker state (:meth:`CrawlEngine._worker_state`) that
+    :func:`_init_worker_shared` installs, for worker transports.
     """
 
     #: The :data:`EXECUTOR_BACKENDS` name this transport implements.
@@ -1062,8 +1099,8 @@ class ProcessExecutor(Executor):
     def run_bundles(self, bundles, on_shard, shared):
         """Run *bundles* in the pool, invoking *on_shard* per payload.
 
-        *shared* is installed once per worker via the pool initializer
-        rather than pickled into every bundle.
+        *shared*, the JSON worker state, is installed once per worker
+        by the pool initializer rather than shipped with every bundle.
 
         A worker that dies (or a bundle that raises) surfaces here as
         the pool's exception, after the shards whose results were
@@ -1118,7 +1155,7 @@ class CrawlEngine:
         Executor backend by name — one of :data:`EXECUTOR_BACKENDS`
         (see the module docstring); ``None`` keeps the workers-based
         rule above.  The process and distributed backends require a
-        stock crawler over a built world (pickling constraints); every
+        stock crawler over a built world (*Worker state*); every
         backend but serial uses per-task visit-id streams.
     shards:
         Shard count; defaults to ``1`` when serial and ``4 × workers``
@@ -1399,7 +1436,7 @@ class CrawlEngine:
     def _bundles(
         self, plan: CrawlPlan, sharded: List[List[Tuple[int, CrawlTask]]]
     ) -> List[Dict]:
-        """One picklable bundle per non-empty shard: task tuples, per-task
+        """One plain-data bundle per non-empty shard: task tuples, per-task
         visit-id stream seeds (none in the serial regime), and the
         breaker snapshots entering the shard."""
         config = getattr(getattr(self.crawler, "world", None), "config", None)
@@ -1427,13 +1464,15 @@ class CrawlEngine:
         """Refuse crawls a worker process cannot reconstruct."""
         from repro.measure.crawl import Crawler
 
-        if type(self.crawler) is not Crawler:
-            raise ValueError(
-                "the process backend ships picklable task bundles and "
-                "rebuilds the stock Crawler in each worker; "
-                f"{type(self.crawler).__name__} cannot cross the process "
-                "boundary (use workers=1)"
-            )
+        crawler = self.crawler
+        for part, stock in ((crawler, Crawler), (getattr(crawler, "bannerclick", None), BannerClick),
+                            (getattr(crawler, "_lang", None), LanguageDetector)):
+            if type(part) is not stock:
+                raise ValueError(
+                    "the process backend rebuilds the stock Crawler and detectors in each worker "
+                    f"from plain data; {type(part).__name__} cannot cross the process boundary "
+                    "(use workers=1)"
+                )
         config = getattr(getattr(self.crawler, "world", None), "config", None)
         if config is None or getattr(config, "seed", None) is None:
             raise ValueError(
@@ -1454,6 +1493,43 @@ class CrawlEngine:
                 "knobs a worker could not reproduce (use workers=1)"
             )
 
+    def _worker_state(self, plan: CrawlPlan) -> Dict:
+        """The run-constant JSON state every worker installs once.
+
+        Refused unless JSON carries it unchanged, so a plan that runs on
+        ``process`` also runs on ``distributed``.  Corpora travel as
+        ordered ``[language, sentences]`` pairs: training order is part
+        of the detector, and wire frames sort object keys.
+        """
+        world, lang = self.crawler.world, self.crawler._lang
+        state = {
+            "world": [world.config.seed, world.config.scale, getattr(world, "evolution_months", 0)],
+            "latency": getattr(world.network, "latency", 0.0),
+            "latency_mode": getattr(world.network, "latency_mode", "virtual"),
+            "bannerclick": asdict(self.crawler.bannerclick),
+            "language_detector": {
+                "corpora": [
+                    [language, list(sentences)]
+                    for language, sentences in (lang.corpora or {}).items()
+                ] or None,
+                "min_confidence": lang.min_confidence,
+            },
+            "ublock_lists": self.crawler.ublock_lists,
+            "context": plan.context,
+            "retry": asdict(self.retry),
+        }
+        try:
+            same = json.loads(json.dumps(state)) == state
+        except (TypeError, ValueError):
+            same = False
+        if not same:
+            raise ValueError(
+                "workers receive the plan context, detectors and retry "
+                "policy as JSON, and this run's are not JSON data "
+                "(use workers=1)"
+            )
+        return state
+
     def _run_in_workers(
         self,
         executor: Executor,
@@ -1461,34 +1537,16 @@ class CrawlEngine:
         bundles: List[Dict],
         on_shard: Callable[[Dict], None],
     ) -> None:
-        """Ship *bundles* to worker processes along with the run-constant
-        state :func:`_run_shard_bundle` rebuilds the crawler from."""
+        """Ship *bundles* to worker processes along with the JSON worker
+        state each of them installs once (:func:`_init_worker_shared`)."""
         self._check_process_portable()
-        world = self.crawler.world
-        config = world.config
-        world_key = (
-            config.seed, config.scale, getattr(world, "evolution_months", 0)
-        )
+        state = self._worker_state(plan)
+        world_key = tuple(state["world"])
         # Fork-started workers inherit this entry and skip the rebuild;
         # spawn-started ones build deterministically from the key.
-        _WORLDS[world_key] = world
-        # The run-constant half, installed once per worker by the pool
-        # initializer.  The live detector instances travel here, so
-        # configured (e.g. ablation) detectors behave the same in a
-        # worker as in-process; an unpicklable custom detector
-        # fails loudly at pool start.
-        shared = {
-            "world": world_key,
-            "latency": getattr(world.network, "latency", 0.0),
-            "latency_mode": getattr(world.network, "latency_mode", "virtual"),
-            "bannerclick": self.crawler.bannerclick,
-            "language_detector": self.crawler._lang,
-            "ublock_lists": self.crawler.ublock_lists,
-            "context": plan.context,
-            "retry": self.retry,
-        }
+        _WORLDS[world_key] = self.crawler.world
         try:
-            executor.run_bundles(bundles, on_shard, shared)
+            executor.run_bundles(bundles, on_shard, state)
         finally:
             _WORLDS.pop(world_key, None)
 

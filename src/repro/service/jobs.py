@@ -36,6 +36,9 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: States that count against a tenant's quota.
 ACTIVE_STATES = ("queued", "running")
 
+#: States a job leaves only when resubmitted.
+TERMINAL_STATES = ("done", "failed", "cancelled")
+
 
 class QuotaExceeded(ReproError):
     """A tenant's active-campaign quota is exhausted (HTTP 429)."""
@@ -99,7 +102,8 @@ class Job:
 
 
 class JobQueue:
-    """FIFO-with-priorities queue with per-tenant active-job quotas."""
+    """FIFO-with-priorities queue with per-tenant active-job quotas.
+    Every job state transition is one of its methods, under its lock."""
 
     def __init__(self, quota: int = 4) -> None:
         if quota < 1:
@@ -179,9 +183,42 @@ class JobQueue:
                 job.cancel_requested = True
             return job
 
-    def snapshot(self) -> List[Job]:
+    def finish(self, claimed_id: str, state: str, *,
+               summary: Optional[Dict] = None, error: Optional[str] = None) -> Job:
+        """Move a job to the terminal *state* together with its *summary*
+        or *error*, so no reader sees ``done`` without the summary or
+        ``failed`` without the error.  A terminal job keeps its state."""
+        if state not in TERMINAL_STATES:
+            raise ValueError(f"{state!r} is not a terminal job state")
         with self._lock:
-            return sorted(self.jobs.values(), key=lambda job: job.id)
+            job = self.jobs[claimed_id]
+            if job.state not in TERMINAL_STATES:
+                job.summary = summary
+                job.error = error
+                job.state = state
+            return job
+
+    def restore(self, job: Job) -> bool:
+        """Adopt a persisted *job* (``serve --resume``); an unfinished one
+        is requeued, past the quota it was admitted under, and True returned."""
+        with self._lock:
+            self.jobs[job.id] = job
+            if job.state not in ACTIVE_STATES:
+                return False
+            job.state = "queued"
+            self._push_locked(job)
+            return True
+
+    def status(self, claimed_id: str) -> Optional[Dict]:
+        """One job's :meth:`Job.to_dict` form, read under the lock."""
+        with self._lock:
+            job = self.jobs.get(claimed_id)
+            return None if job is None else job.to_dict()
+
+    def snapshot(self) -> List[Dict]:
+        """Every job's :meth:`Job.to_dict` form by id, read under the lock."""
+        with self._lock:
+            return [self.jobs[key].to_dict() for key in sorted(self.jobs)]
 
 
 def persist_job(jobs_dir: Path, job: Job) -> Path:

@@ -44,7 +44,6 @@ from repro.api.spec import (
     SpecError,
 )
 from repro.service.jobs import (
-    ACTIVE_STATES,
     Job,
     JobCancelled,
     JobQueue,
@@ -137,13 +136,10 @@ class CampaignService:
         requeueing it re-runs only the unfinished remainder.
         """
         for job in load_jobs(self.data_dir / "jobs"):
-            if job.state in ACTIVE_STATES:
-                job.state = "queued"
-                self.queue.submit(job)
+            # Unfinished jobs are requeued; finished ones stay visible
+            # (status/records endpoints).
+            if self.queue.restore(job):
                 self._persist(job)
-            else:
-                # Finished jobs stay visible (status/records endpoints).
-                self.queue.jobs[job.id] = job
 
     # ------------------------------------------------------------------
     # Submission / execution
@@ -199,8 +195,9 @@ class CampaignService:
                 self._persist(job)
                 self._execute(job)
             except Exception as error:  # noqa: BLE001 — one bad job never kills the runner
-                job.state = "failed"
-                job.error = f"{type(error).__name__}: {error}"
+                self.queue.finish(
+                    job.id, "failed", error=f"{type(error).__name__}: {error}"
+                )
 
     def _execute(self, job: Job) -> None:
         def progress(done: int, total: int, task) -> None:
@@ -213,22 +210,20 @@ class CampaignService:
             spec = self._localized_spec(job)
             result = Session(spec, progress=progress).run()
         except JobCancelled:
-            job.state = "cancelled"
+            self.queue.finish(job.id, "cancelled")
         except Exception as error:  # noqa: BLE001 — jobs never kill the service
-            job.state = "failed"
-            job.error = f"{type(error).__name__}: {error}"
+            self.queue.finish(
+                job.id, "failed", error=f"{type(error).__name__}: {error}"
+            )
         else:
             summary = result.summary()
-            # The summary lands before the state flips: a poller that
-            # sees "done" always sees its summary.
-            job.summary = {
+            self.queue.finish(job.id, "done", summary={
                 "record_count": result.record_count,
                 "executed": summary.get("executed", result.executed),
                 "resumed": result.resumed,
                 "failures": len(result.failures),
                 "elapsed": result.elapsed,
-            }
-            job.state = "done"
+            })
         self._persist(job)
 
     # ------------------------------------------------------------------
@@ -271,13 +266,13 @@ def _handler_for(service: CampaignService):
                 raise ValueError("request body must be a JSON object")
             return body
 
-        def _job_or_404(self, claimed_id: str) -> Optional[Job]:
-            job = service.queue.jobs.get(claimed_id)
-            if job is None:
+        def _status_or_404(self, claimed_id: str) -> Optional[Dict]:
+            status = service.queue.status(claimed_id)
+            if status is None:
                 self._send_json(
                     404, {"error": f"unknown campaign {claimed_id!r}"}
                 )
-            return job
+            return status
 
         # -- routes -----------------------------------------------------
         def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
@@ -289,14 +284,12 @@ def _handler_for(service: CampaignService):
                 })
                 return
             if parts == ["v1", "campaigns"]:
-                self._send_json(200, {"campaigns": [
-                    job.to_dict() for job in service.queue.snapshot()
-                ]})
+                self._send_json(200, {"campaigns": service.queue.snapshot()})
                 return
             if len(parts) == 3 and parts[:2] == ["v1", "campaigns"]:
-                job = self._job_or_404(parts[2])
-                if job is not None:
-                    self._send_json(200, job.to_dict())
+                status = self._status_or_404(parts[2])
+                if status is not None:
+                    self._send_json(200, status)
                 return
             if (
                 len(parts) == 4
@@ -317,11 +310,9 @@ def _handler_for(service: CampaignService):
                 and parts[:2] == ["v1", "campaigns"]
                 and parts[3] == "cancel"
             ):
-                job = self._job_or_404(parts[2])
-                if job is not None:
-                    job = service.queue.cancel(parts[2])
-                    service._persist(job)
-                    self._send_json(200, job.to_dict())
+                if self._status_or_404(parts[2]) is not None:
+                    service._persist(service.queue.cancel(parts[2]))
+                    self._send_json(200, service.queue.status(parts[2]))
                 return
             self._send_json(404, {"error": f"no route {self.path!r}"})
 
@@ -359,16 +350,16 @@ def _handler_for(service: CampaignService):
             self._send_json(202, job.to_dict())
 
         def _stream_records(self, claimed_id: str) -> None:
-            job = self._job_or_404(claimed_id)
-            if job is None:
+            status = self._status_or_404(claimed_id)
+            if status is None:
                 return
-            if job.state != "done":
+            if status["state"] != "done":
                 self._send_json(409, {
-                    "error": f"campaign {claimed_id} is {job.state}; "
+                    "error": f"campaign {claimed_id} is {status['state']}; "
                              "records stream once it is done",
                 })
                 return
-            paths = service.record_paths(job)
+            paths = service.record_paths(service.queue.jobs[claimed_id])
             total = sum(path.stat().st_size for path in paths)
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")

@@ -96,7 +96,8 @@ def execute_losing_a_worker(crawler, plan, **kwargs):
 class TestWireProtocol:
     @pytest.mark.parametrize("message", [
         WireHello(worker="w1", pid=42),
-        WireShared(blob="YWJj"),
+        WireShared(state={"world": [7, 0.02, 0], "context": {},
+                          "ublock_lists": None}),
         WireBundle(
             shard=3,
             tasks=((0, "DE", "a.example", "detect", 1),),
@@ -108,9 +109,11 @@ class TestWireProtocol:
             shard=3, pid=9, elapsed=0.25,
             outcomes=({"index": 0, "attempts": 1, "error": None,
                        "record": "{}"},),
-            retries=({"index": 0, "attempt": 1, "error": "Timeout"},),
-            breaker_events=({"domain": "a.example",
-                             "transition": "open"},),
+            notes=({"kind": "task-retry", "index": 0, "attempt": 1,
+                    "error": "Timeout"},
+                   {"kind": "breaker-open", "index": 0}),
+            breakers={"a.example": {"state": "open", "consecutive": 2,
+                                    "skipped": 0}},
         ),
     ], ids=lambda m: type(m).__name__)
     def test_round_trip(self, message):
@@ -136,10 +139,91 @@ class TestWireProtocol:
         (b'{"type": "heartbeat"}\n', "heartbeat"),
         (b'{"type": "bundle", "shard": 0, "tasks": [], "id_bases": [], '
          b'"kill_after": 1}\n', "unknown field"),
+        (b'{"type": "shared", "blob": "gASVAAAAAAAAAACMAS6ULg=="}\n',
+         "unknown field"),
+        (b'{"type": ["hello"], "worker": "w", "pid": 1}\n',
+         "unknown frame type"),
+        pytest.param(b"[" * 100000 + b"\n", "undecodable",
+                     id="deep-nesting"),
+        pytest.param(
+            b'{"type": "heartbeat", "shard": ' + b"9" * 5000 + b"}\n",
+            "undecodable", id="overlong-integer",
+        ),
     ])
     def test_malformed_frames_rejected(self, line, detail):
         with pytest.raises(WireProtocolError, match=detail):
             decode_message(line)
+
+    @pytest.mark.parametrize("tasks,id_bases,breakers", [
+        ([[1]], [], None),
+        ([[0, "DE", "a.example", "warp", 1]], [], None),
+        ([[0, "DE", "a.example", "detect", "1"]], [], None),
+        ([[True, "DE", "a.example", "detect", 1]], [], None),
+        (7, [], None),
+        ([[0, "DE", "a.example", "detect", 1]], [[0, "x"]], None),
+        ([[0, "DE", "a.example", "detect", 1]], {"0": 1}, None),
+        ([[0, "DE", "a.example", "detect", 1]], [],
+         {"b.example": {"state": "open", "consecutive": 1, "skipped": 0}}),
+        ([[0, "DE", "a.example", "detect", 1]], [], {"a.example": []}),
+    ])
+    def test_malformed_bundle_fields_rejected(self, tasks, id_bases,
+                                              breakers):
+        """The worker validates a bundle before the shard runner
+        unpacks it: a bad task tuple is a protocol error, never a
+        ``TypeError`` deep in the runner."""
+        line = json.dumps({
+            "type": "bundle", "shard": 0, "tasks": tasks,
+            "id_bases": id_bases, "breakers": breakers,
+        }).encode() + b"\n"
+        with pytest.raises(WireProtocolError):
+            decode_message(line).to_bundle()
+
+    @pytest.mark.parametrize("frames,detail", [
+        ([b'{"type": "bundle", "shard": 0, "tasks": [], "id_bases": []}'],
+         "shared state"),
+        ([b'{"type": "shared", "blob": "gASVAAAAAAAAAACMAS6ULg=="}'],
+         "unknown field"),
+        ([b'{"type": "shared", "state": {"world": [7, 0.02, 0]}}'],
+         "malformed worker state"),
+        (["STATE", b'{"type": "bundle", "shard": 0, "tasks": [[1]], '
+                   b'"id_bases": []}'], "a bundle carries"),
+    ], ids=["bundle-first", "pickle-blob", "bad-state", "bad-task"])
+    def test_worker_refuses_malformed_frames(
+        self, monkeypatch, small_crawler, small_world, frames, detail
+    ):
+        """``worker serve`` ends with a WireProtocolError — never a
+        TypeError or KeyError from deep in the runner — on a frame it
+        cannot trust."""
+        from repro.distributed import serve_worker
+        from repro.measure import engine as engine_mod
+
+        plan = small_crawler.plan_detection_crawl(["DE"], [])
+        state = CrawlEngine(small_crawler)._worker_state(plan)
+        monkeypatch.setitem(
+            engine_mod._WORLDS, tuple(state["world"]), small_world
+        )
+        monkeypatch.setattr(engine_mod, "_WORKER_SHARED", {})
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def coordinator():
+            conn, _ = listener.accept()
+            with conn:
+                assert isinstance(read_frame(conn.makefile("rb")), WireHello)
+                wfile = conn.makefile("wb")
+                for frame in frames:
+                    wfile.write(
+                        encode_message(WireShared(state=state))
+                        if frame == "STATE" else frame + b"\n"
+                    )
+                wfile.flush()
+                conn.recv(1)  # hold the socket open until the worker quits
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        with listener, pytest.raises(WireProtocolError, match=detail):
+            serve_worker(*listener.getsockname()[:2])
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_truncated_frame_rejected(self):
         with pytest.raises(WireProtocolError, match="truncated"):
@@ -165,6 +249,46 @@ class TestWireProtocol:
         wrong_shard = WireResult(shard=5, pid=1, elapsed=0.0, outcomes=())
         with pytest.raises(WireProtocolError, match="names shard"):
             wrong_shard.validate_against(bundle)
+
+    @pytest.mark.parametrize("field,value", [
+        ("notes", ({"kind": "task-retry", "index": 999, "attempt": 1,
+                      "error": "Timeout"},)),
+        ("notes", (7,)),
+        ("notes", ({"kind": "breaker-open", "index": 0, "attempt": 1,
+                      "error": "Timeout"},)),
+        ("notes", ({"kind": "task-retry", "index": 0, "attempt": "1",
+                      "error": "Timeout"},)),
+        ("notes", ({"kind": "task-retry", "index": [0], "attempt": 1,
+                      "error": "Timeout"},)),
+        ("notes", ({"kind": "breaker-open", "index": 5},)),
+        ("notes", ({"kind": "breaker-melt", "index": 0},)),
+        ("breakers", {"a.example": 3}),
+        ("breakers", [["a.example", {}]]),
+        ("pid", "1"),
+        ("elapsed", None),
+        ("outcomes", ({"index": 0, "attempts": -1, "error": None,
+                       "record": None},)),
+        ("outcomes", ({"index": 0, "attempts": 1, "error": 5,
+                       "record": None},)),
+        ("outcomes", ({"index": 0, "attempts": 1, "record": None},)),
+    ])
+    def test_result_fields_validated(self, field, value):
+        """Every field of a reply is checked against the bundle: a bad
+        note, count or snapshot is a protocol error at the boundary,
+        not an ``IndexError``/``TypeError`` in the absorbing run."""
+        bundle = WireBundle(
+            shard=0, tasks=((0, "DE", "a.example", "detect", 1),),
+            id_bases=((0, 1),),
+        )
+        reply = dict(
+            shard=0, pid=1, elapsed=0.0,
+            outcomes=({"index": 0, "attempts": 1, "error": None,
+                       "record": "{}"},),
+        )
+        WireResult(**reply).validate_against(bundle)
+        reply[field] = value
+        with pytest.raises(WireProtocolError):
+            WireResult(**reply).validate_against(bundle)
 
     def test_transport_errors_have_their_own_category(self):
         assert error_category("TransportError") == "transport"
@@ -363,9 +487,38 @@ class TestTransportDegradation:
         with pytest.raises(WorkerLostError, match="no live workers"):
             engine.execute(plan)
 
-    def test_unpicklable_shared_state_is_a_readable_error(self):
+    def test_out_of_plan_note_degrades_every_task(
+        self, tmp_path, small_crawler, small_world
+    ):
+        """A reply whose retry note names a task outside the bundle is a
+        protocol violation: the coordinator degrades the shard instead
+        of aborting the run on the unknown plan index."""
+        def reply(bundle):
+            return encode_message(WireResult(
+                shard=bundle.shard, pid=1, elapsed=0.0,
+                outcomes=tuple(
+                    {"index": index, "attempts": 1, "error": None,
+                     "record": None}
+                    for index, *_ in bundle.tasks
+                ),
+                notes=({"kind": "task-retry", "index": 999,
+                        "attempt": 1, "error": "TimeoutError"},),
+            ))
+
+        plan = small_crawler.plan_detection_crawl(
+            ["DE"], small_world.crawl_targets[:4]
+        )
+        result, out = run_with_fake_worker(
+            small_crawler, plan, reply, tmp_path
+        )
+        assert len(result) == len(plan)
+        assert [o.error for o in result.failures] == \
+            ["WireProtocolError"] * len(plan)
+        assert len(out.read_bytes().splitlines()) == len(plan)
+
+    def test_non_json_shared_state_is_a_readable_error(self):
         executor = DistributedExecutor(0)
-        with pytest.raises(TransportError, match="does not pickle"):
+        with pytest.raises(TransportError, match="not JSON data"):
             executor.run_bundles(
                 [{"shard": 0, "tasks": [], "id_bases": {}}],
                 lambda payload: None,

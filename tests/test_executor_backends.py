@@ -10,6 +10,7 @@ any one backend fails its own job; locally, with the variable unset,
 every backend runs in one pass.
 """
 
+import json
 import os
 from collections import Counter
 
@@ -279,6 +280,91 @@ class TestProcessBackendSpecifics:
         )
         with pytest.raises(ValueError, match="process backend"):
             engine.execute(plan)
+
+    def test_detector_subclass_refused(self, small_world):
+        """Workers rebuild the stock detectors from their constructor
+        arguments, so a subclass would silently lose its overrides in a
+        worker; it is refused up front instead."""
+        from repro.bannerclick import BannerClick
+
+        class TweakedBannerClick(BannerClick):
+            pass
+
+        crawler = Crawler(small_world, bannerclick=TweakedBannerClick())
+        plan = crawler.plan_detection_crawl(
+            ["DE"], small_world.crawl_targets[:2]
+        )
+        with pytest.raises(ValueError, match="use workers=1"):
+            make_engine("process", crawler).execute(plan)
+
+    def test_non_json_plan_context_refused(self, small_world,
+                                           small_crawler):
+        """Worker state crosses as JSON on every out-of-process
+        backend: a context JSON would silently change (a tuple becomes
+        a list) is refused before any worker starts."""
+        plan = small_crawler.plan_detection_crawl(
+            ["DE"], small_world.crawl_targets[:2]
+        )
+        plan.context["pair"] = (1, 2)
+        with pytest.raises(ValueError, match="not JSON data"):
+            make_engine("process", small_crawler).execute(plan)
+
+    def test_worker_state_rebuilds_equal_detectors(
+        self, monkeypatch, small_world
+    ):
+        """The JSON worker state rebuilds configured detectors and the
+        retry policy field for field, corpora order included."""
+        from repro.bannerclick import BannerClick
+        from repro.lang import CORPORA, LanguageDetector
+        from repro.measure import engine as engine_mod
+
+        corpora = {lang: CORPORA[lang] for lang in sorted(CORPORA)[::-1]}
+        detector = LanguageDetector(corpora, min_confidence=0.7)
+        crawler = Crawler(
+            small_world,
+            bannerclick=BannerClick(iframes=False),
+            language_detector=detector,
+        )
+        retry = RetryPolicy(max_attempts=5, breaker_threshold=2)
+        engine = CrawlEngine(crawler, retry=retry)
+        plan = crawler.plan_detection_crawl(["DE"], [])
+        state = json.loads(json.dumps(engine._worker_state(plan)))
+        monkeypatch.setitem(
+            engine_mod._WORLDS, tuple(state["world"]), small_world
+        )
+        monkeypatch.setattr(engine_mod, "_WORKER_SHARED", {})
+        engine_mod._init_worker_shared(state)
+        shared = engine_mod._WORKER_SHARED
+        assert shared["crawler"].world is small_world
+        assert shared["crawler"].bannerclick == BannerClick(iframes=False)
+        assert shared["retry"] == retry
+        rebuilt = shared["crawler"]._lang
+        assert rebuilt.min_confidence == 0.7
+        assert list(rebuilt.corpora) == list(corpora)
+        text = "Wir verwenden Cookies, um Ihnen das beste Erlebnis zu bieten"
+        assert rebuilt.scores(text) == detector.scores(text)
+
+    @pytest.mark.parametrize("edit", [
+        lambda state: state.pop("retry"),
+        lambda state: state.update(retry={"retry_on": ["NetworkError"]}),
+        lambda state: state.update(bannerclick={"iframes": "no"}),
+        lambda state: state.update(bannerclick={"pierce_all": True}),
+        lambda state: state.update(world=[7, "0.02", 0]),
+        lambda state: state.update(ublock_lists="||ads.example^"),
+        lambda state: state["language_detector"].update(corpora={"en": []}),
+        lambda state: state.update(context=[]),
+    ])
+    def test_malformed_worker_state_rejected(self, small_crawler, edit):
+        from repro.errors import WireProtocolError
+        from repro.measure import engine as engine_mod
+
+        plan = small_crawler.plan_detection_crawl(["DE"], [])
+        state = json.loads(json.dumps(
+            CrawlEngine(small_crawler)._worker_state(plan)
+        ))
+        edit(state)
+        with pytest.raises(WireProtocolError, match="malformed worker state"):
+            engine_mod._init_worker_shared(state)
 
     def test_hand_tuned_world_config_refused(self):
         """A spawn-started worker rebuilds from (seed, scale) alone, so

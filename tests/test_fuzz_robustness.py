@@ -6,11 +6,20 @@ produce errors or degraded output — never exceptions other than the
 library's own.
 """
 
-from hypothesis import given, settings
+import dataclasses
+import json
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.consent.tcf import decode_tc_string
-from repro.errors import ParseError, ReproError
+from repro.distributed.wire import (
+    MESSAGE_TYPES,
+    WireBundle,
+    WireResult,
+    decode_message,
+)
+from repro.errors import ParseError, ReproError, WireProtocolError
 from repro.httpkit import parse_cookie_header
 from repro.pricing import extract_price
 from repro.soup import parse_document
@@ -125,3 +134,55 @@ class TestDetectorRobustness:
         page = browser.visit("fuzz.de")
         detection = BannerClick().detect(page)
         assert detection.found in (True, False)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=24,
+)
+_field_names = sorted({
+    field.name
+    for cls in MESSAGE_TYPES.values()
+    for field in dataclasses.fields(cls)
+} | {"blob", "kind", "index"})
+#: Arbitrary bytes, nesting deeper than the parser's stack, and frames
+#: that look like messages (a known or arbitrary ``type``, real field
+#: names, arbitrary JSON values).
+_frame_lines = st.one_of(
+    st.binary(max_size=200),
+    st.integers(min_value=1, max_value=200_000).map(lambda n: b"[" * n),
+    st.integers(min_value=1, max_value=50_000).map(lambda n: b'{"a": ' * n),
+    st.builds(
+        lambda tag, body: json.dumps({**body, "type": tag}).encode(),
+        st.sampled_from(sorted(MESSAGE_TYPES)) | _json_values,
+        st.dictionaries(st.sampled_from(_field_names), _json_values,
+                        max_size=7),
+    ),
+).map(lambda line: line + b"\n")
+_BUNDLE = WireBundle(
+    shard=0, tasks=((0, "DE", "a.example", "detect", 1),),
+    id_bases=((0, 1),),
+)
+
+
+class TestWireRobustness:
+    @given(line=_frame_lines)
+    @example(line=b"[" * 100_000 + b"\n")
+    @settings(max_examples=300, deadline=None)
+    def test_frame_decoder_total(self, line):
+        """A frame line from any peer decodes to a message or raises
+        WireProtocolError — and so do the worker's and coordinator's
+        next steps on a decoded bundle or result."""
+        try:
+            message = decode_message(line)
+            assert type(message) in MESSAGE_TYPES.values()
+            if isinstance(message, WireBundle):
+                message.to_bundle()
+            elif isinstance(message, WireResult):
+                message.validate_against(_BUNDLE)
+                message.to_payload()
+        except WireProtocolError:
+            pass

@@ -4,8 +4,8 @@ baseline machinery, the CLI surface, and the repo self-lint gate.
 The fixture corpus under ``tests/fixtures/reprolint/`` is the
 executable specification: every rule has at least one ``bad_*`` file it
 must flag (including the seeded regressions the issue names — a
-``hash()``-derived seed, a ``load_records`` import in ``analysis/``, a
-lambda in a shard bundle, an unlocked shared mutation) and one
+``hash()``-derived seed, a ``load_records`` import in ``analysis/``, an
+unlocked shared mutation, a ``pickle`` import) and one
 ``good_*`` near-miss it must not.
 """
 
@@ -26,7 +26,6 @@ from tools.reprolint.core import (
 )
 from tools.reprolint.cli import DEFAULT_PATHS, main
 from tools.reprolint.rules import all_rules, rules_by_name
-from tools.reprolint.rules.pickle_safety import BundlePickleSafetyRule
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "reprolint"
 REPO = Path(__file__).resolve().parent.parent
@@ -36,36 +35,20 @@ META_RULES = {"bad-pragma", "unused-suppression"}
 
 
 def load_fixture(path: Path):
-    """Parse a fixture's ``lint-as`` / ``expect`` / ``pickle-roots`` header."""
+    """Parse a fixture's ``lint-as`` / ``expect`` header."""
     text = path.read_text(encoding="utf-8")
     lint_as = re.search(r"^# lint-as:\s*(\S+)", text, re.MULTILINE)
     expect = re.search(r"^# expect:\s*(.+)$", text, re.MULTILINE)
-    roots = re.search(r"^# pickle-roots:\s*(.+)$", text, re.MULTILINE)
     assert lint_as and expect, f"{path.name}: missing lint-as/expect header"
     expected = set(expect.group(1).split())
     if expected == {"clean"}:
         expected = set()
-    return (
-        SourceFile(text, rel=lint_as.group(1)),
-        expected,
-        roots.group(1).split() if roots else None,
-    )
+    return SourceFile(text, rel=lint_as.group(1)), expected
 
 
 def lint_fixture(path: Path):
-    src, expected, pickle_roots = load_fixture(path)
-    rules = all_rules()
-    if pickle_roots is not None:
-        rules = [
-            rule
-            for rule in rules
-            if not isinstance(rule, BundlePickleSafetyRule)
-        ] + [
-            BundlePickleSafetyRule(
-                roots=tuple((src.rel, name) for name in pickle_roots)
-            )
-        ]
-    return src, expected, lint_sources([src], rules)
+    src, expected = load_fixture(path)
+    return src, expected, lint_sources([src], all_rules())
 
 
 def fixture_files():
@@ -94,7 +77,7 @@ def test_every_rule_has_bad_and_good_fixtures():
     flagged_by_bad = set()
     exercised_by_good = set()
     for path in fixture_files():
-        _, expected, _ = load_fixture(path)
+        _, expected = load_fixture(path)
         if path.name.startswith("bad_"):
             flagged_by_bad |= expected
         else:
@@ -132,20 +115,11 @@ def test_load_records_import_in_analysis_fails():
     assert any(f.rule == "materialized-records" for f in findings)
 
 
-def test_lambda_in_shard_bundle_fails():
-    text = (
-        "from dataclasses import dataclass\n"
-        "from typing import Callable\n"
-        "@dataclass\n"
-        "class CrawlTask:\n"
-        "    progress: Callable = lambda done: None\n"
-    )
-    src = SourceFile(text, rel="src/repro/measure/engine.py")
-    rule = BundlePickleSafetyRule(
-        roots=(("src/repro/measure/engine.py", "CrawlTask"),)
-    )
-    findings = lint_sources([src], [rule])
-    assert [f.rule for f in findings] == ["bundle-pickle-safety"]
+def test_pickle_import_fails_only_under_src():
+    text = "import pickle\n"
+    findings = _lint_snippet(text, rel="src/repro/distributed/worker.py")
+    assert [f.rule for f in findings] == ["no-pickle"]
+    assert _lint_snippet(text, rel="tests/test_wire.py") == []
 
 
 def test_unlocked_shared_mutation_fails():
@@ -298,8 +272,8 @@ def test_cli_list_rules_and_explain(capsys):
     listed = capsys.readouterr().out
     for name in rules_by_name():
         assert name in listed
-    assert main(["--explain", "bundle-pickle-safety"]) == 0
-    assert "shard bundle" in capsys.readouterr().out
+    assert main(["--explain", "no-pickle"]) == 0
+    assert "trust boundary" in capsys.readouterr().out
     assert main(["--explain", "no-such-rule"]) == 2
 
 

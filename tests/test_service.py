@@ -83,7 +83,7 @@ class TestJobQueue:
         queue.submit(self.job(3, tenant="other"))
         # Finishing a job frees the slot.
         done = queue.next_job(timeout=0.01)
-        done.state = "done"
+        queue.finish(done.id, "done", summary={})
         queue.submit(self.job(4))
 
     def test_submit_is_idempotent_for_known_ids(self):
@@ -98,6 +98,75 @@ class TestJobQueue:
         assert queue.cancel(doomed.id).state == "cancelled"
         assert queue.next_job(timeout=0.01) is survivor
         assert queue.next_job(timeout=0.01) is None
+
+    def test_finish_never_leaves_a_terminal_state(self):
+        queue = JobQueue(quota=10)
+        job = queue.submit(self.job(1))
+        queue.next_job(timeout=0.01)
+        queue.finish(job.id, "done", summary={"record_count": 3})
+        queue.finish(job.id, "failed", error="RuntimeError: late")
+        assert queue.status(job.id)["state"] == "done"
+        assert queue.status(job.id)["summary"] == {"record_count": 3}
+        assert queue.status(job.id)["error"] is None
+        cancelled = queue.submit(self.job(2))
+        queue.cancel(cancelled.id)
+        queue.finish(cancelled.id, "done", summary={})
+        assert queue.status(cancelled.id)["state"] == "cancelled"
+        with pytest.raises(ValueError, match="terminal"):
+            queue.finish(job.id, "running")
+
+    def test_failed_job_is_never_seen_without_its_error(self):
+        """Pollers race the runner finishing jobs: every ``failed``
+        status carries its error and every ``done`` one its summary."""
+        queue = JobQueue(quota=200)
+        ids = [queue.submit(self.job(seed)).id for seed in range(60)]
+        stop = threading.Event()
+        torn = []
+
+        def poll():
+            while not stop.is_set():
+                for status in queue.snapshot():
+                    if (status["state"] == "failed" and not status["error"]
+                            or status["state"] == "done"
+                            and status["summary"] is None):
+                        torn.append(status["id"])
+
+        pollers = [threading.Thread(target=poll) for _ in range(3)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            for poller in pollers:
+                poller.start()
+            for n, claimed_id in enumerate(ids):
+                queue.next_job(timeout=0.01)
+                if n % 2:
+                    queue.finish(claimed_id, "failed", error="RuntimeError: x")
+                else:
+                    queue.finish(claimed_id, "done", summary={"n": n})
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch_interval)
+        for poller in pollers:
+            poller.join(timeout=10)
+            assert not poller.is_alive()
+        assert torn == []
+
+    def test_restore_requeues_only_unfinished_jobs(self):
+        queue = JobQueue(quota=1)
+        running = self.job(1)
+        running.state = "running"
+        finished = self.job(2)
+        finished.state = "done"
+        also_running = self.job(3)
+        also_running.state = "running"
+        assert queue.restore(running) is True
+        assert queue.restore(finished) is False
+        # Admitted before the restart: the quota does not refuse it.
+        assert queue.restore(also_running) is True
+        claimed = {queue.next_job(timeout=0.01).id for _ in range(2)}
+        assert claimed == {running.id, also_running.id}
+        assert queue.next_job(timeout=0.01) is None
+        assert queue.status(finished.id)["state"] == "done"
 
     def test_concurrent_persists_of_one_job_never_collide(self, tmp_path):
         """The HTTP submit thread and the runner thread both persist the

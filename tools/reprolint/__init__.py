@@ -15,11 +15,12 @@ lint time instead of after an expensive crawl matrix:
   layer and the merge/reconcile paths stay single-pass; no
   ``load_records`` / ``list(iter_records(...))`` / ``.readlines()`` /
   whole-file ``json.load``.
-- **pickle-safety** (``bundle-pickle-safety``): every type reachable
-  from the process-executor shard bundle stays free of lambdas, local
-  functions/classes, locks, and open file handles.
 - **locking discipline** (``unlocked-mutation``): state mutated under a
   lock somewhere must be mutated under that lock everywhere.
+- **robustness** (``broad-except``): worker-path handlers never swallow
+  a fault without a trace.
+- **trust boundaries** (``no-pickle``): ``src/`` imports no
+  object-serialisation module; what crosses a boundary is JSON data.
 
 Run ``python -m tools.reprolint --list-rules`` for the registry and
 ``--explain RULE`` for the full rationale of one rule.

@@ -28,8 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.reprolint",
         description=(
             "Repo-specific static analysis enforcing the reproducibility "
-            "contract: determinism, streaming discipline, pickle-safety, "
-            "and locking discipline."
+            "contract: determinism, streaming discipline, locking "
+            "discipline, robustness, and trust boundaries."
         ),
     )
     parser.add_argument(

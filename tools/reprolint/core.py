@@ -143,21 +143,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule needing the whole file set (cross-module type walks)."""
-
-    def applies_to(self, rel: str) -> bool:
-        return False
-
-    def check(self, src: SourceFile) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, sources: Sequence[SourceFile]
-    ) -> Iterator[Finding]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 class BaselineError(ValueError):
     """The baseline file is malformed or an entry lacks a justification."""
 
@@ -284,12 +269,9 @@ def lint_sources(
     """
     raw: List[Finding] = []
     for rule in rules:
-        if isinstance(rule, ProjectRule):
-            raw.extend(rule.check_project(sources))
-        else:
-            for src in sources:
-                if rule.applies_to(src.rel):
-                    raw.extend(rule.check(src))
+        for src in sources:
+            if rule.applies_to(src.rel):
+                raw.extend(rule.check(src))
 
     by_rel: Dict[str, SourceFile] = {src.rel: src for src in sources}
     kept: List[Finding] = []

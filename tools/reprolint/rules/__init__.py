@@ -9,9 +9,9 @@ from tools.reprolint.rules.determinism import (
     UnseededEntropyRule,
 )
 from tools.reprolint.rules.locking import UnlockedMutationRule
-from tools.reprolint.rules.pickle_safety import BundlePickleSafetyRule
 from tools.reprolint.rules.robustness import BroadExceptRule
 from tools.reprolint.rules.streaming import MaterializedRecordsRule
+from tools.reprolint.rules.trust import NoPickleRule
 
 
 def all_rules() -> List[Rule]:
@@ -21,9 +21,9 @@ def all_rules() -> List[Rule]:
         UnseededEntropyRule(),
         SetIterationRule(),
         MaterializedRecordsRule(),
-        BundlePickleSafetyRule(),
         UnlockedMutationRule(),
         BroadExceptRule(),
+        NoPickleRule(),
     ]
 
 
