@@ -36,7 +36,7 @@ def test_ublock_bypass(benchmark, bench_world, bench_context, warm_crawl):
     """uBlock with Annoyances: ~70% of walls suppressed, 2 broken."""
 
     def produce():
-        return bench_context.ublock_records()
+        return list(bench_context.iter_ublock_records())
 
     records = run_once(benchmark, produce)
     suppressed = [r for r in records if r.suppressed]

@@ -20,9 +20,9 @@ def test_fig1_categories(benchmark, bench_world, bench_context, warm_crawl):
     assert top_share > 0.2
 
 
-def test_fig2_price_distribution(benchmark, bench_context, warm_crawl):
+def test_fig2_price_distribution(benchmark, verified_walls_de):
     def produce():
-        return compute_fig2(bench_context.verified_wall_records_de())
+        return compute_fig2(verified_walls_de)
 
     figure = run_once(benchmark, produce)
     write_artifact("fig2", figure.render())
@@ -33,8 +33,8 @@ def test_fig2_price_distribution(benchmark, bench_context, warm_crawl):
     assert figure.fraction_at_most(4.0) >= 0.8   # paper: ~90% <= 4 EUR
 
 
-def test_fig3_category_vs_price(benchmark, bench_world, bench_context, warm_crawl):
-    figure2 = compute_fig2(bench_context.verified_wall_records_de())
+def test_fig3_category_vs_price(benchmark, bench_world, verified_walls_de):
+    figure2 = compute_fig2(verified_walls_de)
 
     def produce():
         return compute_fig3(figure2, bench_world.category_db)

@@ -10,8 +10,8 @@ def test_fig4_cookie_comparison(benchmark, bench_context, warm_crawl):
 
     def produce():
         return compute_fig4(
-            bench_context.regular_measurements(),
-            bench_context.wall_measurements(),
+            list(bench_context.iter_regular_measurements()),
+            list(bench_context.iter_wall_measurements()),
         )
 
     comparison = run_once(benchmark, produce)
@@ -31,8 +31,8 @@ def test_fig5_contentpass(benchmark, bench_context, warm_crawl):
 
     def produce():
         return compute_fig5(
-            bench_context.contentpass_accept(),
-            bench_context.contentpass_subscription(),
+            list(bench_context.iter_contentpass_accept()),
+            list(bench_context.iter_contentpass_subscription()),
         )
 
     comparison = run_once(benchmark, produce)
@@ -49,11 +49,11 @@ def test_fig5_contentpass(benchmark, bench_context, warm_crawl):
     assert comparison.max_tracking("a") > 25       # paper: some >100
 
 
-def test_fig6_tracking_vs_price(benchmark, bench_context, warm_crawl):
-    figure2 = compute_fig2(bench_context.verified_wall_records_de())
+def test_fig6_tracking_vs_price(benchmark, bench_context, verified_walls_de):
+    figure2 = compute_fig2(verified_walls_de)
 
     def produce():
-        return compute_fig6(bench_context.wall_measurements(), figure2)
+        return compute_fig6(list(bench_context.iter_wall_measurements()), figure2)
 
     figure = run_once(benchmark, produce)
     write_artifact("fig6", figure.render())

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentContext
-from repro.measure.crawl import Crawler
+from repro.measure.crawl import Crawler, CrawlResult
 from repro.webgen import build_world
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -39,7 +39,14 @@ def bench_context(bench_world):
 @pytest.fixture(scope="session")
 def warm_crawl(bench_context):
     """The 8-VP detection crawl, computed once for the whole session."""
-    return bench_context.detection_crawl()
+    return CrawlResult(records=bench_context.detection_result().records)
+
+
+@pytest.fixture(scope="session")
+def verified_walls_de(bench_context, warm_crawl):
+    """DE cookiewall records of the verified walls (Figure 2's input)."""
+    verified = set(bench_context.verified_wall_domains())
+    return [r for r in warm_crawl.cookiewalls("DE") if r.domain in verified]
 
 
 def write_artifact(name: str, text: str) -> None:

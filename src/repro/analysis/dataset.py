@@ -17,23 +17,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Union
 
+from repro.measure.crawl import cookiewall_domains
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 from repro.measure.storage import iter_records, save_records
 from repro.webgen.crux import export_all, import_toplist
 from repro.webgen.world import World
 
 _MANIFEST = "manifest.json"
-
-
-def _streamed_cookiewall_domains(records: Iterable[VisitRecord]) -> List[str]:
-    """Unique cookiewall domains in first-seen order (one pass)."""
-    seen = set()
-    out: List[str] = []
-    for record in records:
-        if record.is_cookiewall and record.domain not in seen:
-            seen.add(record.domain)
-            out.append(record.domain)
-    return out
 
 
 @dataclass
@@ -48,7 +38,7 @@ class Dataset:
     tracking_domains: List[str] = field(default_factory=list)
 
     def cookiewall_domains(self) -> List[str]:
-        return _streamed_cookiewall_domains(self.visit_records)
+        return cookiewall_domains(self.visit_records)
 
 
 class DatasetStream:
@@ -79,7 +69,7 @@ class DatasetStream:
         return iter_records(self.directory / "ublock.jsonl")
 
     def cookiewall_domains(self) -> List[str]:
-        return _streamed_cookiewall_domains(self.iter_visit_records())
+        return cookiewall_domains(self.iter_visit_records())
 
 
 def export_dataset(

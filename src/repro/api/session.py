@@ -41,7 +41,7 @@ from repro.api.spec import (
     SpecError,
     WorldSpec,
 )
-from repro.measure.crawl import Crawler, CrawlResult
+from repro.measure.crawl import Crawler, CrawlResult, cookiewall_domains
 from repro.measure.engine import CrawlEngine, CrawlPlan, EngineResult, RetryPolicy
 from repro.measure.instrumentation import EventLog
 from repro.measure.longitudinal import (
@@ -419,9 +419,7 @@ class Session:
                 if finder_engine != self.engine_spec else self
             )
             detection = finder.crawl(CrawlSpec(vps=(spec.vp,)))
-            domains = CrawlResult(
-                records=detection.records
-            ).cookiewall_domains()
+            domains = cookiewall_domains(detection.iter_records())
         if spec.mode == "ublock":
             plan = self.crawler.plan_ublock(
                 spec.vp, domains, iterations=spec.repeats

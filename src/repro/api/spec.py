@@ -30,7 +30,9 @@ True
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, Mapping, MutableMapping, Optional, Tuple, Union
@@ -147,7 +149,30 @@ def _tuple_or_none(value) -> Optional[tuple]:
     return tuple(value)
 
 
+#: Scalar field annotation -> the value types a config may give it.
+_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_fields(cls) -> Dict[str, Tuple[type, bool]]:
+    """``{field: (scalar type, optional)}`` for the ``int``/``float``/
+    ``bool``/``str`` fields of *cls* and the ``Optional`` ones of these."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        args = typing.get_args(hint)
+        optional = typing.get_origin(hint) is Union and type(None) in args
+        if optional and len(args) == 2:
+            hint = next(arg for arg in args if arg is not type(None))
+        if hint in _SCALARS:
+            out[f.name] = (hint, optional)
+    return out
+
+
 def _check_fields(cls, data: Mapping, where: str) -> None:
+    """Refuse unknown keys and scalar values of the wrong type (``bool``
+    is not an ``int`` here), naming the offending ``section.field``."""
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -155,6 +180,17 @@ def _check_fields(cls, data: Mapping, where: str) -> None:
             f"{where}: unknown key(s) {', '.join(unknown)} "
             f"(known: {', '.join(sorted(known))})"
         )
+    for name, (kind, optional) in _scalar_fields(cls).items():
+        if name not in data or (data[name] is None and optional):
+            continue
+        value = data[name]
+        if not isinstance(value, _SCALARS[kind]) or (
+            isinstance(value, bool) and kind is not bool
+        ):
+            raise SpecError(
+                f"{where}.{name}: expected {kind.__name__}"
+                f"{' or null' if optional else ''}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -606,6 +606,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "worker":
         from repro.distributed import serve_worker
+        from repro.errors import WireProtocolError
 
         host, _, port = args.connect.rpartition(":")
         if not host or not port.isdigit():
@@ -614,11 +615,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        served = serve_worker(
-            host, int(port),
-            worker_id=args.worker_id,
-            heartbeat_interval=args.heartbeat,
-        )
+        try:
+            served = serve_worker(
+                host, int(port),
+                worker_id=args.worker_id,
+                heartbeat_interval=args.heartbeat,
+            )
+        except (WireProtocolError, OSError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         print(f"served {served} shard(s)")
         return 0
 

@@ -16,47 +16,33 @@ across reruns and parallel configurations) but differ from the serial
 baseline's, because the world keys ad rotation and cookie-count jitter
 on visit ids.  Detection-crawl products are identical in both regimes.
 
-Analysis mode: with ``streaming=True`` (the default) every paper
-artefact is aggregated in a single pass over the run's record stream
-(:class:`~repro.analysis.streaming.StreamingCrawlAnalysis` /
-:class:`~repro.analysis.streaming.StreamingCookieComparison`) — when
+Every paper artefact is aggregated in a single pass over the run's
+record stream (:class:`~repro.analysis.streaming.StreamingCrawlAnalysis`
+/ :class:`~repro.analysis.streaming.StreamingCookieComparison`) — when
 the context also has a ``spool_dir``, records stream straight from the
 JSONL spools and analysis memory stays bounded by the result size,
-independent of world scale.  ``streaming=False`` selects the retained
-list-based oracle path (materialised :class:`CrawlResult` +
-``compute_*`` functions); both modes produce byte-identical artefacts,
-which CI checks differentially.
+independent of world scale.  The list-based ``compute_*`` functions
+remain the reference implementations; the differential tests run every
+experiment over them too and require byte-identical artefacts.
 """
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.analysis.figures import (
-    CookieComparison,
-    Figure1,
-    Figure2,
-    Figure3,
-    Figure6,
-    compute_fig1,
-    compute_fig2,
-    compute_fig3,
-    compute_fig4,
-    compute_fig5,
-    compute_fig6,
-)
-from repro.analysis.report import LandscapeReport, compute_landscape
+from repro.analysis.figures import Figure1, Figure2, Figure3, Figure6
+from repro.analysis.report import LandscapeReport
 from repro.analysis.streaming import (
     StreamingCookieComparison,
     StreamingCrawlAnalysis,
     streaming_fig4,
     streaming_fig5,
 )
-from repro.analysis.tables import Table1, compute_table1
+from repro.analysis.tables import Table1
 from repro.api import EngineSpec, RunResult, Session
-from repro.measure.crawl import Crawler, CrawlResult
+from repro.measure.crawl import Crawler
 from repro.measure.engine import CrawlPlan
 from repro.measure.instrumentation import EventLog
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
@@ -83,7 +69,6 @@ class ExperimentContext:
         event_log: Optional[EventLog] = None,
         spool_dir: Union[str, Path, None] = None,
         resume: bool = False,
-        streaming: bool = True,
     ) -> None:
         self.world = world
         self.crawler = crawler or Crawler(world)
@@ -102,8 +87,6 @@ class ExperimentContext:
         if resume and self.spool_dir is None:
             raise ValueError("resume=True requires a spool_dir")
         self.resume = resume
-        #: Single-pass (streaming) analysis vs the list-based oracle.
-        self.streaming = streaming
         #: All engine wiring (spool/checkpoint paths, retry, events,
         #: progress) is owned by one Session, shared by every cached
         #: product — the same path the CLI and library entry points use.
@@ -114,37 +97,30 @@ class ExperimentContext:
             event_log=event_log,
             spool_dir=self.spool_dir,
         )
-        self._detection_result: Optional[RunResult] = None
-        self._detection_crawl: Optional[CrawlResult] = None
+        #: Finished runs by product name, which also names the spool.
+        self._products: Dict[str, RunResult] = {}
         self._detection_analysis: Optional[StreamingCrawlAnalysis] = None
-        self._wall_measurements: Optional[RunResult] = None
-        self._regular_measurements: Optional[RunResult] = None
-        self._cp_accept: Optional[RunResult] = None
-        self._cp_subscription: Optional[RunResult] = None
-        self._ublock: Optional[RunResult] = None
         self._account_ready = False
 
-    def _run(self, plan: CrawlPlan, name: Optional[str] = None) -> RunResult:
-        """Run *plan* through the context's :class:`Session`.
-
-        *name* keys the product's spool/checkpoint files when the
-        context was built with a ``spool_dir``; the session derives
-        ``<spool_dir>/<name>.jsonl`` (+ ``.checkpoint``) exactly as
-        every other entry point does.  The :class:`RunResult` is kept
-        rather than a materialised list so spool-backed products can
-        be re-streamed on demand.
+    def _product(self, name: str, plan: Callable[[], CrawlPlan]) -> RunResult:
+        """The run of product *name*; ``plan()`` is built and executed
+        on the first call only.  The :class:`RunResult` is kept rather
+        than a materialised list so spool-backed products can be
+        re-streamed on demand.
         """
-        return self.session.execute(plan, name=name)
+        if name not in self._products:
+            self._products[name] = self.session.execute(plan(), name=name)
+        return self._products[name]
 
     # ------------------------------------------------------------------
     # Detection crawl products
     # ------------------------------------------------------------------
     def detection_result(self) -> RunResult:
         """The detection crawl's :class:`RunResult` (records lazy)."""
-        if self._detection_result is None:
-            plan = self.crawler.plan_detection_crawl(self.vps)
-            self._detection_result = self._run(plan, name="detection_crawl")
-        return self._detection_result
+        return self._product(
+            "detection_crawl",
+            lambda: self.crawler.plan_detection_crawl(self.vps),
+        )
 
     def detection_analysis(self) -> StreamingCrawlAnalysis:
         """One-pass aggregation of the detection stream (cached)."""
@@ -154,14 +130,6 @@ class ExperimentContext:
             ).consume(self.detection_result().iter_records())
         return self._detection_analysis
 
-    def detection_crawl(self) -> CrawlResult:
-        """The materialised crawl (the list-based oracle's input)."""
-        if self._detection_crawl is None:
-            self._detection_crawl = CrawlResult(
-                records=self.detection_result().records
-            )
-        return self._detection_crawl
-
     def iter_detection_records(
         self, vp: Optional[str] = None
     ) -> Iterator[VisitRecord]:
@@ -170,14 +138,9 @@ class ExperimentContext:
             if vp is None or record.vp == vp:
                 yield record
 
-    def wall_records_de(self) -> List[VisitRecord]:
-        return self.detection_crawl().cookiewalls("DE")
-
     def detected_wall_domains(self) -> List[str]:
         """Unique domains flagged as cookiewalls from any VP."""
-        if self.streaming:
-            return self.detection_analysis().detected_wall_domains()
-        return self.detection_crawl().cookiewall_domains()
+        return self.detection_analysis().detected_wall_domains()
 
     def verified_wall_domains(self) -> List[str]:
         """Detections surviving the paper's manual verification step.
@@ -186,124 +149,70 @@ class ExperimentContext:
         false positives (§3).  The generator's ground truth plays the
         human verifier here.
         """
-        if self.streaming:
-            return self.detection_analysis().verified_wall_domains()
-        return [
-            d for d in self.detected_wall_domains()
-            if d in self.world.wall_domains
-        ]
-
-    def verified_wall_records_de(self) -> List[VisitRecord]:
-        verified = set(self.verified_wall_domains())
-        return [r for r in self.wall_records_de() if r.domain in verified]
+        return self.detection_analysis().verified_wall_domains()
 
     # ------------------------------------------------------------------
-    # Analysis products (streaming by default, list oracle otherwise)
+    # Analysis products
     # ------------------------------------------------------------------
     def table1(self) -> Table1:
-        if self.streaming:
-            return self.detection_analysis().table1()
-        return compute_table1(self.world, self.detection_crawl())
+        return self.detection_analysis().table1()
 
     def landscape(self) -> LandscapeReport:
-        if self.streaming:
-            return self.detection_analysis().landscape()
-        return compute_landscape(self.world, self.detection_crawl())
+        return self.detection_analysis().landscape()
 
     def figure1(self) -> Figure1:
-        if self.streaming:
-            return self.detection_analysis().figure1()
-        return compute_fig1(
-            self.verified_wall_domains(), self.world.category_db
-        )
+        return self.detection_analysis().figure1()
 
     def figure2(self) -> Figure2:
-        if self.streaming:
-            return self.detection_analysis().figure2()
-        return compute_fig2(self.verified_wall_records_de())
+        return self.detection_analysis().figure2()
 
     def figure3(self) -> Figure3:
-        if self.streaming:
-            return self.detection_analysis().figure3()
-        return compute_fig3(self.figure2(), self.world.category_db)
+        return self.detection_analysis().figure3()
 
-    def comparison_fig4(self):
-        """Figure 4 comparison (streaming sketches or list oracle)."""
-        if self.streaming:
-            return (
-                streaming_fig4()
-                .consume("a", self.iter_regular_measurements())
-                .consume("b", self.iter_wall_measurements())
-            )
-        return compute_fig4(
-            self.regular_measurements(), self.wall_measurements()
+    def comparison_fig4(self) -> StreamingCookieComparison:
+        """Figure 4: regular-banner (a) vs cookiewall (b) cookies."""
+        return (
+            streaming_fig4()
+            .consume("a", self.iter_regular_measurements())
+            .consume("b", self.iter_wall_measurements())
         )
 
-    def comparison_fig5(self):
-        """Figure 5 comparison (streaming sketches or list oracle)."""
-        if self.streaming:
-            return (
-                streaming_fig5()
-                .consume("a", self.iter_contentpass_accept())
-                .consume("b", self.iter_contentpass_subscription())
-            )
-        return compute_fig5(
-            self.contentpass_accept(), self.contentpass_subscription()
+    def comparison_fig5(self) -> StreamingCookieComparison:
+        """Figure 5: contentpass accept (a) vs subscription (b)."""
+        return (
+            streaming_fig5()
+            .consume("a", self.iter_contentpass_accept())
+            .consume("b", self.iter_contentpass_subscription())
         )
 
     def figure6(self) -> Figure6:
-        if self.streaming:
-            return self.detection_analysis().figure6(
-                self.iter_wall_measurements()
-            )
-        return compute_fig6(self.wall_measurements(), self.figure2())
+        return self.detection_analysis().figure6(self.iter_wall_measurements())
 
     # ------------------------------------------------------------------
     # Cookie measurements (§4.3)
     # ------------------------------------------------------------------
-    def _wall_measurement_result(self) -> RunResult:
-        if self._wall_measurements is None:
-            self._wall_measurements = self._run(
-                self.crawler.plan_cookie_measurements(
-                    "DE", self.verified_wall_domains(),
-                    mode="accept", repeats=self.repeats,
-                ),
-                name="wall_measurements",
-            )
-        return self._wall_measurements
-
-    def wall_measurements(self) -> List[CookieMeasurement]:
-        return self._wall_measurement_result().records
-
     def iter_wall_measurements(self) -> Iterator[CookieMeasurement]:
-        return self._wall_measurement_result().iter_records()
+        return self._product(
+            "wall_measurements",
+            lambda: self.crawler.plan_cookie_measurements(
+                "DE", self.verified_wall_domains(),
+                mode="accept", repeats=self.repeats,
+            ),
+        ).iter_records()
 
-    def _regular_banner_pool(self) -> List[str]:
-        """DE regular-banner domains, in record order (sampling pool)."""
-        if self.streaming:
-            return self.detection_analysis().regular_banner_domains_de()
-        return self.detection_crawl().regular_banner_domains("DE")
-
-    def _regular_measurement_result(self) -> RunResult:
-        if self._regular_measurements is None:
-            pool = self._regular_banner_pool()
-            rng = random.Random(self.sample_seed)
-            count = min(len(self.verified_wall_domains()), len(pool))
-            sample = rng.sample(pool, count)
-            self._regular_measurements = self._run(
-                self.crawler.plan_cookie_measurements(
-                    "DE", sample, mode="accept", repeats=self.repeats,
-                ),
-                name="regular_measurements",
-            )
-        return self._regular_measurements
-
-    def regular_measurements(self) -> List[CookieMeasurement]:
+    def _plan_regular_measurements(self) -> CrawlPlan:
         """Random regular-banner sites, one per verified wall (§4.3)."""
-        return self._regular_measurement_result().records
+        pool = self.detection_analysis().regular_banner_domains_de()
+        rng = random.Random(self.sample_seed)
+        count = min(len(self.verified_wall_domains()), len(pool))
+        return self.crawler.plan_cookie_measurements(
+            "DE", rng.sample(pool, count), mode="accept", repeats=self.repeats,
+        )
 
     def iter_regular_measurements(self) -> Iterator[CookieMeasurement]:
-        return self._regular_measurement_result().iter_records()
+        return self._product(
+            "regular_measurements", self._plan_regular_measurements
+        ).iter_records()
 
     # ------------------------------------------------------------------
     # contentpass measurements (§4.4)
@@ -316,59 +225,35 @@ class ExperimentContext:
             platform.purchase_subscription(_ACCOUNT_EMAIL)
             self._account_ready = True
 
-    def _contentpass_accept_result(self) -> RunResult:
-        if self._cp_accept is None:
-            partners = self.world.partner_domains("contentpass")
-            self._cp_accept = self._run(
-                self.crawler.plan_cookie_measurements(
-                    "DE", partners, mode="accept", repeats=self.repeats,
-                ),
-                name="contentpass_accept",
-            )
-        return self._cp_accept
-
-    def contentpass_accept(self) -> List[CookieMeasurement]:
-        return self._contentpass_accept_result().records
-
     def iter_contentpass_accept(self) -> Iterator[CookieMeasurement]:
-        return self._contentpass_accept_result().iter_records()
+        return self._product(
+            "contentpass_accept",
+            lambda: self.crawler.plan_cookie_measurements(
+                "DE", self.world.partner_domains("contentpass"),
+                mode="accept", repeats=self.repeats,
+            ),
+        ).iter_records()
 
-    def _contentpass_subscription_result(self) -> RunResult:
-        if self._cp_subscription is None:
-            self._ensure_account()
-            platform = self.world.platforms["contentpass"]
-            self._cp_subscription = self._run(
-                self.crawler.plan_subscription_measurements(
-                    "DE", platform.partner_domains, "contentpass",
-                    _ACCOUNT_EMAIL, _ACCOUNT_PASSWORD,
-                    repeats=self.repeats,
-                ),
-                name="contentpass_subscription",
-            )
-        return self._cp_subscription
-
-    def contentpass_subscription(self) -> List[CookieMeasurement]:
-        return self._contentpass_subscription_result().records
+    def _plan_contentpass_subscription(self) -> CrawlPlan:
+        self._ensure_account()
+        return self.crawler.plan_subscription_measurements(
+            "DE", self.world.platforms["contentpass"].partner_domains,
+            "contentpass", _ACCOUNT_EMAIL, _ACCOUNT_PASSWORD,
+            repeats=self.repeats,
+        )
 
     def iter_contentpass_subscription(self) -> Iterator[CookieMeasurement]:
-        return self._contentpass_subscription_result().iter_records()
+        return self._product(
+            "contentpass_subscription", self._plan_contentpass_subscription
+        ).iter_records()
 
     # ------------------------------------------------------------------
     # uBlock bypass (§4.5)
     # ------------------------------------------------------------------
-    def _ublock_result(self) -> RunResult:
-        if self._ublock is None:
-            self._ublock = self._run(
-                self.crawler.plan_ublock(
-                    "DE", self.verified_wall_domains(),
-                    iterations=self.repeats,
-                ),
-                name="ublock",
-            )
-        return self._ublock
-
-    def ublock_records(self) -> List[UBlockRecord]:
-        return self._ublock_result().records
-
     def iter_ublock_records(self) -> Iterator[UBlockRecord]:
-        return self._ublock_result().iter_records()
+        return self._product(
+            "ublock",
+            lambda: self.crawler.plan_ublock(
+                "DE", self.verified_wall_domains(), iterations=self.repeats,
+            ),
+        ).iter_records()

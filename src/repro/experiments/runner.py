@@ -2,9 +2,10 @@
 
 Every driver reads its artefact from the shared
 :class:`~repro.experiments.context.ExperimentContext`, which computes
-it either in one streaming pass over the record stream (the default)
-or via the materialised list-based oracle (``streaming=False``) —
-both produce byte-identical results.
+it in one streaming pass over the record stream.  A driver only calls
+the context's artefact methods, so any object with those methods can
+stand in for it (the differential tests pass the list-based
+``compute_*`` oracles this way).
 """
 
 from __future__ import annotations

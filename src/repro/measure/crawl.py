@@ -24,6 +24,25 @@ from repro.vantage import VANTAGE_POINTS
 from repro.vantage.regulation import RegulationScenario
 from repro.webgen.world import World
 
+
+def cookiewall_domains(
+    records: Iterable[VisitRecord], vp: Optional[str] = None
+) -> List[str]:
+    """Unique cookiewall domains in first-seen order, in one pass over
+    *records* (only those from *vp* when given)."""
+    seen = set()
+    out = []
+    for record in records:
+        if (
+            record.is_cookiewall
+            and (vp is None or record.vp == vp)
+            and record.domain not in seen
+        ):
+            seen.add(record.domain)
+            out.append(record.domain)
+    return out
+
+
 @dataclass
 class CrawlResult:
     """All visit records of one crawl, with simple accessors."""
@@ -40,13 +59,7 @@ class CrawlResult:
         ]
 
     def cookiewall_domains(self, vp: Optional[str] = None) -> List[str]:
-        seen = set()
-        out = []
-        for record in self.cookiewalls(vp):
-            if record.domain not in seen:
-                seen.add(record.domain)
-                out.append(record.domain)
-        return out
+        return cookiewall_domains(self.records, vp)
 
     def regular_banner_domains(self, vp: str) -> List[str]:
         return [

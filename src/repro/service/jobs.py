@@ -75,6 +75,9 @@ class Job:
     #: Set while running when a cancel arrived; the progress hook
     #: converts it into :class:`JobCancelled`.
     cancel_requested: bool = False
+    #: Bumped by every :class:`JobQueue` transition, so of two persisted
+    #: snapshots the later one is known.
+    revision: int = 0
 
     def to_dict(self) -> Dict:
         """JSON-safe wire/persistence form (spec in versioned form)."""
@@ -86,6 +89,7 @@ class Job:
             "state": self.state,
             "error": self.error,
             "summary": self.summary,
+            "revision": self.revision,
         }
 
     @classmethod
@@ -98,6 +102,7 @@ class Job:
             state=data.get("state", "queued"),
             error=data.get("error"),
             summary=data.get("summary"),
+            revision=int(data.get("revision") or 0),
         )
 
 
@@ -145,6 +150,7 @@ class JobQueue:
                 job.summary = None
                 job.cancel_requested = False
             job.state = "queued"
+            job.revision += 1
             self.jobs[job.id] = job
             self._push_locked(job)
             return job
@@ -166,6 +172,7 @@ class JobQueue:
                 if job is None or job.state != "queued":
                     continue  # cancelled (or superseded) while queued
                 job.state = "running"
+                job.revision += 1
                 return job
             return None
 
@@ -179,6 +186,7 @@ class JobQueue:
                 return None
             if job.state == "queued":
                 job.state = "cancelled"
+                job.revision += 1
             elif job.state == "running":
                 job.cancel_requested = True
             return job
@@ -196,6 +204,7 @@ class JobQueue:
                 job.summary = summary
                 job.error = error
                 job.state = state
+                job.revision += 1
             return job
 
     def restore(self, job: Job) -> bool:
@@ -206,8 +215,15 @@ class JobQueue:
             if job.state not in ACTIVE_STATES:
                 return False
             job.state = "queued"
+            job.revision += 1
             self._push_locked(job)
             return True
+
+    def copy(self, claimed_id: str) -> Job:
+        """A copy of one job read under the lock: a consistent snapshot
+        that later transitions leave as it is."""
+        with self._lock:
+            return dataclasses.replace(self.jobs[claimed_id])
 
     def status(self, claimed_id: str) -> Optional[Dict]:
         """One job's :meth:`Job.to_dict` form, read under the lock."""

@@ -72,6 +72,9 @@ class CampaignService:
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._runner: Optional[threading.Thread] = None
         self._stop = threading.Event()
+        #: Serialises persists; the newest revision written, by job id.
+        self._persist_lock = threading.Lock()
+        self._persisted: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -139,7 +142,7 @@ class CampaignService:
             # Unfinished jobs are requeued; finished ones stay visible
             # (status/records endpoints).
             if self.queue.restore(job):
-                self._persist(job)
+                self._persist(job.id)
 
     # ------------------------------------------------------------------
     # Submission / execution
@@ -153,11 +156,23 @@ class CampaignService:
             tenant=tenant,
             priority=priority,
         ))
-        self._persist(job)
-        return job
+        return self._persist(job.id)
 
-    def _persist(self, job: Job) -> None:
-        persist_job(self.data_dir / "jobs", job)
+    def _persist(self, claimed_id: str) -> Job:
+        """Durably record a snapshot of the job, taken under the queue
+        lock, and return it.
+
+        The HTTP threads and the runner persist the same job
+        concurrently, so a snapshot can arrive after a newer one was
+        written (a cancel racing the runner's final state); persists
+        are serialised and such a stale snapshot is dropped.
+        """
+        job = self.queue.copy(claimed_id)
+        with self._persist_lock:
+            if job.revision >= self._persisted.get(job.id, 0):
+                persist_job(self.data_dir / "jobs", job)
+                self._persisted[job.id] = job.revision
+        return job
 
     def _campaign_dir(self, claimed_id: str) -> Path:
         return self.data_dir / "campaigns" / claimed_id
@@ -192,7 +207,7 @@ class CampaignService:
             if job is None:
                 continue
             try:
-                self._persist(job)
+                self._persist(job.id)
                 self._execute(job)
             except Exception as error:  # noqa: BLE001 — one bad job never kills the runner
                 self.queue.finish(
@@ -224,7 +239,7 @@ class CampaignService:
                 "failures": len(result.failures),
                 "elapsed": result.elapsed,
             })
-        self._persist(job)
+        self._persist(job.id)
 
     # ------------------------------------------------------------------
     # Read side
@@ -311,7 +326,8 @@ def _handler_for(service: CampaignService):
                 and parts[3] == "cancel"
             ):
                 if self._status_or_404(parts[2]) is not None:
-                    service._persist(service.queue.cancel(parts[2]))
+                    service.queue.cancel(parts[2])
+                    service._persist(parts[2])
                     self._send_json(200, service.queue.status(parts[2]))
                 return
             self._send_json(404, {"error": f"no route {self.path!r}"})

@@ -139,8 +139,10 @@ class TestFigureComputation:
 class TestTable1:
     def test_table1_on_medium_world(self, medium_world, medium_context):
         from repro.analysis.tables import compute_table1
+        from repro.measure.crawl import CrawlResult
 
-        table = compute_table1(medium_world, medium_context.detection_crawl())
+        crawl = CrawlResult(records=medium_context.detection_result().records)
+        table = compute_table1(medium_world, crawl)
         de_row = table.row("DE")
         se_row = table.row("SE")
         use_row = table.row("USE")

@@ -145,6 +145,30 @@ class TestValidation:
         with pytest.raises(SpecError, match="one-element list"):
             LongitudinalSpec.from_dict({"months": "04"})
 
+    @pytest.mark.parametrize("workers", ["2", 2.5, True, None])
+    def test_mistyped_scalar_refused_with_its_field(self, workers):
+        with pytest.raises(SpecError, match=r"engine\.workers: expected int"):
+            RunSpec.from_dict({"kind": "crawl", "engine": {"workers": workers}})
+
+    def test_scalar_types_checked_in_every_section(self):
+        with pytest.raises(SpecError, match=r"world\.scale: expected float"):
+            RunSpec.from_dict({"kind": "crawl", "world": {"scale": "0.1"}})
+        with pytest.raises(SpecError, match=r"engine\.resume: expected bool"):
+            RunSpec.from_dict({"kind": "crawl", "engine": {"resume": 1}})
+        with pytest.raises(SpecError, match=r"measure\.vp: expected str"):
+            RunSpec.from_dict({"kind": "measure", "measure": {"vp": 7}})
+        with pytest.raises(SpecError, match=r"shards: expected int or null"):
+            RunSpec(kind="crawl").override({"engine": {"shards": "4"}})
+
+    def test_well_typed_scalars_accepted(self):
+        spec = RunSpec.from_dict({
+            "kind": "crawl",
+            "world": {"scale": 1, "seed": 3},  # an int is a valid float
+            "engine": {"workers": 2, "shards": None, "executor": None},
+            "resilience": {"attempt_deadline": 2.5},
+        })
+        assert spec.world.scale == 1 and spec.engine.workers == 2
+
     def test_null_months_keeps_default(self):
         assert LongitudinalSpec.from_dict({"months": None}).months == (0, 4)
 

@@ -152,7 +152,7 @@ def test_readme_documents_streaming_analysis():
     section = match.group(1)
     for anchor in (
         "RawRecord", "record_decode_count", "materialize_record",
-        "streaming=True", "BENCH_streaming.json", "--flat-scales",
+        "tests/test_streaming_analysis.py", "BENCH_streaming.json", "--flat-scales",
         "python -m tools.reprolint",
     ):
         assert anchor in section, (

@@ -225,6 +225,43 @@ class TestWireProtocol:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
+    def test_worker_serve_reports_a_bad_peer_in_one_line(self, capsys):
+        """A garbage frame ends ``worker serve`` with one ``error:`` line
+        and exit status 2, not a traceback."""
+        from repro import cli
+
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def coordinator():
+            conn, _ = listener.accept()
+            with conn:
+                read_frame(conn.makefile("rb"))  # the worker's hello
+                conn.sendall(b"not a frame\n")
+                conn.recv(1)  # hold the socket open until the worker quits
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()[:2]
+        with listener:
+            status = cli.main(["worker", "serve", "--connect", f"{host}:{port}"])
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_worker_serve_reports_a_refused_connection(self, capsys):
+        from repro import cli
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()[:2]
+        # The listener is closed: nothing accepts on that port now.
+        status = cli.main(["worker", "serve", "--connect", f"{host}:{port}"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_truncated_frame_rejected(self):
         with pytest.raises(WireProtocolError, match="truncated"):
             read_frame(io.BytesIO(b'{"type": "heartbeat", "shard": 1}'))

@@ -161,16 +161,16 @@ class TestDeterminism:
         ctx = ExperimentContext(
             build_world(scale=0.02, seed=7), repeats=repeats, vps=vps
         )
-        assert [r.to_dict() for r in ctx.detection_crawl().records] == [
+        assert [r.to_dict() for r in ctx.iter_detection_records()] == [
             r.to_dict() for r in ref_records
         ]
-        assert [m.to_dict() for m in ctx.wall_measurements()] == [
+        assert [m.to_dict() for m in ctx.iter_wall_measurements()] == [
             m.to_dict() for m in ref_wall_ms
         ]
-        assert [m.to_dict() for m in ctx.regular_measurements()] == [
+        assert [m.to_dict() for m in ctx.iter_regular_measurements()] == [
             m.to_dict() for m in ref_regular_ms
         ]
-        assert [r.to_dict() for r in ctx.ublock_records()] == [
+        assert [r.to_dict() for r in ctx.iter_ublock_records()] == [
             r.to_dict() for r in ref_ublock
         ]
 

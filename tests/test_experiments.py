@@ -124,3 +124,19 @@ class TestFigureShapes:
         data = results["smp"].data
         assert data["contentpass"]["partners"] > data["contentpass"]["on_toplist"]
         assert data["freechoice"]["partners"] > 0
+
+
+class TestPaperFidelity:
+    def test_small_world_holds_at_least_17_observations(self):
+        """A floor on paper fidelity: at scale 0.03, seed 1, 17 of the
+        paper's 30 observations hold (the rest need a larger web).
+        Fewer means a change broke an observation that held."""
+        from repro.analysis.papercheck import compare_with_paper
+        from repro.experiments import ExperimentContext
+        from repro.webgen import build_world
+
+        context = ExperimentContext(build_world(scale=0.03, seed=1))
+        results = [
+            run_experiment(e, context=context) for e in sorted(EXPERIMENTS)
+        ]
+        assert compare_with_paper(results).holding >= 17

@@ -345,6 +345,16 @@ class TestServiceLifecycle:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("workers", ["2", 2.5, True])
+    def test_mistyped_spec_value_rejected_with_400(self, service, workers):
+        payload = crawl_spec().to_dict()
+        payload["engine"] = {"workers": workers}
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/campaigns", {"spec": payload})
+        assert excinfo.value.status == 400
+        assert "engine.workers" in str(excinfo.value)
+
     def test_quota_maps_to_429(self, tmp_path):
         service = CampaignService(
             tmp_path / "q", port=0, quota=1
@@ -370,6 +380,79 @@ class TestServiceLifecycle:
         final = client.wait(queued["id"], timeout=120)
         assert final["state"] == "cancelled"
         assert client.wait(running["id"], timeout=120)["state"] == "done"
+
+    def test_stale_cancel_snapshot_never_replaces_the_final_state(
+        self, tmp_path, monkeypatch
+    ):
+        """The cancel route snapshots a running job, then the runner
+        finishes and persists the terminal state before the route's own
+        persist lands.  The older snapshot must not replace the newer
+        ``jobs/<id>.json``, or ``serve --resume`` would run the finished
+        job again."""
+        import repro.service.server as server_mod
+
+        started, release = threading.Event(), threading.Event()
+        final_written = threading.Event()
+        barrier = threading.Barrier(2, timeout=30)
+
+        class BlockingSession:
+            """Stands in for the campaign: runs until released, then
+            reaches a task boundary, where the cancel takes effect."""
+
+            def __init__(self, spec, progress):
+                self.progress = progress
+
+            def run(self):
+                started.set()
+                release.wait(30)
+                self.progress(1, 1, None)
+
+        monkeypatch.setattr(server_mod, "Session", BlockingSession)
+        service = CampaignService(tmp_path / "data", port=0).start()
+        runner = service._runner
+        copy, persist = service.queue.copy, server_mod.persist_job
+
+        def copy_then_wait(claimed_id):
+            snapshot = copy(claimed_id)
+            if threading.current_thread() is not runner:
+                if snapshot.state == "running":
+                    barrier.wait()  # the cancel's snapshot is taken ...
+                    final_written.wait(30)  # ... and persists last
+            return snapshot
+
+        def persist_and_mark(jobs_dir, job):
+            persist(jobs_dir, job)
+            if job.state == "cancelled":
+                final_written.set()
+
+        monkeypatch.setattr(service.queue, "copy", copy_then_wait)
+        monkeypatch.setattr(server_mod, "persist_job", persist_and_mark)
+        try:
+            client = ServiceClient(service.url)
+            job = client.submit(crawl_spec(seed=5))
+            assert started.wait(30)
+            canceller = threading.Thread(
+                target=client.cancel, args=(job["id"],)
+            )
+            canceller.start()
+            barrier.wait()
+            release.set()
+            canceller.join(timeout=30)
+            assert not canceller.is_alive()
+            assert final_written.is_set()
+            assert client.wait(job["id"], timeout=30)["state"] == "cancelled"
+        finally:
+            release.set()
+            service.stop()
+        persisted = json.loads(
+            (tmp_path / "data" / "jobs" / f"{job['id']}.json").read_text()
+        )
+        assert persisted["state"] == "cancelled"
+
+    def test_job_files_without_a_revision_still_load(self):
+        record = TestJobQueue.job(1).to_dict()
+        del record["revision"]
+        assert Job.from_dict(record).revision == 0
 
     def test_cancel_running_campaign(self, service, client):
         # A multi-wave campaign is long enough to cancel mid-flight.

@@ -4,17 +4,27 @@ The streaming analysis layer claims byte-identical outputs to the
 materialised computations.  These tests hold it to that claim at
 every level: the raw aggregators against the ``stats`` oracle
 functions, the figure/table/report objects against the ``compute_*``
-oracles, and the full experiment + papercheck pipeline between
-``streaming=True`` and ``streaming=False`` contexts.
+oracles, and the full experiment + papercheck pipeline between an
+:class:`ExperimentContext` and a test-side stand-in that computes every
+artefact with the ``compute_*`` oracles over the same records.
 """
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.figures import compute_fig4
+from repro.analysis.figures import (
+    compute_fig1,
+    compute_fig2,
+    compute_fig3,
+    compute_fig4,
+    compute_fig5,
+    compute_fig6,
+)
 from repro.analysis.papercheck import compare_with_paper
+from repro.analysis.report import compute_landscape
 from repro.analysis.stats import (
     OnlineStats,
     StreamingECDF,
@@ -29,8 +39,10 @@ from repro.analysis.streaming import (
     StreamingCookieComparison,
     StreamingCrawlAnalysis,
 )
+from repro.analysis.tables import compute_table1
 from repro.errors import AnalysisError
 from repro.experiments import EXPERIMENTS, ExperimentContext, run_experiment
+from repro.measure.crawl import CrawlResult
 from repro.measure.records import CookieMeasurement
 
 
@@ -149,59 +161,100 @@ def test_topk_mode_tie_is_first_seen():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def contexts():
-    """One streaming and one oracle context over identical worlds.
-
-    Two *separate* world builds with the same seed: cookie-count
-    jitter is keyed on world-held visit ids, so sharing one mutable
-    world across two measurement campaigns would make the second see
-    different (though equally deterministic) values.
-    """
+def context():
     from repro.webgen import build_world
 
-    streaming = ExperimentContext(build_world(scale=0.02, seed=7))
-    oracle = ExperimentContext(
-        build_world(scale=0.02, seed=7), streaming=False
+    return ExperimentContext(build_world(scale=0.02, seed=7))
+
+
+def list_oracle(ctx):
+    """A stand-in for *ctx* whose artefacts come from the list-based
+    ``compute_*`` oracles over *ctx*'s materialised records.
+
+    Every accessor reads the context's memoised products lazily, so the
+    products run in the order the context's own experiments ask for
+    them, and both sides see the very same records.
+    """
+    world = ctx.world
+    crawl = CrawlResult(records=list(ctx.iter_detection_records()))
+    verified = [
+        d for d in crawl.cookiewall_domains() if d in world.wall_domains
+    ]
+
+    def figure2():
+        verified_set = set(verified)
+        return compute_fig2(
+            [r for r in crawl.cookiewalls("DE") if r.domain in verified_set]
+        )
+
+    return SimpleNamespace(
+        world=world,
+        crawler=ctx.crawler,
+        iter_detection_records=lambda vp=None: iter(
+            crawl.records if vp is None else crawl.by_vp(vp)
+        ),
+        iter_ublock_records=ctx.iter_ublock_records,
+        verified_wall_domains=lambda: verified,
+        table1=lambda: compute_table1(world, crawl),
+        landscape=lambda: compute_landscape(world, crawl),
+        figure1=lambda: compute_fig1(verified, world.category_db),
+        figure2=figure2,
+        figure3=lambda: compute_fig3(figure2(), world.category_db),
+        comparison_fig4=lambda: compute_fig4(
+            list(ctx.iter_regular_measurements()),
+            list(ctx.iter_wall_measurements()),
+        ),
+        comparison_fig5=lambda: compute_fig5(
+            list(ctx.iter_contentpass_accept()),
+            list(ctx.iter_contentpass_subscription()),
+        ),
+        figure6=lambda: compute_fig6(
+            list(ctx.iter_wall_measurements()), figure2()
+        ),
     )
-    assert streaming.streaming and not oracle.streaming
-    return streaming, oracle
 
 
-def test_streaming_crawl_analysis_matches_oracles(contexts):
-    streaming, oracle = contexts
-    analysis = streaming.detection_analysis()
-    crawl = oracle.detection_crawl()
+@pytest.fixture(scope="module")
+def runs(context):
+    """Every experiment on the context, then on its list oracle."""
+    ids = sorted(EXPERIMENTS)
+    streamed = [run_experiment(e, context=context) for e in ids]
+    oracle = list_oracle(context)
+    return streamed, [run_experiment(e, context=oracle) for e in ids]
+
+
+def test_streaming_crawl_analysis_matches_oracles(context):
+    analysis = context.detection_analysis()
+    crawl = CrawlResult(records=list(context.iter_detection_records()))
     assert analysis.record_count == len(crawl.records)
     assert analysis.detected_wall_domains() == crawl.cookiewall_domains()
+    assert context.detected_wall_domains() == crawl.cookiewall_domains()
     assert (
         analysis.regular_banner_domains_de()
         == crawl.regular_banner_domains("DE")
     )
-    assert analysis.table1().render() == oracle.table1().render()
-    assert analysis.landscape().render() == oracle.landscape().render()
-    assert analysis.figure1().render() == oracle.figure1().render()
-    assert analysis.figure2().render() == oracle.figure2().render()
-    assert analysis.figure3().render() == oracle.figure3().render()
+    oracle = list_oracle(context)
+    assert context.verified_wall_domains() == oracle.verified_wall_domains()
+    for artefact in ("table1", "landscape", "figure1", "figure2", "figure3"):
+        assert (
+            getattr(analysis, artefact)().render()
+            == getattr(oracle, artefact)().render()
+        ), artefact
 
 
-def test_all_experiments_byte_identical_across_modes(contexts):
-    streaming, oracle = contexts
-    for experiment_id in sorted(EXPERIMENTS):
-        got = run_experiment(experiment_id, context=streaming)
-        want = run_experiment(experiment_id, context=oracle)
-        assert got.rendered == want.rendered, experiment_id
-        assert got.data == want.data, experiment_id
+def test_all_experiments_byte_identical_to_list_oracle(runs):
+    streamed, oracle = runs
+    assert len(streamed) == len(EXPERIMENTS)
+    for got, want in zip(streamed, oracle):
+        assert got.experiment_id == want.experiment_id
+        assert got.rendered == want.rendered, got.experiment_id
+        assert got.data == want.data, got.experiment_id
 
 
-def test_papercheck_byte_identical_across_modes(contexts):
-    streaming, oracle = contexts
-    ids = sorted(EXPERIMENTS)
-    got = compare_with_paper(
-        [run_experiment(e, context=streaming) for e in ids]
-    )
-    want = compare_with_paper(
-        [run_experiment(e, context=oracle) for e in ids]
-    )
+def test_papercheck_byte_identical_to_list_oracle(runs):
+    streamed, oracle = runs
+    got = compare_with_paper(streamed)
+    want = compare_with_paper(oracle)
     assert got.render_markdown() == want.render_markdown()
     assert got.render_text() == want.render_text()
 
