@@ -4,15 +4,18 @@ Two gates, each asserted by its test, which also records the
 measurement in ``benchmarks/output/BENCH_distributed.json``:
 
 * **Dispatch overhead** — a near-empty plan through the distributed
-  backend measures everything that is *not* crawling: spawning the
-  worker processes, the socket handshake, shipping the JSON worker
-  state, the workers' deterministic world rebuild, and the result
-  merge.  The ceiling keeps that fixed cost bounded (a regression
-  here taxes every distributed campaign, however large).
+  backend measures everything that is *not* crawling: forking the
+  local workers (they inherit the built world), the socket handshake,
+  shipping the JSON worker state, and the result merge.  The ceiling
+  keeps that fixed cost bounded (a regression here taxes every
+  distributed campaign, however large).
 * **Throughput** — tasks/sec on a real plan through one coordinator
-  plus two socket workers.  The floor is deliberately conservative
-  (local runs sustain far more) so only a genuine collapse — e.g. the
-  wire layer serialising per task instead of per shard — trips it.
+  plus two socket workers.
+
+Both gates sit just outside the range of 13 local runs on a 2-CPU
+Xeon VM (dispatch 0.076–0.096 s, throughput 675–1055 tasks/s), so a
+return of the per-worker interpreter start and world rebuild (0.83–1.24
+s, 234–275 tasks/s) trips them.
 
 Both runs also re-assert the byte-identity contract against a serial
 reference; a fast-but-wrong distributed plane must never pass the
@@ -28,12 +31,10 @@ from repro.measure.engine import CrawlEngine
 from repro.webgen import build_world
 
 #: CI gate: wall-clock seconds for the overhead-dominated tiny plan
-#: (worker spawn + handshake + world rebuild + merge; crawling is
-#: negligible).  Local runs take ~2-4s; the ceiling leaves room for
-#: slow shared runners without ever tolerating a pathological plane.
-_DISPATCH_CEILING_SEC = 30.0
+#: (worker fork + handshake + merge; crawling is negligible).
+_DISPATCH_CEILING_SEC = 0.1
 #: CI gate: tasks/sec through 2 socket workers on the real plan.
-_THROUGHPUT_FLOOR_TASKS_PER_SEC = 15
+_THROUGHPUT_FLOOR_TASKS_PER_SEC = 650
 
 _WORKERS = 2
 _SHARDS = 8
@@ -84,8 +85,8 @@ def test_dispatch_overhead(tmp_path):
     write_artifact(
         "distributed_dispatch_overhead",
         f"tiny plan: {_TINY_TASKS} tasks, {_WORKERS} socket workers\n"
-        f"spawn + handshake + rebuild + merge: {elapsed:.2f}s\n"
-        f"ceiling: {_DISPATCH_CEILING_SEC:.0f}s",
+        f"fork + handshake + merge: {elapsed:.3f}s\n"
+        f"ceiling: {_DISPATCH_CEILING_SEC}s",
     )
     assert elapsed <= _DISPATCH_CEILING_SEC
 

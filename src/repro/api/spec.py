@@ -138,15 +138,9 @@ def migrate_spec_payload(data: Mapping) -> Dict[str, object]:
 
 
 def _tuple_or_none(value) -> Optional[tuple]:
-    """Normalise a config sequence to a tuple (``None`` passes through)."""
-    if value is None:
-        return None
-    if isinstance(value, (str, bytes)):
-        raise SpecError(
-            f"expected a list, got the string {value!r} "
-            "(write it as a one-element list)"
-        )
-    return tuple(value)
+    """Normalise a checked config sequence to a tuple (``None`` passes
+    through)."""
+    return None if value is None else tuple(value)
 
 
 #: Scalar field annotation -> the value types a config may give it.
@@ -154,9 +148,10 @@ _SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
 @functools.lru_cache(maxsize=None)
-def _scalar_fields(cls) -> Dict[str, Tuple[type, bool]]:
-    """``{field: (scalar type, optional)}`` for the ``int``/``float``/
-    ``bool``/``str`` fields of *cls* and the ``Optional`` ones of these."""
+def _typed_fields(cls) -> Dict[str, Tuple[type, bool, bool]]:
+    """``{field: (scalar type, optional, sequence)}`` for the fields of
+    *cls* annotated ``int``/``float``/``bool``/``str``, a
+    ``Tuple[<scalar>, ...]`` of one, or the ``Optional`` of either."""
     hints = typing.get_type_hints(cls)
     out = {}
     for f in fields(cls):
@@ -165,14 +160,27 @@ def _scalar_fields(cls) -> Dict[str, Tuple[type, bool]]:
         optional = typing.get_origin(hint) is Union and type(None) in args
         if optional and len(args) == 2:
             hint = next(arg for arg in args if arg is not type(None))
+        args = typing.get_args(hint)
+        sequence = typing.get_origin(hint) is tuple and args[1:] == (...,)
+        if sequence:
+            hint = args[0]
         if hint in _SCALARS:
-            out[f.name] = (hint, optional)
+            out[f.name] = (hint, optional, sequence)
     return out
 
 
+def _is_scalar(value, kind: type) -> bool:
+    """Whether *value* may fill a *kind* field (a ``bool`` is no ``int``)."""
+    return isinstance(value, _SCALARS[kind]) and (
+        kind is bool or not isinstance(value, bool)
+    )
+
+
 def _check_fields(cls, data: Mapping, where: str) -> None:
-    """Refuse unknown keys and scalar values of the wrong type (``bool``
-    is not an ``int`` here), naming the offending ``section.field``."""
+    """Refuse unknown keys, scalar values of the wrong type, and
+    sequence values that are not a list of the right scalars, naming
+    the offending ``section.field``.  A null sequence is the field's
+    default (``None`` where optional)."""
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -180,17 +188,28 @@ def _check_fields(cls, data: Mapping, where: str) -> None:
             f"{where}: unknown key(s) {', '.join(unknown)} "
             f"(known: {', '.join(sorted(known))})"
         )
-    for name, (kind, optional) in _scalar_fields(cls).items():
-        if name not in data or (data[name] is None and optional):
+    for name, (kind, optional, sequence) in _typed_fields(cls).items():
+        value = data.get(name)
+        if value is None and (name not in data or optional or sequence):
             continue
-        value = data[name]
-        if not isinstance(value, _SCALARS[kind]) or (
-            isinstance(value, bool) and kind is not bool
-        ):
+        listed = f"{where}.{name}: expected a list of {kind.__name__}"
+        if not sequence:
+            if not _is_scalar(value, kind):
+                raise SpecError(
+                    f"{where}.{name}: expected {kind.__name__}"
+                    f"{' or null' if optional else ''}, got {value!r}"
+                )
+        elif isinstance(value, str):
             raise SpecError(
-                f"{where}.{name}: expected {kind.__name__}"
-                f"{' or null' if optional else ''}, got {value!r}"
+                f"{listed}, got the string {value!r} "
+                "(write it as a one-element list)"
             )
+        elif not isinstance(value, (list, tuple)):
+            raise SpecError(f"{listed} or null, got {value!r}")
+        else:
+            for item in value:
+                if not _is_scalar(item, kind):
+                    raise SpecError(f"{listed}, got the item {item!r}")
 
 
 @dataclass(frozen=True)
@@ -526,10 +545,13 @@ class MultiVantageSpec:
         out["domains"] = _tuple_or_none(data.get("domains"))
         relocate = data.get("relocate")
         if relocate is not None:
-            if not isinstance(relocate, Mapping):
+            if not isinstance(relocate, Mapping) or not all(
+                isinstance(code, str) for pair in relocate.items()
+                for code in pair
+            ):
                 raise SpecError(
                     "multivantage.relocate must be a table/mapping of "
-                    "VP code -> exit VP code"
+                    f"VP code -> exit VP code, got {relocate!r}"
                 )
             out["relocate"] = dict(relocate)
         return cls(**out)

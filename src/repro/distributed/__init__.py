@@ -8,16 +8,21 @@ socket work queue:
 
 - :mod:`repro.distributed.wire` — the JSON-framed message protocol
   (one JSON object per line) and its typed message dataclasses.
-- :mod:`repro.distributed.worker` — the worker side: ``repro-cookiewalls
-  worker serve --connect HOST:PORT`` dials the coordinator, receives
-  the run-constant JSON worker state once, then runs
+- :mod:`repro.distributed.worker` — the worker side:
+  :func:`serve_worker` dials the coordinator, receives the
+  run-constant JSON worker state once, then runs
   :func:`~repro.measure.engine._run_shard_bundle` per bundle behind
-  the wire, heartbeating while it works.
+  the wire, heartbeating while it works.  The coordinator's local
+  workers run it as forked :mod:`multiprocessing` children (they
+  inherit its world); an external worker runs it as
+  ``repro-cookiewalls worker serve --connect HOST:PORT``.
 - :mod:`repro.distributed.executor` — :class:`DistributedExecutor`,
-  the coordinator: a listening socket, a lease per dispatched bundle,
-  re-dispatch of shards whose worker died (or went silent past its
-  lease), and transport-degraded records when a bundle exhausts its
-  re-dispatch budget — record counts always equal the plan size.
+  the coordinator: it starts the local workers the way the process
+  pool starts its own, then runs a listening socket, a lease per
+  dispatched bundle, re-dispatch of shards whose worker died (or went
+  silent past its lease), and transport-degraded records when a
+  bundle exhausts its re-dispatch budget — record counts always equal
+  the plan size.
 
 Determinism contract: bundles are pure functions of the plan, so a
 shard re-run by a different worker (or re-dispatched after a kill)

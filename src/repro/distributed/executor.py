@@ -27,18 +27,17 @@ Resilience model, riding the existing plane:
 
 from __future__ import annotations
 
+import gc
 import json
-import os
 import queue
 import socket
-import subprocess
-import sys
 import threading
 import time
 from collections import deque
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+# Frames are encoded through the module, where perfbench times them.
+from repro.distributed import wire
 from repro.distributed.wire import (
     WIRE_PROTOCOL_VERSION,
     WireBundle,
@@ -46,25 +45,26 @@ from repro.distributed.wire import (
     WireHello,
     WireResult,
     WireShared,
-    encode_message,
     read_frame,
-    write_frame,
 )
+from repro.distributed.worker import serve_local_worker
 from repro.errors import TransportError, WireProtocolError, WorkerLostError
-from repro.measure.engine import CrawlTask, Executor
+from repro.measure.engine import CrawlTask, Executor, _worker_context
 from repro.measure.storage import encode_record_line, validate_record_payload
 from repro.resilience.degrade import degraded_record
 
 
 class _BundleState:
     """One shard bundle's dispatch bookkeeping.  The bundle and its
-    wire frame are fixed: a re-dispatch resends the same frame."""
+    wire frame are fixed: encoded once, a re-dispatch resends the same
+    bytes."""
 
-    __slots__ = ("bundle", "wire", "dispatches", "last_error")
+    __slots__ = ("bundle", "wire", "frame", "dispatches", "last_error")
 
     def __init__(self, bundle: Dict) -> None:
         self.bundle = bundle
         self.wire = WireBundle.from_bundle(bundle)
+        self.frame = wire.encode_message(self.wire)
         self.dispatches = 0
         self.last_error = "WorkerLostError"
 
@@ -75,10 +75,13 @@ class DistributedExecutor(Executor):
     Parameters
     ----------
     workers:
-        Local worker processes to spawn (each runs the real
-        ``repro-cookiewalls worker serve`` CLI verb against this
-        coordinator).  ``0`` spawns none and waits for external
-        workers to dial ``host:port``.
+        Local worker processes to start.  Each is a
+        :mod:`multiprocessing` child, forked where the platform allows
+        (it inherits the coordinator's world and skips the rebuild),
+        that serves this coordinator through
+        :func:`~repro.distributed.worker.serve_worker`, as
+        ``repro-cookiewalls worker serve`` does.  ``0`` starts none
+        and waits for external workers to dial ``host:port``.
     host, port:
         The work-queue listening address; port ``0`` picks an
         ephemeral port (:attr:`address` exposes the bound address
@@ -88,7 +91,7 @@ class DistributedExecutor(Executor):
         which a dispatched shard's lease expires and the shard is
         re-queued.
     heartbeat_interval:
-        Heartbeat period passed to spawned workers.
+        Heartbeat period of the local workers.
     max_dispatches:
         Total dispatch attempts per bundle before its tasks degrade
         to transport records.
@@ -128,7 +131,7 @@ class DistributedExecutor(Executor):
 
     # -- run state -----------------------------------------------------
     def _reset_run_state(self) -> None:
-        self._shared: Optional[WireShared] = None
+        self._shared_frame = b""
         self._cond = threading.Condition()
         self._pending: deque = deque()
         self._inflight: Dict[int, List] = {}  # key -> [state, deadline]
@@ -139,7 +142,7 @@ class DistributedExecutor(Executor):
         self._live_workers = 0
         self._last_live = time.monotonic()
         self._connections: List[socket.socket] = []
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List = []  # multiprocessing.Process
 
     # -- public entry point -------------------------------------------
     def run_bundles(
@@ -158,9 +161,8 @@ class DistributedExecutor(Executor):
         if not bundles:
             return
         self._reset_run_state()
-        self._shared = WireShared(state=shared)
         try:  # fail here, not later in every connection thread
-            encode_message(self._shared)
+            self._shared_frame = wire.encode_message(WireShared(state=shared))
         except (TypeError, ValueError) as error:
             raise TransportError(
                 "the distributed backend ships the run-constant worker "
@@ -173,12 +175,13 @@ class DistributedExecutor(Executor):
         listener = socket.create_server((self.host, self.port))
         self.address = listener.getsockname()[:2]
         self._last_live = time.monotonic()
-        accept_thread = threading.Thread(
-            target=self._accept_loop, args=(listener,), daemon=True
-        )
-        accept_thread.start()
-        self._spawn_workers()
         try:
+            # Fork before this run starts a thread: a child copies
+            # only the forking thread, never a lock another one held.
+            self._start_workers(listener)
+            threading.Thread(
+                target=self._accept_loop, args=(listener,), daemon=True
+            ).start()
             while remaining:
                 try:
                     payload, bundle = self._results.get(timeout=0.2)
@@ -204,31 +207,31 @@ class DistributedExecutor(Executor):
             self._shutdown_workers()
 
     # -- worker processes ----------------------------------------------
-    def _spawn_workers(self) -> None:
+    def _start_workers(self, listener: socket.socket) -> None:
+        """Start the local workers the way the process pool starts its
+        own (:func:`~repro.measure.engine._worker_context`).
+
+        The heap is frozen across the forks, so the children's garbage
+        collections never walk the inherited objects, nor copy their
+        pages on write.  A forked child closes its copy of *listener*
+        before it dials.
+        """
         if not self.workers:
             return
-        import repro
-
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing
-            else src_root + os.pathsep + existing
-        )
-        host, port = self.address
-        command = [
-            sys.executable, "-m", "repro.cli", "worker", "serve",
-            "--connect", f"{host}:{port}",
-            "--heartbeat", str(self.heartbeat_interval),
-        ]
-        for _ in range(self.workers):
-            self._procs.append(subprocess.Popen(
-                command,
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            ))
+        context = _worker_context()
+        inherited = listener if context.get_start_method() == "fork" else None
+        gc.freeze()
+        try:
+            for _ in range(self.workers):
+                process = context.Process(
+                    target=serve_local_worker,
+                    args=(self.address, self.heartbeat_interval, inherited),
+                    daemon=True,
+                )
+                process.start()
+                self._procs.append(process)
+        finally:
+            gc.unfreeze()
 
     def _shutdown_workers(self) -> None:
         for conn in list(self._connections):
@@ -237,14 +240,13 @@ class DistributedExecutor(Executor):
             except OSError:
                 pass
         for proc in self._procs:
-            if proc.poll() is None:
+            if proc.exitcode is None:
                 proc.terminate()
         for proc in self._procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
+            proc.join(5.0)
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait()
+                proc.join()
 
     def _check_liveness(self, work_remains: bool) -> None:
         """Fail fast when no worker can ever drain the queue."""
@@ -255,15 +257,15 @@ class DistributedExecutor(Executor):
             if self._live_workers > 0:
                 self._expire_leases(now)
                 return
-        spawned_all_dead = self._procs and all(
-            proc.poll() is not None for proc in self._procs
+        locals_all_dead = self._procs and all(
+            proc.exitcode is not None for proc in self._procs
         )
         waited = now - self._last_live
-        if spawned_all_dead or waited > self.connect_timeout:
+        if locals_all_dead or waited > self.connect_timeout:
             self._finished.set()
             raise WorkerLostError(
                 "the distributed work queue has no live workers "
-                f"({'all spawned workers exited' if spawned_all_dead else f'none connected for {waited:.0f}s'}); "
+                f"({'all local workers exited' if locals_all_dead else f'none connected for {waited:.0f}s'}); "
                 "completed shards are checkpointed — rerun with resume"
             )
 
@@ -349,7 +351,8 @@ class DistributedExecutor(Executor):
                     f"worker speaks wire protocol {hello.protocol}, "
                     f"coordinator speaks {WIRE_PROTOCOL_VERSION}"
                 )
-            write_frame(wfile, self._shared)
+            wfile.write(self._shared_frame)
+            wfile.flush()
             with self._cond:
                 self._live_workers += 1
                 self._last_live = time.monotonic()
@@ -362,7 +365,8 @@ class DistributedExecutor(Executor):
                         self._inflight[key] = [
                             state, time.monotonic() + self.lease_timeout
                         ]
-                    write_frame(wfile, state.wire)
+                    wfile.write(state.frame)
+                    wfile.flush()
                     delivered = self._pump_until_result(rfile, key, state)
                     # Either way the pump settled this bundle (result
                     # delivered, or strike recorded) — the cleanup

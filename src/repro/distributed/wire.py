@@ -213,16 +213,26 @@ MESSAGE_TYPES = {
     "result": WireResult,
 }
 _TYPE_TAGS = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
+#: Message class -> its field names, in declaration order.
+_FIELDS = {
+    cls: tuple(field.name for field in dataclasses.fields(cls))
+    for cls in MESSAGE_TYPES.values()
+}
 
 
 def encode_message(message) -> bytes:
-    """One message as one JSON frame (``\\n``-terminated bytes)."""
+    """One message as one JSON frame (``\\n``-terminated bytes).
+
+    The body maps each field to its value as it stands: the fields hold
+    JSON data only, so ``json.dumps`` writes what a deep copy
+    (``dataclasses.asdict``) would, without copying every outcome.
+    """
     tag = _TYPE_TAGS.get(type(message))
     if tag is None:
         raise WireProtocolError(
             f"cannot encode {type(message).__name__} as a wire frame"
         )
-    body = dataclasses.asdict(message)
+    body = {name: getattr(message, name) for name in _FIELDS[type(message)]}
     body["type"] = tag
     return (json.dumps(body, sort_keys=True) + "\n").encode("utf-8")
 

@@ -1,29 +1,36 @@
-"""The worker side of the wire: ``repro-cookiewalls worker serve``.
+"""The worker side of the wire.
 
 A worker dials the coordinator, introduces itself, installs the
 run-constant JSON worker state the coordinator sends once
 (:func:`~repro.measure.engine._init_worker_shared`, the process pool's
-installer too), and then runs
-each received shard bundle through
+installer too), and then runs each received shard bundle through
 :func:`~repro.measure.engine._run_shard_bundle` — the process pool's
 worker entry point, which rebuilds the crawler and runs the engine's
 one shard runner (:func:`~repro.measure.engine.run_shard`).  The wire
 adds framing, never a second execution path, so a shard computes the
 same bytes no matter which transport carried it.
 
+Workers come to exist two ways and then speak the same protocol: the
+coordinator starts its local ones as :mod:`multiprocessing` children
+(:func:`serve_local_worker`, forked where the platform allows, so they
+inherit its world), and an external worker is a
+``repro-cookiewalls worker serve --connect HOST:PORT`` process.
+
 While a bundle runs, a sidecar thread heartbeats the coordinator so a
 long shard is distinguishable from a dead worker; the coordinator's
 lease only expires on silence.  The worker exits when the coordinator
 closes the connection (the run is complete) — a crash simply drops the
-socket, which the coordinator converts into a re-dispatch.
+socket, which the coordinator converts into a re-dispatch.  A local
+worker also exits as soon as its coordinator process is gone.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import threading
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.distributed.wire import (
     WireBundle,
@@ -35,7 +42,11 @@ from repro.distributed.wire import (
     write_frame,
 )
 from repro.errors import WireProtocolError
-from repro.measure.engine import _init_worker_shared, _run_shard_bundle
+from repro.measure.engine import (
+    _exit_with_parent,
+    _init_worker_shared,
+    _run_shard_bundle,
+)
 
 
 class _Heartbeat:
@@ -114,3 +125,27 @@ def serve_worker(
                 write_frame(wfile, WireResult.from_payload(payload))
             shards_served += 1
     return shards_served
+
+
+def serve_local_worker(
+    address: Tuple[str, int],
+    heartbeat_interval: float,
+    listener: Optional[socket.socket],
+) -> None:
+    """A coordinator-started worker's body: serve *address* until the
+    run ends or the coordinator process is gone.
+
+    *listener* is the coordinator's listening socket a forked child
+    inherited (``None`` when spawned); it is closed before dialing.
+    Ctrl-C is the coordinator's to handle: it shuts its workers down.
+    A lost connection ends the worker with exit status 1 and no
+    traceback; the coordinator already re-dispatches the shard.
+    """
+    if listener is not None:
+        listener.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _exit_with_parent()
+    try:
+        serve_worker(*address, heartbeat_interval=heartbeat_interval)
+    except (OSError, WireProtocolError):
+        raise SystemExit(1) from None

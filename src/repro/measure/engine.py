@@ -37,8 +37,9 @@ loop.  This module turns that loop into an explicit subsystem:
      its (seed, scale, evolution) key — or, under ``fork``, inherit
      the parent's — so bundles stay small.  See *Worker state*.
    - ``"distributed"`` — :class:`repro.distributed.DistributedExecutor`
-     carries the same bundles as JSON frames to ``worker serve``
-     processes running the same worker entry point.
+     carries the same bundles as JSON frames to socket workers running
+     the same worker entry point: local ones started like the pool's
+     (:func:`_worker_context`), external ones by ``worker serve``.
 
    Every finished shard is absorbed through one path (notes emitted,
    breaker states adopted, outcomes persisted).  With no explicit
@@ -497,10 +498,11 @@ def run_shard(
 # Worker-process side
 # ---------------------------------------------------------------------------
 
-#: Worlds by world key.  The parent inserts its world before the pool
-#: starts (and pops it afterwards), so ``fork``-started workers inherit
-#: it and skip the rebuild; a ``spawn``-started or wire worker builds
-#: it deterministically from the key.
+#: Worlds by world key.  The parent inserts its world before its local
+#: workers start (and pops it afterwards), so ``fork``-started workers
+#: — the pool's and the wire's — inherit it and skip the rebuild; a
+#: ``spawn``-started or external ``worker serve`` worker builds it
+#: deterministically from the key.
 _WORLDS: Dict[Tuple, object] = {}
 
 #: What a worker's shards share — the stock crawler, plan context and
@@ -551,7 +553,7 @@ def conforms(value, shape) -> bool:
 
 def _init_worker_shared(state: Dict) -> None:
     """Install the JSON worker *state* — the pool initializer and
-    ``worker serve`` both install through here: check its shape (else
+    every wire worker install through here: check its shape (else
     :class:`WireProtocolError`), then build the world, the crawler with
     both detectors, and the retry policy once for every shard."""
     # Imported lazily — repro.measure.crawl imports this module.
@@ -585,20 +587,37 @@ def _init_worker_shared(state: Dict) -> None:
     )
 
 
-def _init_pool_worker(state: Dict) -> None:
-    """Process-pool initializer: install *state*, and exit as soon as
-    the parent is gone.  A pool worker otherwise outlives a hard-killed
-    parent, blocked forever on its task queue with a world in memory.
-    """
-    _init_worker_shared(state)
-    parent = os.getppid()
+def _worker_context():
+    """The :mod:`multiprocessing` context local workers start in — the
+    process pool's and the wire's: ``fork`` where available (a worker
+    inherits the parent's world through :data:`_WORLDS` and skips the
+    rebuild), ``spawn`` elsewhere."""
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
+    )
 
-    def exit_with_parent() -> None:
+
+def _exit_with_parent() -> None:
+    """Exit this :mod:`multiprocessing` child as soon as its parent is
+    gone.  A local worker otherwise outlives a hard-killed parent: a
+    pool worker blocked forever on its task queue, a wire worker
+    running its bundle to the end, each with a world in memory."""
+    parent = multiprocessing.parent_process().pid
+
+    def watch() -> None:
         while os.getppid() == parent:
             time.sleep(0.2)
         os._exit(1)
 
-    threading.Thread(target=exit_with_parent, daemon=True).start()
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _init_pool_worker(state: Dict) -> None:
+    """Process-pool initializer: install *state*, and exit with the
+    parent."""
+    _init_worker_shared(state)
+    _exit_with_parent()
 
 
 def _task_id_base(world_seed: int, task: CrawlTask) -> int:
@@ -1117,13 +1136,9 @@ class ProcessExecutor(Executor):
         so the run stops once the in-flight ones drain instead of
         executing the rest of the plan.
         """
-        method = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
         with _PyProcessPool(
             max_workers=self.workers,
-            mp_context=multiprocessing.get_context(method),
+            mp_context=_worker_context(),
             initializer=_init_pool_worker,
             initargs=(shared,),
         ) as pool:

@@ -145,6 +145,34 @@ class TestValidation:
         with pytest.raises(SpecError, match="one-element list"):
             LongitudinalSpec.from_dict({"months": "04"})
 
+    @pytest.mark.parametrize("body,detail", [
+        ({"kind": "crawl", "crawl": {"vps": 5}},
+         r"crawl\.vps: expected a list of str or null, got 5"),
+        ({"kind": "longitudinal", "longitudinal": {"months": [0, "4"]}},
+         r"longitudinal\.months: expected a list of int, got the item '4'"),
+        ({"kind": "multivantage", "multivantage": {"months": [0, True]}},
+         r"multivantage\.months: expected a list of int"),
+        ({"kind": "measure", "measure": {"domains": {"a.example": 1}}},
+         r"measure\.domains: expected a list of str"),
+        ({"kind": "crawl", "chaos": {"domains": [None]}},
+         r"chaos\.domains: expected a list of str"),
+        ({"kind": "multivantage", "multivantage": {"relocate": {"DE": ["SE"]}}},
+         r"multivantage\.relocate must be a table"),
+    ])
+    def test_mistyped_container_refused_with_its_field(self, body, detail):
+        """Sequence fields are checked like scalars: a non-list, or an
+        item of the wrong type, is a SpecError naming the field — never
+        a TypeError from building or validating the section."""
+        with pytest.raises(SpecError, match=detail):
+            RunSpec.from_dict(body)
+
+    def test_null_sequence_keeps_its_default(self):
+        spec = RunSpec.from_dict({
+            "kind": "longitudinal",
+            "longitudinal": {"months": None, "domains": None},
+        })
+        assert spec.longitudinal == LongitudinalSpec()
+
     @pytest.mark.parametrize("workers", ["2", 2.5, True, None])
     def test_mistyped_scalar_refused_with_its_field(self, workers):
         with pytest.raises(SpecError, match=r"engine\.workers: expected int"):

@@ -10,12 +10,25 @@ budget, and the guarantee that transport failures yield structured
 size, never a silent drop.
 """
 
+import dataclasses
 import io
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
 
 from repro.distributed import (
     WIRE_PROTOCOL_VERSION,
@@ -29,7 +42,7 @@ from repro.distributed import (
     read_frame,
     write_frame,
 )
-from repro.distributed.wire import encode_message
+from repro.distributed.wire import MESSAGE_TYPES, encode_message
 from repro.errors import (
     TransportError,
     WireProtocolError,
@@ -90,6 +103,26 @@ def execute_losing_a_worker(crawler, plan, **kwargs):
     return result, taken
 
 
+#: Any JSON data a message field may hold, tuples included.
+_JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+def _asdict_encode(message) -> bytes:
+    """The oracle: a frame encoded from a deep copy of the message."""
+    body = dataclasses.asdict(message)
+    tags = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
+    body["type"] = tags[type(message)]
+    return (json.dumps(body, sort_keys=True) + "\n").encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # The wire itself
 # ---------------------------------------------------------------------------
@@ -118,6 +151,18 @@ class TestWireProtocol:
     ], ids=lambda m: type(m).__name__)
     def test_round_trip(self, message):
         assert decode_message(encode_message(message)) == message
+
+    @pytest.mark.parametrize("cls", list(MESSAGE_TYPES.values()),
+                             ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_encoding_matches_a_deep_copy(self, cls, data):
+        """The shallow encoder writes the very bytes an ``asdict``-based
+        one does, whatever JSON data the fields hold."""
+        message = data.draw(st.builds(cls, **{
+            field.name: _JSON_DATA for field in dataclasses.fields(cls)
+        }))
+        assert encode_message(message) == _asdict_encode(message)
 
     def test_bundle_round_trips_to_engine_shape(self):
         bundle = {
@@ -413,6 +458,117 @@ class TestDistributedRuns:
         ).multivantage(spec, output=OutputSpec(out_dir=str(distributed_dir)))
         assert (distributed_dir / "wave-00.jsonl").read_bytes() == \
             (serial_dir / "wave-00.jsonl").read_bytes()
+
+    def test_external_worker_serve_processes_byte_identical(
+        self, tmp_path, small_crawler, detection_plan, serial_reference
+    ):
+        """A coordinator that starts no worker of its own: two real
+        ``worker serve`` processes dial it, rebuild the world from its
+        key, and the spool still equals the serial bytes."""
+        executor = DistributedExecutor(0)
+        workers = []
+
+        def start_workers():
+            while executor.address is None:
+                time.sleep(0.01)
+            host, port = executor.address
+            for _ in range(2):
+                workers.append(subprocess.Popen(
+                    [sys.executable, "-m", "repro.cli", "worker", "serve",
+                     "--connect", f"{host}:{port}"],
+                    env=_env_with_src(), stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE, text=True,
+                ))
+
+        starter = threading.Thread(target=start_workers, daemon=True)
+        starter.start()
+        out = tmp_path / "external.jsonl"
+        try:
+            result = distributed_engine(
+                small_crawler, executor=executor, spool_path=out
+            ).execute(detection_plan)
+        finally:
+            starter.join(timeout=10)
+            replies = [worker.communicate(timeout=60) for worker in workers]
+        assert [worker.returncode for worker in workers] == [0, 0], replies
+        served = sum(int(stdout.split()[1]) for stdout, _ in replies)
+        assert served == SHARDS
+        assert not result.failures
+        assert out.read_bytes() == serial_reference
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads worker states from /proc")
+    def test_local_workers_exit_with_a_killed_coordinator(self):
+        """SIGKILL the coordinator mid-bundle: its local workers must be
+        gone within ~2 s, not after their multi-second bundles end."""
+        pids = []
+        with subprocess.Popen(
+            [sys.executable, "-c", _SLOW_COORDINATOR],
+            env=_env_with_src(), stdout=subprocess.PIPE, text=True,
+        ) as coordinator:
+            try:
+                ready, _, _ = select.select([coordinator.stdout], [], [], 120)
+                assert ready, "the coordinator never reported its workers"
+                pids = json.loads(coordinator.stdout.readline())
+                assert len(pids) == 2
+                time.sleep(1.0)  # the workers are inside their bundles now
+                coordinator.kill()
+                coordinator.wait(timeout=10)
+                deadline = time.monotonic() + 2.0
+                while any(map(_running, pids)) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not [pid for pid in pids if _running(pid)]
+            finally:
+                coordinator.kill()
+                for pid in pids:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except OSError:
+                        pass
+
+
+#: A distributed crawl whose two bundles each sleep through ~50 real
+#: network latencies; it prints its local worker pids once both
+#: workers have connected.
+_SLOW_COORDINATOR = textwrap.dedent("""
+    import json, threading, time
+    from repro.distributed import DistributedExecutor
+    from repro.measure import CrawlEngine, Crawler
+    from repro.webgen import build_world
+
+    world = build_world(scale=0.01, seed=7)
+    world.network.latency = 0.1
+    world.network.latency_mode = "real"
+    crawler = Crawler(world)
+    plan = crawler.plan_detection_crawl(["DE"], world.crawl_targets[:16])
+    executor = DistributedExecutor(2)
+
+    def report():
+        while executor._live_workers < 2:
+            time.sleep(0.01)
+        print(json.dumps([proc.pid for proc in executor._procs]), flush=True)
+
+    threading.Thread(target=report, daemon=True).start()
+    CrawlEngine(crawler, workers=2, shards=2, backend="distributed",
+                executor=executor).execute(plan)
+""")
+
+
+def _env_with_src():
+    """This environment, with the tested ``repro`` first on the path."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
 
 
 # ---------------------------------------------------------------------------

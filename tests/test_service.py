@@ -355,6 +355,22 @@ class TestServiceLifecycle:
         assert excinfo.value.status == 400
         assert "engine.workers" in str(excinfo.value)
 
+    @pytest.mark.parametrize("spec,field", [
+        ({"kind": "crawl", "crawl": {"vps": 5}}, "crawl.vps"),
+        ({"kind": "longitudinal", "longitudinal": {"months": [0, "4"]}},
+         "longitudinal.months"),
+    ], ids=["scalar-for-list", "mistyped-item"])
+    def test_mistyped_container_field_rejected_with_400(
+        self, service, spec, field
+    ):
+        """A wrong container value is a 400 naming its field, not a
+        dropped connection from an uncaught ``TypeError``."""
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/campaigns", {"spec": spec})
+        assert excinfo.value.status == 400
+        assert field in str(excinfo.value)
+
     def test_quota_maps_to_429(self, tmp_path):
         service = CampaignService(
             tmp_path / "q", port=0, quota=1
