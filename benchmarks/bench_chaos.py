@@ -27,9 +27,10 @@ from repro.webgen import build_world
 
 #: CI gate: idle-chaos crawl time over chaos-free crawl time.
 _IDLE_RATIO_CEILING = 1.05
-#: CI gate: visits/sec under the recoverable regime (local runs
-#: sustain hundreds — the floor leaves ~10x for slow runners).
-_RECOVERY_FLOOR_VISITS_PER_SEC = 30
+#: CI gate: visits/sec under the recoverable regime.  12 runs at
+#: REPRO_BENCH_SCALE=0.05 on a 2-CPU Xeon VM measured 628-969 (median
+#: 659); the floor sits ~20% below that low end.
+_RECOVERY_FLOOR_VISITS_PER_SEC = 500
 
 _SHARDS = 8
 _SAMPLE_SIZE = 160

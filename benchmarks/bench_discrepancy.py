@@ -26,9 +26,10 @@ from repro.vantage import VP_ORDER
 
 #: CI gate: the report must sustain at least this many records/sec
 #: (pure-Python dict aggregation plus price extraction on ~10% of
-#: records; local runs sustain well over 100k — the floor leaves
-#: ~10x for slow runners).
-_REPORT_FLOOR_RECORDS_PER_SEC = 15_000
+#: records).  12 runs at REPRO_BENCH_SCALE=0.05 on a 2-CPU Xeon VM
+#: measured 230k-393k (median 258k); the floor sits ~20% below that
+#: low end.
+_REPORT_FLOOR_RECORDS_PER_SEC = 180_000
 #: CI gate: the 8-VP allocation peak over the same domains must stay
 #: within this factor of the 2-VP peak (per-domain state is VP-count
 #: independent; only the small per-(wave, vp) counters grow).

@@ -19,15 +19,17 @@ _BENCH_LATENCY = 0.002
 _PARALLEL_WORKERS = 4
 _SAMPLE_SIZE = 200
 
-#: CI gate: on a multi-core box the process executor's throughput must
-#: reach at least this multiple of the serial one's on the compute-bound
-#: world.  12 runs of this file on a 2-CPU Xeon VM measured 0.48-0.66x
-#: (median 0.58x): on 1,000 tasks, four forked workers on two cores
-#: cost more than they parallelise.  The floor sits below that low end,
-#: so it catches a further collapse, not the missing speedup.
-_PROCESS_SPEEDUP_FLOOR = 0.45
+#: CI gate: on a multi-core box the distributed executor's throughput
+#: (forked local workers) must reach at least this multiple of the
+#: serial one's on the compute-bound world.  24 runs of this test on a
+#: 2-CPU Xeon VM measured 0.72-1.06x (median 0.87x) with the machine
+#: otherwise idle, and 0.52-1.05x with other tests running alongside:
+#: on 1,000 tasks, four forked workers on two cores barely pay for
+#: themselves.  The floor sits below the low end, so it catches a
+#: further collapse, not the missing speedup.
+_DISTRIBUTED_SPEEDUP_FLOOR = 0.5
 #: Tasks in the compute-bound executor benchmark — enough that the
-#: process pool's startup cost is noise against the crawl itself.
+#: workers' startup cost is noise against the crawl itself.
 _EXECUTOR_SAMPLE = 1000
 
 
@@ -123,13 +125,13 @@ def test_parallel_crawl_speedup(benchmark):
 
 
 def test_executor_backend_speedup(benchmark):
-    """Serial vs process executor on a **compute-bound** world.
+    """Serial vs distributed executor on a **compute-bound** world.
 
-    The netsim at zero latency is pure Python compute, the regime PR
-    4's indexed hot paths left the pipeline in, so only separate
+    The netsim at zero latency is pure Python compute, the regime the
+    indexed hot paths left the pipeline in, so only separate
     processes parallelise it.  Writes
-    ``benchmarks/output/BENCH_executors.json`` (serial/process
-    tasks-per-sec, the process-vs-serial ratio, and the gated floor)
+    ``benchmarks/output/BENCH_executors.json`` (serial/distributed
+    tasks-per-sec, the distributed-vs-serial ratio, and the gated floor)
     and asserts the floor whenever the machine has the cores to
     parallelise at all; the records must be identical across backends
     regardless.
@@ -142,7 +144,7 @@ def test_executor_backend_speedup(benchmark):
 
     # Warm the module-wide parse/filter caches once so the serial leg
     # (which runs first) is not unfairly charged for populating them;
-    # forked process workers inherit the warm caches.
+    # forked local workers inherit the warm caches.
     CrawlEngine(crawler).execute(plan)
 
     def timed(backend, workers):
@@ -157,20 +159,20 @@ def test_executor_backend_speedup(benchmark):
 
     serial_result, serial_rate = timed("serial", 1)
 
-    def process_run():
-        return timed("process", _PARALLEL_WORKERS)
+    def distributed_run():
+        return timed("distributed", _PARALLEL_WORKERS)
 
-    process_result, process_rate = benchmark.pedantic(
-        process_run, rounds=1, iterations=1, warmup_rounds=0
+    distributed_result, distributed_rate = benchmark.pedantic(
+        distributed_run, rounds=1, iterations=1, warmup_rounds=0
     )
 
     # Determinism across backends (detection records are id-agnostic,
-    # so the serial run matches the per-task-id process one too).
-    assert [r.to_dict() for r in process_result.records] == [
+    # so the serial run matches the per-task-id distributed one too).
+    assert [r.to_dict() for r in distributed_result.records] == [
         r.to_dict() for r in serial_result.records
     ]
 
-    speedup = process_rate / serial_rate
+    speedup = distributed_rate / serial_rate
     cpus = os.cpu_count() or 1
     payload = {
         "meta": {
@@ -182,9 +184,9 @@ def test_executor_backend_speedup(benchmark):
         },
         "compute_bound": {
             "serial_tasks_per_sec": round(serial_rate, 1),
-            "process_tasks_per_sec": round(process_rate, 1),
-            "process_vs_serial": round(speedup, 3),
-            "floor": _PROCESS_SPEEDUP_FLOOR,
+            "distributed_tasks_per_sec": round(distributed_rate, 1),
+            "distributed_vs_serial": round(speedup, 3),
+            "floor": _DISTRIBUTED_SPEEDUP_FLOOR,
             "floor_enforced": cpus >= 2,
         },
     }
@@ -198,18 +200,19 @@ def test_executor_backend_speedup(benchmark):
         f"compute-bound sample: {len(plan)} tasks, "
         f"{_PARALLEL_WORKERS} workers, {cpus} cpus\n"
         f"serial:  {serial_rate:.1f} tasks/sec\n"
-        f"process: {process_rate:.1f} tasks/sec\n"
-        f"process vs serial: {speedup:.2f}x (floor "
-        f"{_PROCESS_SPEEDUP_FLOOR}x, "
+        f"distributed: {distributed_rate:.1f} tasks/sec\n"
+        f"distributed vs serial: {speedup:.2f}x (floor "
+        f"{_DISTRIBUTED_SPEEDUP_FLOOR}x, "
         f"{'enforced' if cpus >= 2 else 'not enforced: single cpu'})",
     )
     # A single-CPU box cannot parallelise anything — record the
     # numbers but only gate where the comparison is physically
     # meaningful (CI runners are multi-core).
     if cpus >= 2:
-        assert speedup >= _PROCESS_SPEEDUP_FLOOR, (
-            f"process executor fell below its floor against serial on a "
-            f"compute-bound world: {speedup:.2f}x < {_PROCESS_SPEEDUP_FLOOR}x"
+        assert speedup >= _DISTRIBUTED_SPEEDUP_FLOOR, (
+            f"distributed executor fell below its floor against serial on "
+            f"a compute-bound world: {speedup:.2f}x < "
+            f"{_DISTRIBUTED_SPEEDUP_FLOOR}x"
         )
 
 

@@ -1,8 +1,14 @@
 """Benchmark fixtures: one full-scale world + one shared crawl.
 
 By default benchmarks run at **paper scale** (45,222 reachable targets,
-8 vantage points).  Set ``REPRO_BENCH_SCALE`` to e.g. ``0.05`` for a
-quick pass.  Expensive products (the detection crawl, the cookie
+8 vantage points).  ``REPRO_BENCH_SCALE`` shrinks the world for a quick
+pass.  ``0.05`` suits the files CI runs at that scale
+(``bench_pipeline``, ``bench_hotpaths``, ``bench_streaming``,
+``bench_discrepancy``, ``bench_chaos``, ``bench_distributed``); the
+figure benches need ``0.1`` or more: at ``0.05``
+``bench_fig1_fig2_fig3.py::test_fig3_category_vs_price`` finds no
+category with the five verified walls it requires, and fails.
+Expensive products (the detection crawl, the cookie
 measurements) are computed once in session fixtures — individual
 benchmarks then time the analysis that regenerates each artefact, and
 ``bench_pipeline`` times the crawl itself.

@@ -1,7 +1,7 @@
 """Large-world memory smoke: the O(shard-buffer) merge claim, enforced.
 
 Runs a detection crawl of a much-bigger-than-test world through the
-**process executor with the spool-backed merge** and fails if the
+**distributed executor with the spool-backed merge** and fails if the
 parent process's peak RSS exceeds a documented ceiling.  The spool
 merge holds one shard's outcomes at a time plus one buffered line per
 part file during the k-way join, so peak memory is dominated by the
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
         crawler,
         workers=args.workers,
         shards=args.shards,
-        backend="process",
+        backend="distributed",
         spool_path=out,
         checkpoint_path=f"{out}.checkpoint",
     )

@@ -271,7 +271,7 @@ class Session:
         if self.chaos_spec.seed is not None:
             # The chaos plane rides in the plan context: the checkpoint
             # fingerprint covers it (a chaos run never resumes a
-            # fault-free checkpoint, or vice versa) and process-backend
+            # fault-free checkpoint, or vice versa) and distributed
             # workers inherit it verbatim.
             plan.context.setdefault("chaos", self.chaos_spec.to_context())
         if spool_path is None and output is not None and output.path:
@@ -536,7 +536,7 @@ class Session:
         checkpoint/resume work exactly like single-VP runs — and the
         scenario (regulation regime, relocations, geo-blocking) rides
         in ``CrawlPlan.context``, which the checkpoint fingerprint
-        covers and the process workers receive verbatim.  Records
+        covers and the worker processes receive verbatim.  Records
         stream straight into a
         :class:`~repro.analysis.StreamingDiscrepancyReport` (returned
         as :attr:`RunResult.campaign`'s ``report``); with an

@@ -48,10 +48,11 @@ RUN_KINDS = ("crawl", "measure", "longitudinal", "multivantage")
 #: :meth:`RunSpec.to_dict` emits and the campaign service accepts.
 #: Version 1 is the pre-versioning format (no ``schema_version`` key);
 #: version 2 added the explicit key and the ``"distributed"`` executor
-#: backend; version 3 dropped the ``"thread"`` backend.  Old versions
-#: are upgraded through :data:`_SPEC_MIGRATIONS` so queued/submitted
-#: campaigns survive spec evolution.
-SPEC_SCHEMA_VERSION = 3
+#: backend; version 3 dropped the thread backend, version 4 the
+#: process pool.  Old versions are upgraded through
+#: :data:`_SPEC_MIGRATIONS` so queued/submitted campaigns survive spec
+#: evolution.
+SPEC_SCHEMA_VERSION = 4
 
 #: Kinds whose records land in a wave directory (``output.out_dir``)
 #: rather than a single spool file (``output.path``).
@@ -99,6 +100,16 @@ def _upgrade_v2(data: MutableMapping) -> MutableMapping:
     engine = data.get("engine")
     if isinstance(engine, Mapping) and engine.get("executor") == "thread":
         data["engine"] = dict(engine, executor="process")
+    return data
+
+
+@spec_migration(3)
+def _upgrade_v3(data: MutableMapping) -> MutableMapping:
+    """v3 -> v4: the process pool is gone; a stored ``"process"``
+    executor runs on the wire's local workers instead (same records)."""
+    engine = data.get("engine")
+    if isinstance(engine, Mapping) and engine.get("executor") == "process":
+        data["engine"] = dict(engine, executor="distributed")
     return data
 
 
@@ -241,13 +252,13 @@ class EngineSpec:
     workers: int = 1
     #: ``None`` keeps the engine default (1 serial, 4 × workers parallel).
     shards: Optional[int] = None
-    #: Executor backend, one of ``EXECUTOR_BACKENDS``
-    #: (serial/process/distributed); ``None`` picks serial when
-    #: ``workers == 1`` and process otherwise.  Process workers rebuild
-    #: the campaign from JSON worker state (stock crawler and detectors
-    #: over a built world, a JSON plan context — see the engine docs);
-    #: ``distributed`` ships the same state and shard bundles to worker
-    #: processes over a socket work queue (:mod:`repro.distributed`).
+    #: Executor backend, one of ``EXECUTOR_BACKENDS`` (serial or
+    #: distributed); ``None`` picks serial when ``workers == 1`` and
+    #: distributed otherwise.  ``distributed`` ships the run's JSON
+    #: worker state and shard bundles over a socket work queue
+    #: (:mod:`repro.distributed`) to worker processes, which rebuild the
+    #: campaign from it (stock crawler and detectors over a built
+    #: world, a JSON plan context — see the engine docs).
     executor: Optional[str] = None
     #: Not a choice: the engine spool-joins whenever the run has an
     #: output path and merges in memory otherwise.  ``"spool"`` only
@@ -273,7 +284,7 @@ class EngineSpec:
         if self.executor == "serial" and self.workers > 1:
             raise SpecError(
                 "engine.executor='serial' contradicts engine.workers > 1 "
-                "(pick 'process' or 'distributed' to parallelise)"
+                "(pick 'distributed' to parallelise)"
             )
         if self.merge not in MERGE_MODES:
             raise SpecError(

@@ -82,10 +82,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", choices=EXECUTOR_BACKENDS,
         default=argparse.SUPPRESS,
-        help="executor backend (default: serial when --workers 1, process "
-             "otherwise — a local pool of worker processes; distributed "
-             "ships shard bundles to worker processes over a socket work "
-             "queue — final JSONL is byte-identical across backends)",
+        help="executor backend (default: serial when --workers 1, "
+             "distributed otherwise — shard bundles go to worker "
+             "processes over a socket work queue; final JSONL is "
+             "byte-identical across backends)",
     )
     parser.add_argument(
         "--resume", action="store_true", default=argparse.SUPPRESS,

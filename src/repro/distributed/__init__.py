@@ -17,12 +17,12 @@ socket work queue:
   inherit its world); an external worker runs it as
   ``repro-cookiewalls worker serve --connect HOST:PORT``.
 - :mod:`repro.distributed.executor` — :class:`DistributedExecutor`,
-  the coordinator: it starts the local workers the way the process
-  pool starts its own, then runs a listening socket, a lease per
-  dispatched bundle, re-dispatch of shards whose worker died (or went
-  silent past its lease), and transport-degraded records when a
-  bundle exhausts its re-dispatch budget — record counts always equal
-  the plan size.
+  the coordinator and the engine's one parallel backend (what
+  ``workers > 1`` runs on): it forks the local workers, then runs a
+  listening socket, a lease per dispatched bundle, re-dispatch of
+  shards whose worker died (or went silent past its lease), and
+  transport-degraded records when a bundle exhausts its re-dispatch
+  budget — record counts always equal the plan size.
 
 Determinism contract: bundles are pure functions of the plan, so a
 shard re-run by a different worker (or re-dispatched after a kill)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
 import queue
 import socket
 import threading
@@ -49,9 +50,20 @@ from repro.distributed.wire import (
 )
 from repro.distributed.worker import serve_local_worker
 from repro.errors import TransportError, WireProtocolError, WorkerLostError
-from repro.measure.engine import CrawlTask, Executor, _worker_context
+from repro.measure.engine import CrawlTask, Executor
 from repro.measure.storage import encode_record_line, validate_record_payload
 from repro.resilience.degrade import degraded_record
+
+
+def _worker_context():
+    """The :mod:`multiprocessing` context local workers start in:
+    ``fork`` where available (a worker inherits the coordinator's world
+    through :data:`~repro.measure.engine._WORLDS` and skips the
+    rebuild), ``spawn`` elsewhere."""
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
+    )
 
 
 class _BundleState:
@@ -153,7 +165,7 @@ class DistributedExecutor(Executor):
     ) -> None:
         """Dispatch *bundles* over the wire; absorb payloads in order
         of completion via *on_shard* (the engine's absorb callback runs
-        on the calling thread, exactly like the process pool path).
+        on the calling thread).
 
         *shared* is the JSON worker state; every connection receives
         it once, as a :class:`WireShared` frame.
@@ -208,8 +220,7 @@ class DistributedExecutor(Executor):
 
     # -- worker processes ----------------------------------------------
     def _start_workers(self, listener: socket.socket) -> None:
-        """Start the local workers the way the process pool starts its
-        own (:func:`~repro.measure.engine._worker_context`).
+        """Start the local workers in :func:`_worker_context`.
 
         The heap is frozen across the forks, so the children's garbage
         collections never walk the inherited objects, nor copy their

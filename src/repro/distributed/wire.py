@@ -14,9 +14,8 @@ tuples, dicts of the same): the shard bundle they carry must survive
 ``dataclass -> JSON -> dataclass`` without losing the byte-identity of
 the records computed from it.  That includes :attr:`WireShared.state`,
 the run-constant worker state (world key, detectors' constructor
-arguments, retry policy, plan context) — the same JSON object the
-process pool's initializer installs in-process.  Nothing that crosses
-the socket is ever unpickled or executed.
+arguments, retry policy, plan context) that every worker installs
+once.  Nothing that crosses the socket is ever unpickled or executed.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class WireShared:
 
     ``state`` is the run-constant JSON worker state — the object
     :func:`repro.measure.engine._init_worker_shared` checks and
-    installs, for the process pool too.
+    installs.
     """
 
     state: Dict

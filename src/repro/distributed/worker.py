@@ -2,13 +2,13 @@
 
 A worker dials the coordinator, introduces itself, installs the
 run-constant JSON worker state the coordinator sends once
-(:func:`~repro.measure.engine._init_worker_shared`, the process pool's
-installer too), and then runs each received shard bundle through
-:func:`~repro.measure.engine._run_shard_bundle` — the process pool's
-worker entry point, which rebuilds the crawler and runs the engine's
-one shard runner (:func:`~repro.measure.engine.run_shard`).  The wire
-adds framing, never a second execution path, so a shard computes the
-same bytes no matter which transport carried it.
+(:func:`~repro.measure.engine._init_worker_shared`), and then runs
+each received shard bundle through
+:func:`~repro.measure.engine._run_shard_bundle`, the worker entry
+point, which runs the engine's one shard runner
+(:func:`~repro.measure.engine.run_shard`) on the installed crawler.
+The wire adds framing, never a second execution path, so a shard
+computes the same bytes as a serial run.
 
 Workers come to exist two ways and then speak the same protocol: the
 coordinator starts its local ones as :mod:`multiprocessing` children
@@ -26,10 +26,12 @@ worker also exits as soon as its coordinator process is gone.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
 import threading
+import time
 from typing import Optional, Tuple
 
 from repro.distributed.wire import (
@@ -42,11 +44,7 @@ from repro.distributed.wire import (
     write_frame,
 )
 from repro.errors import WireProtocolError
-from repro.measure.engine import (
-    _exit_with_parent,
-    _init_worker_shared,
-    _run_shard_bundle,
-)
+from repro.measure.engine import _init_worker_shared, _run_shard_bundle
 
 
 class _Heartbeat:
@@ -125,6 +123,20 @@ def serve_worker(
                 write_frame(wfile, WireResult.from_payload(payload))
             shards_served += 1
     return shards_served
+
+
+def _exit_with_parent() -> None:
+    """Exit this :mod:`multiprocessing` child as soon as its parent is
+    gone.  A local worker otherwise outlives a hard-killed coordinator,
+    running its bundle to the end with a world in memory."""
+    parent = multiprocessing.parent_process().pid
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def serve_local_worker(

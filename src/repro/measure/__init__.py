@@ -18,7 +18,6 @@ from repro.measure.engine import (
     CrawlTask,
     EngineResult,
     FaultInjectingExecutor,
-    ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
     TaskOutcome,
@@ -44,7 +43,6 @@ __all__ = [
     "TaskOutcome",
     "RetryPolicy",
     "SerialExecutor",
-    "ProcessExecutor",
     "FaultInjectingExecutor",
     "EXECUTOR_BACKENDS",
     "VisitRecord",

@@ -29,21 +29,19 @@ loop.  This module turns that loop into an explicit subsystem:
 
    - ``"serial"`` — :class:`SerialExecutor`, shard by shard on the
      calling thread, on the live crawler.
-   - ``"process"`` — :class:`ProcessExecutor` ships each bundle to a
-     worker *process* (:func:`_run_shard_bundle`) that rebuilds the
+   - ``"distributed"`` — :class:`repro.distributed.DistributedExecutor`
+     carries each bundle as a JSON frame to a socket worker
+     (:func:`_run_shard_bundle` behind the wire) that rebuilds the
      crawler and returns the records serialized.  A visit is pure
      Python under the default virtual latency, so processes, not
-     threads, are what parallelise it.  Workers rebuild the world from
-     its (seed, scale, evolution) key — or, under ``fork``, inherit
-     the parent's — so bundles stay small.  See *Worker state*.
-   - ``"distributed"`` — :class:`repro.distributed.DistributedExecutor`
-     carries the same bundles as JSON frames to socket workers running
-     the same worker entry point: local ones started like the pool's
-     (:func:`_worker_context`), external ones by ``worker serve``.
+     threads, are what parallelise it.  Local workers are forked
+     children that inherit the parent's world; external ones
+     (``worker serve``) rebuild it from its (seed, scale, evolution)
+     key.  See *Worker state*.
 
    Every finished shard is absorbed through one path (notes emitted,
    breaker states adopted, outcomes persisted).  With no explicit
-   backend, ``workers == 1`` is serial and ``workers > 1`` process.
+   backend, ``workers == 1`` is serial and ``workers > 1`` distributed.
 
 4. **Merge.**  Outcomes are re-assembled in **plan order** (their
    canonical order) regardless of which worker finished first.  The
@@ -71,7 +69,7 @@ Out-of-process workers rebuild the crawl from one JSON object, the
 constructor arguments (so configured detectors behave identically in
 a worker), ``ublock_lists``, the plan context, and the
 :class:`RetryPolicy` fields.  :func:`_init_worker_shared` installs it
-once per worker, for the pool and the wire alike.  Crawler or
+once per worker, local or external.  Crawler or
 detector subclasses, hand-assembled or knob-tuned worlds, and plan
 contexts that are not JSON data are refused — run those with
 ``workers=1``.
@@ -133,13 +131,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import threading
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor as _PyProcessPool
-from concurrent.futures import as_completed
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
@@ -175,10 +170,10 @@ TASK_MODES = ("detect", "accept", "reject", "subscription", "ublock")
 
 #: Executor backends selectable by name (``EngineSpec.executor`` /
 #: ``--executor``); ``None`` picks serial for ``workers == 1`` and
-#: process otherwise.  Only serial runs shards in this process on the
-#: live crawler; the others rebuild it in worker processes from the
+#: distributed otherwise.  Serial runs shards in this process on the
+#: live crawler; distributed rebuilds it in worker processes from the
 #: run-constant state.
-EXECUTOR_BACKENDS = ("serial", "process", "distributed")
+EXECUTOR_BACKENDS = ("serial", "distributed")
 
 #: ``progress(done, total, task)`` — invoked after every completed task.
 ProgressHook = Callable[[int, int, "CrawlTask"], None]
@@ -500,9 +495,8 @@ def run_shard(
 
 #: Worlds by world key.  The parent inserts its world before its local
 #: workers start (and pops it afterwards), so ``fork``-started workers
-#: — the pool's and the wire's — inherit it and skip the rebuild; a
-#: ``spawn``-started or external ``worker serve`` worker builds it
-#: deterministically from the key.
+#: inherit it and skip the rebuild; a ``spawn``-started or external
+#: ``worker serve`` worker builds it deterministically from the key.
 _WORLDS: Dict[Tuple, object] = {}
 
 #: What a worker's shards share — the stock crawler, plan context and
@@ -552,10 +546,10 @@ def conforms(value, shape) -> bool:
 
 
 def _init_worker_shared(state: Dict) -> None:
-    """Install the JSON worker *state* — the pool initializer and
-    every wire worker install through here: check its shape (else
-    :class:`WireProtocolError`), then build the world, the crawler with
-    both detectors, and the retry policy once for every shard."""
+    """Install the JSON worker *state* — every wire worker installs
+    through here: check its shape (else :class:`WireProtocolError`),
+    then build the world, the crawler with both detectors, and the
+    retry policy once for every shard."""
     # Imported lazily — repro.measure.crawl imports this module.
     from repro.measure.crawl import Crawler
     from repro.webgen.evolve import evolve_world
@@ -585,39 +579,6 @@ def _init_worker_shared(state: Dict) -> None:
         context=state["context"],
         retry=RetryPolicy(**state["retry"]),
     )
-
-
-def _worker_context():
-    """The :mod:`multiprocessing` context local workers start in — the
-    process pool's and the wire's: ``fork`` where available (a worker
-    inherits the parent's world through :data:`_WORLDS` and skips the
-    rebuild), ``spawn`` elsewhere."""
-    return multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn"
-    )
-
-
-def _exit_with_parent() -> None:
-    """Exit this :mod:`multiprocessing` child as soon as its parent is
-    gone.  A local worker otherwise outlives a hard-killed parent: a
-    pool worker blocked forever on its task queue, a wire worker
-    running its bundle to the end, each with a world in memory."""
-    parent = multiprocessing.parent_process().pid
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.2)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _init_pool_worker(state: Dict) -> None:
-    """Process-pool initializer: install *state*, and exit with the
-    parent."""
-    _init_worker_shared(state)
-    _exit_with_parent()
 
 
 def _task_id_base(world_seed: int, task: CrawlTask) -> int:
@@ -1094,65 +1055,6 @@ class FaultInjectingExecutor(SerialExecutor):
             raise RuntimeError(f"injected crash in shard {crashed[0]}")
 
 
-class ProcessExecutor(Executor):
-    """Runs bundles in worker *processes* (``ProcessPoolExecutor``).
-
-    Each worker runs :func:`_run_shard_bundle` and hands its serialized
-    payload back; the payloads reach *on_shard* in completion order,
-    so the engine checkpoints and spools each shard as soon as it
-    finishes.
-
-    Workers start with ``fork`` where available (they inherit the
-    parent's already-built world through ``_WORLDS`` for free)
-    and with ``spawn`` elsewhere, where each worker deterministically
-    rebuilds the world from its key on first use.
-    """
-
-    backend = "process"
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def run_bundles(self, bundles, on_shard, shared):
-        """Run *bundles* in the pool, invoking *on_shard* per payload.
-
-        *shared*, the JSON worker state, is installed once per worker
-        by the pool initializer rather than shipped with every bundle.
-
-        A worker that dies (or a bundle that raises) surfaces here as
-        the pool's exception, after the shards whose results were
-        already delivered have been absorbed.  Note the broken-pool
-        caveat: when a worker dies, ``concurrent.futures`` voids *all*
-        unfinished futures — including shards mid-flight in healthy
-        sibling workers — so those shards simply re-run on resume.
-        Correctness is unaffected (the checkpoint holds exactly the
-        delivered shards); the amount of re-executed work under a
-        multi-worker crash is scheduling-dependent.
-
-        When *on_shard* raises (a failed absorb, or a progress hook
-        that cancels the run) the shards not yet started are cancelled,
-        so the run stops once the in-flight ones drain instead of
-        executing the rest of the plan.
-        """
-        with _PyProcessPool(
-            max_workers=self.workers,
-            mp_context=_worker_context(),
-            initializer=_init_pool_worker,
-            initargs=(shared,),
-        ) as pool:
-            futures = [
-                pool.submit(_run_shard_bundle, bundle) for bundle in bundles
-            ]
-            try:
-                for future in as_completed(futures):
-                    on_shard(future.result())
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-
-
 class CrawlEngine:
     """Compiles nothing, schedules everything: executes a
     :class:`CrawlPlan` through an executor and merges the outcomes.
@@ -1165,13 +1067,14 @@ class CrawlEngine:
     workers:
         Degree of parallelism.  Without an explicit *backend*, ``1``
         (default) selects :class:`SerialExecutor` and ``>1`` a
-        :class:`ProcessExecutor` with that many worker processes.
+        :class:`~repro.distributed.DistributedExecutor` with that many
+        local worker processes.
     backend:
         Executor backend by name — one of :data:`EXECUTOR_BACKENDS`
         (see the module docstring); ``None`` keeps the workers-based
-        rule above.  The process and distributed backends require a
-        stock crawler over a built world (*Worker state*); every
-        backend but serial uses per-task visit-id streams.
+        rule above.  The distributed backend requires a stock crawler
+        over a built world (*Worker state*) and uses per-task visit-id
+        streams.
     shards:
         Shard count; defaults to ``1`` when serial and ``4 × workers``
         when parallel.  A shard is the unit of concurrency (tasks
@@ -1242,7 +1145,7 @@ class CrawlEngine:
         if backend == "serial" and workers > 1:
             raise ValueError(
                 "backend='serial' contradicts workers > 1 "
-                "(pick 'process' or 'distributed' to parallelise)"
+                "(pick 'distributed' to parallelise)"
             )
         self.crawler = crawler
         self.workers = workers
@@ -1274,7 +1177,7 @@ class CrawlEngine:
         #: range of every run it holds for this execution.
         self._journal: Optional[Path] = None
         self._runs: List[Run] = []
-        #: pid -> [shards, tasks, elapsed] for process-backend runs.
+        #: pid -> [shards, tasks, elapsed] for worker-process runs.
         self._process_stats: Dict[int, List] = {}
         self._lock = threading.Lock()
         #: Separate lock for the caller's progress hook, so a slow (or
@@ -1297,13 +1200,13 @@ class CrawlEngine:
             return self.executor.backend
         if self.backend is not None:
             return self.backend
-        return "serial" if self.workers == 1 else "process"
+        return "serial" if self.workers == 1 else "distributed"
 
     @property
     def per_task_ids(self) -> bool:
         """Whether tasks get private visit-id streams (module docstring).
 
-        True in parallel mode (any process/distributed backend included:
+        True in parallel mode (the distributed backend included:
         worker processes cannot share the serial counter) and
         for every checkpointed run: the serial shared-counter stream
         cannot survive a resume boundary, since replayed tasks would no
@@ -1434,16 +1337,12 @@ class CrawlEngine:
         Each shard is one unit of concurrency, so workers beyond the
         shard count would only idle.
         """
-        backend = self.resolved_backend
-        if backend == "serial":
+        if self.resolved_backend == "serial":
             return SerialExecutor()
-        workers = min(self.workers, self.shards)
-        if backend == "distributed":
-            # Imported lazily — repro.distributed builds on this module.
-            from repro.distributed import DistributedExecutor
+        # Imported lazily — repro.distributed builds on this module.
+        from repro.distributed import DistributedExecutor
 
-            return DistributedExecutor(workers)
-        return ProcessExecutor(workers)
+        return DistributedExecutor(min(self.workers, self.shards))
 
     # ------------------------------------------------------------------
     # Bundles, worker transports, and the one absorb path
@@ -1484,14 +1383,14 @@ class CrawlEngine:
                             (getattr(crawler, "_lang", None), LanguageDetector)):
             if type(part) is not stock:
                 raise ValueError(
-                    "the process backend rebuilds the stock Crawler and detectors in each worker "
+                    "the distributed backend rebuilds the stock Crawler and detectors in each worker "
                     f"from plain data; {type(part).__name__} cannot cross the process boundary "
                     "(use workers=1)"
                 )
         config = getattr(getattr(self.crawler, "world", None), "config", None)
         if config is None or getattr(config, "seed", None) is None:
             raise ValueError(
-                "the process backend rebuilds the world from its "
+                "the distributed backend rebuilds the world from its "
                 "(seed, scale, evolution) key; this crawler's world has "
                 "no build config"
             )
@@ -1503,7 +1402,7 @@ class CrawlEngine:
             # produce a *different web* in the worker, so refuse them
             # up front (fork-started workers would mask this locally).
             raise ValueError(
-                "the process backend rebuilds the world from (seed, "
+                "the distributed backend rebuilds the world from (seed, "
                 "scale) alone; this world's config carries non-default "
                 "knobs a worker could not reproduce (use workers=1)"
             )
@@ -1511,8 +1410,8 @@ class CrawlEngine:
     def _worker_state(self, plan: CrawlPlan) -> Dict:
         """The run-constant JSON state every worker installs once.
 
-        Refused unless JSON carries it unchanged, so a plan that runs on
-        ``process`` also runs on ``distributed``.  Corpora travel as
+        Refused unless JSON carries it unchanged: wire frames carry it
+        as JSON, to local and external workers alike.  Corpora travel as
         ordered ``[language, sentences]`` pairs: training order is part
         of the detector, and wire frames sort object keys.
         """

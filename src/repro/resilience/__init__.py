@@ -22,7 +22,6 @@ from repro.resilience.chaos import (
     FAULT_KINDS,
     ChaosEngine,
     ChaosSpec,
-    tear_trailing_line,
 )
 from repro.resilience.clock import (
     TaskMeter,
@@ -43,7 +42,6 @@ __all__ = [
     "current_meter",
     "degraded_record",
     "spend",
-    "tear_trailing_line",
 ]
 
 

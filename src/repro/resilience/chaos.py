@@ -2,7 +2,7 @@
 
 A :class:`ChaosSpec` describes a fault regime — per-kind injection
 rates plus a seed — and rides in ``CrawlPlan.context`` so the plan
-fingerprint covers it and process workers inherit it verbatim.  A
+fingerprint covers it and worker processes inherit it verbatim.  A
 :class:`ChaosEngine` compiled from the spec hooks into
 :meth:`Network.fetch <repro.netsim.network.Network.fetch>` and decides,
 for every request, whether to inject a fault.
@@ -27,7 +27,6 @@ worker counts, and kill/resume.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Set, Tuple
@@ -209,29 +208,3 @@ class ChaosEngine:
                 message = _FAULT_MESSAGES[kind].format(host=host)
                 raise _FAULT_ERRORS[kind](message)
 
-
-# ---------------------------------------------------------------------------
-# Storage-layer chaos
-# ---------------------------------------------------------------------------
-
-def tear_trailing_line(path, seed: int) -> int:
-    """Simulate a torn write: truncate *path* mid-way into its last line.
-
-    Deterministically (via ``derive_seed``) picks how many bytes of the
-    final line survive — at least one, and at least one byte is cut —
-    modelling a crash between ``write`` and ``flush``.  Returns the
-    number of bytes cut.  Used by chaos tests to exercise the
-    ``TornRecordWarning`` tolerance of checkpoint and spool readers.
-    """
-    blob = path.read_bytes()
-    body = blob[:-1] if blob.endswith(b"\n") else blob
-    start = body.rfind(b"\n") + 1
-    last = body[start:]
-    if len(last) < 2:
-        raise ValueError(f"{path} has no tearable trailing line")
-    keep = 1 + derive_seed(seed, "tear", len(blob)) % (len(last) - 1)
-    torn = body[: start + keep]
-    tmp = path.with_suffix(path.suffix + ".tear")
-    tmp.write_bytes(torn)
-    os.replace(tmp, path)
-    return len(blob) - len(torn)

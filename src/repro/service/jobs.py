@@ -117,6 +117,9 @@ class JobQueue:
         self.jobs: Dict[str, Job] = {}
         self._heap: List = []  # (-priority, sequence, job_id)
         self._sequence = 0
+        #: job_id -> the sequence of its live heap entry; an entry a
+        #: cancel or re-queue left behind is skipped, not claimed.
+        self._entries: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
 
@@ -157,6 +160,7 @@ class JobQueue:
 
     def _push_locked(self, job: Job) -> None:
         heapq.heappush(self._heap, (-job.priority, self._sequence, job.id))
+        self._entries[job.id] = self._sequence
         self._sequence += 1
         self._available.notify()
 
@@ -167,10 +171,12 @@ class JobQueue:
             if not self._heap:
                 self._available.wait(timeout)
             while self._heap:
-                _, _, claimed_id = heapq.heappop(self._heap)
+                _, sequence, claimed_id = heapq.heappop(self._heap)
                 job = self.jobs.get(claimed_id)
-                if job is None or job.state != "queued":
-                    continue  # cancelled (or superseded) while queued
+                if job is None or job.state != "queued" or (
+                    self._entries[claimed_id] != sequence
+                ):
+                    continue  # cancelled, or an entry left by a re-queue
                 job.state = "running"
                 job.revision += 1
                 return job
@@ -198,6 +204,8 @@ class JobQueue:
         ``failed`` without the error.  A terminal job keeps its state."""
         if state not in TERMINAL_STATES:
             raise ValueError(f"{state!r} is not a terminal job state")
+        if state == "done" and summary is None:
+            raise ValueError("a done job needs its summary")
         with self._lock:
             job = self.jobs[claimed_id]
             if job.state not in TERMINAL_STATES:

@@ -17,7 +17,7 @@ from a regulated region outright).  Scenarios serialise to a
 JSON-stable mapping via :meth:`RegulationScenario.to_context`, which
 is what campaign plans carry in ``CrawlPlan.context`` — so the active
 scenario is covered by checkpoint fingerprints and travels unchanged
-to process-pool workers.
+to worker processes.
 """
 
 from __future__ import annotations

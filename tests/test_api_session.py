@@ -86,12 +86,12 @@ class TestSessionBasics:
             output=OutputSpec(path=str(serial_out)),
         )
         Session(spec).run()
-        out = tmp_path / "process.jsonl"
+        out = tmp_path / "distributed.jsonl"
         result = Session(
             RunSpec(
                 kind="crawl", world=WORLD, crawl=CrawlSpec(vps=("DE",)),
                 engine=EngineSpec(
-                    workers=2, executor="process", merge="spool"
+                    workers=2, executor="distributed", merge="spool"
                 ),
                 output=OutputSpec(path=str(out)),
             )

@@ -109,15 +109,18 @@ class TestValidation:
             EngineSpec(executor="fiber").validate()
         with pytest.raises(SpecError, match="contradicts"):
             EngineSpec(executor="serial", workers=4).validate()
-        with pytest.raises(SpecError, match="engine.executor"):
-            EngineSpec(executor="thread").validate()
-        for backend in ("serial", "process", "distributed"):
+        for gone in ("thread", "process"):
+            with pytest.raises(
+                SpecError, match="must be one of serial, distributed"
+            ):
+                EngineSpec(executor=gone).validate()
+        for backend in ("serial", "distributed"):
             EngineSpec(executor=backend).validate()
 
     def test_executor_round_trips(self):
         spec = RunSpec(
             kind="crawl",
-            engine=EngineSpec(workers=2, executor="process", merge="spool"),
+            engine=EngineSpec(workers=2, executor="distributed", merge="spool"),
             output=OutputSpec(path="out.jsonl"),
         ).validate()
         assert RunSpec.from_dict(spec.to_dict()) == spec
@@ -319,12 +322,13 @@ class TestSchemaVersioning:
         payload["schema_version"] = 1
         assert RunSpec.from_dict(payload) == spec
 
-    def test_v2_thread_executor_loads_as_process(self):
+    def test_v2_thread_executor_loads_as_distributed(self):
         """Specs saved (or queued by `serve`) before the thread backend
-        went keep loading: their executor runs on worker processes."""
+        went keep loading: their executor runs on worker processes,
+        which since v4 means the wire."""
         spec = RunSpec(
             kind="crawl",
-            engine=EngineSpec(workers=2, executor="process"),
+            engine=EngineSpec(workers=2, executor="distributed"),
         ).validate()
         payload = spec.to_dict()
         payload["schema_version"] = 2
@@ -332,7 +336,22 @@ class TestSchemaVersioning:
         assert RunSpec.from_dict(payload) == spec
         # Other v2 executors pass through unchanged.
         payload["engine"]["executor"] = "distributed"
-        assert RunSpec.from_dict(payload).engine.executor == "distributed"
+        assert RunSpec.from_dict(payload) == spec
+
+    def test_v3_process_executor_loads_as_distributed(self):
+        """Specs saved before the process pool went keep loading: a
+        stored ``"process"`` executor runs on the wire's local workers,
+        which produce the same records."""
+        spec = RunSpec(
+            kind="crawl",
+            engine=EngineSpec(workers=2, executor="distributed"),
+        ).validate()
+        payload = spec.to_dict()
+        payload["schema_version"] = 3
+        payload["engine"]["executor"] = "process"
+        assert RunSpec.from_dict(payload) == spec
+        payload["engine"]["executor"] = None
+        assert RunSpec.from_dict(payload).engine.executor is None
 
     def test_future_version_rejected_readably(self):
         from repro.api import SpecVersionError

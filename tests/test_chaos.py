@@ -11,9 +11,11 @@ tolerated, never silently dropped, and a crash at each of the
 journal's write sites must resume to the same bytes.
 
 Like ``test_executor_backends.py``, CI runs this module once per
-backend (``REPRO_EXECUTOR_BACKEND=serial|process``) under
-pinned chaos seeds; locally, with the variable unset, every backend
-runs in one pass.
+backend (``REPRO_EXECUTOR_BACKEND=serial|distributed``) under
+pinned chaos seeds; locally, with the variable unset, both backends
+run in one pass.  The distributed job also runs the ``process`` leg:
+``--workers N`` with no backend named, which the engine sends over the
+wire.
 """
 
 import json
@@ -34,10 +36,25 @@ from repro.measure.storage import (
     iter_records,
     torn_line_count,
 )
-from repro.resilience.chaos import ChaosSpec, tear_trailing_line
+from repro.resilience.chaos import ChaosSpec
+from repro.rng import derive_seed
 
 _ENV_BACKEND = os.environ.get("REPRO_EXECUTOR_BACKEND")
-BACKENDS = (_ENV_BACKEND,) if _ENV_BACKEND else EXECUTOR_BACKENDS
+if _ENV_BACKEND is not None and _ENV_BACKEND not in EXECUTOR_BACKENDS:
+    raise RuntimeError(
+        f"REPRO_EXECUTOR_BACKEND={_ENV_BACKEND!r} is not one of "
+        f"{EXECUTOR_BACKENDS}"
+    )
+#: The matrix legs and the backend each runs on.  ``process`` is the
+#: ``--workers N`` leg: it names no backend, so the engine's workers
+#: rule sends it over the wire to locally forked worker processes.
+LEG_BACKENDS = {
+    "serial": "serial", "process": "distributed", "distributed": "distributed"
+}
+BACKENDS = tuple(
+    leg for leg, backend in LEG_BACKENDS.items()
+    if _ENV_BACKEND in (None, backend)
+)
 
 SHARDS = 6
 WORKERS = 3
@@ -62,32 +79,43 @@ IDLE = ChaosSpec(seed=99)
 def make_engine(backend, crawler, **kwargs):
     workers = 1 if backend == "serial" else WORKERS
     return CrawlEngine(
-        crawler, workers=workers, shards=SHARDS, backend=backend, **kwargs
+        crawler, workers=workers, shards=SHARDS,
+        backend=None if backend == "process" else backend, **kwargs
     )
 
 
-def crash_engine(backend, crawler, fail_shards, **kwargs):
-    """An engine whose run dies in *fail_shards*: one pool worker,
-    SIGKILLed inside ``kill_workers(*fail_shards)``, under the process
-    backend (so the shards before the kill deterministically
-    checkpoint); the in-process crash harness otherwise."""
-    if backend == "process":
-        return CrawlEngine(
-            crawler, workers=1, shards=SHARDS, backend="process", **kwargs
-        )
-    return make_engine(
-        backend, crawler,
-        executor=FaultInjectingExecutor(fail_shards, partial=True),
-        **kwargs,
-    )
+def chaos_plan(plan_factory, spec):
+    """A fresh plan carrying *spec*'s chaos context."""
+    plan = plan_factory()
+    if spec is not None:
+        plan.context["chaos"] = spec.to_context()
+    return plan
 
 
 def chaos_execute(engine, plan_factory, spec):
     """Execute a fresh plan carrying *spec*'s chaos context."""
-    plan = plan_factory()
-    if spec is not None:
-        plan.context["chaos"] = spec.to_context()
-    return engine.execute(plan)
+    return engine.execute(chaos_plan(plan_factory, spec))
+
+
+def tear_trailing_line(path, seed: int) -> int:
+    """Simulate a torn write: truncate *path* mid-way into its last line.
+
+    Deterministically (via ``derive_seed``) picks how many bytes of the
+    final line survive — at least one, and at least one byte is cut —
+    modelling a crash between ``write`` and ``flush``.  Returns the
+    number of bytes cut, for the ``TornRecordWarning`` tolerance of
+    checkpoint and spool readers.
+    """
+    blob = path.read_bytes()
+    body = blob[:-1] if blob.endswith(b"\n") else blob
+    start = body.rfind(b"\n") + 1
+    last = body[start:]
+    if len(last) < 2:
+        raise ValueError(f"{path} has no tearable trailing line")
+    keep = 1 + derive_seed(seed, "tear", len(blob)) % (len(last) - 1)
+    torn = body[: start + keep]
+    path.write_bytes(torn)
+    return len(blob) - len(torn)
 
 
 @pytest.fixture(scope="module")
@@ -182,19 +210,18 @@ class TestDifferentialOracle:
 
     def test_crashed_recoverable_run_resumes_byte_identical(
         self, backend, tmp_path, chaos_crawler, plan_factory,
-        fault_free_reference, kill_workers,
+        fault_free_reference, crash_engine,
     ):
         """Kill part of a recoverable-chaos run, resume it: re-crawled
         tasks re-fault and re-recover (the consumed-fault set is
         per-run), so the final spool still equals the fault-free one."""
         out = tmp_path / "crashed.jsonl"
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
-        engine = crash_engine(
-            backend, chaos_crawler, (1, 4), spool_path=out,
+        crash_engine(
+            backend, chaos_crawler, chaos_plan(plan_factory, RECOVERABLE),
+            (1, 4), shards=SHARDS, spool_path=out,
             checkpoint_path=checkpoint, retry=RetryPolicy(max_attempts=8),
         )
-        with kill_workers(1, 4), pytest.raises(RuntimeError):
-            chaos_execute(engine, plan_factory, RECOVERABLE)
         assert checkpoint.exists()
 
         result = chaos_execute(
@@ -289,22 +316,21 @@ def _breaker_checkpoint_domains(checkpoint):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_breaker_state_survives_kill_and_resume(
     backend, tmp_path, chaos_crawler, breaker_plan_factory, breaker_chaos,
-    breaker_reference, kill_workers,
+    breaker_reference, crash_engine,
 ):
-    """SIGKILL a worker mid-chaos (injected crash under the other
-    backends): the checkpoint carries the breaker line, the
-    resumed run restores the registry instead of restarting it closed,
-    and the final spool — including which tasks were breaker-skipped —
-    is byte-identical to the uninterrupted run."""
+    """SIGKILL a worker mid-chaos (injected crash under serial): the
+    checkpoint carries the breaker line, the resumed run restores the
+    registry instead of restarting it closed, and the final spool —
+    including which tasks were breaker-skipped — is byte-identical to
+    the uninterrupted run."""
     reference_bytes, reference_snapshots = breaker_reference
     out = tmp_path / "killed.jsonl"
     checkpoint = tmp_path / "killed.jsonl.checkpoint"
-    engine = crash_engine(
-        backend, chaos_crawler, (SHARDS - 1,), spool_path=out,
+    crash_engine(
+        backend, chaos_crawler, chaos_plan(breaker_plan_factory, breaker_chaos),
+        (SHARDS - 1,), shards=SHARDS, spool_path=out,
         checkpoint_path=checkpoint, retry=RetryPolicy(**BREAKER_RETRY),
     )
-    with kill_workers(SHARDS - 1), pytest.raises(RuntimeError):
-        chaos_execute(engine, breaker_plan_factory, breaker_chaos)
     # The interrupted checkpoint persisted breaker state alongside the
     # completed outcomes.
     assert _breaker_checkpoint_domains(checkpoint), (

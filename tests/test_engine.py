@@ -263,7 +263,7 @@ class TestEngineEvents:
         (plan_event,) = log.by_kind("plan")
         assert plan_event.detail == {
             "tasks": 30, "shards": 4, "workers": 2,
-            "backend": "process", "merge": "memory",
+            "backend": "distributed", "merge": "memory",
         }
         occupied = sum(1 for shard in plan.sharded(4) if shard)
         assert len(log.by_kind("shard")) == occupied
@@ -558,14 +558,15 @@ class TestProgressReporting:
         self, tmp_path, monkeypatch, medium_world, medium_crawler
     ):
         """A progress hook that raises (the service's cancel) stops a
-        process-backend run: the shards no worker has started are
-        cancelled, not run to the end of the plan."""
-        import repro.measure.engine as engine_mod
+        parallel run: the shards no worker has started are cancelled,
+        not run to the end of the plan."""
+        # The worker loop calls the entry point it imported by name.
+        import repro.distributed.worker as worker_mod
 
         started = tmp_path / "started"
         monkeypatch.setitem(_BUNDLE_LOG, "path", str(started))
         monkeypatch.setattr(
-            engine_mod, "_run_shard_bundle", _logged_shard_bundle
+            worker_mod, "_run_shard_bundle", _logged_shard_bundle
         )
 
         class Cancelled(Exception):
@@ -578,7 +579,7 @@ class TestProgressReporting:
             ["DE"], medium_world.crawl_targets[:400]
         )
         engine = CrawlEngine(
-            medium_crawler, workers=2, shards=40, backend="process",
+            medium_crawler, workers=2, shards=40, backend="distributed",
             progress=cancel,
         )
         with pytest.raises(Cancelled):

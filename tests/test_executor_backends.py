@@ -1,13 +1,14 @@
 """Determinism + resume guarantees, per executor backend.
 
 The engine promises that for a fixed world seed the final JSONL is
-**byte-identical** across ``executor ∈ {serial, process, distributed}``
-× any workers/shards combination × resumed-vs-uninterrupted runs.
-This module is that promise as a test matrix: CI runs it once per
-backend (``REPRO_EXECUTOR_BACKEND=serial|process|distributed``) so a
-regression in
-any one backend fails its own job; locally, with the variable unset,
-every backend runs in one pass.
+**byte-identical** across ``executor ∈ {serial, distributed}`` × any
+workers/shards combination × resumed-vs-uninterrupted runs.  This
+module is that promise as a test matrix: CI runs it once per backend
+(``REPRO_EXECUTOR_BACKEND=serial|distributed``) so a regression in
+either backend fails its own job; locally, with the variable unset,
+both backends run in one pass.  The distributed job also runs the
+``process`` leg: ``--workers N`` with no backend named, which the
+engine sends over the wire.
 """
 
 import json
@@ -20,7 +21,6 @@ from repro.measure import (
     EXECUTOR_BACKENDS,
     CrawlEngine,
     Crawler,
-    FaultInjectingExecutor,
     RetryPolicy,
 )
 from repro.measure.instrumentation import EventLog
@@ -32,7 +32,16 @@ if _ENV_BACKEND is not None and _ENV_BACKEND not in EXECUTOR_BACKENDS:
         f"REPRO_EXECUTOR_BACKEND={_ENV_BACKEND!r} is not one of "
         f"{EXECUTOR_BACKENDS}"
     )
-BACKENDS = (_ENV_BACKEND,) if _ENV_BACKEND else EXECUTOR_BACKENDS
+#: The matrix legs and the backend each runs on.  ``process`` is the
+#: ``--workers N`` leg: it names no backend, so the engine's workers
+#: rule sends it over the wire to locally forked worker processes.
+LEG_BACKENDS = {
+    "serial": "serial", "process": "distributed", "distributed": "distributed"
+}
+BACKENDS = tuple(
+    leg for leg, backend in LEG_BACKENDS.items()
+    if _ENV_BACKEND in (None, backend)
+)
 
 #: Enough shards that fault injection always hits non-empty ones.
 SHARDS = 6
@@ -40,33 +49,12 @@ WORKERS = 3
 
 
 def make_engine(backend, crawler, **kwargs):
-    """An engine for *backend* with this module's standard geometry."""
+    """An engine for the matrix leg *backend* with this module's
+    standard geometry."""
     workers = 1 if backend == "serial" else WORKERS
     return CrawlEngine(
-        crawler, workers=workers, shards=SHARDS, backend=backend, **kwargs
-    )
-
-
-def crash_engine(backend, crawler, fail_shards, **kwargs):
-    """An engine whose run dies in *fail_shards*, the way *backend* does.
-
-    Under the process backend the shards' pool workers are SIGKILLed
-    (run it inside ``kill_workers(*fail_shards)``); the pool has one
-    worker so shards complete in submission order: everything before
-    the first killed shard is deterministically checkpointed before
-    the pool breaks (a broken pool voids *running* futures, so a
-    multi-worker kill could otherwise lose arbitrary in-flight shards
-    and make ``resumed`` flaky).  Other backends get the in-process
-    crash harness.
-    """
-    if backend == "process":
-        return CrawlEngine(
-            crawler, workers=1, shards=SHARDS, backend="process", **kwargs
-        )
-    return make_engine(
-        backend, crawler,
-        executor=FaultInjectingExecutor(fail_shards, partial=True),
-        **kwargs,
+        crawler, workers=workers, shards=SHARDS,
+        backend=None if backend == "process" else backend, **kwargs
     )
 
 
@@ -141,21 +129,18 @@ class TestBackendDeterminism:
 
     def test_crashed_run_resumes_byte_identical(
         self, backend, tmp_path, small_crawler, detection_plan,
-        serial_reference, kill_workers,
+        serial_reference, crash_engine,
     ):
-        """Kill part of the run (worker SIGKILL under the process
-        backend, an injected in-process crash otherwise), resume, and the
+        """Kill part of the run (wire workers SIGKILLed on the
+        ``process`` and ``distributed`` legs, an injected in-process
+        crash under serial; see ``crash_engine``), resume, and the
         final JSONL must equal the uninterrupted serial run's."""
         out = tmp_path / "crashed.jsonl"
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
-        engine = crash_engine(
-            backend, small_crawler, (1, 4), spool_path=out,
-            checkpoint_path=checkpoint,
+        crash_engine(
+            backend, small_crawler, detection_plan, (1, 4), shards=SHARDS,
+            spool_path=out, checkpoint_path=checkpoint,
         )
-        # BrokenProcessPool (process) subclasses RuntimeError, like the
-        # in-process harness's injected crash.
-        with kill_workers(1, 4), pytest.raises(RuntimeError):
-            engine.execute(detection_plan)
         assert checkpoint.exists()
         assert not out.exists()
 
@@ -223,13 +208,17 @@ def test_resilience_events_match_serial(
 
 
 @pytest.mark.skipif(
-    "process" not in BACKENDS,
-    reason="process backend excluded by REPRO_EXECUTOR_BACKEND",
+    "distributed" not in BACKENDS,
+    reason="distributed backend excluded by REPRO_EXECUTOR_BACKEND",
 )
 class TestProcessBackendSpecifics:
+    """What only a run in worker processes has: the refusals of state
+    a worker cannot rebuild, per-process throughput, and worker death.
+    The distributed backend is the one that runs them."""
+
     def test_worker_death_loses_only_unfinished_shards(
         self, tmp_path, small_crawler, detection_plan, serial_reference,
-        kill_workers,
+        crash_engine,
     ):
         """A SIGKILLed worker must not take completed shards' work
         with it: the checkpoint retains them and the resume replays
@@ -239,17 +228,31 @@ class TestProcessBackendSpecifics:
         # One worker processes shards in submission order, so the
         # shards before the killed one deterministically complete (and
         # checkpoint) first.
-        engine = crash_engine(
-            "process", small_crawler, (SHARDS - 1,), spool_path=out,
-            checkpoint_path=checkpoint,
+        crash_engine(
+            "distributed", small_crawler, detection_plan, (SHARDS - 1,),
+            shards=SHARDS, spool_path=out, checkpoint_path=checkpoint,
         )
-        with kill_workers(SHARDS - 1), pytest.raises(RuntimeError):
-            engine.execute(detection_plan)
         result = make_engine(
-            "process", small_crawler, spool_path=out,
+            "distributed", small_crawler, spool_path=out,
             checkpoint_path=checkpoint, resume=True,
         ).execute(detection_plan)
         assert result.resumed > 0
+        assert out.read_bytes() == serial_reference
+
+    def test_killed_worker_shard_is_redispatched(
+        self, tmp_path, small_crawler, detection_plan, serial_reference,
+        kill_workers,
+    ):
+        """With several workers a SIGKILL costs one worker, not the
+        run: the lost shards re-run on the survivors and the spool
+        equals the serial bytes, with no degraded record."""
+        out = tmp_path / "survived.jsonl"
+        with kill_workers(1, 4):
+            result = make_engine(
+                "distributed", small_crawler, spool_path=out
+            ).execute(detection_plan)
+        assert (tmp_path / "killed-shard-1").exists()
+        assert not result.failures
         assert out.read_bytes() == serial_reference
 
     def test_per_process_throughput_events(
@@ -257,7 +260,7 @@ class TestProcessBackendSpecifics:
     ):
         log = EventLog()
         make_engine(
-            "process", small_crawler, event_log=log
+            "distributed", small_crawler, event_log=log
         ).execute(detection_plan)
         events = log.by_kind("process-throughput")
         assert events, "no per-process throughput emitted"
@@ -274,11 +277,11 @@ class TestProcessBackendSpecifics:
         class TweakedCrawler(Crawler):
             pass
 
-        engine = make_engine("process", TweakedCrawler(small_world))
+        engine = make_engine("distributed", TweakedCrawler(small_world))
         plan = Crawler(small_world).plan_detection_crawl(
             ["DE"], small_world.crawl_targets[:2]
         )
-        with pytest.raises(ValueError, match="process backend"):
+        with pytest.raises(ValueError, match="distributed backend"):
             engine.execute(plan)
 
     def test_detector_subclass_refused(self, small_world):
@@ -295,7 +298,7 @@ class TestProcessBackendSpecifics:
             ["DE"], small_world.crawl_targets[:2]
         )
         with pytest.raises(ValueError, match="use workers=1"):
-            make_engine("process", crawler).execute(plan)
+            make_engine("distributed", crawler).execute(plan)
 
     def test_non_json_plan_context_refused(self, small_world,
                                            small_crawler):
@@ -307,7 +310,7 @@ class TestProcessBackendSpecifics:
         )
         plan.context["pair"] = (1, 2)
         with pytest.raises(ValueError, match="not JSON data"):
-            make_engine("process", small_crawler).execute(plan)
+            make_engine("distributed", small_crawler).execute(plan)
 
     def test_worker_state_rebuilds_equal_detectors(
         self, monkeypatch, small_world
@@ -377,7 +380,7 @@ class TestProcessBackendSpecifics:
             config=WorldConfig(seed=7, scale=0.01, smp_price_cents=399)
         )
         crawler = Crawler(world)
-        engine = make_engine("process", crawler)
+        engine = make_engine("distributed", crawler)
         plan = crawler.plan_detection_crawl(
             ["DE"], world.crawl_targets[:2]
         )
@@ -387,9 +390,9 @@ class TestProcessBackendSpecifics:
     def test_configured_detector_crosses_the_process_boundary(
         self, tmp_path, small_world
     ):
-        """A non-default BannerClick travels in the shard bundle: the
-        process backend must produce the same records as an in-process
-        run, not silently fall back to a default detector."""
+        """A non-default BannerClick travels in the worker state: the
+        distributed backend must produce the same records as an
+        in-process run, not silently fall back to a default detector."""
         from repro.bannerclick import BannerClick
 
         ablated = Crawler(
@@ -412,17 +415,17 @@ class TestProcessBackendSpecifics:
         make_engine(
             "serial", ablated, spool_path=serial_out
         ).execute(plan)
-        process_out = tmp_path / "process.jsonl"
+        worker_out = tmp_path / "distributed.jsonl"
         make_engine(
-            "process", ablated, spool_path=process_out
+            "distributed", ablated, spool_path=worker_out
         ).execute(plan)
-        assert process_out.read_bytes() == serial_out.read_bytes()
+        assert worker_out.read_bytes() == serial_out.read_bytes()
         # And the stock detector really does record these differently.
         default_out = tmp_path / "default.jsonl"
         make_engine(
-            "process", stock, spool_path=default_out
+            "distributed", stock, spool_path=default_out
         ).execute(plan)
-        assert default_out.read_bytes() != process_out.read_bytes()
+        assert default_out.read_bytes() != worker_out.read_bytes()
 
     def test_spool_merge_into_fresh_directory(
         self, tmp_path, small_crawler, detection_plan, serial_reference
@@ -431,22 +434,22 @@ class TestProcessBackendSpecifics:
         existing output directory must be created, as in memory mode."""
         out = tmp_path / "new" / "dir" / "out.jsonl"
         result = make_engine(
-            "process", small_crawler, spool_path=out
+            "distributed", small_crawler, spool_path=out
         ).execute(detection_plan)
         assert result.record_count == len(detection_plan)
         assert out.read_bytes() == serial_reference
 
-    def test_injected_process_executor_forces_per_task_ids(
+    def test_injected_executor_forces_per_task_ids(
         self, tmp_path, small_world, small_crawler
     ):
-        """An explicitly injected ProcessExecutor is as parallel as
-        backend='process': it must flip the visit-id regime (worker
+        """An explicitly injected DistributedExecutor is as parallel as
+        backend='distributed': it must flip the visit-id regime (worker
         processes cannot share the serial counter) and the shards
         default, or the engine misreports the records it produces."""
-        from repro.measure import CrawlEngine, ProcessExecutor
+        from repro.distributed import DistributedExecutor
 
         engine = CrawlEngine(
-            small_crawler, executor=ProcessExecutor(2)
+            small_crawler, executor=DistributedExecutor(2)
         )
         assert engine.per_task_ids
         assert engine.shards > 1
@@ -457,7 +460,7 @@ class TestProcessBackendSpecifics:
         injected = [m.to_dict() for m in engine.execute(plan).records]
         named = [
             m.to_dict()
-            for m in make_engine("process", small_crawler).execute(plan).records
+            for m in make_engine("distributed", small_crawler).execute(plan).records
         ]
         assert injected == named
 
@@ -484,7 +487,7 @@ class TestProcessBackendSpecifics:
     def test_plan_event_names_backend(self, small_crawler, detection_plan):
         log = EventLog()
         make_engine(
-            "process", small_crawler, event_log=log
+            "distributed", small_crawler, event_log=log
         ).execute(detection_plan)
         (plan_event,) = log.by_kind("plan")
-        assert plan_event.detail["backend"] == "process"
+        assert plan_event.detail["backend"] == "distributed"

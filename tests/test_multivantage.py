@@ -19,7 +19,6 @@ from repro.measure import (
     CheckpointMismatch,
     CrawlEngine,
     Crawler,
-    FaultInjectingExecutor,
     VisitRecord,
 )
 from repro.vantage import (
@@ -38,6 +37,10 @@ if _ENV_REGIME is not None and _ENV_REGIME not in REGULATION_REGIMES:
     )
 REGIMES = (_ENV_REGIME,) if _ENV_REGIME else REGULATION_REGIMES
 
+#: The executor legs: serial, ``process`` — the ``--workers N`` leg,
+#: which names no backend, so the engine's workers rule sends it over
+#: the wire to locally forked worker processes — and distributed.
+BACKENDS = ("serial", "process", "distributed")
 SHARDS = 6
 WORKERS = 3
 #: One EU and one non-EU vantage point keep the matrix fast while
@@ -52,22 +55,8 @@ def campaign_context(regime, wave=0):
 def make_engine(backend, crawler, **kwargs):
     workers = 1 if backend == "serial" else WORKERS
     return CrawlEngine(
-        crawler, workers=workers, shards=SHARDS, backend=backend, **kwargs
-    )
-
-
-def crash_engine(backend, crawler, fail_shards, **kwargs):
-    """An engine whose run dies in *fail_shards*: one pool worker,
-    SIGKILLed inside ``kill_workers(*fail_shards)``, under the process
-    backend; the in-process crash harness otherwise."""
-    if backend == "process":
-        return CrawlEngine(
-            crawler, workers=1, shards=SHARDS, backend="process", **kwargs
-        )
-    return make_engine(
-        backend, crawler,
-        executor=FaultInjectingExecutor(fail_shards, partial=True),
-        **kwargs,
+        crawler, workers=workers, shards=SHARDS,
+        backend=None if backend == "process" else backend, **kwargs
     )
 
 
@@ -109,7 +98,7 @@ def serial_references(tmp_path_factory, small_crawler, campaign_targets):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("regime", REGIMES)
 class TestCampaignDeterminism:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_spool_matches_serial_reference(
         self, regime, backend, tmp_path, small_crawler, campaign_targets,
         serial_references,
@@ -121,20 +110,18 @@ class TestCampaignDeterminism:
         assert len(result) == len(VPS) * len(campaign_targets)
         assert out.read_bytes() == serial_references[regime]
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_crashed_run_resumes_byte_identical(
         self, regime, backend, tmp_path, small_crawler, campaign_targets,
-        serial_references, kill_workers,
+        serial_references, crash_engine,
     ):
         plan = campaign_plan(small_crawler, regime, campaign_targets)
         out = tmp_path / "crashed.jsonl"
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
-        engine = crash_engine(
-            backend, small_crawler, (1, 4), spool_path=out,
-            checkpoint_path=checkpoint,
+        crash_engine(
+            backend, small_crawler, plan, (1, 4), shards=SHARDS,
+            spool_path=out, checkpoint_path=checkpoint,
         )
-        with kill_workers(1, 4), pytest.raises(RuntimeError):
-            engine.execute(plan)
         assert checkpoint.exists()
         result = make_engine(
             backend, small_crawler, spool_path=out,
@@ -145,17 +132,16 @@ class TestCampaignDeterminism:
 
     def test_checkpoint_refuses_a_different_scenario(
         self, regime, tmp_path, small_crawler, campaign_targets,
+        crash_engine,
     ):
         """The scenario lives in ``plan.context``, so the fingerprint
         must reject resuming one regime's checkpoint under another."""
         plan = campaign_plan(small_crawler, regime, campaign_targets)
         checkpoint = tmp_path / "run.checkpoint"
-        engine = crash_engine(
-            "serial", small_crawler, (2,), spool_path=tmp_path / "run.jsonl",
-            checkpoint_path=checkpoint,
+        crash_engine(
+            "serial", small_crawler, plan, (2,), shards=SHARDS,
+            spool_path=tmp_path / "run.jsonl", checkpoint_path=checkpoint,
         )
-        with pytest.raises(RuntimeError):
-            engine.execute(plan)
         other = "eu" if regime != "eu" else "non-eu"
         changed = campaign_plan(
             small_crawler, other, campaign_targets

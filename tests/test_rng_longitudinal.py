@@ -174,7 +174,7 @@ class TestRunLongitudinal:
         assert all(
             p.detail == {
                 "tasks": 80, "shards": 4, "workers": 2,
-                "backend": "process", "merge": "memory",
+                "backend": "distributed", "merge": "memory",
             }
             for p in plans
         )

@@ -545,7 +545,7 @@ class TestServiceCrashResume:
             world=WorldSpec(scale=0.02, seed=7),
             # Many shards so the engine checkpoints per-shard progress
             # long before the wave completes.
-            engine=EngineSpec(workers=2, shards=12, executor="process"),
+            engine=EngineSpec(workers=2, shards=12, executor="distributed"),
             multivantage=MultiVantageSpec(months=(0, 2)),
         )
         process, url = self._serve(data_dir)
@@ -568,7 +568,7 @@ class TestServiceCrashResume:
                 time.sleep(0.005)
             assert client.status(job["id"])["state"] == "running"
             workers = self._children(process.pid)
-            assert workers, "the process backend started no workers"
+            assert workers, "the distributed backend started no workers"
             os.kill(process.pid, signal.SIGKILL)
             process.wait(timeout=10)
         finally:

@@ -1,6 +1,6 @@
 """The zero-copy record contract: bytes in, bytes out, no decode.
 
-A record produced by a process-backend worker is serialized exactly
+A record produced by a worker process is serialized exactly
 once (in the worker) and must reach the final spool — through
 absorption, the journal, and the k-way join — without the parent ever
 calling ``decode_record``.  The observable half of that contract is
@@ -186,7 +186,7 @@ def test_process_worker_records_reach_spool_without_decode(
     crawler, plan = zero_copy_plan
     out = tmp_path / "spooled.jsonl"
     engine = CrawlEngine(
-        crawler, workers=2, shards=4, backend="process",
+        crawler, workers=2, shards=4, backend="distributed",
         spool_path=out,
         checkpoint_path=tmp_path / "spooled.checkpoint",
     )
@@ -202,7 +202,7 @@ def test_process_worker_records_reach_spool_without_decode(
 def test_memory_merge_decodes_only_at_the_consumer_boundary(zero_copy_plan):
     crawler, plan = zero_copy_plan
     # No output path: the run merges in memory.
-    engine = CrawlEngine(crawler, workers=2, shards=4, backend="process")
+    engine = CrawlEngine(crawler, workers=2, shards=4, backend="distributed")
     before = record_decode_count()
     result = engine.execute(plan)
     # Execution is pass-through...
@@ -217,23 +217,21 @@ def test_memory_merge_decodes_only_at_the_consumer_boundary(zero_copy_plan):
 
 
 def test_resume_replay_stays_zero_copy(
-    tmp_path, zero_copy_plan, kill_workers
+    tmp_path, zero_copy_plan, crash_engine
 ):
     """Checkpoint replay re-emits serialized outcome lines: a resumed
     spool-merge run decodes nothing in the parent."""
     crawler, plan = zero_copy_plan
     out = tmp_path / "resumed.jsonl"
     checkpoint = tmp_path / "resumed.checkpoint"
-    engine = CrawlEngine(
-        crawler, workers=1, shards=4, backend="process",
+    crash_engine(
+        "distributed", crawler, plan, (3,), shards=4,
         spool_path=out, checkpoint_path=checkpoint,
     )
-    with kill_workers(3), pytest.raises(RuntimeError):
-        engine.execute(plan)
     assert checkpoint.exists()
     before = record_decode_count()
     result = CrawlEngine(
-        crawler, workers=1, shards=4, backend="process",
+        crawler, workers=1, shards=4, backend="distributed",
         spool_path=out, checkpoint_path=checkpoint,
         resume=True,
     ).execute(plan)

@@ -80,8 +80,8 @@ class SaltedHashRule(Rule):
     explanation = """\
 The builtin ``hash()`` is salted per interpreter process (PYTHONHASHSEED),
 so any value derived from it differs across processes, across the
-process-executor's workers, and across reruns.  PR 7 fixed exactly this
-in webgen's banner-variant derivation; the rule stops the class.
+engine's worker processes, and across reruns.  Webgen's banner-variant
+derivation once had exactly this bug; the rule stops the class.
 
 Use ``repro.rng.derive_seed`` (SHA-256, stable everywhere) for seed
 derivation, or ``zlib.crc32`` for cheap bucketing the way engine
