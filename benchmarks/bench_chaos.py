@@ -25,7 +25,10 @@ from repro.measure.engine import CrawlEngine, RetryPolicy
 from repro.resilience.chaos import ChaosSpec
 from repro.webgen import build_world
 
-#: CI gate: idle-chaos crawl time over chaos-free crawl time.
+#: CI gate: idle-chaos crawl time over chaos-free crawl time.  36 runs
+#: at REPRO_BENCH_SCALE=0.05 on a 2-CPU Xeon VM measured 0.67-1.40
+#: (median 1.02), 11 of them above this ceiling: best-of-3 over ~60 ms
+#: crawls is noisier than the gap it guards (see ROADMAP item 2).
 _IDLE_RATIO_CEILING = 1.05
 #: CI gate: visits/sec under the recoverable regime.  12 runs at
 #: REPRO_BENCH_SCALE=0.05 on a 2-CPU Xeon VM measured 628-969 (median

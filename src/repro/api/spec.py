@@ -32,11 +32,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Mapping, MutableMapping, Optional, Tuple, Union
 
+from repro import schema
 from repro.measure.engine import EXECUTOR_BACKENDS
 from repro.resilience.chaos import ChaosSpec as _ChaosPlaneSpec
 
@@ -148,97 +148,40 @@ def migrate_spec_payload(data: Mapping) -> Dict[str, object]:
     return out
 
 
-def _tuple_or_none(value) -> Optional[tuple]:
-    """Normalise a checked config sequence to a tuple (``None`` passes
-    through)."""
-    return None if value is None else tuple(value)
-
-
-#: Scalar field annotation -> the value types a config may give it.
-_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
-
-
 @functools.lru_cache(maxsize=None)
-def _typed_fields(cls) -> Dict[str, Tuple[type, bool, bool]]:
-    """``{field: (scalar type, optional, sequence)}`` for the fields of
-    *cls* annotated ``int``/``float``/``bool``/``str``, a
-    ``Tuple[<scalar>, ...]`` of one, or the ``Optional`` of either."""
-    hints = typing.get_type_hints(cls)
-    out = {}
-    for f in fields(cls):
-        hint = hints[f.name]
-        args = typing.get_args(hint)
-        optional = typing.get_origin(hint) is Union and type(None) in args
-        if optional and len(args) == 2:
-            hint = next(arg for arg in args if arg is not type(None))
-        args = typing.get_args(hint)
-        sequence = typing.get_origin(hint) is tuple and args[1:] == (...,)
-        if sequence:
-            hint = args[0]
-        if hint in _SCALARS:
-            out[f.name] = (hint, optional, sequence)
-    return out
+def _checker(cls):
+    """Section *cls*'s checker: its annotations and declared rules."""
+    return schema.compile(schema.fields_shape(cls), SpecError, _SECTION_NAMES[cls])
 
 
-def _is_scalar(value, kind: type) -> bool:
-    """Whether *value* may fill a *kind* field (a ``bool`` is no ``int``)."""
-    return isinstance(value, _SCALARS[kind]) and (
-        kind is bool or not isinstance(value, bool)
-    )
+class _Section:
+    """A RunSpec section, checked by one shape whether read
+    (:meth:`from_dict`), built (:meth:`validate`) or overridden
+    (:meth:`RunSpec.override`); cross-field rules extend :meth:`validate`."""
 
+    def validate(self) -> None:
+        _checker(type(self))(vars(self))
 
-def _check_fields(cls, data: Mapping, where: str) -> None:
-    """Refuse unknown keys, scalar values of the wrong type, and
-    sequence values that are not a list of the right scalars, naming
-    the offending ``section.field``.  A null sequence is the field's
-    default (``None`` where optional)."""
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SpecError(
-            f"{where}: unknown key(s) {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(known))})"
-        )
-    for name, (kind, optional, sequence) in _typed_fields(cls).items():
-        value = data.get(name)
-        if value is None and (name not in data or optional or sequence):
-            continue
-        listed = f"{where}.{name}: expected a list of {kind.__name__}"
-        if not sequence:
-            if not _is_scalar(value, kind):
-                raise SpecError(
-                    f"{where}.{name}: expected {kind.__name__}"
-                    f"{' or null' if optional else ''}, got {value!r}"
-                )
-        elif isinstance(value, str):
-            raise SpecError(
-                f"{listed}, got the string {value!r} "
-                "(write it as a one-element list)"
-            )
-        elif not isinstance(value, (list, tuple)):
-            raise SpecError(f"{listed} or null, got {value!r}")
-        else:
-            for item in value:
-                if not _is_scalar(item, kind):
-                    raise SpecError(f"{listed}, got the item {item!r}")
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        if isinstance(data, Mapping):  # a null sequence keeps the field's default
+            data = {name: value for name, value in data.items()
+                    if value is not None or not isinstance(getattr(cls, name, None), tuple)}
+        data = _checker(cls)(data)
+        return cls(**{
+            name: tuple(value) if isinstance(value, list)
+            else dict(value) if isinstance(value, dict) else value
+            for name, value in data.items()
+        })
 
 
 @dataclass(frozen=True)
-class WorldSpec:
+class WorldSpec(_Section):
     """Which synthetic web to build (`repro.webgen.build_world`)."""
 
     #: Fraction of the paper's 45k-site web; ``1.0`` is paper scale.
-    scale: float = 0.05
+    scale: float = schema.field(0.05, above=0, max=1)
     seed: int = 2023
-
-    def validate(self) -> None:
-        if not 0 < self.scale <= 1.0:
-            raise SpecError(f"world.scale must be in (0, 1], got {self.scale}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WorldSpec":
-        _check_fields(cls, data, "world")
-        return cls(**data)
 
 
 #: Values of ``EngineSpec.merge``: ``"spool"`` asserts the run streams.
@@ -246,12 +189,12 @@ MERGE_MODES = ("memory", "spool")
 
 
 @dataclass(frozen=True)
-class EngineSpec:
+class EngineSpec(_Section):
     """How the crawl engine executes the plan."""
 
-    workers: int = 1
+    workers: int = schema.field(1, min=1)
     #: ``None`` keeps the engine default (1 serial, 4 × workers parallel).
-    shards: Optional[int] = None
+    shards: Optional[int] = schema.field(None, min=1)
     #: Executor backend, one of ``EXECUTOR_BACKENDS`` (serial or
     #: distributed); ``None`` picks serial when ``workers == 1`` and
     #: distributed otherwise.  ``distributed`` ships the run's JSON
@@ -259,42 +202,24 @@ class EngineSpec:
     #: (:mod:`repro.distributed`) to worker processes, which rebuild the
     #: campaign from it (stock crawler and detectors over a built
     #: world, a JSON plan context — see the engine docs).
-    executor: Optional[str] = None
+    executor: Optional[str] = schema.field(None, one_of=EXECUTOR_BACKENDS)
     #: Not a choice: the engine spool-joins whenever the run has an
     #: output path and merges in memory otherwise.  ``"spool"`` only
     #: asserts that this run must stream, so it is refused without an
     #: output path; ``"memory"`` asserts nothing.
-    merge: str = "memory"
-    retry_max_attempts: int = 2
+    merge: str = schema.field("memory", one_of=MERGE_MODES)
+    retry_max_attempts: int = schema.field(2, min=1)
     retry_unreachable: bool = False
     #: Checkpoint every run that has a spool path (``<out>.checkpoint``).
     checkpoint: bool = True
     resume: bool = False
 
     def validate(self) -> None:
-        if self.workers < 1:
-            raise SpecError(f"engine.workers must be >= 1, got {self.workers}")
-        if self.shards is not None and self.shards < 1:
-            raise SpecError(f"engine.shards must be >= 1, got {self.shards}")
-        if self.executor is not None and self.executor not in EXECUTOR_BACKENDS:
-            raise SpecError(
-                "engine.executor must be one of "
-                f"{', '.join(EXECUTOR_BACKENDS)}, got {self.executor!r}"
-            )
+        super().validate()
         if self.executor == "serial" and self.workers > 1:
             raise SpecError(
                 "engine.executor='serial' contradicts engine.workers > 1 "
                 "(pick 'distributed' to parallelise)"
-            )
-        if self.merge not in MERGE_MODES:
-            raise SpecError(
-                f"engine.merge must be one of {', '.join(MERGE_MODES)}, "
-                f"got {self.merge!r}"
-            )
-        if self.retry_max_attempts < 1:
-            raise SpecError(
-                "engine.retry_max_attempts must be >= 1, "
-                f"got {self.retry_max_attempts}"
             )
         if self.resume and not self.checkpoint:
             raise SpecError("engine.resume requires engine.checkpoint")
@@ -304,14 +229,9 @@ class EngineSpec:
         no streaming assertion."""
         return dataclasses.replace(self, resume=False, merge="memory")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "EngineSpec":
-        _check_fields(cls, data, "engine")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ResilienceSpec:
+class ResilienceSpec(_Section):
     """Backoff, deadlines and circuit breakers for the retry layer.
 
     All durations are **virtual seconds**: the engine pays them on the
@@ -320,88 +240,35 @@ class ResilienceSpec:
     """
 
     #: Exponential-backoff schedule between retry attempts.
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
+    backoff_base: float = schema.field(0.5, min=0)
+    backoff_factor: float = schema.field(2.0, min=1)
+    backoff_max: float = schema.field(30.0, min=0)
     #: Deterministic jitter fraction in [0, 1] (derived from the task
     #: identity, never a live RNG).
-    jitter: float = 0.1
+    jitter: float = schema.field(0.1, min=0, max=1)
     #: Per-attempt virtual-time budget (None = unlimited).
-    attempt_deadline: Optional[float] = None
+    attempt_deadline: Optional[float] = schema.field(None, above=0)
     #: Whole-task virtual-time budget across attempts + backoff.
-    task_deadline: Optional[float] = None
+    task_deadline: Optional[float] = schema.field(None, above=0)
     #: Open a domain's circuit after N consecutive task failures
     #: (None disables breakers).
-    breaker_threshold: Optional[int] = None
+    breaker_threshold: Optional[int] = schema.field(None, min=1)
     #: Tasks an open breaker skips before its half-open probe.
-    breaker_quarantine: int = 4
-
-    def validate(self) -> None:
-        if self.backoff_base < 0:
-            raise SpecError(
-                f"resilience.backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.backoff_factor < 1.0:
-            raise SpecError(
-                "resilience.backoff_factor must be >= 1, "
-                f"got {self.backoff_factor}"
-            )
-        if self.backoff_max < 0:
-            raise SpecError(
-                f"resilience.backoff_max must be >= 0, got {self.backoff_max}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise SpecError(
-                f"resilience.jitter must be in [0, 1], got {self.jitter}"
-            )
-        for name in ("attempt_deadline", "task_deadline"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise SpecError(
-                    f"resilience.{name} must be > 0, got {value}"
-                )
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise SpecError(
-                "resilience.breaker_threshold must be >= 1, "
-                f"got {self.breaker_threshold}"
-            )
-        if self.breaker_quarantine < 1:
-            raise SpecError(
-                "resilience.breaker_quarantine must be >= 1, "
-                f"got {self.breaker_quarantine}"
-            )
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ResilienceSpec":
-        _check_fields(cls, data, "resilience")
-        return cls(**data)
+    breaker_quarantine: int = schema.field(4, min=1)
 
 
 @dataclass(frozen=True)
-class ChaosSpec(_ChaosPlaneSpec):
+class ChaosSpec(_Section, _ChaosPlaneSpec):
     """The seeded fault-injection plane (`repro.resilience.chaos`).
 
     The spec section *is* the engine's :class:`ChaosSpec` — same
-    fields, same semantics — so what a config file declares is exactly
+    fields, same rules — so what a config file declares is exactly
     what rides in ``CrawlPlan.context`` and reaches every worker.
     """
 
-    def validate(self) -> None:
-        try:
-            super().validate()
-        except ValueError as error:
-            raise SpecError(f"chaos: {error}") from None
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ChaosSpec":
-        _check_fields(cls, data, "chaos")
-        out = dict(data)
-        out["domains"] = _tuple_or_none(data.get("domains"))
-        return cls(**out)
-
 
 @dataclass(frozen=True)
-class CrawlSpec:
+class CrawlSpec(_Section):
     """A multi-vantage-point detection crawl."""
 
     #: Vantage point codes; ``None`` crawls all eight.
@@ -410,77 +277,49 @@ class CrawlSpec:
     domains: Optional[Tuple[str, ...]] = None
 
     def validate(self) -> None:
-        if self.vps is not None and not self.vps:
-            raise SpecError("crawl.vps must name at least one vantage point")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CrawlSpec":
-        _check_fields(cls, data, "crawl")
-        return cls(
-            vps=_tuple_or_none(data.get("vps")),
-            domains=_tuple_or_none(data.get("domains")),
-        )
+        super().validate()
+        _check_vps("crawl", self.vps)
 
 
 @dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(_Section):
     """Repeated cookie or uBlock measurements on wall domains."""
 
     vp: str = "DE"
-    mode: str = "accept"
-    repeats: int = 5
+    mode: str = schema.field("accept", one_of=MEASURE_MODES)
+    repeats: int = schema.field(5, min=1)
     #: ``None`` measures the wall domains a fresh detection crawl finds.
     domains: Optional[Tuple[str, ...]] = None
 
-    def validate(self) -> None:
-        if self.mode not in MEASURE_MODES:
-            raise SpecError(
-                f"measure.mode must be one of {', '.join(MEASURE_MODES)}, "
-                f"got {self.mode!r}"
-            )
-        if self.repeats < 1:
-            raise SpecError(f"measure.repeats must be >= 1, got {self.repeats}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MeasureSpec":
-        _check_fields(cls, data, "measure")
-        out = dict(data)
-        out["domains"] = _tuple_or_none(data.get("domains"))
-        return cls(**out)
+def _check_vps(section: str, vps: Optional[Tuple[str, ...]]) -> None:
+    if vps is not None and not vps:
+        raise SpecError(f"{section}.vps must name at least one vantage point")
+
+
+def _check_months(section: str, months: Tuple[int, ...]) -> None:
+    if not months:
+        raise SpecError(f"{section}.months must name at least one wave")
+    if list(months) != sorted(set(months)):
+        raise SpecError("months must be strictly increasing")
 
 
 @dataclass(frozen=True)
-class LongitudinalSpec:
+class LongitudinalSpec(_Section):
     """Re-crawls of the same targets against evolved world snapshots."""
 
     vp: str = "DE"
     #: Wave offsets in months; 0 is the baseline snapshot.
-    months: Tuple[int, ...] = (0, 4)
+    months: Tuple[int, ...] = schema.field((0, 4), min=0)
     domains: Optional[Tuple[str, ...]] = None
 
     def validate(self) -> None:
-        months = list(self.months)
-        if not months:
-            raise SpecError("longitudinal.months must name at least one wave")
-        if sorted(months) != months or len(set(months)) != len(months):
-            raise SpecError("months must be strictly increasing")
-        if months[0] < 0:
-            raise SpecError("months must be >= 0")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LongitudinalSpec":
-        _check_fields(cls, data, "longitudinal")
-        out = dict(data)
-        if out.get("months") is None:
-            out.pop("months", None)    # explicit null keeps the default
-        else:
-            out["months"] = _tuple_or_none(out["months"])
-        out["domains"] = _tuple_or_none(data.get("domains"))
-        return cls(**out)
+        super().validate()
+        _check_months("longitudinal", self.months)
 
 
 @dataclass(frozen=True)
-class MultiVantageSpec:
+class MultiVantageSpec(_Section):
     """One campaign, N vantage points: the VP × domain × wave
     cross-product, compared by the streaming discrepancy report.
 
@@ -493,39 +332,27 @@ class MultiVantageSpec:
     #: Vantage point codes; ``None`` crawls all eight.
     vps: Optional[Tuple[str, ...]] = None
     #: Wave offsets in months; 0 is the baseline snapshot.
-    months: Tuple[int, ...] = (0,)
+    months: Tuple[int, ...] = schema.field((0,), min=0)
     #: Target domains; ``None`` crawls the world's reachable union.
     domains: Optional[Tuple[str, ...]] = None
-    #: Named regulation regime (baseline / eu / non-eu / geo-blocked).
+    #: Named regulation regime (baseline / eu / non-eu / geo-blocked),
+    #: in any letter case.
     regime: str = "baseline"
     #: Extra VPN-like relocations: logical VP code -> exit VP code.
     relocate: Optional[Mapping[str, str]] = None
     #: First wave (month offset) the relocations apply from.
-    relocate_month: int = 0
+    relocate_month: int = schema.field(0, min=0)
 
     def validate(self) -> None:
         from repro.vantage import REGULATION_REGIMES, get_vantage_point
 
-        if self.vps is not None and not self.vps:
-            raise SpecError(
-                "multivantage.vps must name at least one vantage point"
-            )
-        months = list(self.months)
-        if not months:
-            raise SpecError("multivantage.months must name at least one wave")
-        if sorted(months) != months or len(set(months)) != len(months):
-            raise SpecError("months must be strictly increasing")
-        if months[0] < 0:
-            raise SpecError("months must be >= 0")
-        if str(self.regime).lower() not in REGULATION_REGIMES:
+        super().validate()
+        _check_vps("multivantage", self.vps)
+        _check_months("multivantage", self.months)
+        if self.regime.lower() not in REGULATION_REGIMES:
             raise SpecError(
                 "multivantage.regime must be one of "
                 f"{', '.join(REGULATION_REGIMES)}, got {self.regime!r}"
-            )
-        if self.relocate_month < 0:
-            raise SpecError(
-                "multivantage.relocate_month must be >= 0, "
-                f"got {self.relocate_month}"
             )
         try:
             for code in self.vps or ():
@@ -544,32 +371,9 @@ class MultiVantageSpec:
             relocate_from_month=self.relocate_month,
         )
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MultiVantageSpec":
-        _check_fields(cls, data, "multivantage")
-        out = dict(data)
-        out["vps"] = _tuple_or_none(data.get("vps"))
-        if out.get("months") is None:
-            out.pop("months", None)    # explicit null keeps the default
-        else:
-            out["months"] = _tuple_or_none(out["months"])
-        out["domains"] = _tuple_or_none(data.get("domains"))
-        relocate = data.get("relocate")
-        if relocate is not None:
-            if not isinstance(relocate, Mapping) or not all(
-                isinstance(code, str) for pair in relocate.items()
-                for code in pair
-            ):
-                raise SpecError(
-                    "multivantage.relocate must be a table/mapping of "
-                    f"VP code -> exit VP code, got {relocate!r}"
-                )
-            out["relocate"] = dict(relocate)
-        return cls(**out)
-
 
 @dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(_Section):
     """Where records go (all optional: no path means in-memory only)."""
 
     #: JSONL spool for ``crawl``/``measure`` records.
@@ -577,14 +381,6 @@ class OutputSpec:
     #: Wave directory for ``longitudinal``/``multivantage``
     #: (``wave-<MM>.jsonl`` files).
     out_dir: Optional[str] = None
-
-    def validate(self) -> None:
-        pass
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OutputSpec":
-        _check_fields(cls, data, "output")
-        return cls(**data)
 
 
 #: ``RunSpec`` section name -> section class, in serialisation order.
@@ -599,6 +395,8 @@ _SECTIONS = {
     "multivantage": MultiVantageSpec,
     "output": OutputSpec,
 }
+_SECTION_NAMES = {cls: name for name, cls in _SECTIONS.items()}
+_check_kind = schema.compile(schema.OneOf(RUN_KINDS), SpecError, "kind")
 
 
 @dataclass(frozen=True)
@@ -625,45 +423,32 @@ class RunSpec:
     # ------------------------------------------------------------------
     def validate(self) -> "RunSpec":
         """Check the whole tree; returns self so calls can chain."""
-        if self.kind not in RUN_KINDS:
-            raise SpecError(
-                f"kind must be one of {', '.join(RUN_KINDS)}, got {self.kind!r}"
-            )
+        _check_kind(self.kind)
         self.world.validate()
         self.engine.validate()
         self.resilience.validate()
         self.chaos.validate()
         self.workload.validate()
         self.output.validate()
-        if self.engine.resume:
-            # The messages name the CLI flags: the output section's
-            # fields map 1:1 onto them, and the CLI surfaces these
-            # errors verbatim.
-            if self.kind in _WAVE_KINDS and self.output.out_dir is None:
-                raise SpecError(
-                    f"{self.kind} --resume requires --out-dir "
-                    "(output.out_dir: the checkpoints live next to the "
-                    "wave spools)"
-                )
-            if self.kind not in _WAVE_KINDS and self.output.path is None:
-                raise SpecError(
-                    "--resume requires an output path (--out / "
-                    "output.path: the checkpoint lives next to the spool)"
-                )
-        if self.engine.merge == "spool":
-            # The streaming merge joins the run's journal into a final
-            # file — without one there is nothing to stream to.
-            if self.kind in _WAVE_KINDS and self.output.out_dir is None:
-                raise SpecError(
-                    f"{self.kind} --merge spool requires --out-dir "
-                    "(output.out_dir: each wave's journal is joined into "
-                    "its wave file)"
-                )
-            if self.kind not in _WAVE_KINDS and self.output.path is None:
-                raise SpecError(
-                    "--merge spool requires an output path (--out / "
-                    "output.path: the run's journal is joined into it)"
-                )
+        # A resume's checkpoint and a streaming merge's journal live next
+        # to the output; the messages name the CLI flags, shown verbatim.
+        waves = self.kind in _WAVE_KINDS
+        if (self.output.out_dir if waves else self.output.path) is None:
+            for flag, asserted, waves_why, why in (
+                ("--resume", self.engine.resume,
+                 "the checkpoints live next to the wave spools",
+                 "the checkpoint lives next to the spool"),
+                ("--merge spool", self.engine.merge == "spool",
+                 "each wave's journal is joined into its wave file",
+                 "the run's journal is joined into it"),
+            ):
+                if asserted:
+                    raise SpecError(
+                        f"{self.kind} {flag} requires --out-dir "
+                        f"(output.out_dir: {waves_why})" if waves else
+                        f"{flag} requires an output path (--out / "
+                        f"output.path: {why})"
+                    )
         return self
 
     @property
@@ -716,15 +501,10 @@ class RunSpec:
                 f"unknown section(s) {', '.join(unknown)} "
                 f"(known: kind, {', '.join(_SECTIONS)})"
             )
-        sections = {}
-        for name, section_cls in _SECTIONS.items():
-            payload = data.get(name)
-            if payload is None:
-                sections[name] = section_cls()
-            else:
-                if not isinstance(payload, Mapping):
-                    raise SpecError(f"section {name!r} must be a table/mapping")
-                sections[name] = section_cls.from_dict(payload)
+        sections = {
+            name: section_cls() if data.get(name) is None else section_cls.from_dict(data[name])
+            for name, section_cls in _SECTIONS.items()
+        }
         return cls(kind=resolved_kind, **sections).validate()
 
     def override(self, overrides: Mapping[str, Mapping]) -> "RunSpec":
@@ -734,16 +514,14 @@ class RunSpec:
         the base, explicitly supplied flags win.  Only fields present
         in *overrides* change.
         """
-        _check = set(overrides) - set(_SECTIONS)
-        if _check:
-            raise SpecError(f"override names unknown section(s) {sorted(_check)}")
         replaced = {}
         for name, values in overrides.items():
-            if not values:
-                continue
-            section = getattr(self, name)
-            _check_fields(type(section), values, name)
-            replaced[name] = dataclasses.replace(section, **values)
+            if name not in _SECTIONS:
+                raise SpecError(f"override names unknown section {name!r}")
+            if values:  # read as from_dict reads it; only the given keys change
+                parsed = vars(_SECTIONS[name].from_dict(values))
+                replaced[name] = dataclasses.replace(getattr(self, name), **{
+                    key: parsed[key] for key in values})
         return dataclasses.replace(self, **replaced).validate()
 
     # ------------------------------------------------------------------

@@ -440,6 +440,35 @@ def build_parser() -> argparse.ArgumentParser:
 # argv -> RunSpec
 # ---------------------------------------------------------------------------
 
+#: ``(dest, section, field)``: the spec field each subcommand's flag
+#: sets (``--resume`` is ``store_true``: its value is True).
+_COMMON_FLAGS = (
+    ("scale", "world", "scale"), ("seed", "world", "seed"),
+    ("workers", "engine", "workers"), ("shards", "engine", "shards"),
+    ("executor", "engine", "executor"), ("resume", "engine", "resume"),
+    ("chaos_seed", "chaos", "seed"), ("deadline", "resilience", "task_deadline"),
+    ("breaker", "resilience", "breaker_threshold"),
+)
+_SPEC_FLAGS = {
+    "crawl": _COMMON_FLAGS + (("vp", "crawl", "vps"), ("out", "output", "path")),
+    "measure": _COMMON_FLAGS + (
+        ("vp", "measure", "vp"), ("mode", "measure", "mode"),
+        ("repeats", "measure", "repeats"), ("domain", "measure", "domains"),
+        ("out", "output", "path"),
+    ),
+    "longitudinal": _COMMON_FLAGS + (
+        ("vp", "longitudinal", "vp"), ("months", "longitudinal", "months"),
+        ("out_dir", "output", "out_dir"),
+    ),
+    "multivantage": _COMMON_FLAGS + (
+        ("vps", "multivantage", "vps"), ("months", "multivantage", "months"),
+        ("domain", "multivantage", "domains"), ("regime", "multivantage", "regime"),
+        ("relocate_month", "multivantage", "relocate_month"),
+        ("out_dir", "output", "out_dir"),
+    ),
+}
+
+
 def _compile_spec(kind: str, args: argparse.Namespace):
     """Compile parsed argv into a validated RunSpec.
 
@@ -451,75 +480,21 @@ def _compile_spec(kind: str, args: argparse.Namespace):
 
     config = getattr(args, "config", None)
     base = RunSpec.load(config, kind=kind) if config else RunSpec(kind=kind)
-    given = lambda name: hasattr(args, name)  # noqa: E731
-    overrides = {
-        "world": {}, "engine": {}, "resilience": {}, "chaos": {},
-        kind: {}, "output": {},
-    }
-    if given("scale"):
-        overrides["world"]["scale"] = args.scale
-    if given("seed"):
-        overrides["world"]["seed"] = args.seed
-    if given("workers"):
-        overrides["engine"]["workers"] = args.workers
-    if given("shards"):
-        overrides["engine"]["shards"] = args.shards
-    if given("executor"):
-        overrides["engine"]["executor"] = args.executor
-    if given("resume"):
-        overrides["engine"]["resume"] = True
-    if given("chaos_seed"):
-        overrides["chaos"]["seed"] = args.chaos_seed
-    if given("deadline"):
-        overrides["resilience"]["task_deadline"] = args.deadline
-    if given("breaker"):
-        overrides["resilience"]["breaker_threshold"] = args.breaker
-    if kind == "crawl":
-        if given("vp"):
-            overrides["crawl"]["vps"] = tuple(args.vp)
-        if given("out"):
-            overrides["output"]["path"] = args.out
-    elif kind == "measure":
-        if given("vp"):
-            overrides["measure"]["vp"] = args.vp
-        if given("mode"):
-            overrides["measure"]["mode"] = args.mode
-        if given("repeats"):
-            overrides["measure"]["repeats"] = args.repeats
-        if given("domain"):
-            overrides["measure"]["domains"] = tuple(args.domain)
-        if given("out"):
-            overrides["output"]["path"] = args.out
-    elif kind == "longitudinal":
-        if given("vp"):
-            overrides["longitudinal"]["vp"] = args.vp
-        if given("months"):
-            overrides["longitudinal"]["months"] = tuple(args.months)
-        if given("out_dir"):
-            overrides["output"]["out_dir"] = args.out_dir
-    else:
-        if given("vps"):
-            overrides["multivantage"]["vps"] = tuple(args.vps)
-        if given("months"):
-            overrides["multivantage"]["months"] = tuple(args.months)
-        if given("domain"):
-            overrides["multivantage"]["domains"] = tuple(args.domain)
-        if given("regime"):
-            overrides["multivantage"]["regime"] = args.regime
-        if given("relocate"):
-            relocations = {}
-            for pair in args.relocate:
-                home, separator, exit_code = pair.partition("=")
-                if not separator or not home or not exit_code:
-                    raise SpecError(
-                        f"--relocate takes VP=EXIT pairs, got {pair!r}"
-                    )
-                relocations[home] = exit_code
-            overrides["multivantage"]["relocate"] = relocations
-        if given("relocate_month"):
-            overrides["multivantage"]["relocate_month"] = args.relocate_month
-        if given("out_dir"):
-            overrides["output"]["out_dir"] = args.out_dir
+    overrides = {section: {} for _, section, _ in _SPEC_FLAGS[kind]}
+    for dest, section, name in _SPEC_FLAGS[kind]:
+        if hasattr(args, dest):
+            value = getattr(args, dest)
+            overrides[section][name] = tuple(value) if isinstance(value, list) else value
+    if hasattr(args, "relocate"):
+        relocations = {}
+        for pair in args.relocate:
+            home, separator, exit_code = pair.partition("=")
+            if not separator or not home or not exit_code:
+                raise SpecError(
+                    f"--relocate takes VP=EXIT pairs, got {pair!r}"
+                )
+            relocations[home] = exit_code
+        overrides["multivantage"]["relocate"] = relocations
     return base.override(overrides)
 
 

@@ -7,7 +7,9 @@ frame ambiguous.  Every frame carries a ``type`` tag naming one of the
 message dataclasses below; unknown tags and malformed frames raise
 :class:`~repro.errors.WireProtocolError`, which the coordinator
 converts into re-dispatch (and, past the budget, into structured
-transport-degraded records) rather than a silent drop.
+transport-degraded records) rather than a silent drop.  A bundle's and
+a result's fields are checked against :mod:`repro.schema` shapes where
+they are consumed, so the error names the path that does not fit.
 
 The message dataclasses hold JSON data only (ints, floats, strings,
 tuples, dicts of the same): the shard bundle they carry must survive
@@ -25,9 +27,10 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro import schema
 from repro.errors import WireProtocolError
-from repro.measure.engine import _NUMBER, TASK_MODES, conforms
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.measure.engine import TASK_MODES
+from repro.resilience.breaker import SNAPSHOT
 
 #: Version tag exchanged in the hello; a mismatch is refused up front
 #: (a worker from another release must not silently compute different
@@ -40,26 +43,32 @@ WIRE_PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 128 * 1024 * 1024
 
 
-#: Shapes (:func:`~repro.measure.engine.conforms`) of what frames carry.
-_TASK = [int, str, str, frozenset(TASK_MODES), int]
-_SNAPSHOT = {"state": frozenset((CLOSED, OPEN, HALF_OPEN)), "consecutive": int, "skipped": int}
-_OUTCOME = {"index": int, "attempts": int, "error": (None, str), "record": (None, str)}
-_NOTE = (
-    {"kind": frozenset({"task-retry"}), "index": int, "attempt": int, "error": str},
-    {"kind": frozenset({"breaker-open", "breaker-close"}), "index": int},
-)
+_BREAKERS = (None, {str: SNAPSHOT})  # breaker snapshots by domain
+#: What a bundle (tasks: ``(index, vp, domain, mode, repeats)``) and a
+#: result carry, as :mod:`repro.schema` checkers.
+_BUNDLE = schema.compile({
+    "shard": int,
+    "tasks": [[int, str, str, schema.OneOf(TASK_MODES), int]],
+    "id_bases": [[int, int]],
+    "breakers": _BREAKERS,
+}, lambda text: WireProtocolError(f"a bundle carries a malformed field: {text}"))
+_RESULT = schema.compile({
+    "shard": int, "pid": int, "elapsed": float,
+    "outcomes": [{
+        "index": int, "attempts": schema.Range(int, min=0),
+        "error": (None, str), "record": (None, str),
+    }],
+    "notes": [(
+        {"kind": schema.OneOf(("task-retry",)), "index": int, "attempt": int, "error": str},
+        {"kind": schema.OneOf(("breaker-open", "breaker-close")), "index": int},
+    )],
+    "breakers": _BREAKERS,
+}, lambda text: WireProtocolError(f"malformed reply: {text}"))
 
 
-def _check(ok: bool, what: str) -> None:
-    if not ok:
-        raise WireProtocolError(what)
-
-
-def _check_breakers(breakers, domains) -> None:
-    _check(breakers is None or isinstance(breakers, dict) and all(
-        domain in domains and conforms(snapshot, _SNAPSHOT)
-        for domain, snapshot in breakers.items()
-    ), "breakers must map the bundle's domains to breaker snapshots")
+def _refuse_foreign_breakers(breakers, tasks) -> None:
+    if breakers and not set(breakers) <= {entry[2] for entry in tasks}:
+        raise WireProtocolError("breakers name a domain outside the bundle")
 
 
 @dataclass(frozen=True)
@@ -113,14 +122,10 @@ class WireBundle:
 
     def to_bundle(self) -> Dict:
         """The engine-shaped bundle dict ``_run_shard_bundle`` consumes;
-        :class:`WireProtocolError` unless it has the shape the runner unpacks."""
-        _check(
-            conforms(self.shard, int) and conforms(self.tasks, [_TASK])
-            and conforms(self.id_bases, [[int, int]]),
-            "a bundle carries an integer shard, (index, vp, domain, mode, "
-            "repeats) tasks and (index, id_base) integer pairs",
-        )
-        _check_breakers(self.breakers, {entry[2] for entry in self.tasks})
+        :class:`WireProtocolError` unless it has the shape the runner
+        unpacks and its breakers name its own tasks' domains."""
+        _BUNDLE(vars(self))
+        _refuse_foreign_breakers(self.breakers, self.tasks)
         return {
             "shard": self.shard,
             "tasks": [tuple(entry) for entry in self.tasks],
@@ -167,7 +172,7 @@ class WireResult:
         return dict(vars(self), breakers=self.breakers or {})
 
     def validate_against(self, bundle: "WireBundle") -> None:
-        """Structural check of every field against the dispatched bundle.
+        """Check the reply's shape, then its fit to the dispatched bundle.
 
         A reply whose outcomes drop, duplicate, or invent task indices
         would silently desynchronise the merge from the plan, and a
@@ -175,32 +180,23 @@ class WireResult:
         run; raise :class:`WireProtocolError` instead and let the
         coordinator's re-dispatch/degrade machinery handle it.
         """
+        _RESULT(vars(self))
         if self.shard != bundle.shard:
             raise WireProtocolError(
                 f"result names shard {self.shard!r}, expected {bundle.shard}"
             )
-        where = f"shard {bundle.shard}"
-        _check(
-            conforms(self.pid, int) and conforms(self.elapsed, _NUMBER)
-            and conforms(self.outcomes, [_OUTCOME])
-            and all(entry["attempts"] >= 0 for entry in self.outcomes)
-            and conforms(self.notes, [_NOTE]),
-            f"{where}: the reply's fields are not the shape the engine "
-            "absorbs",
-        )
         expected = sorted(entry[0] for entry in bundle.tasks)
         got = sorted(entry["index"] for entry in self.outcomes)
         if got != expected:
             raise WireProtocolError(
-                f"{where}: reply covers indices {got!r}, bundle holds "
-                f"{expected!r}"
+                f"shard {bundle.shard}: reply covers indices {got!r}, "
+                f"bundle holds {expected!r}"
             )
-        indices = set(expected)
-        _check(
-            all(note["index"] in indices for note in self.notes),
-            f"{where}: a note names a task outside the bundle",
-        )
-        _check_breakers(self.breakers, {entry[2] for entry in bundle.tasks})
+        if not {note["index"] for note in self.notes} <= set(expected):
+            raise WireProtocolError(
+                f"shard {bundle.shard}: a note names a task outside the bundle"
+            )
+        _refuse_foreign_breakers(self.breakers, bundle.tasks)
 
 
 #: ``type`` tag -> message class (the wire's dispatch table).
@@ -259,8 +255,7 @@ def decode_message(line: bytes):
     cls = MESSAGE_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise WireProtocolError(f"unknown frame type {tag!r}")
-    known = {field.name for field in dataclasses.fields(cls)}
-    unknown = sorted(set(body) - known)
+    unknown = sorted(set(body) - set(_FIELDS[cls]))
     if unknown:
         raise WireProtocolError(
             f"frame {tag!r} carries unknown field(s) {', '.join(unknown)}"

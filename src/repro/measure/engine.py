@@ -69,9 +69,12 @@ Out-of-process workers rebuild the crawl from one JSON object, the
 constructor arguments (so configured detectors behave identically in
 a worker), ``ublock_lists``, the plan context, and the
 :class:`RetryPolicy` fields.  :func:`_init_worker_shared` installs it
-once per worker, local or external.  Crawler or
-detector subclasses, hand-assembled or knob-tuned worlds, and plan
-contexts that are not JSON data are refused — run those with
+once per worker, local or external, after checking it against its
+:mod:`repro.schema` shape: one that does not fit is a
+:class:`~repro.errors.WireProtocolError` naming the path, e.g.
+``malformed worker state: retry.jitter: expected float, got '0.1'``.
+Crawler or detector subclasses, hand-assembled or knob-tuned worlds,
+and plan contexts that are not JSON data are refused — run those with
 ``workers=1``.
 
 Checkpoints and resume
@@ -135,15 +138,16 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
+from repro import schema
 from repro.bannerclick import BannerClick
 from repro.errors import NetworkError, WireProtocolError
 from repro.lang import LanguageDetector
 from repro.measure.instrumentation import Event, EventLog
-from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.breaker import SNAPSHOT, CircuitBreaker
 from repro.resilience.chaos import ChaosEngine, ChaosSpec
 from repro.resilience.clock import TaskMeter, active_meter
 from repro.resilience.degrade import degraded_record
@@ -160,6 +164,7 @@ from repro.measure.storage import (
     validate_record_payload,
 )
 from repro.rng import derive_seed
+from repro.schema import OneOf, Omittable, Range
 
 #: Bumped whenever the checkpoint file layout changes; part of the
 #: fingerprint, so old checkpoints are refused instead of misread.
@@ -503,46 +508,17 @@ _WORLDS: Dict[Tuple, object] = {}
 #: retry policy — built once per worker by :func:`_init_worker_shared`.
 _WORKER_SHARED: Dict[str, object] = {}
 
-_NUMBER = (int, float)
-
 #: The JSON worker state :meth:`CrawlEngine._worker_state` builds.
-_WORKER_STATE = {
-    "world": [int, _NUMBER, int], "latency": _NUMBER, "latency_mode": str,
-    "bannerclick": {switch.name: bool for switch in fields(BannerClick)},
-    "language_detector": {"corpora": (None, [[str, [str]]]), "min_confidence": _NUMBER},
+_WORKER_STATE = schema.compile({
+    "world": [int, Range(float, above=0, max=1), Range(int, min=0)],
+    "latency": float,
+    "latency_mode": OneOf(("virtual", "real")),
+    "bannerclick": schema.fields_shape(BannerClick),
+    "language_detector": {"corpora": (None, [[str, [str]]]), "min_confidence": float},
     "ublock_lists": (None, [str]),
     "context": dict,
-    "retry": {
-        "max_attempts": int, "retry_unreachable": bool, "backoff_base": _NUMBER,
-        "backoff_factor": _NUMBER, "backoff_max": _NUMBER, "jitter": _NUMBER,
-        "attempt_deadline": (None, _NUMBER), "task_deadline": (None, _NUMBER),
-        "breaker_threshold": (None, int), "breaker_quarantine": int,
-    },
-}
-
-
-def conforms(value, shape) -> bool:
-    """Whether the JSON *value* has *shape*: a type (a ``bool`` is no
-    ``int``), ``None``, a tuple of alternatives, a frozenset of allowed
-    strings, ``{key: shape}`` (exactly those keys), ``[shape]`` (a list
-    of it), or ``[shape, shape, …]`` (exactly those items)."""
-    if isinstance(shape, type):
-        return isinstance(value, shape) and (shape is bool or not isinstance(value, bool))
-    if shape is None:
-        return value is None
-    if isinstance(shape, tuple):
-        return any(conforms(value, option) for option in shape)
-    if isinstance(shape, frozenset):
-        return isinstance(value, str) and value in shape
-    if isinstance(shape, dict):
-        return isinstance(value, dict) and value.keys() == shape.keys() and all(
-            conforms(value[key], sub) for key, sub in shape.items()
-        )
-    return isinstance(value, (list, tuple)) and (
-        all(conforms(item, shape[0]) for item in value)
-        if len(shape) == 1
-        else len(value) == len(shape) and all(map(conforms, value, shape))
-    )
+    "retry": schema.fields_shape(RetryPolicy),
+}, lambda text: WireProtocolError(f"malformed worker state: {text}"))
 
 
 def _init_worker_shared(state: Dict) -> None:
@@ -555,8 +531,7 @@ def _init_worker_shared(state: Dict) -> None:
     from repro.webgen.evolve import evolve_world
     from repro.webgen.world import build_world
 
-    if not conforms(state, _WORKER_STATE):
-        raise WireProtocolError("malformed worker state: not the object the engine builds")
+    _WORKER_STATE(state)
     seed, scale, evolution = state["world"]
     world = _WORLDS.get((seed, scale, evolution))
     if world is None:
@@ -665,6 +640,17 @@ class CheckpointCompaction:
 # streams resume and compaction with one buffered line per run.
 # ---------------------------------------------------------------------------
 
+#: Checkpoint outcome (:func:`_journal_outcome`) and breaker lines.
+_CHECKPOINT_LINES = {
+    "outcome": schema.compile({
+        "kind": OneOf(("outcome",)), "index": Range(int, min=0),
+        "attempts": Omittable(Range(int, min=0)), "error": Omittable((None, str)),
+        "record": Omittable((None, dict)),
+    }),
+    "breaker": schema.compile({"kind": OneOf(("breaker",)), "domains": {str: SNAPSHOT}}),
+}
+
+
 @dataclass
 class _CheckpointScan:
     """Pass 1 of a streaming checkpoint read: structure, not payloads."""
@@ -694,12 +680,12 @@ def _scan_checkpoint(
     """Scan *path* once, collecting run boundaries and the index set.
 
     Structural errors raise :class:`ValueError` (mid-file corruption,
-    an outcome without an integer index) or :class:`CheckpointMismatch`
-    (not a checkpoint at all); *validate* may add per-outcome checks
-    and *on_header* runs as soon as the header parses, so e.g. a
-    fingerprint mismatch is reported before the rest of the file is
-    read.  Only integers ever accumulate here — record payloads stay
-    on disk.
+    an outcome or breaker line that does not fit its shape) or
+    :class:`CheckpointMismatch` (not a checkpoint at all); *validate*
+    may add per-outcome checks and *on_header* runs as soon as the
+    header parses, so e.g. a fingerprint mismatch is reported before
+    the rest of the file is read.  Only integers ever accumulate here —
+    record payloads stay on disk.
     """
     header_line: Optional[str] = None
     header: Optional[Dict] = None
@@ -749,20 +735,19 @@ def _scan_checkpoint(
                     on_header(header)
                 end = offset
                 continue
+            if kind in _CHECKPOINT_LINES:
+                try:
+                    _CHECKPOINT_LINES[kind](payload)
+                except ValueError as error:
+                    raise ValueError(f"{path}:{line_number}: {error}") from None
+            if kind == "breaker":
+                # Latest-wins by file order: a re-flushed shard's
+                # newer snapshot overwrites the stale one.
+                breakers.update(payload["domains"])
             if kind != "outcome":
-                if kind == "breaker" and isinstance(
-                    payload.get("domains"), dict
-                ):
-                    # Latest-wins by file order: a re-flushed shard's
-                    # newer snapshot overwrites the stale one.
-                    breakers.update(payload["domains"])
                 end = offset
                 continue
-            index = payload.get("index")
-            if not isinstance(index, int):
-                raise ValueError(
-                    f"{path}:{line_number}: outcome without an index"
-                )
+            index = payload["index"]
             if validate is not None:
                 validate(line_number, payload)
             outcome_lines += 1
@@ -1660,11 +1645,10 @@ class CrawlEngine:
                 )
 
         def validate(line_number: int, payload: Dict) -> None:
-            index = payload["index"]
-            if not 0 <= index < len(plan.tasks):
+            if payload["index"] >= len(plan.tasks):  # the line's shape bounds it below
                 raise CheckpointMismatch(
                     f"{path}:{line_number}: outcome index "
-                    f"{index} outside the plan"
+                    f"{payload['index']} outside the plan"
                 )
             record_payload = payload.get("record")
             if record_payload is not None:

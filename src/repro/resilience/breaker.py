@@ -20,10 +20,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.schema import OneOf, Range
+
 #: Breaker states (stringly-typed so snapshots stay JSON-native).
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+
+#: The :mod:`repro.schema` shape of a :meth:`CircuitBreaker.snapshot`.
+SNAPSHOT = {"state": OneOf((CLOSED, OPEN, HALF_OPEN)),
+            "consecutive": Range(int, min=0), "skipped": Range(int, min=0)}
 
 
 class CircuitBreaker:

@@ -31,6 +31,7 @@ import threading
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Set, Tuple
 
+from repro import schema
 from repro.errors import (
     DisconnectError,
     DNSFlapError,
@@ -69,33 +70,22 @@ class ChaosSpec:
     #: Root seed for every fault decision; ``None`` disables chaos.
     seed: Optional[int] = None
     #: Per-request fault rates by kind.
-    timeout_rate: float = 0.0
-    dns_rate: float = 0.0
-    disconnect_rate: float = 0.0
-    truncate_rate: float = 0.0
+    timeout_rate: float = schema.field(0.0, min=0, max=1)
+    dns_rate: float = schema.field(0.0, min=0, max=1)
+    disconnect_rate: float = schema.field(0.0, min=0, max=1)
+    truncate_rate: float = schema.field(0.0, min=0, max=1)
     #: Slow-loris latency spikes: rate plus the spike size in virtual
     #: seconds (only fatal when an attempt deadline is set).
-    slow_rate: float = 0.0
-    slow_latency: float = 5.0
+    slow_rate: float = schema.field(0.0, min=0, max=1)
+    slow_latency: float = schema.field(5.0, min=0)
     #: Probability that a rolled fault is *permanent* (recurs on every
     #: attempt) rather than flaky-then-recovered.
-    permanent_rate: float = 0.0
+    permanent_rate: float = schema.field(0.0, min=0, max=1)
     #: Restrict injection to these registrable domains (None = all).
     domains: Optional[Tuple[str, ...]] = None
 
     def validate(self) -> None:
-        for field in fields(self):
-            if field.name.endswith("_rate"):
-                rate = getattr(self, field.name)
-                if not 0.0 <= rate <= 1.0:
-                    raise ValueError(
-                        f"chaos {field.name} must be in [0, 1], "
-                        f"got {rate!r}"
-                    )
-        if self.slow_latency < 0.0:
-            raise ValueError("chaos slow_latency must be >= 0")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ValueError("chaos seed must be an integer or None")
+        _check_chaos(vars(self))
 
     @property
     def enabled(self) -> bool:
@@ -122,6 +112,9 @@ class ChaosSpec:
         if kwargs.get("domains") is not None:
             kwargs["domains"] = tuple(kwargs["domains"])
         return cls(**kwargs)
+
+
+_check_chaos = schema.compile(schema.fields_shape(ChaosSpec), ValueError, "chaos")
 
 
 class ChaosEngine:

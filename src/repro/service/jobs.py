@@ -26,8 +26,10 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro import schema
 from repro.api.spec import RunSpec
 from repro.errors import ReproError
+from repro.schema import OneOf, Omittable, Range
 
 #: Lifecycle: queued -> running -> done | failed | cancelled
 #: (queued jobs may also go straight to cancelled).
@@ -80,30 +82,25 @@ class Job:
     revision: int = 0
 
     def to_dict(self) -> Dict:
-        """JSON-safe wire/persistence form (spec in versioned form)."""
-        return {
-            "id": self.id,
-            "spec": self.spec.to_dict(),
-            "tenant": self.tenant,
-            "priority": self.priority,
-            "state": self.state,
-            "error": self.error,
-            "summary": self.summary,
-            "revision": self.revision,
-        }
+        """JSON-safe wire/persistence form (spec in versioned form): every
+        field but :attr:`cancel_requested`."""
+        fields = {k: v for k, v in vars(self).items() if k != "cancel_requested"}
+        return dict(fields, spec=self.spec.to_dict())
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Job":
-        return cls(
-            id=data["id"],
-            spec=RunSpec.from_dict(data["spec"]),
-            tenant=data.get("tenant", "default"),
-            priority=data.get("priority", 0),
-            state=data.get("state", "queued"),
-            error=data.get("error"),
-            summary=data.get("summary"),
-            revision=int(data.get("revision") or 0),
-        )
+        """The job :meth:`to_dict` wrote, or :class:`ValueError`."""
+        _check_job(data)
+        fields = {key: value for key, value in data.items() if value is not None}
+        return cls(**dict(fields, spec=RunSpec.from_dict(data["spec"])))
+
+
+#: A persisted job (:meth:`Job.to_dict`); an absent or null key keeps its default.
+_check_job = schema.compile({
+    "id": str, "spec": dict, "tenant": Omittable(str), "priority": Omittable(int),
+    "state": Omittable(OneOf(JOB_STATES)), "error": Omittable((None, str)),
+    "summary": Omittable((None, dict)), "revision": Omittable((None, Range(int, min=0))),
+}, ValueError, "job")
 
 
 class JobQueue:
@@ -278,6 +275,6 @@ def load_jobs(jobs_dir: Path) -> List[Job]:
             jobs.append(Job.from_dict(
                 json.loads(path.read_text(encoding="utf-8"))
             ))
-        except (OSError, ValueError, KeyError, ReproError):
+        except (OSError, ValueError):
             continue
     return jobs

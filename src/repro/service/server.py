@@ -17,8 +17,11 @@ dependencies) only translates between the wire and the queue:
 ``POST /v1/campaigns/<id>/cancel``        cancel queued/running
 ========================================  =================================
 
-Error mapping: an invalid or future-versioned spec is HTTP 400 (with
-the readable :class:`~repro.api.SpecVersionError` message), a quota
+Error mapping: a body that is not ``{"spec": object, "tenant": str,
+"priority": int}`` (both of the last two optional) is HTTP 400 naming
+the field, e.g. ``body.priority: expected int, got 'high'``; so is an
+invalid or future-versioned spec (with the readable
+:class:`~repro.api.SpecVersionError` message); a quota
 breach is 429, an unknown id is 404, records of an unfinished
 campaign are 409.
 
@@ -37,12 +40,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro import schema
 from repro.api.session import Session
-from repro.api.spec import (
-    SPEC_SCHEMA_VERSION,
-    RunSpec,
-    SpecError,
-)
+from repro.api.spec import SPEC_SCHEMA_VERSION, RunSpec
 from repro.service.jobs import (
     Job,
     JobCancelled,
@@ -52,6 +52,19 @@ from repro.service.jobs import (
     load_jobs,
     persist_job,
 )
+
+#: The ``POST /v1/campaigns`` body.
+_check_submission = schema.compile({
+    "spec": dict, "tenant": schema.Omittable(str), "priority": schema.Omittable(int),
+}, ValueError, "body")
+
+
+def parse_submission(raw: bytes) -> Tuple[RunSpec, str, int]:
+    """A ``POST /v1/campaigns`` body as ``(spec, tenant, priority)``, or a
+    :class:`ValueError` (a :class:`~repro.api.SpecError`) naming the misfit."""
+    body = _check_submission(json.loads(raw.decode("utf-8")) if raw else {})
+    spec = RunSpec.from_dict(body["spec"])
+    return spec, body.get("tenant", "default"), body.get("priority", 0)
 
 
 class CampaignService:
@@ -271,16 +284,6 @@ def _handler_for(service: CampaignService):
             self.end_headers()
             self.wfile.write(encoded)
 
-        def _read_body(self) -> Dict:
-            length = int(self.headers.get("Content-Length", "0") or "0")
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return {}
-            body = json.loads(raw.decode("utf-8"))
-            if not isinstance(body, dict):
-                raise ValueError("request body must be a JSON object")
-            return body
-
         def _status_or_404(self, claimed_id: str) -> Optional[Dict]:
             status = service.queue.status(claimed_id)
             if status is None:
@@ -334,29 +337,14 @@ def _handler_for(service: CampaignService):
 
         def _submit(self) -> None:
             try:
-                body = self._read_body()
+                length = int(self.headers.get("Content-Length", "0") or "0")
+                spec, tenant, priority = parse_submission(
+                    self.rfile.read(length) if length else b""
+                )
             except ValueError as error:
+                # A SpecError (SpecVersionError included: the readable
+                # rejection of a future schema_version) crosses verbatim.
                 self._send_json(400, {"error": str(error)})
-                return
-            if "spec" not in body:
-                self._send_json(
-                    400, {"error": "body must carry a 'spec' object"}
-                )
-                return
-            try:
-                spec = RunSpec.from_dict(body["spec"])
-            except SpecError as error:
-                # SpecVersionError included: the readable rejection for
-                # a future schema_version crosses the wire verbatim.
-                self._send_json(400, {"error": str(error)})
-                return
-            tenant = str(body.get("tenant", "default"))
-            priority = body.get("priority", 0)
-            if not isinstance(priority, int) or isinstance(priority, bool):
-                self._send_json(
-                    400, {"error": f"priority must be an integer, "
-                                   f"got {priority!r}"}
-                )
                 return
             try:
                 job = service.submit(spec, tenant=tenant, priority=priority)

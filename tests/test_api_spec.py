@@ -292,6 +292,14 @@ class TestOverride:
         with pytest.raises(SpecError, match="unknown key"):
             RunSpec(kind="crawl").override({"engine": {"wrokers": 2}})
 
+    def test_override_reads_values_as_from_dict_does(self):
+        """A JSON list becomes a tuple, so the overridden spec hashes and
+        round-trips like one read from a file."""
+        spec = RunSpec(kind="crawl").override({"crawl": {"vps": ["DE", "SE"]}})
+        assert spec.crawl.vps == ("DE", "SE")
+        assert RunSpec.from_dict(spec.to_dict()) == spec
+        assert hash(spec) == hash(RunSpec.from_dict(spec.to_dict()))
+
     def test_override_validates_result(self):
         with pytest.raises(SpecError, match="strictly increasing"):
             RunSpec(kind="longitudinal").override(

@@ -371,6 +371,33 @@ class TestServiceLifecycle:
         assert excinfo.value.status == 400
         assert field in str(excinfo.value)
 
+    @pytest.mark.parametrize("extra,detail", [
+        ({"tenant": ["x"]}, "body.tenant: expected str, got ['x']"),
+        ({"tenant": None}, "body.tenant: expected str, got None"),
+        ({"priority": "high"}, "body.priority: expected int, got 'high'"),
+        ({"priority": True}, "body.priority: expected int, got True"),
+        ({"tenants": "x"}, "body: unknown key(s) tenants"),
+    ], ids=["list-tenant", "null-tenant", "str-priority", "bool-priority",
+            "unknown-key"])
+    def test_malformed_body_field_rejected_with_400(self, service, extra, detail):
+        """The body is ``{"spec", "tenant", "priority"}`` with the right
+        types: a list tenant is not coerced to its ``str()`` (and billed
+        to that quota), and an unknown key is not silently ignored."""
+        client = ServiceClient(service.url)
+        body = {"spec": crawl_spec().to_dict(), **extra}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/campaigns", body)
+        assert excinfo.value.status == 400
+        assert detail in str(excinfo.value)
+        assert client.campaigns()["campaigns"] == []
+
+    def test_body_without_a_spec_rejected_with_400(self, service):
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/campaigns", {"tenant": "t"})
+        assert excinfo.value.status == 400
+        assert "body: missing key(s) spec" in str(excinfo.value)
+
     def test_quota_maps_to_429(self, tmp_path):
         service = CampaignService(
             tmp_path / "q", port=0, quota=1
@@ -469,6 +496,32 @@ class TestServiceLifecycle:
         record = TestJobQueue.job(1).to_dict()
         del record["revision"]
         assert Job.from_dict(record).revision == 0
+
+    @pytest.mark.parametrize("edit", [
+        {"priority": "high"}, {"priority": None}, {"state": "bogus"},
+        {"tenant": 7}, {"surprise": 1},
+    ], ids=["str-priority", "null-priority", "unknown-state", "int-tenant",
+            "unknown-key"])
+    def test_resume_skips_a_job_file_that_does_not_fit(self, tmp_path, edit):
+        """``serve --resume`` loads only job files of the job shape: a
+        non-integer priority used to crash the restore, and an unknown
+        state was listed as it stood."""
+        from repro.service.jobs import persist_job
+
+        jobs_dir = tmp_path / "data" / "jobs"
+        good, bad = TestJobQueue.job(1), TestJobQueue.job(2)
+        good.state, good.summary = "done", {"records": 0}
+        persist_job(jobs_dir, good)
+        (jobs_dir / f"{bad.id}.json").write_text(
+            json.dumps({**bad.to_dict(), **edit}), encoding="utf-8"
+        )
+        service = CampaignService(tmp_path / "data", port=0)
+        try:
+            service.start(resume=True)
+            assert service.queue.status(bad.id) is None
+            assert service.queue.status(good.id)["state"] == "done"
+        finally:
+            service.stop()
 
     def test_cancel_running_campaign(self, service, client):
         # A multi-wave campaign is long enough to cancel mid-flight.
