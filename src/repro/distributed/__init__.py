@@ -1,13 +1,15 @@
 """repro.distributed — the shard-bundle wire plane.
 
-The engine reduces every shard to a transport-agnostic bundle (task
-tuples + per-task visit-id seeds + breaker snapshots) that its one
+The engine reduces every shard to a transport-agnostic JSON bundle
+(task entries + per-task visit-id seeds + breaker snapshots) that its one
 shard runner executes; worker transports get canonically serialized
 record lines back.  This package ships that exact contract over a
 socket work queue:
 
-- :mod:`repro.distributed.wire` — the JSON-framed message protocol
-  (one JSON object per line) and its typed message dataclasses.
+- :mod:`repro.distributed.wire` — the JSON-framed protocol (wire
+  protocol 3): one JSON object per line, each frame a plain dict
+  checked against its ``type``'s :mod:`repro.schema` shape
+  (:data:`~repro.distributed.wire.FRAMES`) as it is decoded.
 - :mod:`repro.distributed.worker` — the worker side:
   :func:`serve_worker` dials the coordinator, receives the
   run-constant JSON worker state once, then runs
@@ -29,21 +31,20 @@ shard re-run by a different worker (or re-dispatched after a kill)
 produces the same bytes — the merged spool stays byte-identical to
 the serial backend.
 
-A bundle frame is data only (``shard, tasks, id_bases, breakers``):
-nothing in it can tell a worker to misbehave, and a re-dispatch
-resends the same frame.  A lost worker is a fault of the environment,
-so the tests produce one from outside — a peer that takes a bundle
-and hangs up, which the coordinator cannot tell from a killed worker.
+A bundle frame is the engine's own bundle dict, data only
+(``shard, tasks, id_bases, breakers``): nothing in it can tell a worker
+to misbehave, the worker runs it exactly as decoded, and a re-dispatch
+resends the same bytes.  A result frame is the worker's shard payload,
+absorbed as decoded once :func:`~repro.distributed.wire.check_reply`
+has matched it to its bundle.  A lost worker is a fault of the
+environment, so the tests produce one from outside — a peer that takes
+a bundle and hangs up, which the coordinator cannot tell from a killed
+worker.
 """
 
 from repro.distributed.executor import DistributedExecutor
 from repro.distributed.wire import (
     WIRE_PROTOCOL_VERSION,
-    WireBundle,
-    WireHeartbeat,
-    WireHello,
-    WireResult,
-    WireShared,
     decode_message,
     read_frame,
     write_frame,
@@ -53,11 +54,6 @@ from repro.distributed.worker import serve_worker
 __all__ = [
     "DistributedExecutor",
     "WIRE_PROTOCOL_VERSION",
-    "WireBundle",
-    "WireHeartbeat",
-    "WireHello",
-    "WireResult",
-    "WireShared",
     "decode_message",
     "read_frame",
     "serve_worker",

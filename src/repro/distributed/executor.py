@@ -39,15 +39,7 @@ from typing import Callable, Dict, List, Optional
 
 # Frames are encoded through the module, where perfbench times them.
 from repro.distributed import wire
-from repro.distributed.wire import (
-    WIRE_PROTOCOL_VERSION,
-    WireBundle,
-    WireHeartbeat,
-    WireHello,
-    WireResult,
-    WireShared,
-    read_frame,
-)
+from repro.distributed.wire import WIRE_PROTOCOL_VERSION, check_reply, read_frame
 from repro.distributed.worker import serve_local_worker
 from repro.errors import TransportError, WireProtocolError, WorkerLostError
 from repro.measure.engine import CrawlTask, Executor
@@ -68,15 +60,14 @@ def _worker_context():
 
 class _BundleState:
     """One shard bundle's dispatch bookkeeping.  The bundle and its
-    wire frame are fixed: encoded once, a re-dispatch resends the same
+    frame are fixed: encoded once, a re-dispatch resends the same
     bytes."""
 
-    __slots__ = ("bundle", "wire", "frame", "dispatches", "last_error")
+    __slots__ = ("bundle", "frame", "dispatches", "last_error")
 
     def __init__(self, bundle: Dict) -> None:
         self.bundle = bundle
-        self.wire = WireBundle.from_bundle(bundle)
-        self.frame = wire.encode_message(self.wire)
+        self.frame = wire.encode_message({"type": "bundle", **bundle})
         self.dispatches = 0
         self.last_error = "WorkerLostError"
 
@@ -168,13 +159,15 @@ class DistributedExecutor(Executor):
         on the calling thread).
 
         *shared* is the JSON worker state; every connection receives
-        it once, as a :class:`WireShared` frame.
+        it once, as a shared frame.
         """
         if not bundles:
             return
         self._reset_run_state()
         try:  # fail here, not later in every connection thread
-            self._shared_frame = wire.encode_message(WireShared(state=shared))
+            self._shared_frame = wire.encode_message(
+                {"type": "shared", "state": shared}
+            )
         except (TypeError, ValueError) as error:
             raise TransportError(
                 "the distributed backend ships the run-constant worker "
@@ -355,11 +348,11 @@ class DistributedExecutor(Executor):
             rfile = conn.makefile("rb")
             wfile = conn.makefile("wb")
             hello = read_frame(rfile)
-            if not isinstance(hello, WireHello):
+            if hello is None or hello["type"] != "hello":
                 raise WireProtocolError("worker did not introduce itself")
-            if hello.protocol != WIRE_PROTOCOL_VERSION:
+            if hello["protocol"] != WIRE_PROTOCOL_VERSION:
                 raise WireProtocolError(
-                    f"worker speaks wire protocol {hello.protocol}, "
+                    f"worker speaks wire protocol {hello['protocol']}, "
                     f"coordinator speaks {WIRE_PROTOCOL_VERSION}"
                 )
             wfile.write(self._shared_frame)
@@ -413,25 +406,25 @@ class DistributedExecutor(Executor):
         re-queued by the caller's cleanup or here)."""
         while True:
             try:
-                message = read_frame(rfile)
-                if message is None:  # EOF: the worker died mid-shard
+                frame = read_frame(rfile)
+                if frame is None:  # EOF: the worker died mid-shard
                     self._finish_inflight(key, "WorkerLostError")
                     return False
-                if isinstance(message, WireHeartbeat):
+                if frame["type"] == "heartbeat":
                     with self._cond:
                         entry = self._inflight.get(key)
                         if entry is not None:
                             entry[1] = time.monotonic() + self.lease_timeout
                     continue
-                if not isinstance(message, WireResult):
+                if frame["type"] != "result":
                     raise WireProtocolError("expected a result frame")
-                message.validate_against(state.wire)
+                check_reply(frame, state.bundle)
             except WireProtocolError:
                 self._finish_inflight(key, "WireProtocolError")
                 return False
             with self._cond:
                 self._inflight.pop(key, None)
-            self._results.put((message.to_payload(), state.bundle))
+            self._results.put((frame, state.bundle))
             return True
 
     def _finish_inflight(self, key: int, error: str) -> None:

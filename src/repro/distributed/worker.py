@@ -34,15 +34,7 @@ import threading
 import time
 from typing import Optional, Tuple
 
-from repro.distributed.wire import (
-    WireBundle,
-    WireHeartbeat,
-    WireHello,
-    WireResult,
-    WireShared,
-    read_frame,
-    write_frame,
-)
+from repro.distributed.wire import WIRE_PROTOCOL_VERSION, read_frame, write_frame
 from repro.errors import WireProtocolError
 from repro.measure.engine import _init_worker_shared, _run_shard_bundle
 
@@ -67,7 +59,9 @@ class _Heartbeat:
         while not self._stop.wait(self._interval):
             try:
                 with self._lock:
-                    write_frame(self._wfile, WireHeartbeat(shard=self._shard))
+                    write_frame(
+                        self._wfile, {"type": "heartbeat", "shard": self._shard}
+                    )
             except OSError:
                 return  # the coordinator went away; the main loop notices
 
@@ -100,27 +94,30 @@ def serve_worker(
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
         write_lock = threading.Lock()
-        write_frame(wfile, WireHello(worker=name, pid=os.getpid()))
+        write_frame(wfile, {
+            "type": "hello", "worker": name, "pid": os.getpid(),
+            "protocol": WIRE_PROTOCOL_VERSION,
+        })
         installed = False
         while True:
-            message = read_frame(rfile)
-            if message is None:
+            frame = read_frame(rfile)
+            if frame is None:
                 break
-            if isinstance(message, WireShared):
-                _init_worker_shared(message.state)
+            if frame["type"] == "shared":
+                _init_worker_shared(frame["state"])
                 installed = True
                 continue
-            if not (installed and isinstance(message, WireBundle)):
+            if not (installed and frame["type"] == "bundle"):
                 raise WireProtocolError(
                     f"worker expected {'a bundle' if installed else 'the shared state'}"
-                    f", got {type(message).__name__}"
+                    f", got a {frame['type']} frame"
                 )
             with _Heartbeat(
-                wfile, write_lock, message.shard, heartbeat_interval
+                wfile, write_lock, frame["shard"], heartbeat_interval
             ):
-                payload = _run_shard_bundle(message.to_bundle())
+                payload = _run_shard_bundle(frame)
             with write_lock:
-                write_frame(wfile, WireResult.from_payload(payload))
+                write_frame(wfile, {"type": "result", **payload})
             shards_served += 1
     return shards_served
 

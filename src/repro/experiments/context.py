@@ -41,9 +41,9 @@ from repro.analysis.streaming import (
     streaming_fig5,
 )
 from repro.analysis.tables import Table1
-from repro.api import EngineSpec, RunResult, Session
+from repro.api import EngineSpec, Session
 from repro.measure.crawl import Crawler
-from repro.measure.engine import CrawlPlan
+from repro.measure.engine import CrawlPlan, EngineResult
 from repro.measure.instrumentation import EventLog
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 from repro.vantage import VANTAGE_POINTS
@@ -98,13 +98,14 @@ class ExperimentContext:
             spool_dir=self.spool_dir,
         )
         #: Finished runs by product name, which also names the spool.
-        self._products: Dict[str, RunResult] = {}
+        self._products: Dict[str, EngineResult] = {}
         self._detection_analysis: Optional[StreamingCrawlAnalysis] = None
         self._account_ready = False
 
-    def _product(self, name: str, plan: Callable[[], CrawlPlan]) -> RunResult:
+    def _product(self, name: str, plan: Callable[[], CrawlPlan]) -> EngineResult:
         """The run of product *name*; ``plan()`` is built and executed
-        on the first call only.  The :class:`RunResult` is kept rather
+        on the first call only.  The
+        :class:`~repro.measure.engine.EngineResult` is kept rather
         than a materialised list so spool-backed products can be
         re-streamed on demand.
         """
@@ -115,8 +116,9 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Detection crawl products
     # ------------------------------------------------------------------
-    def detection_result(self) -> RunResult:
-        """The detection crawl's :class:`RunResult` (records lazy)."""
+    def detection_result(self) -> EngineResult:
+        """The detection crawl's
+        :class:`~repro.measure.engine.EngineResult` (records lazy)."""
         return self._product(
             "detection_crawl",
             lambda: self.crawler.plan_detection_crawl(self.vps),

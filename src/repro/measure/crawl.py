@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.adblock import UBlockOrigin
 from repro.bannerclick import BannerClick, accept_banner, reject_banner
@@ -302,31 +302,15 @@ class Crawler:
         self, vp: str, domain: str, *, repeats: int = 5, visit_ids=None
     ) -> CookieMeasurement:
         """Visit, accept the banner, reload, count cookies; repeat."""
-        measurement = CookieMeasurement(vp=vp, domain=domain, mode="accept")
-        counts: List[CookieCounts] = []
-        for _ in range(repeats):
-            jar = CookieJar()
-            browser = self.world.browser(vp, jar=jar, visit_ids=visit_ids)
-            try:
-                page = browser.visit(domain)
-                detection = self.bannerclick.detect(page)
-                if detection.found and detection.accept_element is not None:
-                    accept_banner(browser, page, detection)
-                    page = browser.reload(page)
-            except (NavigationError, NetworkError, MeasurementError) as exc:
-                if is_transient(exc):
-                    raise
-                measurement.error = type(exc).__name__
-                continue
-            site = page.site or domain
-            count = count_cookies(jar, site, self.world.tracking_list)
-            counts.append(count)
-            measurement.per_visit.append(count.as_dict())
-        measurement.repeats = len(counts)
-        (measurement.avg_first_party,
-         measurement.avg_third_party,
-         measurement.avg_tracking) = average_counts(counts)
-        return measurement
+        def visit(browser, jar):
+            page = browser.visit(domain)
+            detection = self.bannerclick.detect(page)
+            if detection.found and detection.accept_element is not None:
+                accept_banner(browser, page, detection)
+                page = browser.reload(page)
+            return page, None
+
+        return self._measure_cookies(vp, domain, "accept", repeats, visit_ids, visit)
 
     def measure_reject_cookies(
         self, vp: str, domain: str, *, repeats: int = 5, visit_ids=None
@@ -336,31 +320,15 @@ class Crawler:
         BannerClick's reject interaction (its PAM'23 heritage); walls
         have no reject button, so those measurements record an error.
         """
-        measurement = CookieMeasurement(vp=vp, domain=domain, mode="reject")
-        counts: List[CookieCounts] = []
-        for _ in range(repeats):
-            jar = CookieJar()
-            browser = self.world.browser(vp, jar=jar, visit_ids=visit_ids)
-            try:
-                page = browser.visit(domain)
-                detection = self.bannerclick.detect(page)
-                if detection.found:
-                    reject_banner(browser, page, detection)
-                    page = browser.reload(page)
-            except (NavigationError, NetworkError, MeasurementError) as exc:
-                if is_transient(exc):
-                    raise
-                measurement.error = type(exc).__name__
-                continue
-            site = page.site or domain
-            count = count_cookies(jar, site, self.world.tracking_list)
-            counts.append(count)
-            measurement.per_visit.append(count.as_dict())
-        measurement.repeats = len(counts)
-        (measurement.avg_first_party,
-         measurement.avg_third_party,
-         measurement.avg_tracking) = average_counts(counts)
-        return measurement
+        def visit(browser, jar):
+            page = browser.visit(domain)
+            detection = self.bannerclick.detect(page)
+            if detection.found:
+                reject_banner(browser, page, detection)
+                page = browser.reload(page)
+            return page, None
+
+        return self._measure_cookies(vp, domain, "reject", repeats, visit_ids, visit)
 
     def measure_subscription_cookies(
         self,
@@ -374,20 +342,36 @@ class Crawler:
         visit_ids=None,
     ) -> CookieMeasurement:
         """Visit as a logged-in subscriber; count newly set cookies."""
-        measurement = CookieMeasurement(vp=vp, domain=domain, mode="subscription")
+        def visit(browser, jar):
+            login = browser.visit(
+                f"https://{platform.domain}/login"
+                f"?email={email}&password={password}"
+            )
+            if login.status != 200:
+                raise MeasurementError("SMP login failed")
+            baseline = jar.snapshot()
+            return browser.visit(domain), baseline
+
+        return self._measure_cookies(
+            vp, domain, "subscription", repeats, visit_ids, visit
+        )
+
+    def _measure_cookies(
+        self, vp: str, domain: str, mode: str, repeats: int, visit_ids,
+        visit: Callable[[object, CookieJar], Tuple[object, Optional[CookieJar]]],
+    ) -> CookieMeasurement:
+        """The cookie-measurement loop: *repeats* times, a fresh jar and
+        browser, ``visit(browser, jar) -> (page, baseline)``, then count
+        the jar's cookies (those not in *baseline*) against the page's
+        site.  A permanent failure skips that repeat and records its
+        error; a transient one propagates for the engine to retry."""
+        measurement = CookieMeasurement(vp=vp, domain=domain, mode=mode)
         counts: List[CookieCounts] = []
         for _ in range(repeats):
             jar = CookieJar()
             browser = self.world.browser(vp, jar=jar, visit_ids=visit_ids)
             try:
-                login = browser.visit(
-                    f"https://{platform.domain}/login"
-                    f"?email={email}&password={password}"
-                )
-                if login.status != 200:
-                    raise MeasurementError("SMP login failed")
-                baseline = jar.snapshot()
-                page = browser.visit(domain)
+                page, baseline = visit(browser, jar)
             except (NavigationError, NetworkError, MeasurementError) as exc:
                 if is_transient(exc):
                     raise

@@ -23,15 +23,15 @@ loop.  This module turns that loop into an explicit subsystem:
    breaker checks, the :class:`RetryPolicy` loop (transient
    ``NetworkError``-family failures are retried, then degraded rather
    than aborting the crawl), and visit-id selection live there alone.
-   The engine packs each shard into a plain-data *bundle*; an executor,
+   The engine packs each shard into a JSON-data *bundle*; an executor,
    selected by ``backend`` (``EngineSpec.executor`` / ``--executor``),
    is only the transport that carries it:
 
    - ``"serial"`` — :class:`SerialExecutor`, shard by shard on the
      calling thread, on the live crawler.
    - ``"distributed"`` — :class:`repro.distributed.DistributedExecutor`
-     carries each bundle as a JSON frame to a socket worker
-     (:func:`_run_shard_bundle` behind the wire) that rebuilds the
+     sends each bundle, as it stands, as a JSON frame to a socket
+     worker (:func:`_run_shard_bundle` behind the wire) that rebuilds the
      crawler and returns the records serialized.  A visit is pure
      Python under the default virtual latency, so processes, not
      threads, are what parallelise it.  Local workers are forked
@@ -435,14 +435,14 @@ def run_shard(
     items: List[Tuple[int, CrawlTask]],
     context: Optional[Dict],
     retry: RetryPolicy,
-    id_bases: Dict[int, int],
+    id_bases: List[List[int]],
     breakers: Dict[str, Dict],
     on_task: Optional[Callable[[CrawlTask], None]] = None,
 ) -> Tuple[List[TaskOutcome], Dict[str, Dict], List[Dict]]:
     """Run one shard's ``(plan_index, task)`` *items* in plan order — the
     only task loop, whichever backend carries the shard.
 
-    *id_bases* maps plan indices to per-task visit-id stream seeds
+    *id_bases* pairs plan indices with per-task visit-id stream seeds
     (empty: the serial regime's shared counter); *breakers* holds the
     per-domain breaker snapshots entering the shard; *on_task* runs
     after every task.  Returns the outcomes, the final breaker
@@ -450,6 +450,7 @@ def run_shard(
     degraded task needs no note: its outcome's error records it).
     """
     network = getattr(getattr(crawler, "world", None), "network", None)
+    seeds = dict(id_bases)
     live: Dict[str, CircuitBreaker] = {}
     if retry.breaker_threshold is not None:
         for _, task in items:
@@ -473,7 +474,7 @@ def run_shard(
             )
         else:
             record, error, attempts = _execute_task(
-                crawler, task, context, retry, id_bases.get(index),
+                crawler, task, context, retry, seeds.get(index),
                 lambda attempt, err, index=index: notes.append({
                     "kind": "task-retry", "index": index,
                     "attempt": attempt, "error": err,
@@ -571,7 +572,8 @@ def _id_stream(base: int) -> Callable[[], int]:
 
 
 def _run_shard_bundle(bundle: Dict) -> Dict:
-    """The worker-process entry point: run one shard bundle.
+    """The worker-process entry point: run one shard bundle — a
+    decoded bundle frame, exactly as received.
 
     Runs :func:`run_shard` on the crawler :func:`_init_worker_shared`
     installed, and dumps each record **once**, here, to its
@@ -590,7 +592,7 @@ def _run_shard_bundle(bundle: Dict) -> Dict:
         shared["crawler"],
         [(entry[0], CrawlTask(*entry[1:])) for entry in bundle["tasks"]],
         shared["context"], shared["retry"],
-        bundle["id_bases"], bundle.get("breakers") or {},
+        bundle["id_bases"], bundle["breakers"],
     )
     return {
         "shard": bundle["shard"],
@@ -1335,22 +1337,23 @@ class CrawlEngine:
     def _bundles(
         self, plan: CrawlPlan, sharded: List[List[Tuple[int, CrawlTask]]]
     ) -> List[Dict]:
-        """One plain-data bundle per non-empty shard: task tuples, per-task
-        visit-id stream seeds (none in the serial regime), and the
-        breaker snapshots entering the shard."""
+        """One JSON-data bundle per non-empty shard — what a bundle frame
+        carries (:data:`repro.distributed.wire.FRAMES`): task entries,
+        ``[index, seed]`` per-task visit-id stream seeds (none in the
+        serial regime), and the breaker snapshots entering the shard."""
         config = getattr(getattr(self.crawler, "world", None), "config", None)
         per_task = config is not None and self._per_task_plan(plan)
         return [
             {
                 "shard": shard_id,
                 "tasks": [
-                    (index, task.vp, task.domain, task.mode, task.repeats)
+                    [index, task.vp, task.domain, task.mode, task.repeats]
                     for index, task in items
                 ],
-                "id_bases": {
-                    index: _task_id_base(config.seed, task)
+                "id_bases": [
+                    [index, _task_id_base(config.seed, task)]
                     for index, task in items
-                } if per_task else {},
+                ] if per_task else [],
                 "breakers": {
                     task.domain: self._breakers[task.domain].snapshot()
                     for _, task in items if task.domain in self._breakers

@@ -10,7 +10,6 @@ budget, and the guarantee that transport failures yield structured
 size, never a silent drop.
 """
 
-import dataclasses
 import io
 import json
 import os
@@ -33,16 +32,11 @@ import repro
 from repro.distributed import (
     WIRE_PROTOCOL_VERSION,
     DistributedExecutor,
-    WireBundle,
-    WireHeartbeat,
-    WireHello,
-    WireResult,
-    WireShared,
     decode_message,
     read_frame,
     write_frame,
 )
-from repro.distributed.wire import MESSAGE_TYPES, encode_message
+from repro.distributed.wire import check_reply, encode_message
 from repro.errors import (
     TransportError,
     WireProtocolError,
@@ -103,89 +97,64 @@ def execute_losing_a_worker(crawler, plan, **kwargs):
     return result, taken
 
 
-#: Any JSON data a message field may hold, tuples included.
-_JSON_DATA = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(st.text(max_size=8), inner, max_size=4)
-    ),
-    max_leaves=20,
-)
-
-
-def _asdict_encode(message) -> bytes:
-    """The oracle: a frame encoded from a deep copy of the message."""
-    body = dataclasses.asdict(message)
-    tags = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
-    body["type"] = tags[type(message)]
-    return (json.dumps(body, sort_keys=True) + "\n").encode("utf-8")
-
-
 # ---------------------------------------------------------------------------
 # The wire itself
 # ---------------------------------------------------------------------------
 class TestWireProtocol:
-    @pytest.mark.parametrize("message", [
-        WireHello(worker="w1", pid=42),
-        WireShared(state={"world": [7, 0.02, 0], "context": {},
-                          "ublock_lists": None}),
-        WireBundle(
-            shard=3,
-            tasks=((0, "DE", "a.example", "detect", 1),),
-            id_bases=((0, 123456789),),
-            breakers={"a.example": {"failures": 2}},
-        ),
-        WireHeartbeat(shard=3),
-        WireResult(
-            shard=3, pid=9, elapsed=0.25,
-            outcomes=({"index": 0, "attempts": 1, "error": None,
-                       "record": "{}"},),
-            notes=({"kind": "task-retry", "index": 0, "attempt": 1,
-                    "error": "Timeout"},
-                   {"kind": "breaker-open", "index": 0}),
-            breakers={"a.example": {"state": "open", "consecutive": 2,
-                                    "skipped": 0}},
-        ),
-    ], ids=lambda m: type(m).__name__)
-    def test_round_trip(self, message):
-        assert decode_message(encode_message(message)) == message
+    @pytest.mark.parametrize("frame", [
+        pytest.param({"type": "hello", "worker": "w1", "pid": 42,
+                      "protocol": WIRE_PROTOCOL_VERSION}, id="WireHello"),
+        pytest.param({"type": "shared",
+                      "state": {"world": [7, 0.02, 0], "context": {},
+                                "ublock_lists": None}}, id="WireShared"),
+        pytest.param({
+            "type": "bundle", "shard": 3,
+            "tasks": [[0, "DE", "a.example", "detect", 1]],
+            "id_bases": [[0, 123456789]],
+            "breakers": {"a.example": {"state": "open", "consecutive": 2,
+                                       "skipped": 0}},
+        }, id="WireBundle"),
+        pytest.param({"type": "heartbeat", "shard": 3}, id="WireHeartbeat"),
+        pytest.param({
+            "type": "result", "shard": 3, "pid": 9, "elapsed": 0.25,
+            "outcomes": [{"index": 0, "attempts": 1, "error": None,
+                          "record": "{}"}],
+            "notes": [{"kind": "task-retry", "index": 0, "attempt": 1,
+                       "error": "Timeout"},
+                      {"kind": "breaker-open", "index": 0}],
+            "breakers": {"a.example": {"state": "open", "consecutive": 2,
+                                       "skipped": 0}},
+        }, id="WireResult"),
+    ])
+    def test_round_trip(self, frame):
+        assert decode_message(encode_message(frame)) == frame
 
-    @pytest.mark.parametrize("cls", list(MESSAGE_TYPES.values()),
-                             ids=lambda cls: cls.__name__)
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_encoding_matches_a_deep_copy(self, cls, data):
-        """The shallow encoder writes the very bytes an ``asdict``-based
-        one does, whatever JSON data the fields hold."""
-        message = data.draw(st.builds(cls, **{
-            field.name: _JSON_DATA for field in dataclasses.fields(cls)
-        }))
-        assert encode_message(message) == _asdict_encode(message)
-
-    def test_bundle_round_trips_to_engine_shape(self):
-        bundle = {
-            "shard": 1,
-            "tasks": [(0, "DE", "a.example", "detect", 1),
-                      (7, "US", "b.example", "accept", 5)],
-            "id_bases": {0: 11, 7: 22},
-            "breakers": {},
-        }
-        wire = WireBundle.from_bundle(bundle)
-        assert decode_message(encode_message(wire)).to_bundle() == bundle
+    def test_bundle_round_trips_to_engine_shape(self, small_crawler,
+                                                detection_plan):
+        """The engine's bundles are JSON data: tagged, each crosses the
+        wire as exactly the dict the worker runs."""
+        engine = distributed_engine(small_crawler)
+        bundles = engine._bundles(
+            detection_plan, detection_plan.sharded(SHARDS)
+        )
+        assert bundles and all(bundle["id_bases"] for bundle in bundles)
+        for bundle in bundles:
+            frame = {"type": "bundle", **bundle}
+            assert decode_message(encode_message(frame)) == frame
 
     @pytest.mark.parametrize("line,detail", [
         (b"not json\n", "undecodable"),
         (b"[1, 2]\n", "JSON object"),
         (b'{"type": "warp", "x": 1}\n', "unknown frame type"),
         (b'{"type": "heartbeat", "shard": 1, "extra": 2}\n',
-         "unknown field"),
+         "unknown key"),
         (b'{"type": "heartbeat"}\n', "heartbeat"),
+        (b'{"type": "heartbeat", "shard": [1]}\n', "malformed heartbeat"),
+        (b'{"type": "hello", "worker": "w", "pid": 1}\n', "malformed hello"),
         (b'{"type": "bundle", "shard": 0, "tasks": [], "id_bases": [], '
-         b'"kill_after": 1}\n', "unknown field"),
+         b'"kill_after": 1}\n', "unknown key"),
         (b'{"type": "shared", "blob": "gASVAAAAAAAAAACMAS6ULg=="}\n',
-         "unknown field"),
+         "unknown key"),
         (b'{"type": ["hello"], "worker": "w", "pid": 1}\n',
          "unknown frame type"),
         pytest.param(b"[" * 100000 + b"\n", "undecodable",
@@ -221,17 +190,18 @@ class TestWireProtocol:
             "id_bases": id_bases, "breakers": breakers,
         }).encode() + b"\n"
         with pytest.raises(WireProtocolError):
-            decode_message(line).to_bundle()
+            decode_message(line)
 
     @pytest.mark.parametrize("frames,detail", [
-        ([b'{"type": "bundle", "shard": 0, "tasks": [], "id_bases": []}'],
-         "shared state"),
+        ([b'{"type": "bundle", "shard": 0, "tasks": [], "id_bases": [], '
+          b'"breakers": {}}'], "shared state"),
         ([b'{"type": "shared", "blob": "gASVAAAAAAAAAACMAS6ULg=="}'],
-         "unknown field"),
+         "unknown key"),
         ([b'{"type": "shared", "state": {"world": [7, 0.02, 0]}}'],
          "malformed worker state"),
         (["STATE", b'{"type": "bundle", "shard": 0, "tasks": [[1]], '
-                   b'"id_bases": []}'], "a bundle carries"),
+                   b'"id_bases": [], "breakers": {}}'],
+         "malformed bundle frame: tasks"),
     ], ids=["bundle-first", "pickle-blob", "bad-state", "bad-task"])
     def test_worker_refuses_malformed_frames(
         self, monkeypatch, small_crawler, small_world, frames, detail
@@ -253,11 +223,11 @@ class TestWireProtocol:
         def coordinator():
             conn, _ = listener.accept()
             with conn:
-                assert isinstance(read_frame(conn.makefile("rb")), WireHello)
+                assert read_frame(conn.makefile("rb"))["type"] == "hello"
                 wfile = conn.makefile("wb")
                 for frame in frames:
                     wfile.write(
-                        encode_message(WireShared(state=state))
+                        encode_message({"type": "shared", "state": state})
                         if frame == "STATE" else frame + b"\n"
                     )
                 wfile.flush()
@@ -315,62 +285,68 @@ class TestWireProtocol:
         assert read_frame(io.BytesIO(b"")) is None
 
     def test_result_must_cover_bundle_indices(self):
-        bundle = WireBundle(
-            shard=0,
-            tasks=((0, "DE", "a.example", "detect", 1),
-                   (1, "DE", "b.example", "detect", 1)),
-            id_bases=((0, 1), (1, 2)),
-        )
-        dropped = WireResult(
-            shard=0, pid=1, elapsed=0.0,
-            outcomes=({"index": 0, "attempts": 1, "error": None,
-                       "record": "{}"},),
-        )
+        bundle = {
+            "shard": 0,
+            "tasks": [[0, "DE", "a.example", "detect", 1],
+                      [1, "DE", "b.example", "detect", 1]],
+            "id_bases": [[0, 1], [1, 2]],
+            "breakers": {},
+        }
+        reply = {"type": "result", "shard": 0, "pid": 1, "elapsed": 0.0,
+                 "notes": [], "breakers": {}}
+        dropped = dict(reply, outcomes=[
+            {"index": 0, "attempts": 1, "error": None, "record": "{}"},
+        ])
         with pytest.raises(WireProtocolError, match="covers indices"):
-            dropped.validate_against(bundle)
-        wrong_shard = WireResult(shard=5, pid=1, elapsed=0.0, outcomes=())
+            check_reply(dropped, bundle)
+        wrong_shard = dict(reply, shard=5, outcomes=[])
         with pytest.raises(WireProtocolError, match="names shard"):
-            wrong_shard.validate_against(bundle)
+            check_reply(wrong_shard, bundle)
 
     @pytest.mark.parametrize("field,value", [
-        ("notes", ({"kind": "task-retry", "index": 999, "attempt": 1,
-                      "error": "Timeout"},)),
-        ("notes", (7,)),
-        ("notes", ({"kind": "breaker-open", "index": 0, "attempt": 1,
-                      "error": "Timeout"},)),
-        ("notes", ({"kind": "task-retry", "index": 0, "attempt": "1",
-                      "error": "Timeout"},)),
-        ("notes", ({"kind": "task-retry", "index": [0], "attempt": 1,
-                      "error": "Timeout"},)),
-        ("notes", ({"kind": "breaker-open", "index": 5},)),
-        ("notes", ({"kind": "breaker-melt", "index": 0},)),
+        ("notes", [{"kind": "task-retry", "index": 999, "attempt": 1,
+                    "error": "Timeout"}]),
+        ("notes", [7]),
+        ("notes", [{"kind": "breaker-open", "index": 0, "attempt": 1,
+                    "error": "Timeout"}]),
+        ("notes", [{"kind": "task-retry", "index": 0, "attempt": "1",
+                    "error": "Timeout"}]),
+        ("notes", [{"kind": "task-retry", "index": [0], "attempt": 1,
+                    "error": "Timeout"}]),
+        ("notes", [{"kind": "breaker-open", "index": 5}]),
+        ("notes", [{"kind": "breaker-melt", "index": 0}]),
         ("breakers", {"a.example": 3}),
         ("breakers", [["a.example", {}]]),
         ("pid", "1"),
         ("elapsed", None),
-        ("outcomes", ({"index": 0, "attempts": -1, "error": None,
-                       "record": None},)),
-        ("outcomes", ({"index": 0, "attempts": 1, "error": 5,
-                       "record": None},)),
-        ("outcomes", ({"index": 0, "attempts": 1, "record": None},)),
+        ("outcomes", [{"index": 0, "attempts": -1, "error": None,
+                       "record": None}]),
+        ("outcomes", [{"index": 0, "attempts": 1, "error": 5,
+                       "record": None}]),
+        ("outcomes", [{"index": 0, "attempts": 1, "record": None}]),
     ])
     def test_result_fields_validated(self, field, value):
-        """Every field of a reply is checked against the bundle: a bad
-        note, count or snapshot is a protocol error at the boundary,
-        not an ``IndexError``/``TypeError`` in the absorbing run."""
-        bundle = WireBundle(
-            shard=0, tasks=((0, "DE", "a.example", "detect", 1),),
-            id_bases=((0, 1),),
-        )
-        reply = dict(
-            shard=0, pid=1, elapsed=0.0,
-            outcomes=({"index": 0, "attempts": 1, "error": None,
-                       "record": "{}"},),
-        )
-        WireResult(**reply).validate_against(bundle)
-        reply[field] = value
+        """Every field of a reply is checked, by its shape and against
+        the bundle: a bad note, count or snapshot is a protocol error at
+        the boundary, not an ``IndexError``/``TypeError`` in the
+        absorbing run."""
+        bundle = {
+            "shard": 0, "tasks": [[0, "DE", "a.example", "detect", 1]],
+            "id_bases": [[0, 1]], "breakers": {},
+        }
+        reply = {
+            "type": "result", "shard": 0, "pid": 1, "elapsed": 0.0,
+            "outcomes": [{"index": 0, "attempts": 1, "error": None,
+                          "record": "{}"}],
+            "notes": [], "breakers": {},
+        }
+
+        def receive(frame):
+            check_reply(decode_message(encode_message(frame)), bundle)
+
+        receive(reply)
         with pytest.raises(WireProtocolError):
-            WireResult(**reply).validate_against(bundle)
+            receive(dict(reply, **{field: value}))
 
     def test_transport_errors_have_their_own_category(self):
         assert error_category("TransportError") == "transport"
@@ -584,11 +560,11 @@ def _fake_worker(executor, reply):
     with socket.create_connection(executor.address, timeout=10) as conn:
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
-        write_frame(wfile, WireHello(worker="saboteur", pid=1))
-        shared = read_frame(rfile)
-        assert isinstance(shared, WireShared)
+        write_frame(wfile, {"type": "hello", "worker": "saboteur", "pid": 1,
+                            "protocol": WIRE_PROTOCOL_VERSION})
+        assert read_frame(rfile)["type"] == "shared"
         bundle = read_frame(rfile)
-        assert isinstance(bundle, WireBundle)
+        assert bundle["type"] == "bundle"
         wfile.write(reply(bundle))
         wfile.flush()
 
@@ -645,15 +621,15 @@ class TestTransportDegradation:
         degrades those tasks at the boundary instead of splicing poison
         into the spool."""
         def reply(bundle):
-            outcomes = [
-                {"index": index, "attempts": 1, "error": None,
-                 "record": "{this is not json"}
-                for index, *_ in bundle.tasks
-            ]
-            return encode_message(WireResult(
-                shard=bundle.shard, pid=1, elapsed=0.0,
-                outcomes=tuple(outcomes),
-            ))
+            return encode_message({
+                "type": "result", "shard": bundle["shard"], "pid": 1,
+                "elapsed": 0.0, "notes": [], "breakers": {},
+                "outcomes": [
+                    {"index": index, "attempts": 1, "error": None,
+                     "record": "{this is not json"}
+                    for index, *_ in bundle["tasks"]
+                ],
+            })
 
         plan = small_crawler.plan_detection_crawl(
             ["DE"], small_world.crawl_targets[:5]
@@ -687,16 +663,17 @@ class TestTransportDegradation:
         protocol violation: the coordinator degrades the shard instead
         of aborting the run on the unknown plan index."""
         def reply(bundle):
-            return encode_message(WireResult(
-                shard=bundle.shard, pid=1, elapsed=0.0,
-                outcomes=tuple(
+            return encode_message({
+                "type": "result", "shard": bundle["shard"], "pid": 1,
+                "elapsed": 0.0, "breakers": {},
+                "outcomes": [
                     {"index": index, "attempts": 1, "error": None,
                      "record": None}
-                    for index, *_ in bundle.tasks
-                ),
-                notes=({"kind": "task-retry", "index": 999,
-                        "attempt": 1, "error": "TimeoutError"},),
-            ))
+                    for index, *_ in bundle["tasks"]
+                ],
+                "notes": [{"kind": "task-retry", "index": 999,
+                           "attempt": 1, "error": "TimeoutError"}],
+            })
 
         plan = small_crawler.plan_detection_crawl(
             ["DE"], small_world.crawl_targets[:4]
@@ -713,10 +690,35 @@ class TestTransportDegradation:
         executor = DistributedExecutor(0)
         with pytest.raises(TransportError, match="not JSON data"):
             executor.run_bundles(
-                [{"shard": 0, "tasks": [], "id_bases": {}}],
+                [{"shard": 0, "tasks": [], "id_bases": [], "breakers": {}}],
                 lambda payload: None,
                 {"poison": lambda: None},
             )
 
     def test_hello_protocol_mismatch_strikes_the_worker(self):
-        assert WireHello(worker="w", pid=1).protocol == WIRE_PROTOCOL_VERSION
+        """A worker speaking another wire protocol is hung up on before
+        it receives the shared state, and never counts as live."""
+        executor = DistributedExecutor(0, connect_timeout=1.0)
+        answers = []
+
+        def peer():
+            while executor.address is None:
+                time.sleep(0.01)
+            with socket.create_connection(executor.address, timeout=10) as conn:
+                write_frame(conn.makefile("wb"), {
+                    "type": "hello", "worker": "old", "pid": 1,
+                    "protocol": WIRE_PROTOCOL_VERSION - 1,
+                })
+                answers.append(read_frame(conn.makefile("rb")))
+
+        thread = threading.Thread(target=peer, daemon=True)
+        thread.start()
+        with pytest.raises(WorkerLostError, match="none connected"):
+            executor.run_bundles(
+                [{"shard": 0, "tasks": [[0, "DE", "a.example", "detect", 1]],
+                  "id_bases": [], "breakers": {}}],
+                lambda payload: None, {},
+            )
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert answers == [None]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import schema
 from repro.api.spec import _SECTIONS, RUN_KINDS, RunSpec, SpecError
-from repro.distributed.wire import _BUNDLE, _RESULT, WireBundle, decode_message
+from repro.distributed.wire import FRAMES, check_reply, decode_message
 from repro.errors import WireProtocolError
 from repro.measure import engine as engine_mod
 from repro.measure.crawl import Crawler
@@ -144,6 +144,13 @@ def _frame(tag: str, value) -> object:
     return decode_message(json.dumps(body).encode() + b"\n")
 
 
+#: The bundle a fuzzed result frame answers.
+_BUNDLE = {
+    "shard": 0, "tasks": [[0, "DE", "a.example", "detect", 1]],
+    "id_bases": [[0, 1]], "breakers": {},
+}
+
+
 def _install_worker_state(env: Env, state) -> None:
     with mock.patch("repro.webgen.world.build_world", return_value=env.world), \
             mock.patch("repro.webgen.evolve.evolve_world", return_value=(env.world, None)), \
@@ -191,12 +198,13 @@ BOUNDARIES = [
     ),
     ("worker-state", engine_mod._WORKER_STATE.shape, _install_worker_state,
      WireProtocolError),
-    ("wire-bundle", _BUNDLE.shape,
-     lambda env, value: _frame("bundle", value).to_bundle(), WireProtocolError),
-    ("wire-result", _RESULT.shape,
-     lambda env, value: _frame("result", value).validate_against(WireBundle(
-         shard=0, tasks=((0, "DE", "a.example", "detect", 1),), id_bases=((0, 1),),
-     )),
+    *(
+        (f"wire-{tag}", check.shape,
+         lambda env, value, tag=tag: _frame(tag, value), WireProtocolError)
+        for tag, check in FRAMES.items() if tag != "result"
+    ),
+    ("wire-result", FRAMES["result"].shape,
+     lambda env, value: check_reply(_frame("result", value), _BUNDLE),
      WireProtocolError),
     ("job", {**_check_job.shape, "spec": _SPECS}, _load_job, ()),
     ("service-body", {**_check_submission.shape, "spec": _SPECS},
