@@ -241,7 +241,7 @@ def test_checkpoint_resume_speedup(benchmark, tmp_path):
     started = time.perf_counter()
     CrawlEngine(
         crawler, workers=_PARALLEL_WORKERS, shards=shards,
-        spool_path=out, checkpoint_path=checkpoint,
+        spool_path=out,
     ).execute(plan)
     full_elapsed = time.perf_counter() - started
     full_bytes = out.read_bytes()
@@ -249,7 +249,7 @@ def test_checkpoint_resume_speedup(benchmark, tmp_path):
     # Crash at ~half: the surviving shards' outcomes stay checkpointed.
     crashed = CrawlEngine(
         crawler, workers=_PARALLEL_WORKERS, shards=shards,
-        spool_path=out, checkpoint_path=checkpoint,
+        spool_path=out,
         executor=FaultInjectingExecutor(victims),
     )
     try:
@@ -261,7 +261,7 @@ def test_checkpoint_resume_speedup(benchmark, tmp_path):
     def resume_run():
         return CrawlEngine(
             crawler, workers=_PARALLEL_WORKERS, shards=shards,
-            spool_path=out, checkpoint_path=checkpoint, resume=True,
+            spool_path=out, resume=True,
         ).execute(plan)
 
     result = benchmark.pedantic(resume_run, rounds=1, iterations=1,

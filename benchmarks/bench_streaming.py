@@ -103,7 +103,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
 
     crashed = CrawlEngine(
         crawler, workers=_RESUME_WORKERS, shards=_RESUME_SHARDS,
-        spool_path=out, checkpoint_path=checkpoint,
+        spool_path=out,
         executor=FaultInjectingExecutor(victims),
     )
     try:
@@ -128,7 +128,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
 
     resumer = CrawlEngine(
         crawler, workers=_RESUME_WORKERS, shards=_RESUME_SHARDS,
-        spool_path=out, checkpoint_path=checkpoint, resume=True,
+        spool_path=out, resume=True,
     )
     replay_box = {}
 

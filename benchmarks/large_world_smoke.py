@@ -188,7 +188,6 @@ def main(argv=None) -> int:
         shards=args.shards,
         backend="distributed",
         spool_path=out,
-        checkpoint_path=f"{out}.checkpoint",
     )
     started = time.perf_counter()
     result = engine.execute(plan)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Union
 
+from repro.durable import atomic_write_text
 from repro.measure.crawl import cookiewall_domains
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 from repro.measure.storage import iter_records, save_records
@@ -120,9 +121,7 @@ def export_dataset(
             "toplists/", "justdomains.txt",
         ],
     }
-    (directory / _MANIFEST).write_text(
-        json.dumps(manifest, indent=2), encoding="utf-8"
-    )
+    atomic_write_text(directory / _MANIFEST, json.dumps(manifest, indent=2))
     return directory
 
 

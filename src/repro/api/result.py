@@ -16,8 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro import schema
 from repro.api.spec import RunSpec, SpecError
+from repro.durable import atomic_write_text
 from repro.measure.storage import decode_record, encode_record, iter_records
+from repro.schema import OneOf, Omittable, Range
 
 #: Bumped when the manifest layout changes (old manifests are refused).
 RESULT_VERSION = 1
@@ -50,6 +53,27 @@ class RunFailure:
     @classmethod
     def from_dict(cls, data: Dict) -> "RunFailure":
         return cls(**data)
+
+
+#: A :meth:`RunResult.save` manifest, and the summary fields
+#: :meth:`RunResult.load` reads back (the summary's other keys are
+#: per-kind extras, carried through as they are).
+_MANIFEST = schema.compile({
+    "kind": OneOf(("run-result",)),
+    "version": Range(int, min=RESULT_VERSION, max=RESULT_VERSION),
+    "spec": dict,
+    "summary": dict,
+    "failures": [{
+        "index": int, "vp": str, "domain": str, "mode": str, "error": str,
+        "attempts": Omittable(int), "wave": Omittable((None, int)),
+    }],
+    "spools": [str],
+    "records": (None, [{"type": str, "data": dict}]),
+}, SpecError)
+_SUMMARY = schema.compile({
+    "elapsed": Omittable(float), "executed": Omittable(int),
+    "resumed": Omittable(int), "records": Omittable((None, int)),
+}, SpecError, "summary")
 
 
 class RunResult:
@@ -176,12 +200,9 @@ class RunResult:
                 else [encode_record(r) for r in self.records]
             ),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
+        return atomic_write_text(
+            path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
         )
-        return path
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunResult":
@@ -195,24 +216,22 @@ class RunResult:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as error:
             raise SpecError(f"cannot load run result {path}: {error}") from error
-        if payload.get("kind") != "run-result":
-            raise SpecError(f"{path}: not a run-result manifest")
-        if payload.get("version") != RESULT_VERSION:
-            raise SpecError(
-                f"{path}: unsupported manifest version {payload.get('version')}"
-            )
-        summary = payload.get("summary", {})
-        embedded = payload.get("records")
+        try:
+            _MANIFEST(payload)
+            summary = payload["summary"]
+            # The summary also carries per-kind extras; only the fields
+            # read back here have a shape.
+            _SUMMARY({k: v for k, v in summary.items() if k in _SUMMARY.shape})
+            embedded = payload["records"]
+            # A record body is checked by its dataclass, not by a shape.
+            records = None if embedded is None else [decode_record(r) for r in embedded]
+        except (ValueError, TypeError) as error:
+            raise SpecError(f"{path}: not a run-result manifest ({error})") from None
         return cls(
             RunSpec.from_dict(payload["spec"]),
-            records=(
-                [decode_record(r) for r in embedded]
-                if embedded is not None else None
-            ),
-            spool_paths=payload.get("spools", ()),
-            failures=[
-                RunFailure.from_dict(f) for f in payload.get("failures", ())
-            ],
+            records=records,
+            spool_paths=payload["spools"],
+            failures=[RunFailure.from_dict(f) for f in payload["failures"]],
             elapsed=summary.get("elapsed", 0.0),
             executed=summary.get("executed", 0),
             resumed=summary.get("resumed", 0),

@@ -41,6 +41,7 @@ from repro.api.spec import (
     SpecError,
     WorldSpec,
 )
+from repro.durable import atomic_write_text
 from repro.measure.crawl import Crawler, CrawlResult, cookiewall_domains
 from repro.measure.engine import CrawlEngine, CrawlPlan, EngineResult, RetryPolicy
 from repro.measure.instrumentation import EventLog
@@ -50,6 +51,7 @@ from repro.measure.longitudinal import (
     MultiVantageRun,
     MultiVantageWave,
     reload_completed_wave,
+    wave_fingerprint_file,
 )
 from repro.vantage import VP_ORDER, get_vantage_point
 from repro.webgen.evolve import evolve_world
@@ -63,9 +65,9 @@ ProgressHook = Callable[[int, int, object], None]
 class _Wave:
     """One wave of a campaign, as produced by ``Session._execute_waves``.
 
-    Exactly one of ``replayed`` (records restored from a completed
-    wave's checkpoint under resume) and ``result`` (a live engine run)
-    is set.
+    Exactly one of ``replayed`` (records reloaded from a completed
+    wave's file under resume) and ``result`` (a live engine run) is
+    set.
     """
 
     month: int
@@ -253,7 +255,6 @@ class Session:
         name: Optional[str] = None,
         output: Optional[OutputSpec] = None,
         spool_path: Union[str, Path, None] = None,
-        checkpoint_path: Union[str, Path, None] = None,
         crawler: Optional[Crawler] = None,
         progress: Optional[ProgressHook] = None,
     ) -> EngineResult:
@@ -262,29 +263,17 @@ class Session:
 
         The spool path comes from, in order: an explicit *spool_path*,
         ``output.path``, or ``<spool_dir>/<name>.jsonl``.  A spooled
-        run checkpoints to ``<spool>.checkpoint`` (unless the engine
-        spec disables checkpointing) and honours the engine spec's
-        ``resume``; an in-memory run never checkpoints, which keeps
-        the serial visit-id regime — and therefore byte-identical
-        records — of the pre-session harness.
+        run checkpoints to ``<spool>.checkpoint`` and honours the
+        engine spec's ``resume``; an in-memory run writes nothing,
+        which keeps the serial visit-id regime — and therefore
+        byte-identical records — of the pre-session harness.
         """
-        if self.chaos_spec.seed is not None:
-            # The chaos plane rides in the plan context: the checkpoint
-            # fingerprint covers it (a chaos run never resumes a
-            # fault-free checkpoint, or vice versa) and distributed
-            # workers inherit it verbatim.
-            plan.context.setdefault("chaos", self.chaos_spec.to_context())
+        self._add_chaos(plan)
         if spool_path is None and output is not None and output.path:
             spool_path = output.path
         if spool_path is None and self.spool_dir is not None and name:
             spool_path = self.spool_dir / f"{name}.jsonl"
-        if (
-            checkpoint_path is None
-            and spool_path is not None
-            and self.engine_spec.checkpoint
-        ):
-            checkpoint_path = f"{spool_path}.checkpoint"
-        if self.engine_spec.resume and checkpoint_path is None:
+        if self.engine_spec.resume and spool_path is None:
             # Silently re-running everything while the caller believes
             # the checkpoint was honoured is the one behaviour resume
             # must never have.
@@ -309,10 +298,18 @@ class Session:
             event_log=self.event_log,
             progress=progress if progress is not None else self.progress,
             spool_path=spool_path,
-            checkpoint_path=checkpoint_path,
-            resume=self.engine_spec.resume and checkpoint_path is not None,
+            resume=self.engine_spec.resume,
         )
         return engine.execute(plan)
+
+    def _add_chaos(self, plan: CrawlPlan) -> CrawlPlan:
+        """Put the chaos plane in *plan*'s context: the checkpoint
+        fingerprint covers it (a chaos run never resumes a fault-free
+        checkpoint, or vice versa) and distributed workers inherit it
+        verbatim."""
+        if self.chaos_spec.seed is not None:
+            plan.context.setdefault("chaos", self.chaos_spec.to_context())
+        return plan
 
     # ------------------------------------------------------------------
     # Campaigns
@@ -329,11 +326,12 @@ class Session:
 
         Yields one :class:`_Wave` per month: the world is evolved from
         the baseline snapshot, *build_plan* compiles the wave's plan,
-        the spool/checkpoint paths are derived under ``out_dir``, a
-        completed wave is replayed from its checkpoint under resume,
-        and everything else runs through :meth:`execute` — so every
-        campaign shards, retries, spools, and resumes identically, and
-        there is exactly one place that derives wave paths.
+        the spool path is derived under ``out_dir``, a completed wave
+        whose fingerprint file matches its plan is reloaded under
+        resume, and everything else runs through :meth:`execute` — so
+        every campaign shards, retries, spools, and resumes
+        identically, and there is exactly one place that derives wave
+        paths.
         """
         out_dir = Path(output.out_dir) if output.out_dir else None
         if self.engine_spec.resume and out_dir is None:
@@ -348,29 +346,27 @@ class Session:
             else:
                 wave_world, summary = evolve_world(base_world, months=month)
             crawler = Crawler(wave_world)
-            plan = build_plan(crawler, month)
-            spool_path = checkpoint_path = None
+            plan = self._add_chaos(build_plan(crawler, month))
+            spool_path = fingerprint = None
             if out_dir is not None:
                 spool_path = out_dir / f"wave-{month:02d}.jsonl"
-                if self.engine_spec.checkpoint:
-                    checkpoint_path = Path(f"{spool_path}.checkpoint")
+                fingerprint = CrawlEngine(crawler).fingerprint(plan)
             if self.engine_spec.resume:
-                replayed = reload_completed_wave(
-                    spool_path, checkpoint_path, plan
-                )
+                replayed = reload_completed_wave(spool_path, fingerprint, plan)
                 if replayed is not None:
                     yield _Wave(
                         month, wave_world, summary, spool_path,
                         replayed=replayed,
                     )
                     continue
+            if spool_path is not None:
+                # Until this run finishes, the wave file is not its output.
+                wave_fingerprint_file(spool_path).unlink(missing_ok=True)
             result = self.execute(
-                plan,
-                spool_path=spool_path,
-                checkpoint_path=checkpoint_path,
-                crawler=crawler,
-                progress=progress,
+                plan, spool_path=spool_path, crawler=crawler, progress=progress,
             )
+            if spool_path is not None:
+                atomic_write_text(wave_fingerprint_file(spool_path), fingerprint + "\n")
             yield _Wave(
                 month, wave_world, summary, spool_path, result=result
             )

@@ -10,7 +10,7 @@ a single typed, validating, serialisable tree:
 
 - :class:`WorldSpec` — which synthetic web (seed, scale).
 - :class:`EngineSpec` — how to execute (workers, shards, retry,
-  checkpointing, resume).
+  resume).
 - :class:`CrawlSpec` / :class:`MeasureSpec` /
   :class:`LongitudinalSpec` / :class:`MultiVantageSpec` — what to
   measure (exactly one of them, selected by ``RunSpec.kind``).
@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Callable, Dict, Mapping, MutableMapping, Optional, Tuple, Union
 
 from repro import schema
+from repro.durable import atomic_write_text
 from repro.measure.engine import EXECUTOR_BACKENDS
 from repro.resilience.chaos import ChaosSpec as _ChaosPlaneSpec
 
@@ -49,10 +50,11 @@ RUN_KINDS = ("crawl", "measure", "longitudinal", "multivantage")
 #: Version 1 is the pre-versioning format (no ``schema_version`` key);
 #: version 2 added the explicit key and the ``"distributed"`` executor
 #: backend; version 3 dropped the thread backend, version 4 the
-#: process pool.  Old versions are upgraded through
+#: process pool, version 5 ``engine.checkpoint`` (every spooled run
+#: checkpoints).  Old versions are upgraded through
 #: :data:`_SPEC_MIGRATIONS` so queued/submitted campaigns survive spec
 #: evolution.
-SPEC_SCHEMA_VERSION = 4
+SPEC_SCHEMA_VERSION = 5
 
 #: Kinds whose records land in a wave directory (``output.out_dir``)
 #: rather than a single spool file (``output.path``).
@@ -110,6 +112,16 @@ def _upgrade_v3(data: MutableMapping) -> MutableMapping:
     engine = data.get("engine")
     if isinstance(engine, Mapping) and engine.get("executor") == "process":
         data["engine"] = dict(engine, executor="distributed")
+    return data
+
+
+@spec_migration(4)
+def _upgrade_v4(data: MutableMapping) -> MutableMapping:
+    """v4 -> v5: ``engine.checkpoint`` is gone; every run with an
+    output path checkpoints, as every reachable v4 run already did."""
+    engine = data.get("engine")
+    if isinstance(engine, Mapping) and "checkpoint" in engine:
+        data["engine"] = {k: v for k, v in engine.items() if k != "checkpoint"}
     return data
 
 
@@ -210,8 +222,8 @@ class EngineSpec(_Section):
     merge: str = schema.field("memory", one_of=MERGE_MODES)
     retry_max_attempts: int = schema.field(2, min=1)
     retry_unreachable: bool = False
-    #: Checkpoint every run that has a spool path (``<out>.checkpoint``).
-    checkpoint: bool = True
+    #: Resume from the checkpoint every run with an output path keeps
+    #: beside it (``<out>.checkpoint``).
     resume: bool = False
 
     def validate(self) -> None:
@@ -221,8 +233,6 @@ class EngineSpec(_Section):
                 "engine.executor='serial' contradicts engine.workers > 1 "
                 "(pick 'distributed' to parallelise)"
             )
-        if self.resume and not self.checkpoint:
-            raise SpecError("engine.resume requires engine.checkpoint")
 
     def in_memory(self) -> "EngineSpec":
         """These settings for a run that writes no file: no resume and
@@ -565,10 +575,6 @@ class RunSpec:
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the spec as JSON (the ``load``-able canonical form)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        return atomic_write_text(
+            path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
         )
-        return path

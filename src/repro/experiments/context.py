@@ -10,8 +10,8 @@ Every cached product is compiled into a
 sharded crawl engine instead of an ad-hoc loop.  The default
 ``workers=1, shards=1`` configuration reproduces the pre-engine serial
 harness exactly.  Raising ``workers`` parallelises every batch — note
-that this switches cookie/uBlock measurements to the engine's per-task
-visit-id streams: their values stay fully deterministic (identical
+that this, like a ``spool_dir``, switches cookie/uBlock measurements to
+the engine's per-task visit-id streams: their values stay fully deterministic (identical
 across reruns and parallel configurations) but differ from the serial
 baseline's, because the world keys ad rotation and cookie-count jitter
 on visit ids.  Detection-crawl products are identical in both regimes.
@@ -81,8 +81,10 @@ class ExperimentContext:
         #: With a spool_dir every cached product persists to
         #: ``<spool_dir>/<name>.jsonl`` with a resumable checkpoint
         #: alongside; ``resume=True`` replays completed tasks after a
-        #: crash.  Checkpointing switches even serial runs to the
-        #: engine's per-task visit-id streams (see the engine docs).
+        #: crash.  A spooled run uses the engine's per-task visit-id
+        #: streams even when serial (see the engine docs), so a
+        #: spool_dir changes cookie/uBlock values as ``workers > 1``
+        #: does; without one nothing is written.
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         if resume and self.spool_dir is None:
             raise ValueError("resume=True requires a spool_dir")

@@ -48,10 +48,9 @@ loop.  This module turns that loop into an explicit subsystem:
    run's output decides how:
 
    - With a ``spool_path``, each finished shard appends its outcomes
-     once, as one plan-index-sorted run, to the run's *journal*: the
-     checkpoint when there is one, else a private ``<path>.journal``
-     that never outlives the run.  The engine notes each run's byte
-     range as it appends, and the final file is a latest-wins k-way
+     once, as one plan-index-sorted run, to the run's checkpoint
+     (*Spooled runs* below).  The engine notes each run's byte range
+     as it appends, and the final file is a latest-wins k-way
      plan-order join over those runs (:func:`~repro.measure.storage.
      merge_record_spools`) written through an atomic rename, so peak
      memory is O(one shard's buffer) rather than O(world) and an
@@ -59,7 +58,8 @@ loop.  This module turns that loop into an explicit subsystem:
      returned :class:`EngineResult` carries counts and the (small)
      failure list the join reports instead of materialised outcomes;
      records stream lazily from the final file.
-   - Without one, the merge holds every outcome in memory.
+   - Without one, the merge holds every outcome in memory and the run
+     writes no file.
 
 Worker state
 ------------
@@ -77,25 +77,24 @@ Crawler or detector subclasses, hand-assembled or knob-tuned worlds,
 and plan contexts that are not JSON data are refused — run those with
 ``workers=1``.
 
-Checkpoints and resume
-----------------------
-With a ``checkpoint_path``, the engine is additionally *resumable*: a
-JSONL checkpoint records a header (a :func:`plan_fingerprint` binding
-the file to this exact plan, world seed, and visit-id regime) followed
-by one line per completed task outcome, appended as each shard
-finishes (for a spooled run the checkpoint *is* the journal the output
-is joined from).  A crashed run leaves the completed outcomes there;
-starting the engine again with ``resume=True`` reconciles the
-checkpoint against the plan — already-completed tasks are skipped and
-their recorded outcomes replayed into the plan-order merge — so a
-resumed run produces **byte-identical** final output to an
-uninterrupted one.
-A fingerprint mismatch (different plan, world seed, or id regime)
-raises :class:`CheckpointMismatch` rather than silently mixing two
-different runs.  On success the checkpoint is removed.
+Spooled runs
+------------
+A run with a ``spool_path`` is resumable.  Its journal is the JSONL
+checkpoint ``<spool_path>.checkpoint``: a header (a
+:func:`plan_fingerprint` binding the file to this exact plan and
+world) followed by one line per completed task outcome, appended as
+each shard finishes, and the output is joined from it.  A crashed run
+leaves the completed outcomes there; starting the engine again with
+``resume=True`` reconciles the checkpoint against the plan —
+already-completed tasks are skipped and their recorded outcomes stay
+in the journal the join reads — so a resumed run produces
+**byte-identical** final output to an uninterrupted one.  A
+fingerprint mismatch (different plan or world) raises
+:class:`CheckpointMismatch` rather than silently mixing two different
+runs.  On success the checkpoint is removed.
 
-Checkpointed runs always use the per-task visit-id streams (the
-parallel regime below) regardless of ``workers``, because the serial
+Spooled runs always use the per-task visit-id streams (the parallel
+regime below) regardless of ``workers``, because the serial
 shared-counter stream cannot survive a resume boundary: skipped tasks
 would no longer advance it.  Detection records are unaffected; cookie
 and uBlock values are deterministic within the per-task regime.
@@ -111,10 +110,11 @@ Cookie and uBlock measurements additionally consume visit ids (the
 world keys ad rotation and first-party-count jitter on them), so the
 engine controls how ids are allocated:
 
-- **Serial** (``workers=1``, the default): browsers draw from the
-  network's shared monotonic counter in plan order — byte-for-byte the
-  pre-engine serial harness.
-- **Parallel** (``workers>1``): every task gets a private visit-id
+- **Serial** (``workers=1`` without a ``spool_path``, the default):
+  browsers draw from the network's shared monotonic counter in plan
+  order — byte-for-byte the pre-engine serial harness.
+- **Per-task** (``workers>1``, a ``spool_path``, or a campaign or
+  chaos plan): every task gets a private visit-id
   stream derived from (world seed, vp, domain, mode, repeats), so the
   records are a pure function of the world and the plan — identical
   across reruns and across *any* parallel worker/shard combination,
@@ -144,6 +144,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro import schema
 from repro.bannerclick import BannerClick
+from repro.durable import atomic_write
 from repro.errors import NetworkError, WireProtocolError
 from repro.lang import LanguageDetector
 from repro.measure.instrumentation import Event, EventLog
@@ -210,7 +211,7 @@ def campaign_plan(plan: "CrawlPlan") -> bool:
 
     Campaign records carry visit-dependent enrichment (the jar's
     third-party cookie sites), so campaign plans always run in the
-    per-task visit-id regime — like checkpointed runs — to keep the
+    per-task visit-id regime — like spooled runs — to keep the
     output identical across backends and worker counts.
     """
     return bool(plan.context.get("multivantage"))
@@ -239,15 +240,16 @@ def plan_fingerprint(
     world_seed: Optional[int] = None,
     world_scale: Optional[float] = None,
     world_evolution: int = 0,
-    per_task_ids: bool = True,
 ) -> str:
     """A stable hash binding a checkpoint to one resumable run.
 
     Covers everything the merged output is a function of: the full
     task list (order included — outcome indices are plan positions),
-    the plan context, the world identity (seed, scale, and months of
-    :func:`~repro.webgen.evolve.evolve_world` drift — two snapshots
-    share a seed but not a web), and the visit-id regime.  It
+    the plan context, and the world identity (seed, scale, and months
+    of :func:`~repro.webgen.evolve.evolve_world` drift — two snapshots
+    share a seed but not a web).  Every checkpointed run uses per-task
+    visit ids; the payload still names that regime, so checkpoints
+    written when it was a choice keep their fingerprints.  It
     deliberately excludes ``workers``/``shards``/retry settings: in
     the per-task id regime those change scheduling, never results, so
     a crawl may be resumed with a different worker count.
@@ -257,7 +259,7 @@ def plan_fingerprint(
         "world_seed": world_seed,
         "world_scale": world_scale,
         "world_evolution": world_evolution,
-        "visit_ids": "per-task" if per_task_ids else "serial",
+        "visit_ids": "per-task",
         "context": plan.context,
         "tasks": [
             [task.vp, task.domain, task.mode, task.repeats]
@@ -788,19 +790,17 @@ def _rewrite_checkpoint(
     *,
     validate: Optional[Callable[[int, Dict], None]] = None,
     on_header: Optional[Callable[[Dict], None]] = None,
-    on_outcome: Optional[Callable[[int, Dict], None]] = None,
 ) -> Tuple[_CheckpointScan, int, Run]:
     """The checkpoint file's one rewrite, shared by resume and
     compaction; returns the scan, the outcome lines kept, and the byte
     range of the one sorted run they form in the rewritten file.
 
     Scans *path* (corruption is refused as :class:`CheckpointMismatch`
-    ending in *refusal*), then atomically replaces it through a temp
-    sibling with its canonical form: the header verbatim, one
-    consolidated breaker line (latest-wins already applied by the
-    scan), and the latest-wins outcomes in plan order, each of which
-    *on_outcome* also sees.  A failed rewrite leaves the original
-    file and no temp behind.
+    ending in *refusal*), then replaces it through
+    :func:`~repro.durable.atomic_write` with its canonical form: the
+    header verbatim, one consolidated breaker line (latest-wins already
+    applied by the scan), and the latest-wins outcomes in plan order.
+    A failed rewrite leaves the original file and no scratch behind.
     """
     try:
         scan = _scan_checkpoint(path, validate=validate, on_header=on_header)
@@ -813,23 +813,18 @@ def _rewrite_checkpoint(
         raise CheckpointMismatch(
             f"{path}: corrupt checkpoint ({error}); {refusal}"
         ) from error
-    tmp = path.with_name(path.name + ".rewrite")
-    kept = 0
-    try:
-        with tmp.open("wb") as handle:
-            handle.write((scan.header_line + "\n").encode("utf-8"))
-            if scan.breakers:
-                handle.write(_breaker_line(scan.breakers).encode("utf-8"))
-            start = handle.tell()
-            for index, payload, line in iter_journal_runs(path, scan.runs):
-                handle.write((line + "\n").encode("utf-8"))
-                kept += 1
-                if on_outcome is not None:
-                    on_outcome(index, payload)
-            run = (start, handle.tell())
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
+
+    def rewrite(handle) -> Tuple[int, Run]:
+        handle.write((scan.header_line + "\n").encode("utf-8"))
+        if scan.breakers:
+            handle.write(_breaker_line(scan.breakers).encode("utf-8"))
+        start, kept = handle.tell(), 0
+        for _, _, line in iter_journal_runs(path, scan.runs):
+            handle.write((line + "\n").encode("utf-8"))
+            kept += 1
+        return kept, (start, handle.tell())
+
+    kept, run = atomic_write(path, rewrite)
     return scan, kept, run
 
 
@@ -852,17 +847,12 @@ def _journal_outcome(
 class CheckpointReplay:
     """What a streaming reconcile replays into the current run.
 
-    A spooled run's resume path holds no outcomes at all, only the
-    completed *indices* (ints): the replayed outcomes stay in the
-    rewritten checkpoint, whose one sorted run the output join reads.
-    Only the in-memory merge materialises replayed outcomes, and even
-    those carry zero-copy :class:`~repro.measure.storage.RawRecord`
-    payloads until a consumer looks inside.
+    The resume path holds no outcomes at all, only the completed
+    *indices* (ints): the replayed outcomes stay in the rewritten
+    checkpoint, whose one sorted run the output join reads.
     """
 
     completed: Set[int] = field(default_factory=set)
-    #: In-memory merge only: every replayed outcome, records zero-copy.
-    outcomes: List["TaskOutcome"] = field(default_factory=list)
     #: Circuit-breaker snapshots restored from the checkpoint, keyed
     #: by domain — adopted into the engine's registry before execution
     #: so quarantine survives a kill/resume.
@@ -1078,26 +1068,25 @@ class CrawlEngine:
         ``progress(done, total, task)`` called after every completed
         task (serialised under the engine lock).
     spool_path:
-        When set, each finished shard appends its outcomes once to the
-        run's journal and the final file at *spool_path* is the
-        journal's k-way plan-order join (module docstring, *Merge*) —
-        identical runs produce byte-identical files, a crash leaves
-        the previous complete output untouched, and memory stays
-        O(one shard).  Without it the outcomes are merged in memory.
-    checkpoint_path:
-        When set, completed task outcomes (records *and* permanent
-        failures, with their plan indices) are appended to this JSONL
-        checkpoint as shards finish, under a :func:`plan_fingerprint`
-        header; a spooled run joins its output from it.  Enables
-        crash-safe resume — see the module docstring.
-        Checkpointed runs always use per-task visit-id streams, even
-        when serial.  Removed on success.
+        The run's one output.  When set, each finished shard appends
+        its outcomes (records *and* permanent failures, with their
+        plan indices) once to the checkpoint :attr:`checkpoint`, under
+        a :func:`plan_fingerprint` header, and the final file at
+        *spool_path* is its k-way plan-order join (module docstring,
+        *Merge* and *Spooled runs*) — identical runs produce
+        byte-identical files, a crash leaves the previous complete
+        output untouched and the run resumable, and memory stays O(one
+        shard).  Spooled runs always use per-task visit-id streams,
+        even when serial.  The checkpoint is removed on success.
+        Without a *spool_path* the outcomes are merged in memory and
+        nothing is written.
     resume:
-        With ``resume=True`` an existing checkpoint is reconciled
-        against the plan before execution: completed tasks are skipped
-        and their outcomes replayed into the merge.  A fingerprint
-        mismatch raises :class:`CheckpointMismatch`; a missing
-        checkpoint simply starts fresh.
+        With ``resume=True`` (which needs a *spool_path*) an existing
+        checkpoint is reconciled against the plan before execution:
+        completed tasks are skipped and their outcomes stay in the
+        journal the output is joined from.  A fingerprint mismatch
+        raises :class:`CheckpointMismatch`; a missing checkpoint
+        simply starts fresh.
     executor:
         Override the transport (e.g. a preconfigured
         :class:`~repro.distributed.DistributedExecutor`, or the serial
@@ -1117,8 +1106,7 @@ class CrawlEngine:
         event_log: Optional[EventLog] = None,
         progress: Optional[ProgressHook] = None,
         progress_every: int = 1000,
-        spool_path=None,
-        checkpoint_path: Union[str, Path, None] = None,
+        spool_path: Union[str, Path, None] = None,
         resume: bool = False,
         executor: Optional[Executor] = None,
     ) -> None:
@@ -1139,7 +1127,7 @@ class CrawlEngine:
         self.backend = backend
         self.executor = executor
         #: Parallel runs default to more shards and always use per-task
-        #: visit-id streams (see :attr:`per_task_ids`).
+        #: visit-id streams (see :meth:`_per_task_plan`).
         self._parallel = workers > 1 or self.resolved_backend != "serial"
         self.shards = shards if shards is not None else (
             workers * 4 if self._parallel else 1
@@ -1151,18 +1139,13 @@ class CrawlEngine:
         self.progress = progress
         self.progress_every = max(progress_every, 1)
         self.spool_path = Path(spool_path) if spool_path is not None else None
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
-        if resume and self.checkpoint_path is None:
+        if resume and self.spool_path is None:
             # A silently ignored resume would re-run everything while
             # the caller believes the checkpoint was honoured.
-            raise ValueError("resume=True requires a checkpoint_path")
+            raise ValueError("resume=True requires a spool_path (the checkpoint lives beside it)")
         self.resume = resume
-        #: The file each absorbed shard appends its outcome run to (the
-        #: checkpoint, or a spooled run's private journal), and the byte
-        #: range of every run it holds for this execution.
-        self._journal: Optional[Path] = None
+        #: The byte range of every outcome run :attr:`checkpoint` holds
+        #: for this execution.
         self._runs: List[Run] = []
         #: pid -> [shards, tasks, elapsed] for worker-process runs.
         self._process_stats: Dict[int, List] = {}
@@ -1190,21 +1173,20 @@ class CrawlEngine:
         return "serial" if self.workers == 1 else "distributed"
 
     @property
-    def per_task_ids(self) -> bool:
-        """Whether tasks get private visit-id streams (module docstring).
-
-        True in parallel mode (the distributed backend included:
-        worker processes cannot share the serial counter) and
-        for every checkpointed run: the serial shared-counter stream
-        cannot survive a resume boundary, since replayed tasks would no
-        longer advance it.
-        """
-        return self._parallel or self.checkpoint_path is not None
+    def checkpoint(self) -> Optional[Path]:
+        """A spooled run's journal, ``<spool_path>.checkpoint``."""
+        return None if self.spool_path is None else Path(f"{self.spool_path}.checkpoint")
 
     def _per_task_plan(self, plan: CrawlPlan) -> bool:
-        """Whether *plan* runs in the per-task visit-id regime: this
-        engine's rule, or a campaign/chaos plan that forces it."""
-        return self.per_task_ids or campaign_plan(plan) or chaos_plan(plan)
+        """Whether tasks get private visit-id streams (module docstring):
+        when parallel (worker processes cannot share the serial
+        counter), spooled (the counter cannot survive a resume
+        boundary, since replayed tasks would no longer advance it), or
+        running a campaign/chaos plan, which forces it."""
+        return (
+            self._parallel or self.spool_path is not None
+            or campaign_plan(plan) or chaos_plan(plan)
+        )
 
     def fingerprint(self, plan: CrawlPlan) -> str:
         """The :func:`plan_fingerprint` of *plan* under this engine."""
@@ -1215,33 +1197,14 @@ class CrawlEngine:
             world_seed=getattr(config, "seed", None),
             world_scale=getattr(config, "scale", None),
             world_evolution=getattr(world, "evolution_months", 0),
-            per_task_ids=self._per_task_plan(plan),
         )
 
     def execute(self, plan: CrawlPlan) -> EngineResult:
         """Run *plan* and return the plan-ordered merged result."""
-        private = self.spool_path is not None and self.checkpoint_path is None
-        self._journal = (
-            Path(f"{self.spool_path}.journal") if private
-            else self.checkpoint_path
-        )
-        self._runs = []
-        if private:
-            # Only this run's join reads a private journal: it starts
-            # empty (whatever a crashed run left is stale) and never
-            # outlives the run, so it makes nothing resumable.
-            self.spool_path.parent.mkdir(parents=True, exist_ok=True)
-            self._journal.write_bytes(b"")
-        try:
-            return self._execute(plan)
-        finally:
-            if private:
-                self._journal.unlink(missing_ok=True)
-
-    def _execute(self, plan: CrawlPlan) -> EngineResult:
         sharded = plan.sharded(self.shards)
         self._total = len(plan)
         self._process_stats = {}
+        self._runs = []
         replay = self._reconcile_checkpoint(plan)
         self._breakers = {}
         self._adopt_breakers(replay.breakers)
@@ -1301,15 +1264,11 @@ class CrawlEngine:
         self._emit_process_throughput()
         if self.spool_path is not None:
             result = self._join(plan, replay.count, elapsed)
+            # The run completed; its durable output is final.
+            self.checkpoint.unlink(missing_ok=True)
         else:
-            outcomes.extend(replay.outcomes)
             outcomes.sort(key=lambda outcome: outcome.index)
-            result = EngineResult(
-                outcomes=outcomes, elapsed=elapsed, resumed=replay.count
-            )
-        if self.checkpoint_path is not None:
-            # The run completed; its durable output (if any) is final.
-            self.checkpoint_path.unlink(missing_ok=True)
+            result = EngineResult(outcomes=outcomes, elapsed=elapsed)
         self._emit("throughput", "engine://throughput", {
             "tasks": result.executed,
             "resumed": result.resumed,
@@ -1510,7 +1469,7 @@ class CrawlEngine:
                     "attempts": outcome.attempts,
                 })
         self._adopt_breakers(payload["breakers"])
-        if outcomes and self._journal is not None:
+        if outcomes and self.spool_path is not None:
             with self._lock:
                 self._append_run(outcomes, payload["breakers"])
         detail = {
@@ -1559,7 +1518,7 @@ class CrawlEngine:
     def _append_run(
         self, outcomes: List[TaskOutcome], breakers: Dict[str, Dict]
     ) -> None:
-        """Append one finished shard's outcomes to the journal as one
+        """Append one finished shard's outcomes to the checkpoint as one
         sorted run and note its byte range (caller holds the lock).
 
         Plan order within a shard makes the run index-sorted, which the
@@ -1568,7 +1527,7 @@ class CrawlEngine:
         latest-wins, so a resume restores each domain's quarantine
         where it stood at the last completed flush.
         """
-        with self._journal.open("ab") as handle:
+        with self.checkpoint.open("ab") as handle:
             start = handle.tell()
             for outcome in outcomes:
                 handle.write(self._outcome_line(outcome).encode("utf-8"))
@@ -1579,11 +1538,11 @@ class CrawlEngine:
     def _join(
         self, plan: CrawlPlan, resumed: int, elapsed: float
     ) -> EngineResult:
-        """Join the journal's runs into :attr:`spool_path`; the same
+        """Join the checkpoint's runs into :attr:`spool_path`; the same
         pass reports the permanent failures, replayed ones included."""
         failures: List[TaskOutcome] = []
         count = merge_record_spools(
-            self._journal, self._runs, self.spool_path,
+            self.checkpoint, self._runs, self.spool_path,
             on_failure=lambda index, payload: failures.append(
                 _journal_outcome(plan, index, payload)
             ),
@@ -1617,25 +1576,23 @@ class CrawlEngine:
         plan order (so it stays canonical — and compact — across
         repeated resumes) in one k-way streaming pass over its sorted
         runs.  That rewritten run is the first run of this execution's
-        journal, so a spooled run's :class:`CheckpointReplay` carries
-        the completed index set, never the records.
+        journal, so the :class:`CheckpointReplay` carries the completed
+        index set, never the records.
         """
-        replay = CheckpointReplay()
-        if self.checkpoint_path is None:
-            return replay
+        if self.spool_path is None:
+            return CheckpointReplay()
         fingerprint = self.fingerprint(plan)
-        self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        if self.resume and self.checkpoint_path.exists():
-            replay = self._streaming_reconcile(plan, fingerprint)
-        else:
-            with self.checkpoint_path.open("w", encoding="utf-8") as handle:
-                handle.write(self._checkpoint_header(fingerprint, len(plan)))
-        return replay
+        self.checkpoint.parent.mkdir(parents=True, exist_ok=True)
+        if self.resume and self.checkpoint.exists():
+            return self._streaming_reconcile(plan, fingerprint)
+        with self.checkpoint.open("w", encoding="utf-8") as handle:
+            handle.write(self._checkpoint_header(fingerprint, len(plan)))
+        return CheckpointReplay()
 
     def _streaming_reconcile(
         self, plan: CrawlPlan, fingerprint: str
     ) -> CheckpointReplay:
-        path = self.checkpoint_path
+        path = self.checkpoint
 
         def on_header(header: Dict) -> None:
             found = header.get("fingerprint")
@@ -1660,25 +1617,15 @@ class CrawlEngine:
                 # deserialising a record.
                 validate_record_payload(record_payload)
 
-        replay = CheckpointReplay()
-
-        def on_outcome(index: int, payload: Dict) -> None:
-            replay.outcomes.append(_journal_outcome(plan, index, payload))
-
         scan, kept, run = _rewrite_checkpoint(
             path,
             "refusing to resume — rerun without resume to start over",
             validate=validate,
             on_header=on_header,
-            # A spooled run's join reads the replayed outcomes straight
-            # from the rewritten file; only the in-memory merge holds them.
-            on_outcome=on_outcome if self.spool_path is None else None,
         )
         if kept:
             self._runs.append(run)
-        replay.completed = scan.indices
-        replay.breakers = dict(scan.breakers)
-        return replay
+        return CheckpointReplay(scan.indices, dict(scan.breakers))
 
     @staticmethod
     def _outcome_line(outcome: TaskOutcome) -> str:

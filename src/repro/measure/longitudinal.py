@@ -20,9 +20,11 @@ campaign can die mid-wave and pick up where it stopped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from repro.measure.crawl import CrawlResult
+from repro.measure.engine import CheckpointMismatch
 from repro.measure.storage import iter_records
 from repro.webgen.evolve import EvolutionSummary
 from repro.webgen.world import World
@@ -194,17 +196,34 @@ class MultiVantageRun:
         return "\n".join(lines)
 
 
-def reload_completed_wave(spool_path, checkpoint_path, plan):
+def wave_fingerprint_file(spool_path: Path) -> Path:
+    """Where a finished wave's plan fingerprint is kept: beside its
+    spool, as ``wave-MM.jsonl.fingerprint``."""
+    return Path(f"{spool_path}.fingerprint")
+
+
+def reload_completed_wave(spool_path, fingerprint, plan):
     """The records of a wave that already finished, or ``None``.
 
-    A wave is complete when its spool holds one record per plan task
-    and no checkpoint was left behind (the engine deletes it on
-    success); anything else — missing spool, surviving checkpoint,
-    short or over-long file — re-runs the wave through the engine.
+    A wave is complete when its fingerprint file holds *fingerprint*
+    (the wave's :func:`~repro.measure.engine.plan_fingerprint`, written
+    when the wave finished) and its spool holds one record per plan
+    task.  A missing fingerprint file, spool, or short or over-long
+    file re-runs the wave through the engine; a different fingerprint
+    (another regime, plan or world) raises
+    :class:`~repro.measure.engine.CheckpointMismatch`.
     """
-    if spool_path is None or not spool_path.exists():
+    try:
+        found = wave_fingerprint_file(spool_path).read_text(encoding="utf-8").strip()
+    except FileNotFoundError:
         return None
-    if checkpoint_path is not None and checkpoint_path.exists():
+    if found != fingerprint:
+        raise CheckpointMismatch(
+            f"{spool_path}: completed with fingerprint {found}, which does "
+            f"not match this plan/world/config ({fingerprint}); refusing "
+            "to resume — rerun without resume to start over"
+        )
+    if not spool_path.exists():
         return None
     # reprolint: disable=materialized-records -- bounded by one wave; the caller builds a list-based CrawlResult from it either way
     records = list(iter_records(spool_path))

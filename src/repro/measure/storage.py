@@ -38,6 +38,7 @@ from typing import (
     Union,
 )
 
+from repro.durable import atomic_write
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 
 _RECORD_TYPES = {
@@ -282,7 +283,7 @@ def load_records(path: Union[str, Path]) -> List:
 # The run journal and the output join
 #
 # The crawl engine appends each finished shard's outcomes to one
-# journal file (the checkpoint, or a private sibling of the output) as
+# journal file (the checkpoint beside the output) as
 # a plan-index-sorted *run* of ``{"kind": "outcome", "index", ...,
 # "record"}`` lines, and remembers the byte range each run occupies.
 # A k-way ``heapq.merge`` over those ranges yields every outcome in
@@ -355,27 +356,22 @@ def merge_record_spools(
     only structurally validated.  *on_failure* sees every latest-wins
     outcome that carries an error, in plan order.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    # Stream to a sibling and rename on success: a crash mid-join must
-    # never truncate a previous complete output, and a failed join
-    # (interrupt, full disk, invalid payload) leaves no temp behind.
-    tmp = path.with_name(path.name + ".merging")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            for index, payload, _ in iter_journal_runs(journal, runs):
-                if on_failure is not None and payload.get("error") is not None:
-                    on_failure(index, payload)
-                record_payload = payload.get("record")
-                if record_payload is None:
-                    continue
-                validate_record_payload(record_payload)
-                handle.write(
-                    json.dumps(record_payload, ensure_ascii=False) + "\n"
-                )
-                count += 1
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return count
+    def join(handle) -> int:
+        count = 0
+        for index, payload, _ in iter_journal_runs(journal, runs):
+            if on_failure is not None and payload.get("error") is not None:
+                on_failure(index, payload)
+            record_payload = payload.get("record")
+            if record_payload is None:
+                continue
+            validate_record_payload(record_payload)
+            handle.write(
+                (json.dumps(record_payload, ensure_ascii=False) + "\n").encode("utf-8")
+            )
+            count += 1
+        return count
+
+    # A crash mid-join must never truncate a previous complete output,
+    # and a failed join (interrupt, full disk, invalid payload) leaves
+    # no scratch behind.
+    return atomic_write(path, join)

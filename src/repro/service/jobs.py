@@ -20,14 +20,13 @@ import dataclasses
 import hashlib
 import heapq
 import json
-import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import schema
 from repro.api.spec import RunSpec
+from repro.durable import atomic_write_text
 from repro.errors import ReproError
 from repro.schema import OneOf, Omittable, Range
 
@@ -243,26 +242,17 @@ class JobQueue:
 
 
 def persist_job(jobs_dir: Path, job: Job) -> Path:
-    """Durably record *job* (atomic replace, crash-safe).
+    """Durably record *job* through :func:`~repro.durable.atomic_write`.
 
-    Each call writes through its own uniquely named scratch file, so
+    Each call writes its own uniquely named scratch file, so
     concurrent persists of one job (the HTTP submit thread and the
     runner thread) never replace each other's scratch; the last
     ``replace`` wins with a complete file either way.
     """
-    jobs_dir.mkdir(parents=True, exist_ok=True)
-    path = jobs_dir / f"{job.id}.json"
-    fd, scratch = tempfile.mkstemp(
-        dir=jobs_dir, prefix=f"{job.id}.", suffix=".json.tmp"
+    return atomic_write_text(
+        jobs_dir / f"{job.id}.json",
+        json.dumps(job.to_dict(), indent=2, sort_keys=True),
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(job.to_dict(), indent=2, sort_keys=True))
-        os.replace(scratch, path)
-    except BaseException:
-        os.unlink(scratch)
-        raise
-    return path
 
 
 def load_jobs(jobs_dir: Path) -> List[Job]:

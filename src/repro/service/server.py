@@ -195,10 +195,9 @@ class CampaignService:
 
         Output lands under ``campaigns/<id>/`` regardless of what the
         submitted spec asked for (the service never writes to
-        client-chosen paths), checkpointing is forced on, and resume is
-        forced on — against this job's own directory that is a no-op
-        for a fresh campaign and a fingerprint-checked restore for an
-        interrupted one.
+        client-chosen paths) and resume is forced on — against this
+        job's own directory that is a no-op for a fresh campaign and a
+        fingerprint-checked restore for an interrupted one.
         """
         campaign_dir = self._campaign_dir(job.id)
         campaign_dir.mkdir(parents=True, exist_ok=True)
@@ -211,7 +210,7 @@ class CampaignService:
             output = {"path": None, "out_dir": str(campaign_dir)}
         return job.spec.override({
             "output": output,
-            "engine": {"resume": True, "checkpoint": True},
+            "engine": {"resume": True},
         })
 
     def _run_jobs(self) -> None:

@@ -232,7 +232,6 @@ class TestSessionResume:
         plan = crawler.plan_detection_crawl(["DE"])
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=out,
-            checkpoint_path=f"{out}.checkpoint",
             executor=FaultInjectingExecutor((1, 3, 5, 7), partial=True),
         )
         with pytest.raises(RuntimeError):

@@ -361,6 +361,18 @@ class TestSchemaVersioning:
         payload["engine"]["executor"] = None
         assert RunSpec.from_dict(payload).engine.executor is None
 
+    def test_v4_checkpoint_flag_is_dropped(self):
+        """Specs saved while ``engine.checkpoint`` existed keep loading:
+        every run with an output path checkpoints, as theirs did."""
+        spec = RunSpec(
+            kind="crawl", engine=EngineSpec(resume=True),
+            output=OutputSpec(path="out.jsonl"),
+        ).validate()
+        payload = spec.to_dict()
+        payload["schema_version"] = 4
+        payload["engine"]["checkpoint"] = True
+        assert RunSpec.from_dict(payload) == spec
+
     def test_future_version_rejected_readably(self):
         from repro.api import SpecVersionError
 

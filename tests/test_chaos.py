@@ -220,14 +220,13 @@ class TestDifferentialOracle:
         crash_engine(
             backend, chaos_crawler, chaos_plan(plan_factory, RECOVERABLE),
             (1, 4), shards=SHARDS, spool_path=out,
-            checkpoint_path=checkpoint, retry=RetryPolicy(max_attempts=8),
+            retry=RetryPolicy(max_attempts=8),
         )
         assert checkpoint.exists()
 
         result = chaos_execute(
             make_engine(
-                backend, chaos_crawler, spool_path=out,
-                checkpoint_path=checkpoint, resume=True,
+                backend, chaos_crawler, spool_path=out, resume=True,
                 retry=RetryPolicy(max_attempts=8),
             ),
             plan_factory, RECOVERABLE,
@@ -329,7 +328,7 @@ def test_breaker_state_survives_kill_and_resume(
     crash_engine(
         backend, chaos_crawler, chaos_plan(breaker_plan_factory, breaker_chaos),
         (SHARDS - 1,), shards=SHARDS, spool_path=out,
-        checkpoint_path=checkpoint, retry=RetryPolicy(**BREAKER_RETRY),
+        retry=RetryPolicy(**BREAKER_RETRY),
     )
     # The interrupted checkpoint persisted breaker state alongside the
     # completed outcomes.
@@ -338,7 +337,7 @@ def test_breaker_state_survives_kill_and_resume(
     )
 
     resumed_engine = make_engine(
-        backend, chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
+        backend, chaos_crawler, spool_path=out,
         resume=True, retry=RetryPolicy(**BREAKER_RETRY),
     )
     result = chaos_execute(resumed_engine, breaker_plan_factory, breaker_chaos)
@@ -361,7 +360,7 @@ def test_compacted_checkpoint_keeps_breaker_state(
     out = tmp_path / "run.jsonl"
     checkpoint = tmp_path / "run.jsonl.checkpoint"
     engine = CrawlEngine(
-        chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
+        chaos_crawler, spool_path=out,
         retry=RetryPolicy(**BREAKER_RETRY),
         executor=FaultInjectingExecutor((0,), partial=True),
         shards=SHARDS,
@@ -407,7 +406,7 @@ class TestTornWrites:
         out = tmp_path / "torn.jsonl"
         checkpoint = tmp_path / "torn.jsonl.checkpoint"
         engine = CrawlEngine(
-            chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
+            chaos_crawler, spool_path=out,
             shards=SHARDS,
             executor=FaultInjectingExecutor((SHARDS - 1,), partial=True),
             retry=RetryPolicy(max_attempts=8),
@@ -421,7 +420,7 @@ class TestTornWrites:
             result = chaos_execute(
                 CrawlEngine(
                     chaos_crawler, spool_path=out,
-                    checkpoint_path=checkpoint, resume=True, shards=SHARDS,
+                    resume=True, shards=SHARDS,
                     retry=RetryPolicy(max_attempts=8),
                 ),
                 plan_factory, RECOVERABLE,
@@ -432,17 +431,17 @@ class TestTornWrites:
         assert out.read_bytes() == fault_free_reference
 
 
-def _crash_before_rename(monkeypatch, suffix):
-    """Make every rename of a ``*<suffix>`` temp die the way a killed
-    process does just before its ``replace``."""
-    real = Path.replace
+def _crash_before_rename(monkeypatch, target):
+    """Make every atomic replace of *target* die the way a killed
+    process does just before its rename."""
+    real = os.replace
 
-    def replace(self, target):
-        if self.name.endswith(suffix):
-            raise OSError(f"injected crash before renaming {self.name}")
-        return real(self, target)
+    def replace(source, destination):
+        if Path(destination) == target:
+            raise OSError(f"injected crash before renaming {source}")
+        return real(source, destination)
 
-    monkeypatch.setattr(Path, "replace", replace)
+    monkeypatch.setattr(os, "replace", replace)
 
 
 class TestJournalCrashPoints:
@@ -453,9 +452,7 @@ class TestJournalCrashPoints:
     @staticmethod
     def _engine(crawler, out, **kwargs):
         return CrawlEngine(
-            crawler, spool_path=out, shards=SHARDS,
-            checkpoint_path=out.with_name(out.name + ".checkpoint"),
-            **kwargs,
+            crawler, spool_path=out, shards=SHARDS, **kwargs,
         )
 
     def test_crash_in_resume_rewrite_keeps_checkpoint(
@@ -476,14 +473,14 @@ class TestJournalCrashPoints:
             )
         crashed = checkpoint.read_bytes()
         with monkeypatch.context() as patch:
-            _crash_before_rename(patch, ".rewrite")
+            _crash_before_rename(patch, checkpoint)
             with pytest.raises(OSError, match="injected crash"):
                 chaos_execute(
                     self._engine(chaos_crawler, out, resume=True),
                     plan_factory, IDLE,
                 )
         assert checkpoint.read_bytes() == crashed
-        assert not list(tmp_path.glob("*.rewrite"))
+        assert not list(tmp_path.glob("*.tmp"))
         result = chaos_execute(
             self._engine(chaos_crawler, out, resume=True), plan_factory, IDLE
         )
@@ -499,14 +496,14 @@ class TestJournalCrashPoints:
         checkpoint = tmp_path / "run.jsonl.checkpoint"
         out.write_text("previous complete output\n", encoding="utf-8")
         with monkeypatch.context() as patch:
-            _crash_before_rename(patch, ".merging")
+            _crash_before_rename(patch, out)
             with pytest.raises(OSError, match="injected crash"):
                 chaos_execute(
                     self._engine(chaos_crawler, out), plan_factory, IDLE
                 )
         assert out.read_text(encoding="utf-8") == "previous complete output\n"
         assert checkpoint.exists()
-        assert not list(tmp_path.glob("*.merging"))
+        assert not list(tmp_path.glob("*.tmp"))
         result = chaos_execute(
             self._engine(chaos_crawler, out, resume=True), plan_factory, IDLE
         )

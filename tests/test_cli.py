@@ -92,7 +92,6 @@ class TestResume:
         plan = crawler.plan_detection_crawl(list(vps))
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=out,
-            checkpoint_path=f"{out}.checkpoint",
             executor=FaultInjectingExecutor((1, 3, 5, 7)),
         )
         with pytest.raises(RuntimeError):
@@ -292,7 +291,6 @@ class TestCheckpointCompactVerb:
         plan = crawler.plan_detection_crawl(["DE"])
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=spool,
-            checkpoint_path=f"{spool}.checkpoint",
             executor=FaultInjectingExecutor((1, 3), partial=True),
         )
         with pytest.raises(RuntimeError):

@@ -1,5 +1,6 @@
 """Tests for the sharded crawl engine (plan → shard → execute → merge)."""
 
+import json
 import multiprocessing
 import random
 
@@ -316,11 +317,9 @@ class TestSpool:
         reference = tmp_path / "reference.jsonl"
         save_records(in_memory.records, reference)
         assert spool.read_bytes() == reference.read_bytes()
-        leftovers = [
-            p.name for p in tmp_path.iterdir()
-            if p.name.endswith((".partial", ".part", ".journal", ".merging"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.jsonl", "reference.jsonl"
         ]
-        assert leftovers == []
 
     def test_failed_run_preserves_previous_output(self, tmp_path, medium_world):
         class ExplodingCrawler(Crawler):
@@ -417,12 +416,13 @@ class TestSpoolMerge:
     def test_stale_journal_from_crashed_run_is_ignored(
         self, tmp_path, medium_world, medium_crawler
     ):
-        """A private journal orphaned by a crash must not leak into the
-        next run's join, and the run removes its own journal."""
+        """A checkpoint orphaned by a crash must not leak into the next
+        run's join unless that run resumes, and the run removes its own
+        checkpoint."""
         targets = medium_world.crawl_targets[:20]
         plan = medium_crawler.plan_detection_crawl(["DE"], targets)
         out = tmp_path / "out.jsonl"
-        stale = tmp_path / "out.jsonl.journal"
+        stale = tmp_path / "out.jsonl.checkpoint"
         stale.write_text('{"kind": "outcome", "index": 0, "record": null}\n')
         result = CrawlEngine(
             medium_crawler, workers=2, shards=4, spool_path=out,
@@ -490,9 +490,11 @@ class TestSpoolMerge:
         occupied = sum(1 for shard in plan.sharded(32) if shard)
         assert len(engine._runs) == occupied
 
-    def test_private_journal_removed_when_the_run_fails(
+    def test_failed_run_leaves_only_its_checkpoint(
         self, tmp_path, medium_world
     ):
+        """A spooled run that dies keeps its checkpoint (to resume
+        from) and writes nothing else."""
         class ExplodingCrawler(Crawler):
             def run_task(self, task, context=None, *, visit_ids=None):
                 raise RuntimeError("boom")
@@ -505,7 +507,9 @@ class TestSpoolMerge:
                     ["DE"], medium_world.crawl_targets[:2]
                 )
             )
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "out.jsonl.checkpoint"]
+        (header,) = (tmp_path / "out.jsonl.checkpoint").read_text().splitlines()
+        assert json.loads(header)["kind"] == "header"
 
     def test_backend_validation(self, medium_crawler):
         with pytest.raises(ValueError, match="unknown executor backend"):
@@ -606,7 +610,7 @@ class TestCheckpointResume:
         """Run *plan* under fault injection; returns the engine."""
         engine = CrawlEngine(
             crawler, workers=self.WORKERS, shards=self.SHARDS,
-            spool_path=out, checkpoint_path=f"{out}.checkpoint",
+            spool_path=out,
             executor=FaultInjectingExecutor(fail_shards, partial=partial),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
@@ -634,7 +638,7 @@ class TestCheckpointResume:
         log = EventLog()
         engine = CrawlEngine(
             medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
-            spool_path=out, checkpoint_path=checkpoint, resume=True,
+            spool_path=out, resume=True,
             event_log=log,
         )
         result = engine.execute(plan)
@@ -666,7 +670,7 @@ class TestCheckpointResume:
         self._crash(medium_crawler, plan, out, partial=True)
         result = CrawlEngine(
             medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
-            spool_path=out, checkpoint_path=f"{out}.checkpoint", resume=True,
+            spool_path=out, resume=True,
         ).execute(plan)
         # More than just the untouched shards were replayed: the killed
         # shards' first halves survived in the checkpoint too.
@@ -690,14 +694,13 @@ class TestCheckpointResume:
         CrawlEngine(
             medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
             spool_path=reference,
-            checkpoint_path=f"{reference}.checkpoint",
         ).execute(plan)
 
         out = tmp_path / "resumed.jsonl"
         self._crash(medium_crawler, plan, out, fail_shards=(0, 2))
         result = CrawlEngine(
             medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
-            spool_path=out, checkpoint_path=f"{out}.checkpoint", resume=True,
+            spool_path=out, resume=True,
         ).execute(plan)
         assert len(result.records) == len(domains)
         assert out.read_bytes() == reference.read_bytes()
@@ -715,11 +718,9 @@ class TestCheckpointResume:
         parallel = tmp_path / "parallel.jsonl"
         CrawlEngine(
             medium_crawler, spool_path=serial,
-            checkpoint_path=f"{serial}.checkpoint",
         ).execute(plan)
         CrawlEngine(
             medium_crawler, workers=4, shards=8, spool_path=parallel,
-            checkpoint_path=f"{parallel}.checkpoint",
         ).execute(plan)
         assert serial.read_bytes() == parallel.read_bytes()
 
@@ -735,7 +736,7 @@ class TestCheckpointResume:
         other = medium_crawler.plan_detection_crawl(["DE"], targets[:10])
         engine = CrawlEngine(
             medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
-            checkpoint_path=f"{out}.checkpoint", resume=True,
+            spool_path=out, resume=True,
         )
         with pytest.raises(CheckpointMismatch, match="refusing to resume"):
             engine.execute(other)
@@ -743,7 +744,7 @@ class TestCheckpointResume:
         other_crawler = Crawler(build_world(scale=0.05, seed=8))
         engine = CrawlEngine(
             other_crawler, workers=self.WORKERS, shards=self.SHARDS,
-            checkpoint_path=f"{out}.checkpoint", resume=True,
+            spool_path=out, resume=True,
         )
         with pytest.raises(CheckpointMismatch):
             engine.execute(plan)
@@ -756,8 +757,7 @@ class TestCheckpointResume:
         )
         out = tmp_path / "fresh.jsonl"
         result = CrawlEngine(
-            medium_crawler, spool_path=out,
-            checkpoint_path=f"{out}.checkpoint", resume=True,
+            medium_crawler, spool_path=out, resume=True,
         ).execute(plan)
         assert result.resumed == 0
         assert len(result.records) == 10
@@ -782,7 +782,7 @@ class TestCheckpointResume:
         with pytest.warns(UserWarning, match="torn trailing line"):
             result = CrawlEngine(
                 medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
-                spool_path=out, checkpoint_path=checkpoint, resume=True,
+                spool_path=out, resume=True,
             ).execute(plan)
         assert result.resumed == complete_outcomes - 1
         reference = tmp_path / "serial.jsonl"
@@ -812,12 +812,12 @@ class TestCheckpointResume:
             d for d in world.crawl_targets if shard_of(d, 2) == 1
         ][:3]
         plan = crawler.plan_detection_crawl(["DE"], targets)
-        checkpoint = tmp_path / "dead.checkpoint"
+        out = tmp_path / "dead.jsonl"
         # Shard 1 is killed before running; shard 0's tasks all *fail*
         # (NetworkError, retries exhausted) and checkpoint as failures.
         engine = CrawlEngine(
             crawler, retry=RetryPolicy(max_attempts=1),
-            checkpoint_path=checkpoint,
+            spool_path=out,
             executor=FaultInjectingExecutor((1,)),
             shards=2,
         )
@@ -829,12 +829,12 @@ class TestCheckpointResume:
 
         resumed = CrawlEngine(
             crawler, retry=RetryPolicy(max_attempts=1),
-            checkpoint_path=checkpoint, resume=True, shards=2,
+            spool_path=out, resume=True, shards=2,
         ).execute(plan)
         # Only the killed shard re-ran; the failed outcomes replayed.
         assert crawler.calls == calls_before + (len(targets) - shard0)
         assert resumed.resumed == shard0
-        assert [o.error for o in resumed.outcomes] == [
+        assert [o.error for o in resumed.failures] == [
             "NetworkError"
         ] * len(targets)
 
@@ -845,10 +845,21 @@ class TestCheckpointResume:
         base = plan_fingerprint(plan, world_seed=7)
         assert plan_fingerprint(plan, world_seed=7) == base
         assert plan_fingerprint(plan, world_seed=8) != base
-        assert plan_fingerprint(plan, world_seed=7, per_task_ids=False) != base
         assert plan_fingerprint(plan, world_seed=7, world_evolution=4) != base
         reordered = CrawlPlan(tasks=list(reversed(plan.tasks)))
         assert plan_fingerprint(reordered, world_seed=7) != base
+        # Pinned: checkpoints written while the visit-id regime was a
+        # fingerprint argument keep their fingerprints, so they resume.
+        pinned = CrawlPlan(
+            tasks=[
+                CrawlTask("DE", "a.de", "accept", 2),
+                CrawlTask("DE", "b.de", "accept", 2),
+            ],
+            context={"smp": 1},
+        )
+        assert plan_fingerprint(
+            pinned, world_seed=7, world_scale=0.05, world_evolution=3
+        ) == "fefbe0e43d8f6ebb"
 
     def test_evolved_world_cannot_resume_baseline_checkpoint(
         self, tmp_path, medium_world, medium_crawler
@@ -865,7 +876,7 @@ class TestCheckpointResume:
         evolved, _ = evolve_world(medium_world, months=4)
         engine = CrawlEngine(
             Crawler(evolved), workers=self.WORKERS, shards=self.SHARDS,
-            checkpoint_path=f"{out}.checkpoint", resume=True,
+            spool_path=out, resume=True,
         )
         with pytest.raises(CheckpointMismatch):
             engine.execute(
@@ -873,7 +884,7 @@ class TestCheckpointResume:
             )
 
     def test_resume_without_checkpoint_path_rejected(self, medium_crawler):
-        with pytest.raises(ValueError, match="requires a checkpoint_path"):
+        with pytest.raises(ValueError, match="requires a spool_path"):
             CrawlEngine(medium_crawler, resume=True)
 
     def test_corrupt_checkpoint_refused_not_crashed(
@@ -894,7 +905,7 @@ class TestCheckpointResume:
             encoding="utf-8",
         )
         engine = CrawlEngine(
-            medium_crawler, checkpoint_path=checkpoint, resume=True,
+            medium_crawler, spool_path=out, resume=True,
         )
         with pytest.raises(CheckpointMismatch, match="corrupt checkpoint"):
             engine.execute(plan)
@@ -908,7 +919,7 @@ class TestCheckpointResume:
         )
         with pytest.raises(CheckpointMismatch, match="corrupt checkpoint"):
             CrawlEngine(
-                medium_crawler, checkpoint_path=checkpoint, resume=True,
+                medium_crawler, spool_path=out, resume=True,
             ).execute(plan)
 
     def test_throughput_counts_executed_not_replayed(
@@ -922,8 +933,7 @@ class TestCheckpointResume:
         log = EventLog()
         result = CrawlEngine(
             medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
-            spool_path=out, checkpoint_path=f"{out}.checkpoint",
-            resume=True, event_log=log,
+            spool_path=out, resume=True, event_log=log,
         ).execute(plan)
         assert result.executed == len(targets) - result.resumed
         assert result.tasks_per_sec == pytest.approx(
@@ -965,7 +975,7 @@ class TestCheckpointCompaction:
         out = tmp_path / "records.jsonl"
         engine = CrawlEngine(
             crawler, workers=self.WORKERS, shards=self.SHARDS,
-            spool_path=out, checkpoint_path=f"{out}.checkpoint",
+            spool_path=out,
             executor=FaultInjectingExecutor((1, 3, 5), partial=True),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
@@ -981,7 +991,6 @@ class TestCheckpointCompaction:
         CrawlEngine(
             medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
             spool_path=reference,
-            checkpoint_path=f"{reference}.checkpoint",
         ).execute(plan)
 
         out, checkpoint = self._crashed_checkpoint(
@@ -1005,7 +1014,7 @@ class TestCheckpointCompaction:
 
         result = CrawlEngine(
             medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
-            spool_path=out, checkpoint_path=checkpoint, resume=True,
+            spool_path=out, resume=True,
         ).execute(plan)
         assert result.resumed == compaction.kept
         assert out.read_bytes() == reference.read_bytes()
@@ -1145,7 +1154,7 @@ class TestStreamingReconcileMachinery:
         checkpoint = tmp_path / "streamed.jsonl.checkpoint"
         engine = CrawlEngine(
             medium_crawler, workers=4, shards=8,
-            spool_path=out, checkpoint_path=checkpoint,
+            spool_path=out,
             executor=FaultInjectingExecutor((1, 4), partial=True),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
@@ -1153,11 +1162,10 @@ class TestStreamingReconcileMachinery:
 
         resumer = CrawlEngine(
             medium_crawler, workers=4, shards=8,
-            spool_path=out, checkpoint_path=checkpoint, resume=True,
+            spool_path=out, resume=True,
         )
         replay = resumer._reconcile_checkpoint(plan)
         assert replay.count > 0
-        assert replay.outcomes == []  # the replay holds no records
         # The rewritten outcomes are the journal's first run.
         ((start, stop),) = resumer._runs
         replay_lines = checkpoint.read_bytes()[start:stop].splitlines()

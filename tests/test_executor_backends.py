@@ -109,21 +109,19 @@ class TestBackendDeterminism:
     def test_checkpointed_cookie_measurements_identical(
         self, backend, tmp_path, small_world, small_crawler,
     ):
-        """Visit-id-consuming measurements: every checkpointed backend
-        uses the per-task id regime, so the spools must agree."""
+        """Visit-id-consuming measurements: every spooled run uses the
+        per-task id regime, serial included, so the spools must agree."""
         domains = sorted(small_world.wall_domains)[:4]
         plan = small_crawler.plan_cookie_measurements(
             "DE", domains, mode="accept", repeats=2
         )
-        reference = tmp_path / "serial-checkpointed.jsonl"
+        reference = tmp_path / "serial-spooled.jsonl"
         CrawlEngine(
             small_crawler, spool_path=reference,
-            checkpoint_path=f"{reference}.checkpoint",
         ).execute(plan)
         out = tmp_path / f"{backend}.jsonl"
         make_engine(
             backend, small_crawler, spool_path=out,
-            checkpoint_path=f"{out}.checkpoint",
         ).execute(plan)
         assert out.read_bytes() == reference.read_bytes()
 
@@ -139,7 +137,7 @@ class TestBackendDeterminism:
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
         crash_engine(
             backend, small_crawler, detection_plan, (1, 4), shards=SHARDS,
-            spool_path=out, checkpoint_path=checkpoint,
+            spool_path=out,
         )
         assert checkpoint.exists()
         assert not out.exists()
@@ -147,7 +145,7 @@ class TestBackendDeterminism:
         log = EventLog()
         result = make_engine(
             backend, small_crawler, spool_path=out,
-            checkpoint_path=checkpoint, resume=True, event_log=log,
+            resume=True, event_log=log,
         ).execute(detection_plan)
         assert result.resumed > 0
         assert result.resumed < len(detection_plan)
@@ -230,11 +228,10 @@ class TestProcessBackendSpecifics:
         # checkpoint) first.
         crash_engine(
             "distributed", small_crawler, detection_plan, (SHARDS - 1,),
-            shards=SHARDS, spool_path=out, checkpoint_path=checkpoint,
+            shards=SHARDS, spool_path=out,
         )
         result = make_engine(
-            "distributed", small_crawler, spool_path=out,
-            checkpoint_path=checkpoint, resume=True,
+            "distributed", small_crawler, spool_path=out, resume=True,
         ).execute(detection_plan)
         assert result.resumed > 0
         assert out.read_bytes() == serial_reference
@@ -451,12 +448,12 @@ class TestProcessBackendSpecifics:
         engine = CrawlEngine(
             small_crawler, executor=DistributedExecutor(2)
         )
-        assert engine.per_task_ids
-        assert engine.shards > 1
         domains = sorted(small_world.wall_domains)[:3]
         plan = small_crawler.plan_cookie_measurements(
             "DE", domains, mode="accept", repeats=2
         )
+        assert engine._per_task_plan(plan)
+        assert engine.shards > 1
         injected = [m.to_dict() for m in engine.execute(plan).records]
         named = [
             m.to_dict()
@@ -482,7 +479,9 @@ class TestProcessBackendSpecifics:
         with pytest.raises(ValueError):
             merge_record_spools(journal, [(0, journal.stat().st_size)], out)
         assert out.read_bytes() == serial_reference
-        assert not (tmp_path / "out.jsonl.merging").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.jsonl", "out.jsonl.journal"
+        ]
 
     def test_plan_event_names_backend(self, small_crawler, detection_plan):
         log = EventLog()

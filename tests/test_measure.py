@@ -457,7 +457,7 @@ class TestMergedJsonl:
 
     def test_failed_join_keeps_previous_output_and_no_temp(self, tmp_path):
         """An invalid payload mid-join aborts the merge: the previous
-        complete output keeps its bytes and no `.merging` temp is left."""
+        complete output keeps its bytes and no scratch file is left."""
         from repro.measure.storage import merge_record_spools
 
         journal, runs = self._journal(tmp_path, [self._records([0, 2])])
@@ -473,4 +473,4 @@ class TestMergedJsonl:
         with pytest.raises(ValueError, match="unknown record type"):
             merge_record_spools(journal, runs, out)
         assert out.read_text(encoding="utf-8") == "previous complete output\n"
-        assert list(tmp_path.glob("*.merging")) == []
+        assert list(tmp_path.glob("*.tmp")) == []

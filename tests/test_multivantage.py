@@ -120,12 +120,11 @@ class TestCampaignDeterminism:
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
         crash_engine(
             backend, small_crawler, plan, (1, 4), shards=SHARDS,
-            spool_path=out, checkpoint_path=checkpoint,
+            spool_path=out,
         )
         assert checkpoint.exists()
         result = make_engine(
-            backend, small_crawler, spool_path=out,
-            checkpoint_path=checkpoint, resume=True,
+            backend, small_crawler, spool_path=out, resume=True,
         ).execute(plan)
         assert 0 < result.resumed < len(plan)
         assert out.read_bytes() == serial_references[regime]
@@ -137,10 +136,9 @@ class TestCampaignDeterminism:
         """The scenario lives in ``plan.context``, so the fingerprint
         must reject resuming one regime's checkpoint under another."""
         plan = campaign_plan(small_crawler, regime, campaign_targets)
-        checkpoint = tmp_path / "run.checkpoint"
         crash_engine(
             "serial", small_crawler, plan, (2,), shards=SHARDS,
-            spool_path=tmp_path / "run.jsonl", checkpoint_path=checkpoint,
+            spool_path=tmp_path / "run.jsonl",
         )
         other = "eu" if regime != "eu" else "non-eu"
         changed = campaign_plan(
@@ -149,7 +147,7 @@ class TestCampaignDeterminism:
         with pytest.raises(CheckpointMismatch):
             make_engine(
                 "serial", small_crawler, spool_path=tmp_path / "run.jsonl",
-                checkpoint_path=checkpoint, resume=True,
+                resume=True,
             ).execute(changed)
 
 
@@ -395,7 +393,8 @@ class TestCampaignSession:
         # Simulate the crash: the second wave never happened.
         half = tmp_path / "half"
         half.mkdir()
-        (half / "wave-00.jsonl").write_bytes(reference[0])
+        for name in ("wave-00.jsonl", "wave-00.jsonl.fingerprint"):
+            (half / name).write_bytes((out / name).read_bytes())
         resumed = Session(
             campaign_spec(half, months=(0, 2), resume=True)
         ).run()
@@ -407,6 +406,33 @@ class TestCampaignSession:
             resumed.campaign.report.summary()
             == full.campaign.report.summary()
         )
+
+    def test_completed_wave_of_another_regime_is_refused(self, tmp_path):
+        """A finished wave is reloaded only under its own fingerprint:
+        resuming an ``eu`` campaign's directory as ``baseline`` must
+        not report the eu walls as baseline data."""
+        from repro.api import Session
+
+        out = tmp_path / "campaign"
+        Session(campaign_spec(out, regime="eu")).run()
+        with pytest.raises(CheckpointMismatch, match="refusing to resume"):
+            Session(campaign_spec(out, regime="baseline", resume=True)).run()
+
+    def test_completed_wave_without_fingerprint_reruns(self, tmp_path):
+        """A wave file with no fingerprint beside it (a run that died
+        after its join, or one written before fingerprints) is crawled
+        again, not trusted."""
+        from repro.api import Session
+
+        out = tmp_path / "campaign"
+        full = Session(campaign_spec(out)).run()
+        reference = (out / "wave-00.jsonl").read_bytes()
+        (out / "wave-00.jsonl.fingerprint").unlink()
+        again = Session(campaign_spec(out, resume=True)).run()
+        assert again.resumed == 0
+        assert again.executed == full.executed
+        assert (out / "wave-00.jsonl").read_bytes() == reference
+        assert (out / "wave-00.jsonl.fingerprint").exists()
 
     def test_in_memory_campaign_matches_spooled_report(self, tmp_path):
         from repro.api import Session

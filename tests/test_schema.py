@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import schema
+from repro.api.result import _MANIFEST, RunResult
 from repro.api.spec import _SECTIONS, RUN_KINDS, RunSpec, SpecError
 from repro.distributed.wire import FRAMES, check_reply, decode_message
 from repro.errors import WireProtocolError
@@ -169,11 +170,17 @@ def _load_job(env: Env, job) -> None:
 
 
 def _resume_checkpoint(env: Env, line) -> None:
-    path = env.dir / "crawl.checkpoint"
-    engine = CrawlEngine(env.crawler, checkpoint_path=path, resume=True)
+    engine = CrawlEngine(env.crawler, spool_path=env.dir / "crawl.jsonl", resume=True)
+    path = engine.checkpoint
     header = engine._checkpoint_header(engine.fingerprint(env.plan), len(env.plan))
     path.write_text(header + json.dumps(line) + "\n", encoding="utf-8")
     engine._reconcile_checkpoint(env.plan)
+
+
+def _load_run_result(env: Env, manifest) -> None:
+    path = env.dir / "result.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    RunResult.load(path)
 
 
 def _section_kind(name: str) -> str:
@@ -209,6 +216,7 @@ BOUNDARIES = [
     ("job", {**_check_job.shape, "spec": _SPECS}, _load_job, ()),
     ("service-body", {**_check_submission.shape, "spec": _SPECS},
      lambda env, value: parse_submission(json.dumps(value).encode()), ValueError),
+    ("run-result", {**_MANIFEST.shape, "spec": _SPECS}, _load_run_result, SpecError),
     ("checkpoint-outcome", _CHECKPOINT_LINES["outcome"].shape, _resume_checkpoint,
      CheckpointMismatch),
     ("checkpoint-breaker", _CHECKPOINT_LINES["breaker"].shape, _resume_checkpoint,

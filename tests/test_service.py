@@ -208,6 +208,21 @@ class TestJobQueue:
         assert restored.id == job.id
         assert not list(jobs_dir.glob("*.tmp"))
 
+    def test_v4_job_file_with_checkpoint_flag_loads(self, tmp_path):
+        """A job persisted while ``engine.checkpoint`` existed (spec
+        schema v4; the service forced it on) still restores."""
+        from repro.service.jobs import load_jobs
+
+        job = self.job(1)
+        data = job.to_dict()
+        data["spec"]["schema_version"] = 4
+        data["spec"]["engine"]["checkpoint"] = True
+        jobs_dir = tmp_path / "jobs"
+        jobs_dir.mkdir()
+        (jobs_dir / f"{job.id}.json").write_text(json.dumps(data))
+        [restored] = load_jobs(jobs_dir)
+        assert restored.to_dict() == job.to_dict()
+
     def test_crash_before_replace_keeps_previous_job_file(
         self, tmp_path, monkeypatch
     ):
@@ -235,7 +250,7 @@ class TestJobQueue:
                 persist_job(jobs_dir, job)
 
         assert path.read_bytes() == before
-        assert not list(jobs_dir.glob("*.json.tmp"))
+        assert not list(jobs_dir.glob("*.tmp"))
         assert [restored.to_dict() for restored in load_jobs(jobs_dir)] == [
             prior
         ]
@@ -246,7 +261,7 @@ class TestJobQueue:
         """Crash point: the process dies after writing the scratch file
         but before its rename, so no cleanup runs.  The previous
         ``<id>.json`` survives byte for byte, and ``load_jobs`` ignores
-        the leftover ``<id>.*.json.tmp``."""
+        the leftover ``<id>.json.*.tmp``."""
         from repro.service.jobs import load_jobs, persist_job
 
         job = self.job(1)
@@ -277,7 +292,7 @@ class TestJobQueue:
         assert died.returncode == 17
 
         assert path.read_bytes() == before
-        [leftover] = jobs_dir.glob(f"{job.id}.*.json.tmp")
+        [leftover] = jobs_dir.glob(f"{job.id}.json.*.tmp")
         assert json.loads(leftover.read_text())["state"] == "running"
         assert [restored.to_dict() for restored in load_jobs(jobs_dir)] == [
             prior

@@ -188,7 +188,6 @@ def test_process_worker_records_reach_spool_without_decode(
     engine = CrawlEngine(
         crawler, workers=2, shards=4, backend="distributed",
         spool_path=out,
-        checkpoint_path=tmp_path / "spooled.checkpoint",
     )
     before = record_decode_count()
     result = engine.execute(plan)
@@ -223,17 +222,16 @@ def test_resume_replay_stays_zero_copy(
     spool-merge run decodes nothing in the parent."""
     crawler, plan = zero_copy_plan
     out = tmp_path / "resumed.jsonl"
-    checkpoint = tmp_path / "resumed.checkpoint"
+    checkpoint = tmp_path / "resumed.jsonl.checkpoint"
     crash_engine(
         "distributed", crawler, plan, (3,), shards=4,
-        spool_path=out, checkpoint_path=checkpoint,
+        spool_path=out,
     )
     assert checkpoint.exists()
     before = record_decode_count()
     result = CrawlEngine(
         crawler, workers=1, shards=4, backend="distributed",
-        spool_path=out, checkpoint_path=checkpoint,
-        resume=True,
+        spool_path=out, resume=True,
     ).execute(plan)
     assert record_decode_count() == before
     assert result.resumed > 0
