@@ -120,8 +120,8 @@ class Session:
     crawler:
         Override the crawler (tests inject fault-injecting subclasses).
     retry:
-        Override the :class:`~repro.measure.engine.RetryPolicy`
-        compiled from the engine spec.
+        Override the :class:`~repro.measure.engine.RetryPolicy`; by
+        default the resilience section is the policy.
     event_log:
         Receives the engine's ``plan``/``shard``/``progress``/…
         events on every run started by this session.
@@ -183,19 +183,8 @@ class Session:
         self.chaos_spec = chaos if chaos is not None else ChaosSpec()
         self.chaos_spec.validate()
         self._explicit_retry = retry
-        res = self.resilience_spec
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=self.engine_spec.retry_max_attempts,
-            retry_unreachable=self.engine_spec.retry_unreachable,
-            backoff_base=res.backoff_base,
-            backoff_factor=res.backoff_factor,
-            backoff_max=res.backoff_max,
-            jitter=res.jitter,
-            attempt_deadline=res.attempt_deadline,
-            task_deadline=res.task_deadline,
-            breaker_threshold=res.breaker_threshold,
-            breaker_quarantine=res.breaker_quarantine,
-        )
+        # The resilience section is a RetryPolicy: it is the policy.
+        self.retry = retry if retry is not None else self.resilience_spec
         self.event_log = event_log
         self.progress = progress
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
@@ -227,9 +216,8 @@ class Session:
     ) -> "Session":
         """A sibling session sharing the world but re-targeted engine.
 
-        An explicitly injected retry policy travels along; a policy
-        that was merely compiled from the old engine/resilience specs
-        is rebuilt from the new ones.
+        An explicitly injected retry policy travels along; otherwise
+        the sibling's resilience section is its policy.
         """
         return Session(
             self._world if self._world is not None else self.world_spec,

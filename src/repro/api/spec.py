@@ -9,8 +9,10 @@ and ~20 argparse flags.  A :class:`RunSpec` collapses all of that into
 a single typed, validating, serialisable tree:
 
 - :class:`WorldSpec` — which synthetic web (seed, scale).
-- :class:`EngineSpec` — how to execute (workers, shards, retry,
-  resume).
+- :class:`EngineSpec` — how to execute (workers, shards, executor,
+  resume); :class:`ResilienceSpec` — retries, backoff, deadlines and
+  breakers (the engine's ``RetryPolicy``); :class:`ChaosSpec` — the
+  seeded fault-injection plane.
 - :class:`CrawlSpec` / :class:`MeasureSpec` /
   :class:`LongitudinalSpec` / :class:`MultiVantageSpec` — what to
   measure (exactly one of them, selected by ``RunSpec.kind``).
@@ -38,7 +40,7 @@ from typing import Callable, Dict, Mapping, MutableMapping, Optional, Tuple, Uni
 
 from repro import schema
 from repro.durable import atomic_write_text
-from repro.measure.engine import EXECUTOR_BACKENDS
+from repro.measure.engine import EXECUTOR_BACKENDS, RetryPolicy
 from repro.resilience.chaos import ChaosSpec as _ChaosPlaneSpec
 
 #: Campaign kinds a :class:`RunSpec` can describe, and the section
@@ -51,10 +53,12 @@ RUN_KINDS = ("crawl", "measure", "longitudinal", "multivantage")
 #: version 2 added the explicit key and the ``"distributed"`` executor
 #: backend; version 3 dropped the thread backend, version 4 the
 #: process pool, version 5 ``engine.checkpoint`` (every spooled run
-#: checkpoints).  Old versions are upgraded through
+#: checkpoints), and version 6 moved ``engine.retry_max_attempts`` /
+#: ``engine.retry_unreachable`` to ``resilience.max_attempts`` /
+#: ``resilience.retry_unreachable``.  Old versions are upgraded through
 #: :data:`_SPEC_MIGRATIONS` so queued/submitted campaigns survive spec
 #: evolution.
-SPEC_SCHEMA_VERSION = 5
+SPEC_SCHEMA_VERSION = 6
 
 #: Kinds whose records land in a wave directory (``output.out_dir``)
 #: rather than a single spool file (``output.path``).
@@ -122,6 +126,24 @@ def _upgrade_v4(data: MutableMapping) -> MutableMapping:
     engine = data.get("engine")
     if isinstance(engine, Mapping) and "checkpoint" in engine:
         data["engine"] = {k: v for k, v in engine.items() if k != "checkpoint"}
+    return data
+
+
+@spec_migration(5)
+def _upgrade_v5(data: MutableMapping) -> MutableMapping:
+    """v5 -> v6: the two retry settings move from ``engine`` to
+    ``resilience``, whose fields are the engine's ``RetryPolicy``:
+    ``retry_max_attempts`` becomes ``max_attempts``, and
+    ``retry_unreachable`` keeps its name."""
+    engine, resilience = data.get("engine"), data.get("resilience")
+    resilience = {} if resilience is None else resilience
+    if isinstance(engine, Mapping) and isinstance(resilience, Mapping):
+        engine, resilience = dict(engine), dict(resilience)
+        for old, new in (("retry_max_attempts", "max_attempts"),
+                         ("retry_unreachable", "retry_unreachable")):
+            if old in engine:
+                resilience[new] = engine.pop(old)
+        data.update(engine=engine, resilience=resilience)
     return data
 
 
@@ -220,8 +242,6 @@ class EngineSpec(_Section):
     #: asserts that this run must stream, so it is refused without an
     #: output path; ``"memory"`` asserts nothing.
     merge: str = schema.field("memory", one_of=MERGE_MODES)
-    retry_max_attempts: int = schema.field(2, min=1)
-    retry_unreachable: bool = False
     #: Resume from the checkpoint every run with an output path keeps
     #: beside it (``<out>.checkpoint``).
     resume: bool = False
@@ -241,30 +261,16 @@ class EngineSpec(_Section):
 
 
 @dataclass(frozen=True)
-class ResilienceSpec(_Section):
-    """Backoff, deadlines and circuit breakers for the retry layer.
+class ResilienceSpec(_Section, RetryPolicy):
+    """Retries, backoff, deadlines and circuit breakers.
 
-    All durations are **virtual seconds**: the engine pays them on the
-    world's virtual clock, so no configuration here can ever make a
-    run sleep for real — only degrade deterministically sooner.
+    The spec section *is* the engine's :class:`RetryPolicy` — same
+    fields, same bounds — so a session runs its engines with this
+    section itself as their policy.  All durations are **virtual
+    seconds**: the engine pays them on the world's virtual clock, so no
+    configuration here can ever make a run sleep for real — only
+    degrade deterministically sooner.
     """
-
-    #: Exponential-backoff schedule between retry attempts.
-    backoff_base: float = schema.field(0.5, min=0)
-    backoff_factor: float = schema.field(2.0, min=1)
-    backoff_max: float = schema.field(30.0, min=0)
-    #: Deterministic jitter fraction in [0, 1] (derived from the task
-    #: identity, never a live RNG).
-    jitter: float = schema.field(0.1, min=0, max=1)
-    #: Per-attempt virtual-time budget (None = unlimited).
-    attempt_deadline: Optional[float] = schema.field(None, above=0)
-    #: Whole-task virtual-time budget across attempts + backoff.
-    task_deadline: Optional[float] = schema.field(None, above=0)
-    #: Open a domain's circuit after N consecutive task failures
-    #: (None disables breakers).
-    breaker_threshold: Optional[int] = schema.field(None, min=1)
-    #: Tasks an open breaker skips before its half-open probe.
-    breaker_quarantine: int = schema.field(4, min=1)
 
 
 @dataclass(frozen=True)

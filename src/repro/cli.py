@@ -9,6 +9,12 @@ file values) and executed through a :class:`~repro.api.Session` — the
 same code path as the library API, so flag runs, config runs, and
 programmatic runs produce byte-identical output.
 
+Each flag that sets a spec field is one row of :data:`_KIND_ROWS`,
+``(flag, "section.field", help)``; its type, choices and
+repeatability are read off the field, and its bounds are checked by
+the spec, exactly as for a config file (``error: engine.workers must
+be >= 1, got 0``, exit status 2).
+
 Examples
 --------
 List available experiments::
@@ -23,21 +29,20 @@ Describe a campaign in a config file, inspect it, run it::
 
     repro-cookiewalls spec crawl --config run.toml
     repro-cookiewalls crawl --config run.toml --workers 8
-
-Compact a long-lived crawl checkpoint in place::
-
-    repro-cookiewalls checkpoint compact crawl.jsonl.checkpoint
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import List, Optional
+import typing
+from typing import Dict, List, Optional
 
+from repro import schema
+from repro.api import RunSpec, Session, SpecError, WorldSpec
 from repro.experiments import EXPERIMENTS, ExperimentContext, run_experiment
-from repro.measure.engine import EXECUTOR_BACKENDS
 from repro.webgen import build_world
 
 #: Subcommands that compile argv into a RunSpec.
@@ -52,186 +57,147 @@ def _positive_int(value: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Flag groups.  Spec-backed subcommands use SUPPRESS defaults so the
-# compiler can tell an explicitly given flag (which must override the
-# config file) from an omitted one (where the file/spec default wins).
+# Flags read off the RunSpec fields.  Spec-backed subcommands use
+# SUPPRESS defaults so the compiler can tell an explicitly given flag
+# (which must override the config file) from an omitted one (where the
+# file/spec default wins).
 # ---------------------------------------------------------------------------
 
-def _add_world_args(parser: argparse.ArgumentParser, *, spec_mode: bool = False) -> None:
-    suppress = argparse.SUPPRESS
-    parser.add_argument(
-        "--scale", type=float, default=suppress if spec_mode else 0.05,
-        help="world scale (1.0 = the paper's 45k-site web; default 0.05)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=suppress if spec_mode else 2023,
-        help="world seed (default 2023)",
-    )
+_OUT_HELP = "output JSONL path (required unless the config supplies output.path)"
+_OUT_DIR_HELP = ("spool each wave to <dir>/wave-<MM>.jsonl with a resumable "
+                 "checkpoint alongside")
+_MONTH_HELP = ("wave offset in months, repeatable and increasing; 0 is the "
+               "baseline snapshot (default: {})")
+
+#: ``(flag, "section.field", help)`` rows: the world's (every
+#: world-building subcommand's), the common ones of the spec-backed
+#: subcommands, and those plus each kind's own.
+_WORLD_ROWS = (
+    ("--scale", "world.scale",
+     "world scale (1.0 = the paper's 45k-site web; default 0.05)"),
+    ("--seed", "world.seed", "world seed (default 2023)"),
+)
+_COMMON_ROWS = _WORLD_ROWS + (
+    ("--workers", "engine.workers",
+     "crawl-engine worker processes (default 1 = serial)"),
+    ("--shards", "engine.shards",
+     "crawl-engine shard count (default: 1 serial, 4x workers parallel; "
+     "tasks are sharded by a stable domain hash)"),
+    ("--executor", "engine.executor",
+     "executor backend (default: serial when --workers 1, distributed "
+     "otherwise — shard bundles go to worker processes over a socket work "
+     "queue; final JSONL is byte-identical across backends)"),
+    ("--resume", "engine.resume",
+     "resume an interrupted run from its checkpoint (<out>.checkpoint); "
+     "refuses when the checkpoint fingerprint does not match the "
+     "plan/world/config"),
+    ("--chaos-seed", "chaos.seed",
+     "seed for the deterministic fault-injection plane (chaos.* config "
+     "sets the rates; recoverable faults leave the output byte-identical "
+     "to a fault-free run)"),
+    ("--deadline", "resilience.task_deadline",
+     "per-task virtual-seconds budget across attempts and backoff "
+     "(resilience.task_deadline; breached tasks degrade to "
+     "DeadlineExceeded partial records, no real sleeping)"),
+    ("--breaker", "resilience.breaker_threshold",
+     "open a per-domain circuit breaker after N consecutive task failures "
+     "(resilience.breaker_threshold; quarantined tasks degrade to "
+     "BreakerOpenError records, breaker state survives --resume)"),
+)
+_KIND_ROWS = {
+    "crawl": _COMMON_ROWS + (
+        ("--vp", "crawl.vps", "vantage point code (repeatable; default: all)"),
+        ("--out", "output.path", _OUT_HELP),
+    ),
+    "measure": _COMMON_ROWS + (
+        ("--vp", "measure.vp", "vantage point code (default: DE)"),
+        ("--mode", "measure.mode", "measurement mode (default: accept)"),
+        ("--repeats", "measure.repeats",
+         "visits per domain (default 5, the paper's methodology)"),
+        ("--domain", "measure.domains",
+         "target domain (repeatable; default: detected wall domains from a "
+         "fresh detection crawl)"),
+        ("--out", "output.path", _OUT_HELP),
+    ),
+    "longitudinal": _COMMON_ROWS + (
+        ("--vp", "longitudinal.vp", "vantage point code (default: DE)"),
+        ("--month", "longitudinal.months",
+         _MONTH_HELP.format("0 and 4, the paper's May/Sept gap")),
+        ("--out-dir", "output.out_dir", _OUT_DIR_HELP),
+    ),
+    "multivantage": _COMMON_ROWS + (
+        ("--vps", "multivantage.vps",
+         "vantage point code (repeatable, case-insensitive; default: all "
+         "eight)"),
+        ("--month", "multivantage.months", _MONTH_HELP.format("just 0, a single wave")),
+        ("--domain", "multivantage.domains",
+         "target domain (repeatable; default: the world's reachable union)"),
+        ("--regime", "multivantage.regime",
+         "regulation regime, in any letter case: baseline browses from "
+         "home; eu routes every VP through a German exit; non-eu routes the "
+         "EU VPs through a US exit; geo-blocked has wall sites refuse "
+         "GDPR-region visitors (default: baseline)"),
+        ("--relocate-month", "multivantage.relocate_month",
+         "first wave (month offset) the relocations apply from (default 0: "
+         "all waves; later values change subsequent waves only)"),
+        ("--out-dir", "output.out_dir", _OUT_DIR_HELP),
+    ),
+}
 
 
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=_positive_int, default=argparse.SUPPRESS,
-        help="crawl-engine worker processes (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--shards", type=_positive_int, default=argparse.SUPPRESS,
-        help="crawl-engine shard count (default: 1 serial, 4x workers "
-             "parallel; tasks are sharded by a stable domain hash)",
-    )
-    parser.add_argument(
-        "--executor", choices=EXECUTOR_BACKENDS,
-        default=argparse.SUPPRESS,
-        help="executor backend (default: serial when --workers 1, "
-             "distributed otherwise — shard bundles go to worker "
-             "processes over a socket work queue; final JSONL is "
-             "byte-identical across backends)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true", default=argparse.SUPPRESS,
-        help="resume an interrupted run from its checkpoint "
-             "(<out>.checkpoint); refuses when the checkpoint fingerprint "
-             "does not match the plan/world/config",
-    )
-    parser.add_argument(
-        "--chaos-seed", type=int, default=argparse.SUPPRESS,
-        help="seed for the deterministic fault-injection plane "
-             "(chaos.* config sets the rates; recoverable faults leave "
-             "the output byte-identical to a fault-free run)",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=argparse.SUPPRESS,
-        help="per-task virtual-seconds budget across attempts and "
-             "backoff (resilience.task_deadline; breached tasks degrade "
-             "to DeadlineExceeded partial records, no real sleeping)",
-    )
-    parser.add_argument(
-        "--breaker", type=_positive_int, default=argparse.SUPPRESS,
-        help="open a per-domain circuit breaker after N consecutive "
-             "task failures (resilience.breaker_threshold; quarantined "
-             "tasks degrade to BreakerOpenError records, breaker state "
-             "survives --resume)",
-    )
+@functools.lru_cache(maxsize=None)
+def _field(path: str):
+    """``(shape, default)`` of the RunSpec field at ``section.field``."""
+    section, name = path.split(".")
+    cls = typing.get_type_hints(RunSpec)[section]
+    return schema.fields_shape(cls)[name].shape, getattr(cls, name)
+
+
+def _flag_kwargs(shape) -> Dict[str, object]:
+    """argparse settings for a field of *shape*: a sequence repeats (one
+    item a flag), a flag is ``store_true``, choices stay choices; every
+    bound is the spec's to check."""
+    if isinstance(shape, tuple):  # Optional[X] takes an X
+        (shape,) = (option for option in shape if option is not None)
+    if isinstance(shape, list):
+        return dict(_flag_kwargs(shape[0]), action="append")
+    if shape is bool:
+        return {"action": "store_true"}
+    if isinstance(shape, schema.OneOf):
+        return {"choices": shape.choices}
+    kind = shape.kind if isinstance(shape, schema.Range) else shape
+    return {} if kind is str else {"type": kind}
+
+
+def _add_flags(parser: argparse.ArgumentParser, rows, *, spec_mode: bool = True) -> None:
+    """Add each row's flag; it stores under its ``section.field`` path,
+    with the field's default outside *spec_mode*."""
+    for flag, path, help_text in rows:
+        shape, default = _field(path)
+        kwargs = _flag_kwargs(shape)
+        if kwargs.get("action") != "store_true" and "choices" not in kwargs:
+            kwargs["metavar"] = flag[2:].upper().replace("-", "_")
+        parser.add_argument(
+            flag, dest=path, default=argparse.SUPPRESS if spec_mode else default,
+            help=help_text, **kwargs,
+        )
+
+
+def _add_spec_surface(parser: argparse.ArgumentParser, kind: str) -> None:
+    """The full flag surface of one spec-backed subcommand."""
+    _add_flags(parser, _KIND_ROWS[kind])
     parser.add_argument(
         "--config", metavar="FILE", default=argparse.SUPPRESS,
         help="load a run spec from a TOML or JSON config file; flags "
              "given explicitly override the file's values",
     )
-
-
-def _add_crawl_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--vp", action="append", default=argparse.SUPPRESS,
-        help="vantage point code (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--out", default=argparse.SUPPRESS,
-        help="output JSONL path (required unless the config supplies "
-             "output.path)",
-    )
-
-
-def _add_measure_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--vp", default=argparse.SUPPRESS,
-        help="vantage point code (default: DE)",
-    )
-    parser.add_argument(
-        "--mode", choices=("accept", "reject", "ublock"),
-        default=argparse.SUPPRESS,
-        help="measurement mode (default: accept)",
-    )
-    parser.add_argument(
-        "--repeats", type=_positive_int, default=argparse.SUPPRESS,
-        help="visits per domain (default 5, the paper's methodology)",
-    )
-    parser.add_argument(
-        "--domain", action="append", default=argparse.SUPPRESS,
-        help="target domain (repeatable; default: detected wall domains "
-             "from a fresh detection crawl)",
-    )
-    parser.add_argument(
-        "--out", default=argparse.SUPPRESS,
-        help="output JSONL path (required unless the config supplies "
-             "output.path)",
-    )
-
-
-def _add_longitudinal_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--vp", default=argparse.SUPPRESS,
-        help="vantage point code (default: DE)",
-    )
-    parser.add_argument(
-        "--month", action="append", type=int, default=argparse.SUPPRESS,
-        dest="months",
-        help="wave offset in months, repeatable and increasing; 0 is the "
-             "baseline snapshot (default: 0 and 4, the paper's May/Sept gap)",
-    )
-    parser.add_argument(
-        "--out-dir", default=argparse.SUPPRESS,
-        help="spool each wave to <dir>/wave-<MM>.jsonl with a resumable "
-             "checkpoint alongside",
-    )
-
-
-def _add_multivantage_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--vps", action="append", default=argparse.SUPPRESS,
-        help="vantage point code (repeatable, case-insensitive; "
-             "default: all eight)",
-    )
-    parser.add_argument(
-        "--month", action="append", type=int, default=argparse.SUPPRESS,
-        dest="months",
-        help="wave offset in months, repeatable and increasing; 0 is the "
-             "baseline snapshot (default: just 0, a single wave)",
-    )
-    parser.add_argument(
-        "--domain", action="append", default=argparse.SUPPRESS,
-        help="target domain (repeatable; default: the world's reachable "
-             "union)",
-    )
-    parser.add_argument(
-        "--regime", choices=("baseline", "eu", "non-eu", "geo-blocked"),
-        default=argparse.SUPPRESS,
-        help="regulation regime: baseline browses from home; eu routes "
-             "every VP through a German exit; non-eu routes the EU VPs "
-             "through a US exit; geo-blocked has wall sites refuse "
-             "GDPR-region visitors",
-    )
-    parser.add_argument(
-        "--relocate", action="append", default=argparse.SUPPRESS,
-        metavar="VP=EXIT",
-        help="VPN-like relocation: traffic of VP exits at EXIT "
-             "(repeatable; applied on top of the regime)",
-    )
-    parser.add_argument(
-        "--relocate-month", type=int, default=argparse.SUPPRESS,
-        help="first wave (month offset) the relocations apply from "
-             "(default 0: all waves; later values change subsequent "
-             "waves only)",
-    )
-    parser.add_argument(
-        "--out-dir", default=argparse.SUPPRESS,
-        help="spool each wave to <dir>/wave-<MM>.jsonl with a resumable "
-             "checkpoint alongside",
-    )
-
-
-_WORKLOAD_ARGS = {
-    "crawl": _add_crawl_args,
-    "measure": _add_measure_args,
-    "longitudinal": _add_longitudinal_args,
-    "multivantage": _add_multivantage_args,
-}
-
-
-def _add_spec_surface(parser: argparse.ArgumentParser, kind: str) -> None:
-    """The full flag surface of one spec-backed subcommand."""
-    _add_world_args(parser, spec_mode=True)
-    _add_engine_args(parser)
-    _WORKLOAD_ARGS[kind](parser)
+    if kind == "multivantage":
+        parser.add_argument(
+            "--relocate", action="append", default=argparse.SUPPRESS,
+            metavar="VP=EXIT",
+            help="VPN-like relocation: traffic of VP exits at EXIT "
+                 "(repeatable; applied on top of the regime)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", nargs="+",
         help=f"experiment ids (or 'all'); known: {', '.join(sorted(EXPERIMENTS))}",
     )
-    _add_world_args(run)
+    _add_flags(run, _WORLD_ROWS, spec_mode=False)
     run.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
@@ -255,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
 
     stats = sub.add_parser("stats", help="print world ground-truth stats")
-    _add_world_args(stats)
+    _add_flags(stats, _WORLD_ROWS, spec_mode=False)
 
     crawl = sub.add_parser(
         "crawl", help="run a detection crawl and save JSONL records"
@@ -289,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resolve a run spec (config file + flags) and print it "
              "without running anything",
     )
-    spec_sub = spec.add_subparsers(dest="spec_kind", required=True)
+    spec_sub = spec.add_subparsers(dest="kind", required=True)
     for kind in _SPEC_COMMANDS:
         kind_parser = spec_sub.add_parser(
             kind, help=f"resolve and print a '{kind}' run spec"
@@ -355,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile a run spec from flags/--config (exactly like the "
              "run subcommands) and submit it to a campaign service",
     )
-    submit_sub = submit.add_subparsers(dest="submit_kind", required=True)
+    submit_sub = submit.add_subparsers(dest="kind", required=True)
     for kind in _SPEC_COMMANDS:
         kind_parser = submit_sub.add_parser(
             kind, help=f"submit a '{kind}' campaign"
@@ -378,19 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="poll until the campaign leaves the queue and print "
                  "its final state",
         )
-
-    checkpoint = sub.add_parser(
-        "checkpoint", help="crawl-checkpoint file maintenance"
-    )
-    checkpoint_sub = checkpoint.add_subparsers(
-        dest="checkpoint_command", required=True
-    )
-    compact = checkpoint_sub.add_parser(
-        "compact",
-        help="rewrite an append-only checkpoint keeping only the latest "
-             "outcome per task (header and resumability preserved)",
-    )
-    compact.add_argument("path", help="checkpoint file (<out>.checkpoint)")
 
     report = sub.add_parser(
         "report", help="summarise saved crawl records (walls per VP, or "
@@ -415,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export-toplists", help="write the country toplists as CrUX-style CSV"
     )
-    _add_world_args(export)
+    _add_flags(export, _WORLD_ROWS, spec_mode=False)
     export.add_argument("--dir", required=True, help="output directory")
 
     verify = sub.add_parser(
         "verify",
         help="run every experiment and compare against the paper's numbers",
     )
-    _add_world_args(verify)
+    _add_flags(verify, _WORLD_ROWS, spec_mode=False)
     verify.add_argument(
         "--markdown", action="store_true",
         help="emit the EXPERIMENTS.md-style markdown table",
@@ -431,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="check the generated world's structural invariants"
     )
-    _add_world_args(validate)
+    _add_flags(validate, _WORLD_ROWS, spec_mode=False)
 
     return parser
 
@@ -440,51 +393,26 @@ def build_parser() -> argparse.ArgumentParser:
 # argv -> RunSpec
 # ---------------------------------------------------------------------------
 
-#: ``(dest, section, field)``: the spec field each subcommand's flag
-#: sets (``--resume`` is ``store_true``: its value is True).
-_COMMON_FLAGS = (
-    ("scale", "world", "scale"), ("seed", "world", "seed"),
-    ("workers", "engine", "workers"), ("shards", "engine", "shards"),
-    ("executor", "engine", "executor"), ("resume", "engine", "resume"),
-    ("chaos_seed", "chaos", "seed"), ("deadline", "resilience", "task_deadline"),
-    ("breaker", "resilience", "breaker_threshold"),
-)
-_SPEC_FLAGS = {
-    "crawl": _COMMON_FLAGS + (("vp", "crawl", "vps"), ("out", "output", "path")),
-    "measure": _COMMON_FLAGS + (
-        ("vp", "measure", "vp"), ("mode", "measure", "mode"),
-        ("repeats", "measure", "repeats"), ("domain", "measure", "domains"),
-        ("out", "output", "path"),
-    ),
-    "longitudinal": _COMMON_FLAGS + (
-        ("vp", "longitudinal", "vp"), ("months", "longitudinal", "months"),
-        ("out_dir", "output", "out_dir"),
-    ),
-    "multivantage": _COMMON_FLAGS + (
-        ("vps", "multivantage", "vps"), ("months", "multivantage", "months"),
-        ("domain", "multivantage", "domains"), ("regime", "multivantage", "regime"),
-        ("relocate_month", "multivantage", "relocate_month"),
-        ("out_dir", "output", "out_dir"),
-    ),
-}
+def _given(args: argparse.Namespace, rows) -> Dict[str, Dict[str, object]]:
+    """``{section: {field: value}}`` for the rows' flags present in *args*."""
+    given: Dict[str, Dict[str, object]] = {}
+    for _, path, _ in rows:
+        if hasattr(args, path):
+            section, name = path.split(".")
+            given.setdefault(section, {})[name] = getattr(args, path)
+    return given
 
 
-def _compile_spec(kind: str, args: argparse.Namespace):
+def _compile_spec(kind: str, args: argparse.Namespace) -> RunSpec:
     """Compile parsed argv into a validated RunSpec.
 
     Precedence: spec defaults < ``--config`` file values < explicitly
     given flags.  SUPPRESS defaults make "explicitly given" knowable —
     an absent attribute means the flag was omitted.
     """
-    from repro.api import RunSpec, SpecError
-
     config = getattr(args, "config", None)
     base = RunSpec.load(config, kind=kind) if config else RunSpec(kind=kind)
-    overrides = {section: {} for _, section, _ in _SPEC_FLAGS[kind]}
-    for dest, section, name in _SPEC_FLAGS[kind]:
-        if hasattr(args, dest):
-            value = getattr(args, dest)
-            overrides[section][name] = tuple(value) if isinstance(value, list) else value
+    overrides = _given(args, _KIND_ROWS[kind])
     if hasattr(args, "relocate"):
         relocations = {}
         for pair in args.relocate:
@@ -494,20 +422,14 @@ def _compile_spec(kind: str, args: argparse.Namespace):
                     f"--relocate takes VP=EXIT pairs, got {pair!r}"
                 )
             relocations[home] = exit_code
-        overrides["multivantage"]["relocate"] = relocations
+        overrides.setdefault("multivantage", {})["relocate"] = relocations
     return base.override(overrides)
 
 
-def _run_spec_command(kind: str, args: argparse.Namespace) -> int:
-    """Compile and execute one spec-backed subcommand via a Session."""
-    from repro.api import Session, SpecError
+def _run_spec_command(kind: str, spec: RunSpec) -> int:
+    """Execute one compiled spec-backed subcommand via a Session."""
     from repro.measure import CheckpointMismatch
 
-    try:
-        spec = _compile_spec(kind, args)
-    except SpecError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     if kind in ("crawl", "measure") and not spec.output.path:
         print(
             "error: an output path is required (--out, or output.path "
@@ -545,6 +467,16 @@ def _run_spec_command(kind: str, args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # `spec <kind>` and `submit <kind>` compile like `<kind>` itself.
+    kind = getattr(args, "kind", args.command)
+    try:
+        if kind in _SPEC_COMMANDS:
+            spec = _compile_spec(kind, args)
+        elif hasattr(args, "world.scale"):  # a world-building subcommand
+            world_spec = WorldSpec.from_dict(_given(args, _WORLD_ROWS)["world"])
+    except SpecError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if args.command == "list":
         for experiment_id in sorted(EXPERIMENTS):
@@ -552,22 +484,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "stats":
-        world = build_world(scale=args.scale, seed=args.seed)
+        world = build_world(scale=world_spec.scale, seed=world_spec.seed)
         for key, value in world.stats().items():
             print(f"{key}: {value}")
         return 0
 
     if args.command in _SPEC_COMMANDS:
-        return _run_spec_command(args.command, args)
+        return _run_spec_command(kind, spec)
 
     if args.command == "spec":
-        from repro.api import SpecError
-
-        try:
-            spec = _compile_spec(args.spec_kind, args)
-        except SpecError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         return 0
 
@@ -603,14 +528,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "submit":
-        from repro.api import SpecError
         from repro.service import ServiceClient, ServiceError
 
-        try:
-            spec = _compile_spec(args.submit_kind, args)
-        except SpecError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         client = ServiceClient(args.url)
         try:
             job = client.submit(
@@ -625,17 +544,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ServiceError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        return 0
-
-    if args.command == "checkpoint":
-        from repro.measure import CheckpointMismatch, CrawlEngine
-
-        try:
-            compaction = CrawlEngine.compact_checkpoint(args.path)
-        except (CheckpointMismatch, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(compaction.render())
         return 0
 
     if args.command == "report":
@@ -712,7 +620,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "export-toplists":
         from repro.webgen.crux import export_all
 
-        world = build_world(scale=args.scale, seed=args.seed)
+        world = build_world(scale=world_spec.scale, seed=world_spec.seed)
         paths = export_all(world.toplists, args.dir)
         for path in paths:
             print(path)
@@ -721,7 +629,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "verify":
         from repro.analysis.papercheck import compare_with_paper
 
-        world = build_world(scale=args.scale, seed=args.seed)
+        world = build_world(scale=world_spec.scale, seed=world_spec.seed)
         context = ExperimentContext(world)
         results = [
             run_experiment(e, context=context) for e in sorted(EXPERIMENTS)
@@ -737,7 +645,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "validate":
         from repro.webgen.validate import validate_world
 
-        world = build_world(scale=args.scale, seed=args.seed)
+        world = build_world(scale=world_spec.scale, seed=world_spec.seed)
         report = validate_world(world)
         print(report.render())
         return 0 if report.ok else 1
@@ -750,7 +658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    world = build_world(scale=args.scale, seed=args.seed)
+    world = build_world(scale=world_spec.scale, seed=world_spec.seed)
     context = ExperimentContext(world)
     results = [
         run_experiment(experiment_id, context=context)

@@ -11,7 +11,6 @@ from repro.measure.cookies_analysis import CookieCounts, count_cookies
 from repro.measure.crawl import Crawler, CrawlResult
 from repro.measure.engine import (
     EXECUTOR_BACKENDS,
-    CheckpointCompaction,
     CheckpointMismatch,
     CrawlEngine,
     CrawlPlan,
@@ -37,7 +36,6 @@ __all__ = [
     "CrawlEngine",
     "CrawlPlan",
     "CrawlTask",
-    "CheckpointCompaction",
     "CheckpointMismatch",
     "EngineResult",
     "TaskOutcome",

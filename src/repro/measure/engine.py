@@ -306,7 +306,7 @@ class TaskOutcome:
     attempts: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetryPolicy:
     """Per-task retry behaviour for transient failures.
 
@@ -323,31 +323,36 @@ class RetryPolicy:
     (jitter derives from the task identity, never a live RNG) so the
     same policy yields the same attempt schedule on every backend.
     ``breaker_threshold``/``breaker_quarantine`` configure the
-    per-domain circuit breakers; ``None`` disables them.  Every field
-    is a number or flag, so ``RetryPolicy(**asdict(policy))`` round-trips.
+    per-domain circuit breakers; ``None`` disables them.
+
+    Each field carries its bound beside it (:func:`repro.schema.field`):
+    the run spec's ``resilience`` section *is* this policy
+    (``ResilienceSpec``) and checks them, and so does the worker state
+    that ships the policy to workers.  Every field is a number or flag,
+    so ``RetryPolicy(**asdict(policy))`` round-trips.
     """
 
-    max_attempts: int = 2
+    max_attempts: int = schema.field(2, min=1)
     retry_unreachable: bool = False
-    #: Exponential-backoff schedule (virtual seconds); base <= 0 means
-    #: no inter-attempt delay.
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
+    #: Exponential-backoff schedule (virtual seconds); base 0 means no
+    #: inter-attempt delay.
+    backoff_base: float = schema.field(0.5, min=0)
+    backoff_factor: float = schema.field(2.0, min=1)
+    backoff_max: float = schema.field(30.0, min=0)
     #: Deterministic jitter fraction in [0, 1]: each delay is scaled by
     #: ``1 - jitter * roll`` where roll derives from the task identity.
-    jitter: float = 0.1
+    jitter: float = schema.field(0.1, min=0, max=1)
     #: Virtual-seconds budget for one attempt (None = unlimited); the
     #: clock raises TimeoutError when an attempt exceeds it.
-    attempt_deadline: Optional[float] = None
+    attempt_deadline: Optional[float] = schema.field(None, above=0)
     #: Virtual-seconds budget for one task across all attempts + backoff
     #: (None = unlimited); breached budgets degrade to DeadlineExceeded.
-    task_deadline: Optional[float] = None
+    task_deadline: Optional[float] = schema.field(None, above=0)
     #: Open a domain's circuit after this many consecutive task
     #: failures (None disables breakers entirely).
-    breaker_threshold: Optional[int] = None
+    breaker_threshold: Optional[int] = schema.field(None, min=1)
     #: How many tasks an open breaker skips before a half-open probe.
-    breaker_quarantine: int = 4
+    breaker_quarantine: int = schema.field(4, min=1)
 
     def backoff_delay(self, task: CrawlTask, attempt: int) -> float:
         """The virtual-seconds delay before retrying *task*'s *attempt*."""
@@ -615,24 +620,6 @@ def _run_shard_bundle(bundle: Dict) -> Dict:
     }
 
 
-@dataclass(frozen=True)
-class CheckpointCompaction:
-    """What :meth:`CrawlEngine.compact_checkpoint` did to one file."""
-
-    path: Path
-    #: Outcome lines kept (the latest per plan index).
-    kept: int
-    #: Superseded/duplicate outcome lines dropped.
-    dropped: int
-    fingerprint: str
-
-    def render(self) -> str:
-        return (
-            f"{self.path}: kept {self.kept} outcomes, dropped "
-            f"{self.dropped} (fingerprint {self.fingerprint})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Streaming checkpoint machinery
 #
@@ -641,7 +628,7 @@ class CheckpointCompaction:
 # runs*.  A byte-offset scan recovers the run boundaries of a file
 # this process did not write, and the same latest-wins k-way merge the
 # output join uses (:func:`~repro.measure.storage.iter_journal_runs`)
-# streams resume and compaction with one buffered line per run.
+# streams each resume's rewrite with one buffered line per run.
 # ---------------------------------------------------------------------------
 
 #: Checkpoint outcome (:func:`_journal_outcome`) and breaker lines.
@@ -666,8 +653,6 @@ class _CheckpointScan:
     #: last complete line (a torn trailing line is excluded, as on any
     #: checkpoint read).
     runs: List[Run]
-    #: Total outcome lines (duplicates included).
-    outcome_lines: int
     #: Unique plan indices with a checkpointed outcome.
     indices: Set[int]
     #: Latest-wins circuit-breaker snapshots keyed by domain
@@ -695,7 +680,6 @@ def _scan_checkpoint(
     header: Optional[Dict] = None
     starts: List[int] = []
     end = 0
-    outcome_lines = 0
     indices: Set[int] = set()
     breakers: Dict[str, Dict] = {}
     prev_index: Optional[int] = None
@@ -754,7 +738,6 @@ def _scan_checkpoint(
             index = payload["index"]
             if validate is not None:
                 validate(line_number, payload)
-            outcome_lines += 1
             indices.add(index)
             if prev_index is None or index <= prev_index:
                 starts.append(line_start)
@@ -769,7 +752,6 @@ def _scan_checkpoint(
         header_line=header_line,
         header=header,
         runs=list(zip(starts, starts[1:] + [end])),
-        outcome_lines=outcome_lines,
         indices=indices,
         breakers=breakers,
     )
@@ -786,20 +768,20 @@ def _breaker_line(snapshots: Dict[str, Dict]) -> str:
 
 def _rewrite_checkpoint(
     path: Path,
-    refusal: str,
     *,
     validate: Optional[Callable[[int, Dict], None]] = None,
     on_header: Optional[Callable[[Dict], None]] = None,
-) -> Tuple[_CheckpointScan, int, Run]:
-    """The checkpoint file's one rewrite, shared by resume and
-    compaction; returns the scan, the outcome lines kept, and the byte
-    range of the one sorted run they form in the rewritten file.
+) -> Tuple[_CheckpointScan, Run]:
+    """The rewrite every resume starts with; returns the scan and the
+    byte range of the one sorted run the kept outcomes (one per index
+    in ``scan.indices``) form in the rewritten file.
 
-    Scans *path* (corruption is refused as :class:`CheckpointMismatch`
-    ending in *refusal*), then replaces it through
-    :func:`~repro.durable.atomic_write` with its canonical form: the
-    header verbatim, one consolidated breaker line (latest-wins already
-    applied by the scan), and the latest-wins outcomes in plan order.
+    Scans *path* (corruption is refused as :class:`CheckpointMismatch`),
+    then replaces it through :func:`~repro.durable.atomic_write` with
+    its canonical, compacted form: the header verbatim, one
+    consolidated breaker line (latest-wins already applied by the
+    scan), and the latest-wins outcomes in plan order, so repeated
+    crash/resume cycles never grow the file with superseded lines.
     A failed rewrite leaves the original file and no scratch behind.
     """
     try:
@@ -811,21 +793,20 @@ def _rewrite_checkpoint(
         # payload — all land on the same refusal path the CLI already
         # handles, instead of a raw traceback.
         raise CheckpointMismatch(
-            f"{path}: corrupt checkpoint ({error}); {refusal}"
+            f"{path}: corrupt checkpoint ({error}); refusing to resume "
+            "— rerun without resume to start over"
         ) from error
 
-    def rewrite(handle) -> Tuple[int, Run]:
+    def rewrite(handle) -> Run:
         handle.write((scan.header_line + "\n").encode("utf-8"))
         if scan.breakers:
             handle.write(_breaker_line(scan.breakers).encode("utf-8"))
-        start, kept = handle.tell(), 0
+        start = handle.tell()
         for _, _, line in iter_journal_runs(path, scan.runs):
             handle.write((line + "\n").encode("utf-8"))
-            kept += 1
-        return kept, (start, handle.tell())
+        return start, handle.tell()
 
-    kept, run = atomic_write(path, rewrite)
-    return scan, kept, run
+    return scan, atomic_write(path, rewrite)
 
 
 def _journal_outcome(
@@ -1617,13 +1598,10 @@ class CrawlEngine:
                 # deserialising a record.
                 validate_record_payload(record_payload)
 
-        scan, kept, run = _rewrite_checkpoint(
-            path,
-            "refusing to resume — rerun without resume to start over",
-            validate=validate,
-            on_header=on_header,
+        scan, run = _rewrite_checkpoint(
+            path, validate=validate, on_header=on_header
         )
-        if kept:
+        if scan.indices:
             self._runs.append(run)
         return CheckpointReplay(scan.indices, dict(scan.breakers))
 
@@ -1646,39 +1624,6 @@ class CrawlEngine:
         return (
             json.dumps(head, ensure_ascii=False)[:-1]
             + ', "record": ' + raw + "}\n"
-        )
-
-    @staticmethod
-    def compact_checkpoint(path: Union[str, Path]) -> CheckpointCompaction:
-        """Rewrite an append-only checkpoint, keeping only the latest
-        outcome per task.
-
-        Long crash/resume cycles grow the checkpoint: a shard that
-        died after checkpointing half its tasks re-runs them on
-        resume, so later lines supersede earlier ones for the same
-        plan index.  Compaction keeps the **last** outcome per index
-        (the append order is the authority), preserves the
-        :func:`plan_fingerprint` header verbatim, sorts outcomes into
-        plan order, and replaces the file atomically — a compacted
-        checkpoint resumes exactly like the original.  A torn trailing
-        line (crashed writer) is dropped, as on any checkpoint read.
-
-        Raises :class:`CheckpointMismatch` when *path* is not a crawl
-        checkpoint (no header / mid-file corruption).
-
-        Shares its one rewrite with the resume reconcile: a boundary
-        scan plus the latest-wins k-way merge over the sorted runs
-        (:func:`~repro.measure.storage.iter_journal_runs`), so compaction
-        memory is one buffered line per run (plus the index set), never
-        the outcome payloads.
-        """
-        path = Path(path)
-        scan, kept, _ = _rewrite_checkpoint(path, "refusing to compact")
-        return CheckpointCompaction(
-            path=path,
-            kept=kept,
-            dropped=scan.outcome_lines - kept,
-            fingerprint=str(scan.header.get("fingerprint")),
         )
 
     # ------------------------------------------------------------------

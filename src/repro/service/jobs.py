@@ -52,10 +52,14 @@ class JobCancelled(ReproError):
 def job_id(spec: RunSpec, tenant: str) -> str:
     """The content-addressed id: hash of canonical spec JSON + tenant.
 
-    Stable across submits (idempotence) and across service restarts
-    (the resumable-campaign key).
+    Stable across submits (idempotence), across service restarts (the
+    resumable-campaign key), and across spec schema versions: the
+    ``schema_version`` key is left out, so a release that bumps it
+    keeps the ids of campaigns whose settings did not change.
     """
-    canonical = json.dumps(spec.to_dict(), sort_keys=True)
+    data = spec.to_dict()
+    del data["schema_version"]
+    canonical = json.dumps(data, sort_keys=True)
     digest = hashlib.sha256(
         f"{tenant}\n{canonical}".encode("utf-8")
     ).hexdigest()

@@ -10,6 +10,7 @@ from repro.api import (
     LongitudinalSpec,
     MeasureSpec,
     OutputSpec,
+    ResilienceSpec,
     RunSpec,
     SpecError,
     WorldSpec,
@@ -28,7 +29,7 @@ def specs_of_every_kind():
         RunSpec(
             kind="measure",
             world=WorldSpec(scale=0.02, seed=7),
-            engine=EngineSpec(retry_max_attempts=3, retry_unreachable=True),
+            resilience=ResilienceSpec(max_attempts=3, retry_unreachable=True),
             measure=MeasureSpec(vp="SE", mode="ublock", repeats=2),
             output=OutputSpec(path="ublock.jsonl"),
         ),
@@ -372,6 +373,28 @@ class TestSchemaVersioning:
         payload["schema_version"] = 4
         payload["engine"]["checkpoint"] = True
         assert RunSpec.from_dict(payload) == spec
+
+    def test_v5_retry_settings_move_to_resilience(self):
+        """Specs saved while the retry settings lived in ``engine`` keep
+        loading: they land on the resilience section, which is the
+        engine's RetryPolicy."""
+        spec = specs_of_every_kind()[1]
+        payload = spec.to_dict()
+        payload["schema_version"] = 5
+        del payload["resilience"]["max_attempts"]
+        del payload["resilience"]["retry_unreachable"]
+        payload["engine"].update(retry_max_attempts=3, retry_unreachable=True)
+        loaded = RunSpec.from_dict(payload)
+        assert loaded.resilience.max_attempts == 3
+        assert loaded.resilience.retry_unreachable is True
+        assert loaded == spec
+        # A v5 spec without a resilience section gets one.
+        loaded = RunSpec.from_dict({
+            "schema_version": 5, "kind": "crawl",
+            "engine": {"workers": 2, "retry_max_attempts": 4},
+        })
+        assert loaded.resilience == ResilienceSpec(max_attempts=4)
+        assert loaded.engine == EngineSpec(workers=2)
 
     def test_future_version_rejected_readably(self):
         from repro.api import SpecVersionError

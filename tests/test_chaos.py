@@ -354,9 +354,9 @@ def test_breaker_state_survives_kill_and_resume(
 def test_compacted_checkpoint_keeps_breaker_state(
     tmp_path, chaos_crawler, breaker_plan_factory, breaker_chaos,
 ):
-    """checkpoint compaction must consolidate, not drop, the breaker
-    lines — a resume from a compacted checkpoint restores the same
-    registry."""
+    """The compacting rewrite every resume starts with must consolidate,
+    not drop, the breaker lines: one line holds the same snapshots, and
+    the resume restores them."""
     out = tmp_path / "run.jsonl"
     checkpoint = tmp_path / "run.jsonl.checkpoint"
     engine = CrawlEngine(
@@ -369,8 +369,16 @@ def test_compacted_checkpoint_keeps_breaker_state(
         chaos_execute(engine, breaker_plan_factory, breaker_chaos)
     before = _breaker_checkpoint_domains(checkpoint)
     assert before
-    stats = CrawlEngine.compact_checkpoint(checkpoint)
-    assert stats.kept >= 0
+    resumer = CrawlEngine(
+        chaos_crawler, spool_path=out, resume=True,
+        retry=RetryPolicy(**BREAKER_RETRY), shards=SHARDS,
+    )
+    replay = resumer._reconcile_checkpoint(
+        chaos_plan(breaker_plan_factory, breaker_chaos)
+    )
+    assert replay.breakers == before
+    lines = checkpoint.read_text(encoding="utf-8").splitlines()
+    assert [i for i, line in enumerate(lines) if '"kind": "breaker"' in line] == [1]
     assert _breaker_checkpoint_domains(checkpoint) == before
 
 

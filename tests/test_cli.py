@@ -117,6 +117,15 @@ class TestResume:
         ) == 0
         assert out_file.read_bytes() == clean.read_bytes()
 
+    def test_resume_refuses_non_checkpoint(self, tmp_path, capsys):
+        out_file = tmp_path / "records.jsonl"
+        (tmp_path / "records.jsonl.checkpoint").write_text('{"kind": "outcome"}\n')
+        assert main(
+            ["crawl", "--scale", "0.01", "--seed", "3", "--vp", "DE",
+             "--resume", "--out", str(out_file)]
+        ) == 2
+        assert "not a crawl checkpoint" in capsys.readouterr().err
+
     def test_resume_refuses_fingerprint_mismatch(self, tmp_path, capsys):
         out_file = self._crashed_checkpoint(tmp_path)
         # Same output path, different world seed: must refuse, exit 2.
@@ -223,6 +232,43 @@ class TestMeasure:
         assert record.domain == domain
 
 
+#: Every common flag, with the spec values it sets.
+COMMON_ARGV = (
+    ["--scale", "0.01", "--seed", "3", "--workers", "4", "--shards", "8",
+     "--executor", "distributed", "--resume", "--chaos-seed", "9",
+     "--deadline", "12.5", "--breaker", "3"],
+    {"world.scale": 0.01, "world.seed": 3, "engine.workers": 4,
+     "engine.shards": 8, "engine.executor": "distributed",
+     "engine.resume": True, "chaos.seed": 9,
+     "resilience.task_deadline": 12.5, "resilience.breaker_threshold": 3},
+)
+
+#: ``(argv after "spec", {"section.field": value})``: each kind's own
+#: flags after every common flag, so each flag of every kind is read.
+GOLDEN_ARGV = [
+    (["crawl", *COMMON_ARGV[0], "--vp", "DE", "--vp", "USE", "--out", "r.jsonl"],
+     {**COMMON_ARGV[1], "crawl.vps": ["DE", "USE"], "output.path": "r.jsonl"}),
+    (["measure", *COMMON_ARGV[0], "--vp", "SE", "--mode", "ublock",
+      "--repeats", "2", "--domain", "a.com", "--domain", "b.com",
+      "--out", "u.jsonl"],
+     {**COMMON_ARGV[1], "measure.vp": "SE", "measure.mode": "ublock",
+      "measure.repeats": 2, "measure.domains": ["a.com", "b.com"],
+      "output.path": "u.jsonl"}),
+    (["longitudinal", *COMMON_ARGV[0], "--vp", "USW", "--month", "0",
+      "--month", "6", "--out-dir", "waves"],
+     {**COMMON_ARGV[1], "longitudinal.vp": "USW",
+      "longitudinal.months": [0, 6], "output.out_dir": "waves"}),
+    (["multivantage", *COMMON_ARGV[0], "--vps", "de", "--vps", "USE",
+      "--month", "0", "--month", "2", "--domain", "x.com", "--regime", "EU",
+      "--relocate", "DE=USE", "--relocate-month", "2", "--out-dir", "mv"],
+     {**COMMON_ARGV[1], "multivantage.vps": ["de", "USE"],
+      "multivantage.months": [0, 2], "multivantage.domains": ["x.com"],
+      "multivantage.regime": "EU", "multivantage.relocate": {"DE": "USE"},
+      "multivantage.relocate_month": 2, "output.out_dir": "mv"}),
+    (["multivantage", "--regime", "non-EU"], {"multivantage.regime": "non-EU"}),
+]
+
+
 class TestSpecSubcommand:
     def test_prints_resolved_defaults(self, capsys):
         from repro.api import SPEC_SCHEMA_VERSION
@@ -235,14 +281,12 @@ class TestSpecSubcommand:
         assert payload["engine"]["workers"] == 1
 
     def test_flags_resolve_into_spec(self, capsys):
-        assert main(
-            ["spec", "measure", "--scale", "0.01", "--mode", "ublock",
-             "--workers", "4", "--out", "u.jsonl"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["measure"]["mode"] == "ublock"
-        assert payload["engine"]["workers"] == 4
-        assert payload["output"]["path"] == "u.jsonl"
+        for argv, expected in GOLDEN_ARGV:
+            assert main(["spec", *argv]) == 0, argv
+            payload = json.loads(capsys.readouterr().out)
+            for path, value in expected.items():
+                section, name = path.split(".")
+                assert payload[section][name] == value, (argv, path)
 
     def test_invalid_spec_exits_2(self, capsys):
         assert main(
@@ -274,43 +318,45 @@ class TestConfigFlag:
         assert main(["crawl", "--config", str(config)]) == 2
         assert "requested" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, flags, config_text", [
+        ("crawl", ["--workers", "0"], "[engine]\nworkers = 0\n"),
+        ("measure", ["--repeats", "0"], "[measure]\nrepeats = 0\n"),
+        ("crawl", ["--deadline", "0"], "[resilience]\ntask_deadline = 0.0\n"),
+        ("crawl", ["--scale", "0"], "[world]\nscale = 0.0\n"),
+    ], ids=["workers", "repeats", "deadline", "scale"])
+    def test_bound_error_reads_like_the_config(
+        self, tmp_path, capsys, kind, flags, config_text
+    ):
+        """A flag's bound is the spec's: the flag and the config value
+        fail with the same message (the config's names its file), exit 2."""
+        out = ["--out", str(tmp_path / "x.jsonl")]
+        assert main([kind, *flags, *out]) == 2
+        from_flag = capsys.readouterr().err
+        config = tmp_path / "run.toml"
+        config.write_text(config_text)
+        assert main([kind, "--config", str(config), *out]) == 2
+        from_config = capsys.readouterr().err
+        assert from_flag.startswith("error: ")
+        assert from_flag == from_config.replace(f"{config}: ", "")
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_missing_out_reported(self, tmp_path, capsys):
         assert main(["crawl", "--scale", "0.01"]) == 2
         assert "output path is required" in capsys.readouterr().err
 
 
-class TestCheckpointCompactVerb:
-    def test_compacts_crashed_checkpoint(self, tmp_path, capsys):
-        # Build a crashed checkpoint via the fault-injecting engine.
-        from repro.measure import Crawler, CrawlEngine, FaultInjectingExecutor
-        from repro.webgen import build_world
-
-        spool = tmp_path / "records.jsonl"
-        world = build_world(scale=0.01, seed=3)
-        crawler = Crawler(world)
-        plan = crawler.plan_detection_crawl(["DE"])
-        engine = CrawlEngine(
-            crawler, workers=4, shards=8, spool_path=spool,
-            executor=FaultInjectingExecutor((1, 3), partial=True),
+class TestWorldFlags:
+    @pytest.mark.parametrize("argv", [
+        ["run", "table1"], ["stats"], ["verify"],
+        ["export-toplists", "--dir", "unused"], ["validate"],
+    ], ids=lambda argv: argv[0])
+    def test_out_of_range_scale_is_a_spec_error(self, argv, capsys):
+        """The world of every non-spec subcommand is a checked WorldSpec:
+        an out-of-range scale is a one-line error with exit 2."""
+        assert main([*argv, "--scale", "1.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: world.scale must be in (0, 1], got 1.5\n"
         )
-        with pytest.raises(RuntimeError):
-            engine.execute(plan)
-        checkpoint = tmp_path / "records.jsonl.checkpoint"
-        assert main(["checkpoint", "compact", str(checkpoint)]) == 0
-        assert "kept" in capsys.readouterr().out
-        # Still resumable afterwards.
-        assert main(
-            ["crawl", "--scale", "0.01", "--seed", "3", "--vp", "DE",
-             "--workers", "4", "--shards", "8", "--resume",
-             "--out", str(spool)]
-        ) == 0
-        assert "replayed from checkpoint" in capsys.readouterr().out
-
-    def test_refuses_non_checkpoint(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.checkpoint"
-        bogus.write_text('{"kind": "outcome"}\n')
-        assert main(["checkpoint", "compact", str(bogus)]) == 2
-        assert "not a crawl checkpoint" in capsys.readouterr().err
 
 
 class TestExportToplists:

@@ -319,16 +319,11 @@ def test_readme_documents_campaign_service():
     assert "distributed" in EXECUTOR_BACKENDS
 
 
-def test_readme_documents_spec_and_checkpoint():
+def test_readme_documents_spec():
     subsections = readme_subsections()
     assert "spec" in subsections, "README lacks a '### `spec`' subsection"
     assert "--config" in subsections["spec"], (
         "README '### `spec`' must mention --config"
     )
-    assert "checkpoint" in subsections, (
-        "README lacks a '### `checkpoint`' subsection"
-    )
-    assert "compact" in subsections["checkpoint"]
-    # The verbs must actually exist in the parser.
-    top = top_level_parsers()
-    assert "spec" in top and "checkpoint" in top
+    # The verb must actually exist in the parser.
+    assert "spec" in top_level_parsers()

@@ -969,6 +969,8 @@ class TestUBlockErrorTracking:
 
 
 class TestCheckpointCompaction:
+    """Every resume starts by compacting the checkpoint it resumes."""
+
     WORKERS, SHARDS = 4, 8
 
     def _crashed_checkpoint(self, tmp_path, crawler, plan):
@@ -981,6 +983,12 @@ class TestCheckpointCompaction:
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)
         return out, tmp_path / "records.jsonl.checkpoint"
+
+    def _resumer(self, crawler, out):
+        return CrawlEngine(
+            crawler, workers=self.WORKERS, shards=self.SHARDS,
+            spool_path=out, resume=True,
+        )
 
     def test_compacted_checkpoint_resumes_byte_identical(
         self, tmp_path, medium_world, medium_crawler
@@ -996,27 +1004,26 @@ class TestCheckpointCompaction:
         out, checkpoint = self._crashed_checkpoint(
             tmp_path, medium_crawler, plan
         )
-        # Simulate append-only growth: re-append the first outcome line
-        # twice (a superseded duplicate, as left by repeated
-        # crash/resume cycles before the reconcile rewrite).
+        # Append-only growth by hand: the first outcome line twice more,
+        # the last copy with another attempt count (a superseding line).
         lines = checkpoint.read_text().splitlines()
         header, first_outcome = lines[0], lines[1]
+        index = json.loads(first_outcome)["index"]
+        superseding = json.dumps(dict(json.loads(first_outcome), attempts=7))
         with checkpoint.open("a") as handle:
             handle.write(first_outcome + "\n")
-            handle.write(first_outcome + "\n")
+            handle.write(superseding + "\n")
 
-        compaction = CrawlEngine.compact_checkpoint(checkpoint)
-        assert compaction.dropped == 2
-        assert compaction.kept == len(lines) - 1
-        assert "kept" in compaction.render()
-        # The header survives verbatim: same fingerprint, still resumable.
-        assert checkpoint.read_text().splitlines()[0] == header
+        replay = self._resumer(medium_crawler, out)._reconcile_checkpoint(plan)
+        rewritten = checkpoint.read_text().splitlines()
+        # The header survives verbatim; one line per task, the latest wins.
+        assert rewritten[0] == header
+        assert len(rewritten) == len(lines) == replay.count + 1
+        latest = [json.loads(line) for line in rewritten[1:]]
+        assert [o["attempts"] for o in latest if o["index"] == index] == [7]
 
-        result = CrawlEngine(
-            medium_crawler, workers=self.WORKERS, shards=self.SHARDS,
-            spool_path=out, resume=True,
-        ).execute(plan)
-        assert result.resumed == compaction.kept
+        result = self._resumer(medium_crawler, out).execute(plan)
+        assert result.resumed == replay.count
         assert out.read_bytes() == reference.read_bytes()
 
     def test_compaction_is_idempotent(
@@ -1025,47 +1032,47 @@ class TestCheckpointCompaction:
         plan = medium_crawler.plan_detection_crawl(
             ["DE"], medium_world.crawl_targets[:40]
         )
-        _, checkpoint = self._crashed_checkpoint(
+        out, checkpoint = self._crashed_checkpoint(
             tmp_path, medium_crawler, plan
         )
-        first = CrawlEngine.compact_checkpoint(checkpoint)
+        first = self._resumer(medium_crawler, out)._reconcile_checkpoint(plan)
         before = checkpoint.read_bytes()
-        second = CrawlEngine.compact_checkpoint(checkpoint)
-        assert second.dropped == 0
-        assert second.kept == first.kept
+        second = self._resumer(medium_crawler, out)._reconcile_checkpoint(plan)
+        assert second.completed == first.completed
         assert checkpoint.read_bytes() == before
 
     def test_outcomes_sorted_into_plan_order(
         self, tmp_path, medium_world, medium_crawler
     ):
-        import json as _json
-
         plan = medium_crawler.plan_detection_crawl(
             ["DE"], medium_world.crawl_targets[:40]
         )
-        _, checkpoint = self._crashed_checkpoint(
+        out, checkpoint = self._crashed_checkpoint(
             tmp_path, medium_crawler, plan
         )
-        CrawlEngine.compact_checkpoint(checkpoint)
+        self._resumer(medium_crawler, out)._reconcile_checkpoint(plan)
         indices = [
-            _json.loads(line)["index"]
+            json.loads(line)["index"]
             for line in checkpoint.read_text().splitlines()[1:]
         ]
         assert indices == sorted(indices)
 
-    def test_refuses_non_checkpoint_files(self, tmp_path):
-        not_checkpoint = tmp_path / "records.jsonl"
-        not_checkpoint.write_text('{"type": "VisitRecord", "data": {}}\n')
-        with pytest.raises(CheckpointMismatch, match="not a crawl checkpoint"):
-            CrawlEngine.compact_checkpoint(not_checkpoint)
-        empty = tmp_path / "empty.checkpoint"
-        empty.write_text("")
-        with pytest.raises(CheckpointMismatch, match="not a crawl checkpoint"):
-            CrawlEngine.compact_checkpoint(empty)
+    def test_refuses_non_checkpoint_files(
+        self, tmp_path, medium_world, medium_crawler
+    ):
+        plan = medium_crawler.plan_detection_crawl(
+            ["DE"], medium_world.crawl_targets[:8]
+        )
+        out = tmp_path / "records.jsonl"
+        for text in ('{"type": "VisitRecord", "data": {}}\n', ""):
+            (tmp_path / "records.jsonl.checkpoint").write_text(text)
+            with pytest.raises(CheckpointMismatch, match="not a crawl checkpoint"):
+                self._resumer(medium_crawler, out).execute(plan)
 
 
 class TestStreamingReconcileMachinery:
-    """The run-scan + k-way merge the resume and compaction share."""
+    """The run-scan + k-way merge of the compacting rewrite every
+    resume starts with."""
 
     @staticmethod
     def _outcome(index, attempts=1):
@@ -1093,7 +1100,6 @@ class TestStreamingReconcileMachinery:
         scan = _scan_checkpoint(path)
         assert len(scan.runs) == 2
         assert scan.indices == {0, 1, 3, 5}
-        assert scan.outcome_lines == 5
         assert scan.header["fingerprint"] == "f"
 
     def test_merge_is_plan_ordered_and_latest_wins(self, tmp_path):

@@ -353,6 +353,8 @@ class TestProcessBackendSpecifics:
         lambda state: state.update(ublock_lists="||ads.example^"),
         lambda state: state["language_detector"].update(corpora={"en": []}),
         lambda state: state.update(context=[]),
+        # The policy's bounds are the spec's: out of range is malformed.
+        lambda state: state["retry"].update(jitter=2.0),
     ])
     def test_malformed_worker_state_rejected(self, small_crawler, edit):
         from repro.errors import WireProtocolError

@@ -223,6 +223,40 @@ class TestJobQueue:
         [restored] = load_jobs(jobs_dir)
         assert restored.to_dict() == job.to_dict()
 
+    def test_v5_job_file_with_engine_retry_settings_loads(self, tmp_path):
+        """A job persisted while the retry settings lived in ``engine``
+        (spec schema v5) restores with them on the resilience section."""
+        from repro.service.jobs import load_jobs
+
+        job = self.job(1)
+        data = job.to_dict()
+        data["spec"]["schema_version"] = 5
+        del data["spec"]["resilience"]["max_attempts"]
+        del data["spec"]["resilience"]["retry_unreachable"]
+        data["spec"]["engine"].update(retry_max_attempts=3, retry_unreachable=True)
+        jobs_dir = tmp_path / "jobs"
+        jobs_dir.mkdir()
+        (jobs_dir / f"{job.id}.json").write_text(json.dumps(data))
+        [restored] = load_jobs(jobs_dir)
+        assert restored.id == job.id
+        assert restored.spec.resilience.max_attempts == 3
+        assert restored.spec.resilience.retry_unreachable is True
+        assert restored.spec.engine == job.spec.engine
+
+    def test_job_id_ignores_the_spec_schema_version(self, monkeypatch):
+        """A spec schema bump keeps a resubmitted campaign's id, so it
+        resumes in its old ``campaigns/<id>/`` instead of starting over."""
+        import repro.api.spec as spec_module
+
+        spec = RunSpec(kind="crawl")
+        before = job_id(spec, "t")
+        monkeypatch.setattr(
+            spec_module, "SPEC_SCHEMA_VERSION", spec_module.SPEC_SCHEMA_VERSION + 1
+        )
+        assert spec.to_dict()["schema_version"] == spec_module.SPEC_SCHEMA_VERSION
+        assert job_id(spec, "t") == before
+        assert job_id(spec, "u") != before
+
     def test_crash_before_replace_keeps_previous_job_file(
         self, tmp_path, monkeypatch
     ):
