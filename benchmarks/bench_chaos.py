@@ -24,6 +24,7 @@ from conftest import BENCH_SEED, run_once, update_bench_json, write_artifact
 
 from repro.measure.crawl import Crawler
 from repro.measure.engine import CrawlEngine, RetryPolicy
+from repro.measure.instrumentation import EventLog
 from repro.resilience.chaos import ChaosSpec
 from repro.webgen import build_world
 
@@ -57,13 +58,14 @@ def _bench_world():
     return world, Crawler(world)
 
 
-def _timed_run(crawler, sample, chaos=None, retry=None):
+def _timed_run(crawler, sample, chaos=None, retry=None, event_log=None):
     plan = crawler.plan_detection_crawl(["DE"], sample)
     if chaos is not None:
         plan.context["chaos"] = chaos.to_context()
     engine = CrawlEngine(
         crawler, shards=_SHARDS,
         retry=retry or RetryPolicy(),
+        event_log=event_log,
     )
     started = time.perf_counter()
     result = engine.execute(plan)
@@ -122,10 +124,11 @@ def test_recovery_throughput(benchmark):
     world, crawler = _bench_world()
     sample = world.crawl_targets[:_SAMPLE_SIZE]
     retry = RetryPolicy(max_attempts=8)
+    log = EventLog()
 
     def chaos_sweep():
         return _timed_run(
-            crawler, sample, chaos=_RECOVERABLE, retry=retry
+            crawler, sample, chaos=_RECOVERABLE, retry=retry, event_log=log
         )[0]
 
     result = run_once(benchmark, chaos_sweep)
@@ -134,8 +137,9 @@ def test_recovery_throughput(benchmark):
     # The oracle's happy half: everything recovered, nothing degraded.
     assert not result.failures
     # And faults really flowed through the retry layer (visible as
-    # multi-attempt outcomes), or this measures nothing.
-    retried = sum(1 for o in result.outcomes if o.attempts > 1)
+    # task-retry events; one task's all share its URL), or this
+    # measures nothing.
+    retried = len({event.url for event in log.by_kind("task-retry")})
     assert retried > 0, "pinned recoverable regime injected no faults"
     update_bench_json("BENCH_chaos.json", "recovery", {
         "visits": _SAMPLE_SIZE,

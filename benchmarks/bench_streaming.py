@@ -138,14 +138,15 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
     streaming_peak_kb = run_once(
         benchmark, lambda: _tracemalloc_peak_kb(streaming_reconcile)
     )
-    replay = replay_box["replay"]
-    assert replay.count > 0
-    assert replay.outcomes == []  # spooled runs hold no outcome objects
+    completed, breakers = replay_box["replay"]
+    # The replay is plan indices plus breaker snapshots, no outcomes.
+    assert completed and all(isinstance(index, int) for index in completed)
+    assert isinstance(breakers, dict)
     assert resumer._runs  # the replay is the journal's first run
 
     ratio = streaming_peak_kb / materialised_peak_kb
     update_bench_json("BENCH_streaming.json", "resume", {
-        "checkpoint_outcomes": replay.count,
+        "checkpoint_outcomes": len(completed),
         "checkpoint_kb": round(checkpoint_bytes / 1024.0, 1),
         "streaming_reconcile_peak_kb": round(streaming_peak_kb, 1),
         "materialised_replay_peak_kb": round(materialised_peak_kb, 1),
@@ -154,7 +155,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
     })
     write_artifact(
         "streaming_reconcile_memory",
-        f"checkpoint: {replay.count} replayable outcomes, "
+        f"checkpoint: {len(completed)} replayable outcomes, "
         f"{checkpoint_bytes / 1024:.0f} KB\n"
         f"materialised replay peak: {materialised_peak_kb:.0f} KB\n"
         f"streaming reconcile peak: {streaming_peak_kb:.0f} KB "

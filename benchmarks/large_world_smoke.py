@@ -33,8 +33,8 @@ shard's buffers, all O(tasks)-or-bounded, none O(records-held).  The
 defaults — 512 MB peak, 256 MB crawl delta — leave ~2× headroom for
 platform variance while tripping on the expensive regressions
 (buffering encoded payload dicts, event streams, or whole-world
-outcome lists through the merge); the *compact*-record laziness
-(``EngineResult.outcomes is None``, lazy ``RunResult``) is pinned
+outcome lists through the merge); that a spooled result holds no
+records (``EngineResult.held is None``, lazy ``RunResult``) is pinned
 separately by the executor-backend test matrix.
 """
 

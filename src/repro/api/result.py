@@ -19,7 +19,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro import schema
 from repro.api.spec import RunSpec, SpecError
 from repro.durable import atomic_write_text
-from repro.measure.storage import decode_record, encode_record, iter_records
+from repro.measure.storage import (
+    decode_record,
+    encode_record,
+    iter_records,
+    materialize_record,
+)
 from repro.schema import OneOf, Omittable, Range
 
 #: Bumped when the manifest layout changes (old manifests are refused).
@@ -101,7 +106,10 @@ class RunResult:
         extra: Optional[Dict[str, object]] = None,
     ) -> None:
         self.spec = spec
-        self._records = list(records) if records is not None else None
+        # Records a worker shipped zero-copy are decoded here, once.
+        self._records = (
+            None if records is None else [materialize_record(r) for r in records]
+        )
         self.spool_paths: Tuple[Path, ...] = tuple(
             Path(p) for p in spool_paths
         )

@@ -43,7 +43,7 @@ from repro.api.spec import (
 )
 from repro.durable import atomic_write_text
 from repro.measure.crawl import Crawler, CrawlResult, cookiewall_domains
-from repro.measure.engine import CrawlEngine, CrawlPlan, EngineResult, RetryPolicy
+from repro.measure.engine import CrawlEngine, CrawlPlan, EngineResult
 from repro.measure.instrumentation import EventLog
 from repro.measure.longitudinal import (
     LongitudinalRun,
@@ -61,45 +61,63 @@ from repro.webgen.world import World, build_world
 ProgressHook = Callable[[int, int, object], None]
 
 
+def _failure(outcome, wave: Optional[int] = None) -> RunFailure:
+    return RunFailure(
+        index=outcome.index,
+        vp=outcome.task.vp,
+        domain=outcome.task.domain,
+        mode=outcome.task.mode,
+        error=outcome.error,
+        attempts=outcome.attempts,
+        wave=wave,
+    )
+
+
 @dataclasses.dataclass
 class _Wave:
-    """One wave of a campaign, as produced by ``Session._execute_waves``.
-
-    Exactly one of ``replayed`` (records reloaded from a completed
-    wave's file under resume) and ``result`` (a live engine run) is
-    set.
-    """
+    """One wave of a campaign, as produced by ``Session._execute_waves``:
+    a live engine run, or a finished wave reloaded from its file."""
 
     month: int
     world: World
     summary: Optional[object]
-    spool_path: Optional[Path]
-    replayed: Optional[list] = None
-    result: Optional[EngineResult] = None
+    result: EngineResult
 
 
 @dataclasses.dataclass
 class _CampaignTally:
     """Accumulates the cross-wave totals a campaign RunResult reports."""
 
+    spool_paths: list = dataclasses.field(default_factory=list)
     failures: list = dataclasses.field(default_factory=list)
     elapsed: float = 0.0
     executed: int = 0
     resumed: int = 0
     record_count: int = 0
 
-    def replay(self, count: int) -> None:
-        self.resumed += count
-        self.record_count += count
-
-    def absorb(self, result: EngineResult, month: int, failure) -> None:
+    def absorb(self, wave: _Wave) -> None:
+        result = wave.result
+        if result.spool_path is not None:
+            self.spool_paths.append(result.spool_path)
         self.failures.extend(
-            failure(outcome, wave=month) for outcome in result.failures
+            _failure(outcome, wave.month) for outcome in result.failures
         )
         self.elapsed += result.elapsed
         self.executed += result.executed
         self.resumed += result.resumed
         self.record_count += result.record_count
+
+    def run_result(self, spec: RunSpec, **fields) -> RunResult:
+        return RunResult(
+            spec,
+            spool_paths=self.spool_paths,
+            failures=self.failures,
+            elapsed=self.elapsed,
+            executed=self.executed,
+            resumed=self.resumed,
+            record_count=self.record_count,
+            **fields,
+        )
 
 
 class Session:
@@ -119,9 +137,6 @@ class Session:
         RunSpec's engine section when both are given.
     crawler:
         Override the crawler (tests inject fault-injecting subclasses).
-    retry:
-        Override the :class:`~repro.measure.engine.RetryPolicy`; by
-        default the resilience section is the policy.
     event_log:
         Receives the engine's ``plan``/``shard``/``progress``/…
         events on every run started by this session.
@@ -144,7 +159,6 @@ class Session:
         resilience: Optional[ResilienceSpec] = None,
         chaos: Optional[ChaosSpec] = None,
         crawler: Optional[Crawler] = None,
-        retry: Optional[RetryPolicy] = None,
         event_log: Optional[EventLog] = None,
         progress: Optional[ProgressHook] = None,
         spool_dir: Union[str, Path, None] = None,
@@ -182,9 +196,6 @@ class Session:
         self.resilience_spec.validate()
         self.chaos_spec = chaos if chaos is not None else ChaosSpec()
         self.chaos_spec.validate()
-        self._explicit_retry = retry
-        # The resilience section is a RetryPolicy: it is the policy.
-        self.retry = retry if retry is not None else self.resilience_spec
         self.event_log = event_log
         self.progress = progress
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
@@ -214,11 +225,7 @@ class Session:
         resilience: Optional[ResilienceSpec] = None,
         chaos: Optional[ChaosSpec] = None,
     ) -> "Session":
-        """A sibling session sharing the world but re-targeted engine.
-
-        An explicitly injected retry policy travels along; otherwise
-        the sibling's resilience section is its policy.
-        """
+        """A sibling session sharing the world but re-targeted engine."""
         return Session(
             self._world if self._world is not None else self.world_spec,
             engine=engine,
@@ -227,7 +234,6 @@ class Session:
             ),
             chaos=chaos if chaos is not None else self.chaos_spec,
             crawler=self._crawler,
-            retry=self._explicit_retry,
             event_log=self.event_log,
             progress=self.progress,
             spool_dir=self.spool_dir,
@@ -274,7 +280,7 @@ class Session:
             # memory instead would be the resume-ignored bug all over
             # again.
             raise SpecError(
-                "--merge spool requires an output path (--out / "
+                'engine.merge = "spool" requires an output path (--out / '
                 "output.path: the run's journal is joined into it)"
             )
         engine = CrawlEngine(
@@ -282,7 +288,8 @@ class Session:
             workers=self.engine_spec.workers,
             shards=self.engine_spec.shards,
             backend=self.engine_spec.executor,
-            retry=self.retry,
+            # The resilience section is a RetryPolicy: it is the policy.
+            retry=self.resilience_spec,
             event_log=self.event_log,
             progress=progress if progress is not None else self.progress,
             spool_path=spool_path,
@@ -340,12 +347,9 @@ class Session:
                 spool_path = out_dir / f"wave-{month:02d}.jsonl"
                 fingerprint = CrawlEngine(crawler).fingerprint(plan)
             if self.engine_spec.resume:
-                replayed = reload_completed_wave(spool_path, fingerprint, plan)
-                if replayed is not None:
-                    yield _Wave(
-                        month, wave_world, summary, spool_path,
-                        replayed=replayed,
-                    )
+                finished = reload_completed_wave(spool_path, fingerprint, plan)
+                if finished is not None:
+                    yield _Wave(month, wave_world, summary, finished)
                     continue
             if spool_path is not None:
                 # Until this run finishes, the wave file is not its output.
@@ -355,9 +359,7 @@ class Session:
             )
             if spool_path is not None:
                 atomic_write_text(wave_fingerprint_file(spool_path), fingerprint + "\n")
-            yield _Wave(
-                month, wave_world, summary, spool_path, result=result
-            )
+            yield _Wave(month, wave_world, summary, result)
 
     def crawl(
         self,
@@ -447,7 +449,6 @@ class Session:
             else list(self.world.crawl_targets)
         )
         run = LongitudinalRun(vp=spec.vp)
-        spool_paths = []
         tally = _CampaignTally()
         waves = self._execute_waves(
             "longitudinal",
@@ -459,18 +460,6 @@ class Session:
             progress,
         )
         for wave in waves:
-            if wave.spool_path is not None:
-                spool_paths.append(wave.spool_path)
-            if wave.replayed is not None:
-                run.waves.append(LongitudinalWave(
-                    months=wave.month,
-                    world=wave.world,
-                    crawl=CrawlResult(records=wave.replayed),
-                    summary=wave.summary,
-                    resumed=len(wave.replayed),
-                ))
-                tally.replay(len(wave.replayed))
-                continue
             run.waves.append(LongitudinalWave(
                 months=wave.month,
                 world=wave.world,
@@ -478,17 +467,10 @@ class Session:
                 summary=wave.summary,
                 resumed=wave.result.resumed,
             ))
-            tally.absorb(wave.result, wave.month, self._failure)
-        records = [r for wave in run.waves for r in wave.crawl.records]
-        return RunResult(
+            tally.absorb(wave)
+        return tally.run_result(
             self._spec("longitudinal", {"longitudinal": spec}, output),
-            records=records,
-            spool_paths=spool_paths,
-            failures=tally.failures,
-            elapsed=tally.elapsed,
-            executed=tally.executed,
-            resumed=tally.resumed,
-            record_count=len(records),
+            records=[r for wave in run.waves for r in wave.crawl.records],
             campaign=run,
             extra={"waves": [
                 {
@@ -547,7 +529,6 @@ class Session:
         run = MultiVantageRun(vps=tuple(vps), regime=spec.regime, report=report)
         materialise = not output.out_dir
         all_records = [] if materialise else None
-        spool_paths = []
         tally = _CampaignTally()
 
         def build_plan(crawler: Crawler, month: int) -> CrawlPlan:
@@ -562,18 +543,6 @@ class Session:
             "multivantage", spec.months, build_plan, output, progress
         )
         for wave in waves:
-            if wave.spool_path is not None:
-                spool_paths.append(wave.spool_path)
-            if wave.replayed is not None:
-                for record in wave.replayed:
-                    report.add(record, wave=wave.month)
-                run.waves.append(MultiVantageWave(
-                    months=wave.month,
-                    visits=len(wave.replayed),
-                    resumed=len(wave.replayed),
-                ))
-                tally.replay(len(wave.replayed))
-                continue
             visits = 0
             for record in wave.result.iter_records():
                 report.add(record, wave=wave.month)
@@ -583,16 +552,10 @@ class Session:
             run.waves.append(MultiVantageWave(
                 months=wave.month, visits=visits, resumed=wave.result.resumed,
             ))
-            tally.absorb(wave.result, wave.month, self._failure)
-        return RunResult(
+            tally.absorb(wave)
+        return tally.run_result(
             self._spec("multivantage", {"multivantage": spec}, output),
             records=all_records,
-            spool_paths=spool_paths,
-            failures=tally.failures,
-            elapsed=tally.elapsed,
-            executed=tally.executed,
-            resumed=tally.resumed,
-            record_count=tally.record_count,
             campaign=run,
             extra={
                 "waves": [
@@ -651,18 +614,6 @@ class Session:
         return self.longitudinal(spec.longitudinal, output=spec.output)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _failure(outcome, *, wave: Optional[int] = None) -> RunFailure:
-        return RunFailure(
-            index=outcome.index,
-            vp=outcome.task.vp,
-            domain=outcome.task.domain,
-            mode=outcome.task.mode,
-            error=outcome.error,
-            attempts=outcome.attempts,
-            wave=wave,
-        )
-
     def _spec(
         self, kind: str, sections: Dict[str, object], output: OutputSpec
     ) -> RunSpec:
@@ -683,32 +634,17 @@ class Session:
         output: OutputSpec,
         result: EngineResult,
     ) -> RunResult:
-        spec = self._spec(kind, sections, output)
-        failures = [self._failure(o) for o in result.failures]
-        if result.streamed:
-            # Spool-merged engine runs never materialise their records;
-            # the RunResult stays lazy over the final JSONL, preserving
-            # the engine's O(shard buffer) memory behaviour end to end.
-            return RunResult(
-                spec,
-                records=None,
-                spool_paths=(output.path,) if output.path else (),
-                failures=failures,
-                elapsed=result.elapsed,
-                executed=result.executed,
-                resumed=result.resumed,
-                record_count=result.record_count,
-            )
-        records = result.records
+        # A spooled run holds no records, so the RunResult stays lazy
+        # over the final JSONL: O(shard buffer) memory end to end.
         return RunResult(
-            spec,
-            records=records,
+            self._spec(kind, sections, output),
+            records=result.held,
             spool_paths=(output.path,) if output.path else (),
-            failures=failures,
+            failures=[_failure(o) for o in result.failures],
             elapsed=result.elapsed,
             executed=result.executed,
             resumed=result.resumed,
-            record_count=len(records),
+            record_count=result.record_count,
         )
 
 

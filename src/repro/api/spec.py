@@ -352,12 +352,18 @@ class MultiVantageSpec(_Section):
     #: Target domains; ``None`` crawls the world's reachable union.
     domains: Optional[Tuple[str, ...]] = None
     #: Named regulation regime (baseline / eu / non-eu / geo-blocked),
-    #: in any letter case.
+    #: in any letter case; stored lower-cased.
     regime: str = "baseline"
     #: Extra VPN-like relocations: logical VP code -> exit VP code.
     relocate: Optional[Mapping[str, str]] = None
     #: First wave (month offset) the relocations apply from.
     relocate_month: int = schema.field(0, min=0)
+
+    def __post_init__(self) -> None:
+        # One spelling per regime, so "EU" and "eu" are one campaign
+        # (one job id, one resume); a non-string fails the shape check.
+        if isinstance(self.regime, str):
+            object.__setattr__(self, "regime", self.regime.lower())
 
     def validate(self) -> None:
         from repro.vantage import REGULATION_REGIMES, get_vantage_point
@@ -365,7 +371,7 @@ class MultiVantageSpec(_Section):
         super().validate()
         _check_vps("multivantage", self.vps)
         _check_months("multivantage", self.months)
-        if self.regime.lower() not in REGULATION_REGIMES:
+        if self.regime not in REGULATION_REGIMES:
             raise SpecError(
                 "multivantage.regime must be one of "
                 f"{', '.join(REGULATION_REGIMES)}, got {self.regime!r}"
@@ -447,14 +453,15 @@ class RunSpec:
         self.workload.validate()
         self.output.validate()
         # A resume's checkpoint and a streaming merge's journal live next
-        # to the output; the messages name the CLI flags, shown verbatim.
+        # to the output; the messages name the flag, or the setting that
+        # has no flag.
         waves = self.kind in _WAVE_KINDS
         if (self.output.out_dir if waves else self.output.path) is None:
             for flag, asserted, waves_why, why in (
                 ("--resume", self.engine.resume,
                  "the checkpoints live next to the wave spools",
                  "the checkpoint lives next to the spool"),
-                ("--merge spool", self.engine.merge == "spool",
+                ('engine.merge = "spool"', self.engine.merge == "spool",
                  "each wave's journal is joined into its wave file",
                  "the run's journal is joined into it"),
             ):

@@ -54,12 +54,14 @@ loop.  This module turns that loop into an explicit subsystem:
      plan-order join over those runs (:func:`~repro.measure.storage.
      merge_record_spools`) written through an atomic rename, so peak
      memory is O(one shard's buffer) rather than O(world) and an
-     interrupted run never clobbers a previous complete output.  The
-     returned :class:`EngineResult` carries counts and the (small)
-     failure list the join reports instead of materialised outcomes;
-     records stream lazily from the final file.
-   - Without one, the merge holds every outcome in memory and the run
+     interrupted run never clobbers a previous complete output.
+   - Without one, the merge holds every record in memory and the run
      writes no file.
+
+   Either way the run returns one :class:`EngineResult`: counts, the
+   (small) permanent-failure list, and the records, held in memory or
+   streamed lazily from the final file.  A finished campaign wave
+   reloaded under resume is the same result over its wave file.
 
 Worker state
 ------------
@@ -158,7 +160,6 @@ from repro.measure.storage import (
     encode_record_line,
     iter_journal_runs,
     iter_records,
-    load_records,
     materialize_record,
     merge_record_spools,
     note_torn_line,
@@ -825,102 +826,54 @@ def _journal_outcome(
 
 
 @dataclass
-class CheckpointReplay:
-    """What a streaming reconcile replays into the current run.
-
-    The resume path holds no outcomes at all, only the completed
-    *indices* (ints): the replayed outcomes stay in the rewritten
-    checkpoint, whose one sorted run the output join reads.
-    """
-
-    completed: Set[int] = field(default_factory=set)
-    #: Circuit-breaker snapshots restored from the checkpoint, keyed
-    #: by domain — adopted into the engine's registry before execution
-    #: so quarantine survives a kill/resume.
-    breakers: Dict[str, Dict] = field(default_factory=dict)
-
-    @property
-    def count(self) -> int:
-        return len(self.completed)
-
-
-@dataclass
 class EngineResult:
-    """Merged outcomes of one engine run, in canonical (plan) order.
+    """One engine run: its counts, its permanent failures, and its
+    records in canonical (plan) order.
 
-    Without a ``spool_path``, :attr:`outcomes` holds every
-    :class:`TaskOutcome`.  With one, the outcomes were streamed to
-    disk instead: :attr:`outcomes` is ``None``, the final
-    records live at :attr:`spool_path` (stream them with
-    :meth:`iter_records`; :attr:`records` materialises them on
-    demand), and only the counts plus the — small — permanent-failure
-    list are kept in memory.
+    An in-memory run holds its records in :attr:`held` (typed, or
+    :class:`RawRecord` as a worker shipped them).  A spooled run's
+    records, like those of a finished campaign wave reloaded by
+    :func:`~repro.measure.longitudinal.reload_completed_wave`, live
+    at :attr:`spool_path` and are never held.  Either way
+    :meth:`iter_records` streams them and :attr:`records` materialises
+    them; nothing else asks where they are.
     """
 
-    outcomes: Optional[List[TaskOutcome]] = field(default_factory=list)
+    #: Tasks in the plan.
+    total: int = 0
+    #: Records produced (a degraded task still produces one).
+    record_count: int = 0
+    #: The permanently failed outcomes, in plan order.
+    failures: List[TaskOutcome] = field(default_factory=list)
     elapsed: float = 0.0
-    #: Outcomes replayed from a checkpoint rather than executed.
+    #: Tasks replayed (from a checkpoint or a finished wave's file)
+    #: rather than executed.
     resumed: int = 0
-    #: Spooled runs only: where the merged records were written.
+    #: Where the records were written; ``None`` for an in-memory run.
     spool_path: Optional[Path] = None
-    #: Spooled runs only: total task count (``len(plan)``).
-    total: Optional[int] = None
-    #: Spooled runs only: records written to :attr:`spool_path`.
-    spooled_records: int = 0
-    #: Spooled runs only: the permanently failed outcomes, as the join
-    #: read them back from the journal.
-    spooled_failures: List[TaskOutcome] = field(default_factory=list)
-
-    @property
-    def streamed(self) -> bool:
-        """True when this result was spool-merged (outcomes on disk)."""
-        return self.outcomes is None
+    #: An in-memory run's records; ``None`` when they live at
+    #: :attr:`spool_path`.
+    held: Optional[List[object]] = None
 
     @property
     def executed(self) -> int:
         """Tasks actually run this invocation (resumed ones excluded)."""
-        return len(self) - self.resumed
+        return self.total - self.resumed
 
     @property
     def records(self) -> List[object]:
-        """The produced records, plan-ordered, skipping failed tasks.
-
-        For a spool-merged result this *materialises* the full list
-        from disk — prefer :meth:`iter_records` at scale.  Outcomes
-        that travelled zero-copy (process workers, checkpoint replay)
-        are decoded here, at the consumer boundary — the first time
-        anyone actually needs the typed objects.
-        """
-        if self.outcomes is None:
-            # reprolint: disable=materialized-records -- .records IS the documented materialising consumer API; iter_records is the streaming twin
-            return load_records(self.spool_path)
-        return [
-            materialize_record(o.record)
-            for o in self.outcomes
-            if o.record is not None
-        ]
+        """The records as a list.  For a spooled result this reads the
+        whole file; prefer :meth:`iter_records` at scale."""
+        # reprolint: disable=materialized-records -- .records IS the documented materialising consumer API; iter_records is the streaming twin
+        return list(self.iter_records())
 
     def iter_records(self) -> Iterator[object]:
-        """Stream the records in plan order without materialising."""
-        if self.outcomes is None:
+        """Stream the records in plan order.  Records that travelled
+        zero-copy are decoded here, at the consumer boundary."""
+        if self.held is None:
             yield from iter_records(self.spool_path)
-            return
-        for outcome in self.outcomes:
-            if outcome.record is not None:
-                yield materialize_record(outcome.record)
-
-    @property
-    def record_count(self) -> int:
-        """Number of produced records (no materialisation needed)."""
-        if self.outcomes is None:
-            return self.spooled_records
-        return sum(1 for o in self.outcomes if o.record is not None)
-
-    @property
-    def failures(self) -> List[TaskOutcome]:
-        if self.outcomes is None:
-            return list(self.spooled_failures)
-        return [o for o in self.outcomes if o.error is not None]
+        else:
+            yield from map(materialize_record, self.held)
 
     @property
     def tasks_per_sec(self) -> float:
@@ -931,9 +884,7 @@ class EngineResult:
         return self.executed / self.elapsed
 
     def __len__(self) -> int:
-        if self.outcomes is None:
-            return self.total if self.total is not None else 0
-        return len(self.outcomes)
+        return self.total
 
 
 class Executor:
@@ -1059,8 +1010,8 @@ class CrawlEngine:
         output untouched and the run resumable, and memory stays O(one
         shard).  Spooled runs always use per-task visit-id streams,
         even when serial.  The checkpoint is removed on success.
-        Without a *spool_path* the outcomes are merged in memory and
-        nothing is written.
+        Without a *spool_path* the result holds the records in memory
+        and nothing is written.
     resume:
         With ``resume=True`` (which needs a *spool_path*) an existing
         checkpoint is reconciled against the plan before execution:
@@ -1186,18 +1137,18 @@ class CrawlEngine:
         self._total = len(plan)
         self._process_stats = {}
         self._runs = []
-        replay = self._reconcile_checkpoint(plan)
+        completed, breakers = self._reconcile_checkpoint(plan)
         self._breakers = {}
-        self._adopt_breakers(replay.breakers)
-        if replay.completed:
+        self._adopt_breakers(breakers)
+        if completed:
             sharded = [
                 [
                     (index, task) for index, task in shard
-                    if index not in replay.completed
+                    if index not in completed
                 ]
                 for shard in sharded
             ]
-        self._done = replay.count
+        self._done = len(completed)
         self._emit("plan", "engine://plan", {
             "tasks": len(plan),
             "shards": self.shards,
@@ -1205,10 +1156,10 @@ class CrawlEngine:
             "backend": self.resolved_backend,
             "merge": "memory" if self.spool_path is None else "spool",
         })
-        if replay.count:
+        if completed:
             self._emit("resume", "engine://resume", {
-                "completed": replay.count,
-                "remaining": len(plan) - replay.count,
+                "completed": len(completed),
+                "remaining": len(plan) - len(completed),
             })
         executor: Executor = self.executor or self._default_executor()
         bundles = self._bundles(plan, sharded)
@@ -1244,12 +1195,19 @@ class CrawlEngine:
         elapsed = time.perf_counter() - started
         self._emit_process_throughput()
         if self.spool_path is not None:
-            result = self._join(plan, replay.count, elapsed)
+            result = self._join(plan, len(completed), elapsed)
             # The run completed; its durable output is final.
             self.checkpoint.unlink(missing_ok=True)
         else:
             outcomes.sort(key=lambda outcome: outcome.index)
-            result = EngineResult(outcomes=outcomes, elapsed=elapsed)
+            held = [o.record for o in outcomes if o.record is not None]
+            result = EngineResult(
+                total=len(plan),
+                record_count=len(held),
+                failures=[o for o in outcomes if o.error is not None],
+                elapsed=elapsed,
+                held=held,
+            )
         self._emit("throughput", "engine://throughput", {
             "tasks": result.executed,
             "resumed": result.resumed,
@@ -1529,13 +1487,12 @@ class CrawlEngine:
             ),
         )
         return EngineResult(
-            outcomes=None,
+            total=len(plan),
+            record_count=count,
+            failures=failures,
             elapsed=elapsed,
             resumed=resumed,
             spool_path=self.spool_path,
-            total=len(plan),
-            spooled_records=count,
-            spooled_failures=failures,
         )
 
     # ------------------------------------------------------------------
@@ -1550,29 +1507,32 @@ class CrawlEngine:
         }
         return json.dumps(header, ensure_ascii=False) + "\n"
 
-    def _reconcile_checkpoint(self, plan: CrawlPlan) -> CheckpointReplay:
+    def _reconcile_checkpoint(
+        self, plan: CrawlPlan
+    ) -> Tuple[Set[int], Dict[str, Dict]]:
         """Streaming resume: reconcile the checkpoint, (re)start the file.
 
         The checkpoint is rewritten as header + latest-wins outcomes in
         plan order (so it stays canonical — and compact — across
         repeated resumes) in one k-way streaming pass over its sorted
         runs.  That rewritten run is the first run of this execution's
-        journal, so the :class:`CheckpointReplay` carries the completed
-        index set, never the records.
+        journal, so what is returned is the completed plan indices,
+        never the records, plus the circuit-breaker snapshots (keyed by
+        domain) that let quarantine survive a kill/resume.
         """
         if self.spool_path is None:
-            return CheckpointReplay()
+            return set(), {}
         fingerprint = self.fingerprint(plan)
         self.checkpoint.parent.mkdir(parents=True, exist_ok=True)
         if self.resume and self.checkpoint.exists():
             return self._streaming_reconcile(plan, fingerprint)
         with self.checkpoint.open("w", encoding="utf-8") as handle:
             handle.write(self._checkpoint_header(fingerprint, len(plan)))
-        return CheckpointReplay()
+        return set(), {}
 
     def _streaming_reconcile(
         self, plan: CrawlPlan, fingerprint: str
-    ) -> CheckpointReplay:
+    ) -> Tuple[Set[int], Dict[str, Dict]]:
         path = self.checkpoint
 
         def on_header(header: Dict) -> None:
@@ -1603,7 +1563,7 @@ class CrawlEngine:
         )
         if scan.indices:
             self._runs.append(run)
-        return CheckpointReplay(scan.indices, dict(scan.breakers))
+        return scan.indices, dict(scan.breakers)
 
     @staticmethod
     def _outcome_line(outcome: TaskOutcome) -> str:

@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from repro.measure.crawl import CrawlResult
-from repro.measure.engine import CheckpointMismatch
-from repro.measure.storage import iter_records
+from repro.measure.engine import CheckpointMismatch, EngineResult
+from repro.measure.storage import iter_jsonl, validate_record_payload
 from repro.webgen.evolve import EvolutionSummary
 from repro.webgen.world import World
 
@@ -202,8 +202,9 @@ def wave_fingerprint_file(spool_path: Path) -> Path:
     return Path(f"{spool_path}.fingerprint")
 
 
-def reload_completed_wave(spool_path, fingerprint, plan):
-    """The records of a wave that already finished, or ``None``.
+def reload_completed_wave(spool_path, fingerprint, plan) -> Optional[EngineResult]:
+    """A wave that already finished, as an
+    :class:`~repro.measure.engine.EngineResult` over its file, or ``None``.
 
     A wave is complete when its fingerprint file holds *fingerprint*
     (the wave's :func:`~repro.measure.engine.plan_fingerprint`, written
@@ -211,7 +212,9 @@ def reload_completed_wave(spool_path, fingerprint, plan):
     task.  A missing fingerprint file, spool, or short or over-long
     file re-runs the wave through the engine; a different fingerprint
     (another regime, plan or world) raises
-    :class:`~repro.measure.engine.CheckpointMismatch`.
+    :class:`~repro.measure.engine.CheckpointMismatch`.  The records are
+    counted and structurally checked, never held: the result streams
+    them from the file like any spooled run's.
     """
     try:
         found = wave_fingerprint_file(spool_path).read_text(encoding="utf-8").strip()
@@ -225,8 +228,15 @@ def reload_completed_wave(spool_path, fingerprint, plan):
         )
     if not spool_path.exists():
         return None
-    # reprolint: disable=materialized-records -- bounded by one wave; the caller builds a list-based CrawlResult from it either way
-    records = list(iter_records(spool_path))
-    if len(records) != len(plan.tasks):
+    count = 0
+    for line_number, payload in iter_jsonl(spool_path):
+        try:
+            validate_record_payload(payload)
+        except ValueError as error:
+            raise ValueError(f"{spool_path}:{line_number}: {error}") from None
+        count += 1
+    if count != len(plan.tasks):
         return None
-    return records
+    return EngineResult(
+        total=count, record_count=count, resumed=count, spool_path=spool_path
+    )

@@ -105,7 +105,7 @@ class TestSessionBasics:
         # Mirrors the resume rule: silently merging in memory when the
         # caller asked for the streaming mode is never acceptable.
         session = Session(WORLD, engine=EngineSpec(merge="spool"))
-        with pytest.raises(SpecError, match="--merge spool"):
+        with pytest.raises(SpecError, match='engine.merge = "spool"'):
             session.crawl(CrawlSpec(vps=("DE",)))
 
     def test_measure_pre_pass_survives_spool_merge(self, tmp_path):

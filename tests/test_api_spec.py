@@ -129,7 +129,7 @@ class TestValidation:
     def test_merge_validated_and_needs_output(self):
         with pytest.raises(SpecError, match="engine.merge"):
             EngineSpec(merge="teleport").validate()
-        with pytest.raises(SpecError, match="--merge spool"):
+        with pytest.raises(SpecError, match='engine.merge = "spool"'):
             RunSpec(kind="crawl", engine=EngineSpec(merge="spool")).validate()
         with pytest.raises(SpecError, match="--out-dir"):
             RunSpec(

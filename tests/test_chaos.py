@@ -373,10 +373,10 @@ def test_compacted_checkpoint_keeps_breaker_state(
         chaos_crawler, spool_path=out, resume=True,
         retry=RetryPolicy(**BREAKER_RETRY), shards=SHARDS,
     )
-    replay = resumer._reconcile_checkpoint(
+    _, breakers = resumer._reconcile_checkpoint(
         chaos_plan(breaker_plan_factory, breaker_chaos)
     )
-    assert replay.breakers == before
+    assert breakers == before
     lines = checkpoint.read_text(encoding="utf-8").splitlines()
     assert [i for i, line in enumerate(lines) if '"kind": "breaker"' in line] == [1]
     assert _breaker_checkpoint_domains(checkpoint) == before

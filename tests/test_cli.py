@@ -263,9 +263,9 @@ GOLDEN_ARGV = [
       "--relocate", "DE=USE", "--relocate-month", "2", "--out-dir", "mv"],
      {**COMMON_ARGV[1], "multivantage.vps": ["de", "USE"],
       "multivantage.months": [0, 2], "multivantage.domains": ["x.com"],
-      "multivantage.regime": "EU", "multivantage.relocate": {"DE": "USE"},
+      "multivantage.regime": "eu", "multivantage.relocate": {"DE": "USE"},
       "multivantage.relocate_month": 2, "output.out_dir": "mv"}),
-    (["multivantage", "--regime", "non-EU"], {"multivantage.regime": "non-EU"}),
+    (["multivantage", "--regime", "non-EU"], {"multivantage.regime": "non-eu"}),
 ]
 
 

@@ -201,8 +201,13 @@ class TestRetryPolicy:
         )
         result = engine.execute(plan)
         assert not result.failures
-        assert all(o.attempts == 2 for o in result.outcomes)
-        assert len(log.by_kind("task-retry")) == 2
+        # One retry per task, after its first attempt: each succeeded on
+        # its second.
+        retries = log.by_kind("task-retry")
+        assert sorted(e.detail["domain"] for e in retries) == sorted(
+            medium_world.crawl_targets[:2]
+        )
+        assert [e.detail["attempt"] for e in retries] == [1, 1]
 
     def test_exhausted_retries_recorded_not_raised(self, medium_world):
         crawler = self.FlakyCrawler(medium_world, fail_times=10)
@@ -233,21 +238,24 @@ class TestRetryPolicy:
             event_log=log,
         )
         result = engine.execute(crawler.plan_detection_crawl(["DE"], [dead]))
-        (outcome,) = result.outcomes
-        # Permanently dead site: retried to exhaustion, record kept.
-        assert outcome.attempts == 3
-        assert outcome.record is not None and not outcome.record.reachable
-        assert len(log.by_kind("task-retry")) == 2
+        # Permanently dead site: retried to exhaustion (three attempts),
+        # record kept, and not a failure.
+        assert [e.detail["attempt"] for e in log.by_kind("task-retry")] == [1, 2]
+        assert not result.failures
+        (record,) = result.records
+        assert not record.reachable
 
     def test_unreachable_not_retried_by_default(self, medium_world, medium_crawler):
         dead = next(
             d for d, s in medium_world.sites.items() if not s.reachable
         )
-        engine = CrawlEngine(medium_crawler)
+        log = EventLog()
+        engine = CrawlEngine(medium_crawler, event_log=log)
         result = engine.execute(
             medium_crawler.plan_detection_crawl(["DE"], [dead])
         )
-        assert result.outcomes[0].attempts == 1
+        assert not result.failures and result.record_count == 1
+        assert log.by_kind("task-retry") == []
 
 
 class TestEngineEvents:
@@ -311,9 +319,9 @@ class TestSpool:
         )
         spool = tmp_path / "out.jsonl"
         result = CrawlEngine(medium_crawler, spool_path=spool).execute(plan)
-        assert result.streamed
+        assert result.spool_path == spool and result.held is None
         in_memory = CrawlEngine(medium_crawler).execute(plan)
-        assert not in_memory.streamed
+        assert in_memory.spool_path is None and len(in_memory.held) == 5
         reference = tmp_path / "reference.jsonl"
         save_records(in_memory.records, reference)
         assert spool.read_bytes() == reference.read_bytes()
@@ -367,7 +375,7 @@ class TestSpoolMerge:
             medium_crawler, workers=2, shards=4, spool_path=streamed,
         ).execute(plan)
         assert streamed.read_bytes() == memory.read_bytes()
-        assert result.streamed and result.outcomes is None
+        assert result.spool_path == streamed and result.held is None
         assert len(result) == 40
         assert result.record_count == 40
         assert result.failures == []
@@ -1014,16 +1022,16 @@ class TestCheckpointCompaction:
             handle.write(first_outcome + "\n")
             handle.write(superseding + "\n")
 
-        replay = self._resumer(medium_crawler, out)._reconcile_checkpoint(plan)
+        completed, _ = self._resumer(medium_crawler, out)._reconcile_checkpoint(plan)
         rewritten = checkpoint.read_text().splitlines()
         # The header survives verbatim; one line per task, the latest wins.
         assert rewritten[0] == header
-        assert len(rewritten) == len(lines) == replay.count + 1
+        assert len(rewritten) == len(lines) == len(completed) + 1
         latest = [json.loads(line) for line in rewritten[1:]]
         assert [o["attempts"] for o in latest if o["index"] == index] == [7]
 
         result = self._resumer(medium_crawler, out).execute(plan)
-        assert result.resumed == replay.count
+        assert result.resumed == len(completed)
         assert out.read_bytes() == reference.read_bytes()
 
     def test_compaction_is_idempotent(
@@ -1038,7 +1046,7 @@ class TestCheckpointCompaction:
         first = self._resumer(medium_crawler, out)._reconcile_checkpoint(plan)
         before = checkpoint.read_bytes()
         second = self._resumer(medium_crawler, out)._reconcile_checkpoint(plan)
-        assert second.completed == first.completed
+        assert second == first
         assert checkpoint.read_bytes() == before
 
     def test_outcomes_sorted_into_plan_order(
@@ -1170,12 +1178,12 @@ class TestStreamingReconcileMachinery:
             medium_crawler, workers=4, shards=8,
             spool_path=out, resume=True,
         )
-        replay = resumer._reconcile_checkpoint(plan)
-        assert replay.count > 0
+        completed, _ = resumer._reconcile_checkpoint(plan)
+        assert completed and all(isinstance(i, int) for i in completed)
         # The rewritten outcomes are the journal's first run.
         ((start, stop),) = resumer._runs
         replay_lines = checkpoint.read_bytes()[start:stop].splitlines()
-        assert len(replay_lines) == replay.count
+        assert len(replay_lines) == len(completed)
         # The rewritten checkpoint is canonical: header + plan-ordered
         # unique outcomes, ready for the next append or resume.
         import json as _json
@@ -1185,4 +1193,5 @@ class TestStreamingReconcileMachinery:
             for line in checkpoint.read_text().splitlines()[1:]
         ]
         assert indices == sorted(indices)
-        assert len(indices) == len(set(indices)) == replay.count
+        assert set(indices) == completed
+        assert len(indices) == len(completed)

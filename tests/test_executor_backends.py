@@ -99,8 +99,8 @@ class TestBackendDeterminism:
         result = make_engine(
             backend, small_crawler, spool_path=out
         ).execute(detection_plan)
-        assert result.streamed
-        assert result.outcomes is None
+        assert result.spool_path == out
+        assert result.held is None
         assert result.record_count == len(detection_plan)
         assert out.read_bytes() == serial_reference
         # The per-shard part files are consumed by the join.

@@ -407,6 +407,53 @@ class TestCampaignSession:
             == full.campaign.report.summary()
         )
 
+    def test_fully_resumed_wave_is_an_engine_result_over_its_file(
+        self, tmp_path
+    ):
+        """A finished wave reloaded under resume is the result a spooled
+        run returns: it names its file, holds no records, streams what
+        the fresh run wrote, and feeds the campaign summary the fresh
+        run's visits and walls, every visit counted as resumed."""
+        from repro.api import Session
+        from repro.measure import EngineResult
+        from repro.measure.longitudinal import reload_completed_wave
+
+        out = tmp_path / "campaign"
+        fresh = Session(campaign_spec(out, regime="eu")).run()
+        spec = campaign_spec(out, regime="eu", resume=True)
+        session = Session(spec)
+        crawler = Crawler(session.world)
+        plan = crawler.plan_detection_crawl(
+            list(VPS), list(session.world.crawl_targets)
+        )
+        plan.context["multivantage"] = {
+            "wave": 0, "scenario": spec.multivantage.scenario().to_context(),
+        }
+        wave = reload_completed_wave(
+            out / "wave-00.jsonl", CrawlEngine(crawler).fingerprint(plan), plan
+        )
+        assert isinstance(wave, EngineResult)
+        assert wave.spool_path == out / "wave-00.jsonl"
+        assert wave.held is None
+        assert wave.total == wave.record_count == wave.resumed == len(plan)
+        assert wave.executed == 0 and wave.failures == []
+        assert [r.to_dict() for r in wave.iter_records()] == [
+            r.to_dict() for r in fresh.iter_records()
+        ]
+
+        resumed = session.run()
+        fresh_waves = fresh.summary()["waves"]
+        resumed_waves = resumed.summary()["waves"]
+        assert [(w["visits"], w["walls"]) for w in resumed_waves] == [
+            (w["visits"], w["walls"]) for w in fresh_waves
+        ]
+        assert [w["resumed"] for w in fresh_waves] == [0]
+        assert [w["resumed"] for w in resumed_waves] == [
+            w["visits"] for w in fresh_waves
+        ]
+        assert resumed.executed == 0
+        assert resumed.campaign.report.summary() == fresh.campaign.report.summary()
+
     def test_completed_wave_of_another_regime_is_refused(self, tmp_path):
         """A finished wave is reloaded only under its own fingerprint:
         resuming an ``eu`` campaign's directory as ``baseline`` must

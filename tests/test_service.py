@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import RunSpec, WorldSpec
-from repro.api.spec import CrawlSpec, EngineSpec, MultiVantageSpec
+from repro.api.spec import CrawlSpec, EngineSpec, MultiVantageSpec, SpecError
 from repro.service import (
     CampaignService,
     Job,
@@ -256,6 +256,21 @@ class TestJobQueue:
         assert spec.to_dict()["schema_version"] == spec_module.SPEC_SCHEMA_VERSION
         assert job_id(spec, "t") == before
         assert job_id(spec, "u") != before
+
+    def test_regime_letter_case_is_one_campaign(self):
+        """``regime="EU"`` and ``"eu"`` name one campaign: one stored
+        spelling, so one job id, and a resubmit in the other case
+        resumes instead of re-crawling."""
+        upper, lower = (
+            RunSpec(kind="multivantage", multivantage=MultiVantageSpec(regime=r))
+            for r in ("EU", "eu")
+        )
+        assert upper.multivantage.regime == "eu"
+        assert upper.to_dict() == lower.to_dict()
+        assert job_id(upper, "t") == job_id(lower, "t")
+        assert RunSpec.from_dict(upper.to_dict()) == lower
+        with pytest.raises(SpecError, match="regime"):
+            MultiVantageSpec(regime=5).validate()
 
     def test_crash_before_replace_keeps_previous_job_file(
         self, tmp_path, monkeypatch
