@@ -41,7 +41,6 @@ from repro.api.spec import (
     SpecError,
     WorldSpec,
 )
-from repro.durable import atomic_write_text
 from repro.measure.crawl import Crawler, CrawlResult, cookiewall_domains
 from repro.measure.engine import CrawlEngine, CrawlPlan, EngineResult
 from repro.measure.instrumentation import EventLog
@@ -50,6 +49,7 @@ from repro.measure.longitudinal import (
     LongitudinalWave,
     MultiVantageRun,
     MultiVantageWave,
+    mark_wave_finished,
     reload_completed_wave,
     wave_fingerprint_file,
 )
@@ -358,7 +358,7 @@ class Session:
                 plan, spool_path=spool_path, crawler=crawler, progress=progress,
             )
             if spool_path is not None:
-                atomic_write_text(wave_fingerprint_file(spool_path), fingerprint + "\n")
+                mark_wave_finished(spool_path, fingerprint, result.failures)
             yield _Wave(month, wave_world, summary, result)
 
     def crawl(

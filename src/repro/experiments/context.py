@@ -7,14 +7,17 @@ likewise derives all analyses from one crawl dataset).
 
 Every cached product is compiled into a
 :class:`~repro.measure.engine.CrawlPlan` and executed through the
-sharded crawl engine instead of an ad-hoc loop.  The default
-``workers=1, shards=1`` configuration reproduces the pre-engine serial
-harness exactly.  Raising ``workers`` parallelises every batch — note
-that this, like a ``spool_dir``, switches cookie/uBlock measurements to
-the engine's per-task visit-id streams: their values stay fully deterministic (identical
-across reruns and parallel configurations) but differ from the serial
-baseline's, because the world keys ad rotation and cookie-count jitter
-on visit ids.  Detection-crawl products are identical in both regimes.
+sharded crawl engine instead of an ad-hoc loop.  Only the detection
+crawl runs on local wire workers (:func:`default_workers`: one per
+usable CPU, at most two): it is an id-free plan (see the engine's
+*Determinism* docs), so its records do not depend on visit ids and the
+engine leaves the shared serial visit-id counter where a one-core run
+leaves it.  The cookie, contentpass and uBlock measurements, whose
+values the world keys on visit ids, run in-process on that counter.
+So every product is byte-identical to the pre-engine serial harness on
+any number of CPUs.  A ``spool_dir`` switches every product to the
+engine's per-task visit-id streams instead: values stay deterministic
+but differ from the serial baseline's.
 
 Every paper artefact is aggregated in a single pass over the run's
 record stream (:class:`~repro.analysis.streaming.StreamingCrawlAnalysis`
@@ -28,6 +31,7 @@ experiment over them too and require byte-identical artefacts.
 
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
@@ -43,7 +47,7 @@ from repro.analysis.streaming import (
 from repro.analysis.tables import Table1
 from repro.api import EngineSpec, Session
 from repro.measure.crawl import Crawler
-from repro.measure.engine import CrawlPlan, EngineResult
+from repro.measure.engine import CrawlPlan, EngineResult, check_process_portable
 from repro.measure.instrumentation import EventLog
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 from repro.vantage import VANTAGE_POINTS
@@ -53,8 +57,26 @@ _ACCOUNT_EMAIL = "measurement@repro.example"
 _ACCOUNT_PASSWORD = "one-month-subscription"
 
 
+def default_workers(crawler: Crawler) -> int:
+    """The detection crawl's local workers: one per usable CPU, at most
+    two (each forked worker holds its own world and document cache, and
+    more than two has not been measured), or 1 when the wire cannot
+    rebuild *crawler*: a crawler or detector subclass, or a hand-tuned
+    world."""
+    try:
+        check_process_portable(crawler)
+    except ValueError:
+        return 1
+    return min(len(os.sched_getaffinity(0)), 2)
+
+
 class ExperimentContext:
-    """Lazily computed, cached measurement products."""
+    """Lazily computed, cached measurement products.
+
+    The detection crawl runs on :attr:`workers` local wire workers
+    (:func:`default_workers`); every other product runs in-process, so
+    no output depends on the CPU count.
+    """
 
     def __init__(
         self,
@@ -64,8 +86,6 @@ class ExperimentContext:
         repeats: int = 5,
         vps: Optional[Sequence[str]] = None,
         sample_seed: int = 1234,
-        workers: int = 1,
-        shards: Optional[int] = None,
         event_log: Optional[EventLog] = None,
         spool_dir: Union[str, Path, None] = None,
         resume: bool = False,
@@ -75,44 +95,55 @@ class ExperimentContext:
         self.repeats = repeats
         self.vps = list(vps) if vps is not None else list(VANTAGE_POINTS)
         self.sample_seed = sample_seed
-        self.workers = workers
-        self.shards = shards
+        self.workers = default_workers(self.crawler)
         self.event_log = event_log
         #: With a spool_dir every cached product persists to
         #: ``<spool_dir>/<name>.jsonl`` with a resumable checkpoint
         #: alongside; ``resume=True`` replays completed tasks after a
         #: crash.  A spooled run uses the engine's per-task visit-id
         #: streams even when serial (see the engine docs), so a
-        #: spool_dir changes cookie/uBlock values as ``workers > 1``
-        #: does; without one nothing is written.
+        #: spool_dir changes cookie/uBlock values; without one nothing
+        #: is written.
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         if resume and self.spool_dir is None:
             raise ValueError("resume=True requires a spool_dir")
         self.resume = resume
         #: All engine wiring (spool/checkpoint paths, retry, events,
-        #: progress) is owned by one Session, shared by every cached
-        #: product — the same path the CLI and library entry points use.
-        self.session = Session(
-            world,
-            engine=EngineSpec(workers=workers, shards=shards, resume=resume),
-            crawler=self.crawler,
-            event_log=event_log,
-            spool_dir=self.spool_dir,
+        #: progress) is owned by a Session — the same path the CLI and
+        #: library entry points use: an in-process one for every
+        #: product, and one on :attr:`workers` for the detection crawl.
+        def session(workers: int) -> Session:
+            return Session(
+                world,
+                engine=EngineSpec(workers=workers, resume=resume),
+                crawler=self.crawler,
+                event_log=event_log,
+                spool_dir=self.spool_dir,
+            )
+
+        self.session = session(1)
+        self._detection_session = (
+            self.session if self.workers == 1 else session(self.workers)
         )
         #: Finished runs by product name, which also names the spool.
         self._products: Dict[str, EngineResult] = {}
         self._detection_analysis: Optional[StreamingCrawlAnalysis] = None
         self._account_ready = False
 
-    def _product(self, name: str, plan: Callable[[], CrawlPlan]) -> EngineResult:
-        """The run of product *name*; ``plan()`` is built and executed
-        on the first call only.  The
-        :class:`~repro.measure.engine.EngineResult` is kept rather
-        than a materialised list so spool-backed products can be
-        re-streamed on demand.
+    def _product(
+        self, name: str, plan: Callable[[], CrawlPlan],
+        session: Optional[Session] = None,
+    ) -> EngineResult:
+        """The run of product *name* on *session* (default: the
+        in-process one); ``plan()`` is built and executed on the first
+        call only.  The :class:`~repro.measure.engine.EngineResult` is
+        kept rather than a materialised list so spool-backed products
+        can be re-streamed on demand.
         """
         if name not in self._products:
-            self._products[name] = self.session.execute(plan(), name=name)
+            self._products[name] = (session or self.session).execute(
+                plan(), name=name
+            )
         return self._products[name]
 
     # ------------------------------------------------------------------
@@ -124,6 +155,7 @@ class ExperimentContext:
         return self._product(
             "detection_crawl",
             lambda: self.crawler.plan_detection_crawl(self.vps),
+            self._detection_session,
         )
 
     def detection_analysis(self) -> StreamingCrawlAnalysis:

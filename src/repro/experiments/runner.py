@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.experiments.context import ExperimentContext
-from repro.measure.accuracy import evaluate_records, random_audit
+from repro.measure.accuracy import crawled_audit, evaluate_records
 from repro.webgen.world import World, build_world
 
 
@@ -135,10 +135,7 @@ def _fig6(ctx: ExperimentContext) -> ExperimentResult:
 
 def _accuracy(ctx: ExperimentContext) -> ExperimentResult:
     full = evaluate_records(ctx.world, ctx.iter_detection_records("DE"))
-    audit = random_audit(
-        ctx.world, ctx.crawler, vp="DE",
-        sample_size=min(1000, len(ctx.world.crawl_targets)),
-    )
+    audit = crawled_audit(ctx.world, ctx.iter_detection_records("DE"))
     rendered = "\n".join(
         [
             "Detection accuracy (§3)",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.measure.crawl import Crawler
 from repro.measure.records import VisitRecord
@@ -76,6 +76,19 @@ def evaluate_records(
     return report
 
 
+def audit_sample(
+    world: World,
+    *,
+    sample_size: int = 1000,
+    seed: int = 99,
+    domains: Optional[Sequence[str]] = None,
+) -> List[str]:
+    """The audit's random sample of *domains* (default: the crawl
+    targets), in draw order."""
+    pool = list(domains) if domains is not None else list(world.crawl_targets)
+    return random.Random(seed).sample(pool, min(sample_size, len(pool)))
+
+
 def random_audit(
     world: World,
     crawler: Crawler,
@@ -86,11 +99,40 @@ def random_audit(
     domains: Optional[Sequence[str]] = None,
 ) -> AccuracyReport:
     """The paper's 1000-domain random manual check, automated."""
-    pool = list(domains) if domains is not None else list(world.crawl_targets)
-    rng = random.Random(seed)
-    sample = rng.sample(pool, min(sample_size, len(pool)))
+    sample = audit_sample(
+        world, sample_size=sample_size, seed=seed, domains=domains
+    )
     records = [crawler.visit(vp, domain) for domain in sample]
     return evaluate_records(world, records)
+
+
+def crawled_audit(
+    world: World, records: Iterable[VisitRecord]
+) -> AccuracyReport:
+    """:func:`random_audit` at its defaults (DE, 1000 domains, seed 99)
+    over a detection crawl's DE *records* instead of re-visits.
+
+    A detection re-visit reproduces the crawl's record byte for byte,
+    so the sampled domains' records are taken from *records* in sample
+    order.  The shared visit-id counter then skips the ids the
+    re-visits would have drawn (one each), so later serial
+    measurements keep their values.  Every sampled domain must have a
+    record, so a crawl that leaves out DE is refused.
+    """
+    sample = audit_sample(world)
+    wanted = set(sample)
+    crawled = {
+        record.domain: record for record in records
+        if record.domain in wanted
+    }
+    missing = wanted.difference(crawled)
+    if missing:
+        raise ValueError(
+            f"the crawl has no DE record for {len(missing)} sampled "
+            f"domains (e.g. {min(missing)})"
+        )
+    world.network.skip_visit_ids(len(sample))
+    return evaluate_records(world, [crawled[domain] for domain in sample])
 
 
 def audit_with_screenshots(
@@ -114,11 +156,8 @@ def audit_with_screenshots(
 
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    pool = list(world.crawl_targets)
-    rng = random.Random(seed)
-    sample = rng.sample(pool, min(sample_size, len(pool)))
     records = []
-    for domain in sample:
+    for domain in audit_sample(world, sample_size=sample_size, seed=seed):
         record = crawler.visit(vp, domain)
         records.append(record)
         if record.is_cookiewall:

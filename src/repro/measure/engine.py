@@ -124,6 +124,22 @@ engine controls how ids are allocated:
   the serial stream's, since the ids differ; each regime is internally
   deterministic.)
 
+An *id-free* plan (:func:`id_free_plan`: detection tasks only, no
+campaign scenario, no chaos plane) yields the same records in both
+regimes, so only the shared counter's position tells them apart.  Run
+in the per-task regime, such a plan advances the world network's
+shared counter by the run's executed attempts
+(:meth:`~repro.netsim.network.Network.skip_visit_ids`).  On the stock
+crawler, the only one a worker can rebuild, each detection attempt
+draws exactly one id and a breaker skip draws none, so the counter
+stands where the serial run leaves it, and every later serial
+measurement keeps its values: a detection crawl may run on any number
+of workers between serial cookie measurements.  Only attempts executed
+in this run count: a resumed spooled run does not advance the counter
+for its replayed tasks, so it leaves the counter short of the serial
+position (harmless where it occurs, since every spooled run draws from
+per-task streams).
+
 Progress and throughput are emitted through the existing
 :mod:`repro.measure.instrumentation` event-log machinery (``plan``,
 ``shard``, ``task-retry``, ``progress``, and ``throughput`` events), so
@@ -228,6 +244,51 @@ def chaos_plan(plan: "CrawlPlan") -> bool:
     """
     chaos = plan.context.get("chaos")
     return isinstance(chaos, dict) and chaos.get("seed") is not None
+
+
+def id_free_plan(plan: "CrawlPlan") -> bool:
+    """True when no record of *plan* depends on its visit ids: every
+    task detects, and no campaign scenario or chaos plane keys anything
+    on them.  Such a plan may run in either visit-id regime; run in the
+    per-task one, it still moves the shared counter as the serial run
+    would (module docstring, *Determinism*)."""
+    return (
+        all(task.mode == "detect" for task in plan.tasks)
+        and not campaign_plan(plan) and not chaos_plan(plan)
+    )
+
+
+def check_process_portable(crawler) -> None:
+    """Refuse, with a ``ValueError`` saying why, a crawl that a worker
+    process cannot reconstruct."""
+    from repro.measure.crawl import Crawler
+    from repro.webgen.config import WorldConfig
+
+    for part, stock in ((crawler, Crawler), (getattr(crawler, "bannerclick", None), BannerClick),
+                        (getattr(crawler, "_lang", None), LanguageDetector)):
+        if type(part) is not stock:
+            raise ValueError(
+                "the distributed backend rebuilds the stock Crawler and detectors in each worker "
+                f"from plain data; {type(part).__name__} cannot cross the process boundary "
+                "(use workers=1)"
+            )
+    config = getattr(getattr(crawler, "world", None), "config", None)
+    if config is None or getattr(config, "seed", None) is None:
+        raise ValueError(
+            "the distributed backend rebuilds the world from its "
+            "(seed, scale, evolution) key; this crawler's world has "
+            "no build config"
+        )
+    if config != WorldConfig(seed=config.seed, scale=config.scale):
+        # A spawn-started worker rebuilds with build_world(scale,
+        # seed) only; hand-tuned population knobs would silently
+        # produce a *different web* in the worker, so refuse them
+        # up front (fork-started workers would mask this locally).
+        raise ValueError(
+            "the distributed backend rebuilds the world from (seed, "
+            "scale) alone; this world's config carries non-default "
+            "knobs a worker could not reproduce (use workers=1)"
+        )
 
 
 class CheckpointMismatch(RuntimeError):
@@ -1088,6 +1149,9 @@ class CrawlEngine:
         self._progress_lock = threading.Lock()
         self._done = 0
         self._total = 0
+        #: Attempts the absorbed shards made: what an id-free plan in
+        #: the per-task regime skips on the shared counter.
+        self._attempts = 0
         #: Per-domain circuit breakers, when the retry policy enables
         #: them: restored from checkpoint replays and replaced by every
         #: absorbed shard's final states.
@@ -1114,8 +1178,11 @@ class CrawlEngine:
         when parallel (worker processes cannot share the serial
         counter), spooled (the counter cannot survive a resume
         boundary, since replayed tasks would no longer advance it), or
-        running a campaign/chaos plan, which forces it."""
-        return (
+        running a campaign/chaos plan, which forces it.  The streams
+        are seeded by the world's build seed; a world without one
+        stays on the shared counter."""
+        config = getattr(getattr(self.crawler, "world", None), "config", None)
+        return config is not None and (
             self._parallel or self.spool_path is not None
             or campaign_plan(plan) or chaos_plan(plan)
         )
@@ -1149,6 +1216,7 @@ class CrawlEngine:
                 for shard in sharded
             ]
         self._done = len(completed)
+        self._attempts = 0
         self._emit("plan", "engine://plan", {
             "tasks": len(plan),
             "shards": self.shards,
@@ -1193,6 +1261,11 @@ class CrawlEngine:
             if installed_chaos:
                 network.chaos = None
         elapsed = time.perf_counter() - started
+        if (
+            network is not None and id_free_plan(plan)
+            and self._per_task_plan(plan)
+        ):
+            network.skip_visit_ids(self._attempts)
         self._emit_process_throughput()
         if self.spool_path is not None:
             result = self._join(plan, len(completed), elapsed)
@@ -1240,7 +1313,7 @@ class CrawlEngine:
         ``[index, seed]`` per-task visit-id stream seeds (none in the
         serial regime), and the breaker snapshots entering the shard."""
         config = getattr(getattr(self.crawler, "world", None), "config", None)
-        per_task = config is not None and self._per_task_plan(plan)
+        per_task = self._per_task_plan(plan)
         return [
             {
                 "shard": shard_id,
@@ -1259,39 +1332,6 @@ class CrawlEngine:
             }
             for shard_id, items in enumerate(sharded) if items
         ]
-
-    def _check_process_portable(self) -> None:
-        """Refuse crawls a worker process cannot reconstruct."""
-        from repro.measure.crawl import Crawler
-
-        crawler = self.crawler
-        for part, stock in ((crawler, Crawler), (getattr(crawler, "bannerclick", None), BannerClick),
-                            (getattr(crawler, "_lang", None), LanguageDetector)):
-            if type(part) is not stock:
-                raise ValueError(
-                    "the distributed backend rebuilds the stock Crawler and detectors in each worker "
-                    f"from plain data; {type(part).__name__} cannot cross the process boundary "
-                    "(use workers=1)"
-                )
-        config = getattr(getattr(self.crawler, "world", None), "config", None)
-        if config is None or getattr(config, "seed", None) is None:
-            raise ValueError(
-                "the distributed backend rebuilds the world from its "
-                "(seed, scale, evolution) key; this crawler's world has "
-                "no build config"
-            )
-        from repro.webgen.config import WorldConfig
-
-        if config != WorldConfig(seed=config.seed, scale=config.scale):
-            # A spawn-started worker rebuilds with build_world(scale,
-            # seed) only; hand-tuned population knobs would silently
-            # produce a *different web* in the worker, so refuse them
-            # up front (fork-started workers would mask this locally).
-            raise ValueError(
-                "the distributed backend rebuilds the world from (seed, "
-                "scale) alone; this world's config carries non-default "
-                "knobs a worker could not reproduce (use workers=1)"
-            )
 
     def _worker_state(self, plan: CrawlPlan) -> Dict:
         """The run-constant JSON state every worker installs once.
@@ -1339,7 +1379,7 @@ class CrawlEngine:
     ) -> None:
         """Ship *bundles* to worker processes along with the JSON worker
         state each of them installs once (:func:`_init_worker_shared`)."""
-        self._check_process_portable()
+        check_process_portable(self.crawler)
         state = self._worker_state(plan)
         world_key = tuple(state["world"])
         # Fork-started workers inherit this entry and skip the rebuild;
@@ -1383,6 +1423,8 @@ class CrawlEngine:
                 )
                 for entry in outcomes
             ]
+        with self._lock:
+            self._attempts += sum(outcome.attempts for outcome in outcomes)
         for note in payload["notes"]:
             task = plan.tasks[note["index"]]
             if note["kind"] == "task-retry":

@@ -19,12 +19,15 @@ campaign can die mid-wave and pick up where it stopped.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
+from repro import schema
+from repro.durable import atomic_write_text
 from repro.measure.crawl import CrawlResult
-from repro.measure.engine import CheckpointMismatch, EngineResult
+from repro.measure.engine import CheckpointMismatch, EngineResult, TaskOutcome
 from repro.measure.storage import iter_jsonl, validate_record_payload
 from repro.webgen.evolve import EvolutionSummary
 from repro.webgen.world import World
@@ -202,6 +205,25 @@ def wave_fingerprint_file(spool_path: Path) -> Path:
     return Path(f"{spool_path}.fingerprint")
 
 
+def mark_wave_finished(
+    spool_path: Path, fingerprint: str, failures: List[TaskOutcome]
+) -> None:
+    """Write the fingerprint file that marks a wave finished: the
+    fingerprint line, then one JSON line per permanent failure (plan
+    index, error, attempts), which :func:`reload_completed_wave`
+    rebuilds.  The wave file itself holds records only."""
+    lines = [fingerprint] + [
+        json.dumps(
+            {"index": o.index, "error": o.error, "attempts": o.attempts},
+            sort_keys=True,
+        )
+        for o in failures
+    ]
+    atomic_write_text(
+        wave_fingerprint_file(spool_path), "".join(f"{line}\n" for line in lines)
+    )
+
+
 def reload_completed_wave(spool_path, fingerprint, plan) -> Optional[EngineResult]:
     """A wave that already finished, as an
     :class:`~repro.measure.engine.EngineResult` over its file, or ``None``.
@@ -214,12 +236,17 @@ def reload_completed_wave(spool_path, fingerprint, plan) -> Optional[EngineResul
     (another regime, plan or world) raises
     :class:`~repro.measure.engine.CheckpointMismatch`.  The records are
     counted and structurally checked, never held: the result streams
-    them from the file like any spooled run's.
+    them from the file like any spooled run's.  The wave's failures
+    are rebuilt from the lines after the fingerprint
+    (:func:`mark_wave_finished`); a one-line file, as written before
+    failures were kept, reloads with none.
     """
+    marker = wave_fingerprint_file(spool_path)
     try:
-        found = wave_fingerprint_file(spool_path).read_text(encoding="utf-8").strip()
+        found, *failure_lines = marker.read_text(encoding="utf-8").splitlines() or [""]
     except FileNotFoundError:
         return None
+    found = found.strip()
     if found != fingerprint:
         raise CheckpointMismatch(
             f"{spool_path}: completed with fingerprint {found}, which does "
@@ -237,6 +264,23 @@ def reload_completed_wave(spool_path, fingerprint, plan) -> Optional[EngineResul
         count += 1
     if count != len(plan.tasks):
         return None
+    check = schema.compile({
+        "index": schema.Range(int, min=0, max=count - 1),
+        "error": str,
+        "attempts": schema.Range(int, min=0),
+    })
+    failures = []
+    for line_number, line in enumerate(failure_lines, start=2):
+        try:
+            entry = check(json.loads(line))
+        except ValueError as error:
+            raise ValueError(f"{marker}:{line_number}: {error}") from None
+        index = entry["index"]
+        failures.append(TaskOutcome(
+            index, plan.tasks[index], error=entry["error"],
+            attempts=entry["attempts"],
+        ))
     return EngineResult(
-        total=count, record_count=count, resumed=count, spool_path=spool_path
+        total=count, record_count=count, failures=failures, resumed=count,
+        spool_path=spool_path,
     )

@@ -97,6 +97,14 @@ class Network:
         """Allocate a fresh visit id (used by browsers per navigation)."""
         return next(self._visit_counter)
 
+    def skip_visit_ids(self, count: int) -> None:
+        """Advance the shared counter past *count* ids, as *count*
+        :meth:`next_visit_id` calls would, without allocating them."""
+        if count > 0:
+            self._visit_counter = itertools.count(
+                next(self._visit_counter) + count
+            )
+
     def resolve(self, host: str) -> OriginServer:
         """Resolve *host* to a server, raising DNS/connection errors."""
         host = host.lower()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import EngineSpec, Session
 from repro.errors import NetworkError
+from repro.errors import TimeoutError as ReproTimeoutError
 from repro.experiments import ExperimentContext
 from repro.measure import (
     CheckpointMismatch,
@@ -22,8 +23,9 @@ from repro.measure import (
     save_records,
 )
 from repro.measure.crawl import CrawlResult
-from repro.measure.engine import _run_shard_bundle, shard_of
+from repro.measure.engine import _run_shard_bundle, id_free_plan, shard_of
 from repro.measure.instrumentation import EventLog
+from repro.resilience.chaos import ChaosSpec
 from repro.webgen import build_world
 
 #: Where :func:`_logged_shard_bundle` records each bundle it starts.
@@ -123,6 +125,71 @@ class TestDeterminism:
             )
             runs.append([m.to_dict() for m in engine.execute(plan).records])
         assert runs[0] == runs[1] == runs[2]
+
+    def test_id_free_plans(self, medium_crawler):
+        domains = medium_crawler.world.crawl_targets[:3]
+        detection = medium_crawler.plan_detection_crawl(["DE"], domains)
+        assert id_free_plan(detection)
+        assert not id_free_plan(medium_crawler.plan_cookie_measurements(
+            "DE", domains, mode="accept", repeats=1
+        ))
+        chaos = medium_crawler.plan_detection_crawl(["DE"], domains)
+        chaos.context["chaos"] = ChaosSpec(seed=1).to_context()
+        assert not id_free_plan(chaos)
+        campaign = medium_crawler.plan_detection_crawl(["DE"], domains)
+        campaign.context["multivantage"] = {"wave": 0, "scenario": {}}
+        assert not id_free_plan(campaign)
+
+    def test_skip_visit_ids_matches_drawing_them(self):
+        drawn, skipped = build_world(scale=0.01, seed=3), build_world(scale=0.01, seed=3)
+        for _ in range(5):
+            drawn.network.next_visit_id()
+        skipped.network.skip_visit_ids(5)
+        skipped.network.skip_visit_ids(0)
+        assert skipped.network.next_visit_id() == drawn.network.next_visit_id()
+
+    @pytest.mark.parametrize("regime", ["spooled", "distributed"])
+    def test_id_free_run_leaves_the_serial_counter_position(
+        self, tmp_path, regime
+    ):
+        """A detection crawl in the per-task regime — with retried
+        unreachable visits, retried and degraded timeouts and breaker
+        skips — leaves the shared counter where the in-process serial
+        run leaves it, with the same records."""
+        retry = RetryPolicy(
+            max_attempts=2, retry_unreachable=True,
+            breaker_threshold=2, breaker_quarantine=1,
+        )
+
+        class TimingOut:
+            def handle(self, request, visitor):
+                raise ReproTimeoutError(f"{request.url.host} timed out")
+
+        def run(**engine):
+            world = build_world(scale=0.01, seed=3)
+            flaky, *rest = world.crawl_targets
+            world.network.register(flaky, TimingOut())
+            dead = [d for d in rest if not world.sites[d].reachable][:3]
+            live = [d for d in rest if world.sites[d].reachable][:20]
+            plan = Crawler(world).plan_detection_crawl(
+                ["DE", "SE", "USE", "BR", "AU"], [flaky, *dead, *live]
+            )
+            result = CrawlEngine(Crawler(world), retry=retry, **engine).execute(plan)
+            return (
+                [json.dumps(r.to_dict(), sort_keys=True) for r in result.records],
+                [(o.index, o.error, o.attempts) for o in result.failures],
+                world.network.next_visit_id(),
+            )
+
+        serial = run()
+        records, failures, _ = serial
+        attempts = {attempts for _, _, attempts in failures}
+        assert {0, 2} <= attempts, "the plan must exercise breaker skips and retries"
+        assert any('"reachable": false' in line for line in records)
+        if regime == "spooled":
+            assert run(spool_path=tmp_path / "crawl.jsonl") == serial
+        else:
+            assert run(workers=2, shards=4) == serial
 
     def test_context_products_match_pre_refactor_serial_path(self):
         """The engine-routed ExperimentContext reproduces the old ad-hoc

@@ -140,3 +140,51 @@ class TestPaperFidelity:
             run_experiment(e, context=context) for e in sorted(EXPERIMENTS)
         ]
         assert compare_with_paper(results).holding >= 17
+
+
+class TestParallelDetectionCrawl:
+    def test_every_experiment_is_identical_for_any_workers(self, monkeypatch):
+        """Only the detection crawl runs on the context's workers, and it
+        leaves the serial visit-id counter where a one-core run does, so
+        every artefact and the counter are the same for 1 and 2 workers."""
+        import json
+
+        from repro.experiments import ExperimentContext, context as context_module
+        from repro.webgen import build_world
+
+        def run_all(workers):
+            monkeypatch.setattr(
+                context_module, "default_workers", lambda crawler: workers
+            )
+            context = ExperimentContext(build_world(scale=0.02, seed=7))
+            assert context.workers == workers
+            data = {
+                e: run_experiment(e, context=context).data
+                for e in sorted(EXPERIMENTS)
+            }
+            return (
+                json.dumps(data, sort_keys=True, default=str),
+                context.world.network.next_visit_id(),
+            )
+
+        assert run_all(2) == run_all(1)
+
+    def test_default_workers(self, monkeypatch):
+        import os
+
+        from repro.experiments import ExperimentContext
+        from repro.experiments.context import default_workers
+        from repro.measure import Crawler
+        from repro.webgen import build_world
+
+        class Tuned(Crawler):
+            pass
+
+        world = build_world(scale=0.01, seed=7)
+        for cpus, workers in (({0}, 1), ({0, 1}, 2), (set(range(8)), 2)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert default_workers(Crawler(world)) == workers
+            assert ExperimentContext(world).workers == workers
+            # A crawler the wire cannot rebuild crawls in-process.
+            assert default_workers(Tuned(world)) == 1
+            assert ExperimentContext(world, crawler=Tuned(world)).workers == 1

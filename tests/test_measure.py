@@ -11,7 +11,7 @@ from repro.measure import (
     save_records,
 )
 from repro.measure import accuracy
-from repro.measure.accuracy import evaluate_records, random_audit
+from repro.measure.accuracy import crawled_audit, evaluate_records, random_audit
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 from repro.blocklists import JustDomainsList
 from repro.httpkit import Cookie, CookieJar
@@ -220,16 +220,18 @@ class TestAccuracy:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_audit_revisits_reproduce_crawl_records(self, seed, monkeypatch):
-        # The accuracy experiment's audit re-visits DE domains the
-        # detection crawl already recorded.  The re-visits produce the
-        # same records; they still cannot simply be reused, because
-        # skipping them shifts the shared serial visit-id counter that
-        # later cookie measurements draw from.
+        # The accuracy experiment's audit samples DE domains the
+        # detection crawl already recorded.  Re-visits reproduce those
+        # records byte for byte, so the audit reads them from the crawl
+        # and only skips the ids the re-visits would draw: the report
+        # and the shared serial visit-id counter come out the same.
         from repro.experiments.context import ExperimentContext
         from repro.webgen import build_world
 
-        world = build_world(scale=0.01, seed=seed)
-        ctx = ExperimentContext(world, vps=["DE"])
+        def context():
+            return ExperimentContext(build_world(scale=0.01, seed=seed), vps=["DE"])
+
+        ctx = context()
         crawled = {
             r.domain: json.dumps(r.to_dict(), sort_keys=True)
             for r in ctx.iter_detection_records("DE")
@@ -240,13 +242,44 @@ class TestAccuracy:
             audited.extend(records)
             return evaluate_records(world_, records)
 
-        monkeypatch.setattr(accuracy, "evaluate_records", capture)
+        world = ctx.world
         sample_size = min(1000, len(world.crawl_targets))
-        random_audit(world, ctx.crawler, vp="DE", sample_size=sample_size)
+        with monkeypatch.context() as patched:
+            patched.setattr(accuracy, "evaluate_records", capture)
+            revisited = random_audit(world, ctx.crawler, vp="DE", sample_size=sample_size)
         assert len(audited) == sample_size
         assert [
             json.dumps(r.to_dict(), sort_keys=True) for r in audited
         ] == [crawled[r.domain] for r in audited]
+
+        looked_up_ctx = context()
+        looked_up = crawled_audit(
+            looked_up_ctx.world, looked_up_ctx.iter_detection_records("DE")
+        )
+        assert looked_up == revisited
+        assert (
+            looked_up_ctx.world.network.next_visit_id()
+            == world.network.next_visit_id()
+        )
+
+    def test_crawled_audit_needs_every_sampled_record(self, medium_world):
+        absent = accuracy.audit_sample(medium_world)[0]
+        records = [
+            VisitRecord(vp="DE", domain=d)
+            for d in medium_world.crawl_targets if d != absent
+        ]
+        with pytest.raises(ValueError, match=f"no DE record for 1 sampled domains \\(e.g. {absent}\\)"):
+            crawled_audit(medium_world, records)
+
+    def test_accuracy_experiment_refuses_a_crawl_without_de(self):
+        # The audit reads the DE detection crawl instead of re-visiting,
+        # so a context whose vps leave out DE cannot be audited.
+        from repro.experiments import ExperimentContext, run_experiment
+        from repro.webgen import build_world
+
+        ctx = ExperimentContext(build_world(scale=0.01, seed=7), vps=["SE"])
+        with pytest.raises(ValueError, match="no DE record"):
+            run_experiment("accuracy", context=ctx)
 
 
 class TestStorage:

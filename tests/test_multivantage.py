@@ -454,6 +454,54 @@ class TestCampaignSession:
         assert resumed.executed == 0
         assert resumed.campaign.report.summary() == fresh.campaign.report.summary()
 
+    def test_fully_resumed_chaos_campaign_keeps_its_failures(self, tmp_path):
+        """A finished wave keeps its permanent failures beside its
+        fingerprint, so a fully resumed campaign reports the fresh
+        run's failures, and the wave file holds records only."""
+        from repro.api import (
+            ChaosSpec, EngineSpec, MultiVantageSpec, OutputSpec, RunSpec,
+            Session, WorldSpec,
+        )
+
+        out = tmp_path / "campaign"
+
+        def spec(resume):
+            return RunSpec(
+                kind="multivantage",
+                world=WorldSpec(scale=0.01, seed=7),
+                engine=EngineSpec(resume=resume),
+                multivantage=MultiVantageSpec(vps=("DE",), regime="eu"),
+                chaos=ChaosSpec(seed=3, timeout_rate=0.2, permanent_rate=1.0),
+                output=OutputSpec(out_dir=str(out)),
+            )
+
+        fresh = Session(spec(False)).run()
+        wave = (out / "wave-00.jsonl").read_bytes()
+        assert len(fresh.failures) > 0
+        resumed = Session(spec(True)).run()
+        assert resumed.executed == 0
+        assert resumed.failures == fresh.failures
+        assert (out / "wave-00.jsonl").read_bytes() == wave
+
+        # A fingerprint file in the one-line format resumes, failure-free.
+        marker = out / "wave-00.jsonl.fingerprint"
+        marker.write_text(marker.read_text().splitlines()[0] + "\n")
+        old_format = Session(spec(True)).run()
+        assert old_format.executed == 0
+        assert not old_format.failures
+
+    def test_malformed_wave_failure_line_is_refused(self, tmp_path):
+        from repro.api import Session
+
+        out = tmp_path / "campaign"
+        Session(campaign_spec(out)).run()
+        marker = out / "wave-00.jsonl.fingerprint"
+        marker.write_text(
+            marker.read_text() + '{"index": -1, "error": "x", "attempts": 1}\n'
+        )
+        with pytest.raises(ValueError, match=r"fingerprint:2: index must be in \[0, "):
+            Session(campaign_spec(out, resume=True)).run()
+
     def test_completed_wave_of_another_regime_is_refused(self, tmp_path):
         """A finished wave is reloaded only under its own fingerprint:
         resuming an ``eu`` campaign's directory as ``baseline`` must
