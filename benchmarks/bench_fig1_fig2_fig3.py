@@ -3,6 +3,7 @@
 from conftest import run_once, write_artifact
 
 from repro.analysis.figures import compute_fig1, compute_fig2, compute_fig3
+from repro.analysis.stats import mean
 
 
 def test_fig1_categories(benchmark, bench_world, bench_context, warm_crawl):
@@ -47,7 +48,7 @@ def test_fig3_category_vs_price(benchmark, bench_world, verified_walls_de):
     # far narrower than the 1–10 EUR price range itself.  Small
     # categories can catch one of the few >=9 EUR outliers, so the
     # band check uses categories with a meaningful sample.
-    means = [figure.mean_price(c) for c in figure.by_category
-             if len(figure.by_category[c]) >= 5]
+    means = [mean(prices) for prices in figure.by_category.values()
+             if len(prices) >= 5]
     assert means
     assert max(means) - min(means) < 5.0

@@ -8,8 +8,9 @@ from conftest import BENCH_SCALE, BENCH_SEED, OUTPUT_DIR, run_once, write_artifa
 
 from repro.api import EngineSpec, Session
 from repro.measure.crawl import Crawler, CrawlResult
-from repro.measure.engine import CrawlEngine, FaultInjectingExecutor, shard_of
+from repro.measure.engine import CrawlEngine, shard_of
 from repro.webgen import build_world
+from tests.faults import FaultInjectingExecutor
 
 #: Simulated per-request RTT for the parallel-engine benchmark.  Real
 #: crawls are network-bound; the netsim is compute-bound unless this is

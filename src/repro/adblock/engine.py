@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.adblock.filters import (
     TOKEN_RE,
@@ -103,17 +103,6 @@ class _EngineCore:
             (self._unhide if cf.is_exception else self._hide).append(cf)
         self._lists_changed(digest, network, cosmetic)
 
-    def add_lists(self, texts: Iterable[str]) -> None:
-        for text in texts:
-            self.add_list(text)
-
-    @property
-    def filter_count(self) -> int:
-        return (
-            len(self._block) + len(self._allow)
-            + len(self._hide) + len(self._unhide)
-        )
-
     # Indexed subclass hook (no-op for the naive engine).
     def _lists_changed(
         self,
@@ -162,13 +151,6 @@ class _EngineCore:
         """
         matched = self.matching_filter(request)
         return matched.raw if matched is not None else None
-
-    def top_filters(self, limit: int = 10) -> List[tuple]:
-        """Most-hit filters (the uBlock logger's ranking view)."""
-        with self._hits_lock:
-            items = list(self.hit_counts.items())
-        ranked = sorted(items, key=lambda item: -item[1])
-        return ranked[:limit]
 
     def cosmetic_selectors(self, host: str) -> List[str]:
         """CSS selectors to hide on *host* (minus exceptions)."""

@@ -10,8 +10,6 @@ suppress ~70% of cookiewalls (§4.5).
 
 from __future__ import annotations
 
-import random
-
 from repro import thirdparty
 
 
@@ -57,45 +55,3 @@ def annoyances_list() -> str:
     )
     return "\n".join(lines) + "\n"
 
-
-def synthetic_full_list(n_rules: int = 20000, seed: int = 2023) -> str:
-    """A deterministic filter list at real-EasyList scale.
-
-    The embedded lists above only cover the synthetic web's ~40 third
-    parties, but the paper's uBlock arm runs the *real* EasyList +
-    Annoyances stack (tens of thousands of rules), and it's that list
-    size the linear-scan matcher chokes on.  This generates plausible
-    filler — host anchors, tokenized URL patterns, type/party options,
-    a sprinkle of exceptions and cosmetics over never-matching
-    domains — so benchmarks and stress tests can measure engines at
-    full-list size without shipping a real list.
-    """
-    rng = random.Random(seed)
-    words = (
-        "ads", "track", "pixel", "beacon", "metric", "sync", "banner",
-        "promo", "sponsor", "click", "pop", "tag", "stat", "affil",
-        "count", "log", "roll", "serve", "media", "match",
-    )
-    tlds = ("com", "net", "io", "biz", "info")
-    types = ("script", "image", "xhr", "stylesheet", "subdocument")
-    lines = [f"! Title: synthetic full-scale list ({n_rules} rules)"]
-    for i in range(n_rules):
-        kind = rng.random()
-        w1, w2 = rng.choice(words), rng.choice(words)
-        if kind < 0.55:
-            domain = f"{w1}{i}.{w2}-cdn.{rng.choice(tlds)}"
-            rule = f"||{domain}^"
-            if rng.random() < 0.3:
-                rule += f"${rng.choice(types)}"
-            elif rng.random() < 0.15:
-                rule += "$third-party"
-        elif kind < 0.9:
-            rule = f"/{w1}{i}/{w2}."
-            if rng.random() < 0.25:
-                rule = f"*{rule}*"
-        elif kind < 0.95:
-            rule = f"@@||allowed{i}.{w1}-site.{rng.choice(tlds)}^"
-        else:
-            rule = f"never{i}.example.{rng.choice(tlds)}##.{w1}-{w2}-{i}"
-        lines.append(rule)
-    return "\n".join(lines) + "\n"

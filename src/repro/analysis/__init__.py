@@ -11,7 +11,6 @@ the analysis result, not the stream length.
 from repro.analysis.stats import (
     OnlineStats,
     StreamingECDF,
-    TopK,
     ecdf,
     ecdf_at,
     mean,
@@ -19,10 +18,7 @@ from repro.analysis.stats import (
     pearson,
     quantile,
 )
-from repro.analysis.discrepancy import (
-    StreamingDiscrepancyReport,
-    build_discrepancy_report,
-)
+from repro.analysis.discrepancy import StreamingDiscrepancyReport
 from repro.analysis.failures import StreamingFailureTaxonomy
 from repro.analysis.streaming import (
     StreamingCookieComparison,
@@ -38,10 +34,8 @@ __all__ = [
     "pearson",
     "OnlineStats",
     "StreamingECDF",
-    "TopK",
     "StreamingCrawlAnalysis",
     "StreamingCookieComparison",
     "StreamingDiscrepancyReport",
     "StreamingFailureTaxonomy",
-    "build_discrepancy_report",
 ]

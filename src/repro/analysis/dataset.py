@@ -4,16 +4,14 @@ The paper's artefact release [49] ships raw crawl records and analysis
 inputs.  :func:`export_dataset` writes the equivalent bundle for a
 reproduction run: crawl records, cookie measurements, uBlock records,
 the toplists, the tracking list, and a manifest; :func:`load_dataset`
-reads a bundle back for offline re-analysis — either materialised
-(:class:`Dataset`) or as a streaming view (:class:`DatasetStream`,
-``stream=True``) whose record accessors are single-pass iterators
-reading straight from the bundle's JSONL files.
+opens a bundle for offline re-analysis as a :class:`Dataset` whose
+record accessors are single-pass iterators reading straight from the
+bundle's JSONL files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Union
 
@@ -27,28 +25,13 @@ from repro.webgen.world import World
 _MANIFEST = "manifest.json"
 
 
-@dataclass
 class Dataset:
-    """An in-memory view of a released measurement bundle."""
-
-    manifest: Dict = field(default_factory=dict)
-    visit_records: List[VisitRecord] = field(default_factory=list)
-    cookie_measurements: List[CookieMeasurement] = field(default_factory=list)
-    ublock_records: List[UBlockRecord] = field(default_factory=list)
-    toplists: Dict[str, object] = field(default_factory=dict)
-    tracking_domains: List[str] = field(default_factory=list)
-
-    def cookiewall_domains(self) -> List[str]:
-        return cookiewall_domains(self.visit_records)
-
-
-class DatasetStream:
-    """A lazy view of a bundle: record accessors are fresh iterators.
+    """A released bundle: record accessors are fresh iterators.
 
     Nothing is materialised at load time beyond the manifest, the
     toplists, and the tracking list; every ``iter_*`` call opens the
     underlying JSONL file again, so repeated passes work and memory
-    stays O(one record).
+    stays O(one record).  Callers that need lists call ``list(...)``.
     """
 
     def __init__(
@@ -65,6 +48,9 @@ class DatasetStream:
 
     def iter_visit_records(self) -> Iterator[VisitRecord]:
         return iter_records(self.directory / "visits.jsonl")
+
+    def iter_cookie_measurements(self) -> Iterator[CookieMeasurement]:
+        return iter_records(self.directory / "cookies.jsonl")
 
     def iter_ublock_records(self) -> Iterator[UBlockRecord]:
         return iter_records(self.directory / "ublock.jsonl")
@@ -125,15 +111,8 @@ def export_dataset(
     return directory
 
 
-def load_dataset(
-    directory: Union[str, Path], *, stream: bool = False
-) -> Union[Dataset, "DatasetStream"]:
-    """Read a bundle written by :func:`export_dataset`.
-
-    With ``stream=True`` the returned :class:`DatasetStream` exposes
-    record *iterators* instead of materialised lists — the shape the
-    streaming analysis layer consumes directly.
-    """
+def load_dataset(directory: Union[str, Path]) -> Dataset:
+    """Open a bundle written by :func:`export_dataset`."""
     directory = Path(directory)
     manifest = json.loads((directory / _MANIFEST).read_text(encoding="utf-8"))
     toplists: Dict[str, object] = {}
@@ -145,15 +124,4 @@ def load_dataset(
     tracking = JustDomainsList.from_text(
         (directory / "justdomains.txt").read_text(encoding="utf-8")
     )
-    tracking_domains = list(tracking)
-    if stream:
-        return DatasetStream(directory, manifest, toplists, tracking_domains)
-    dataset = Dataset(
-        manifest=manifest,
-        toplists=toplists,
-        tracking_domains=tracking_domains,
-    )
-    dataset.visit_records.extend(iter_records(directory / "visits.jsonl"))
-    dataset.cookie_measurements.extend(iter_records(directory / "cookies.jsonl"))
-    dataset.ublock_records.extend(iter_records(directory / "ublock.jsonl"))
-    return dataset
+    return Dataset(directory, manifest, toplists, list(tracking))

@@ -29,7 +29,7 @@ spools); identical streams produce identical reports.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.analysis.stats import OnlineStats
 from repro.pricing import extract_price
@@ -313,13 +313,3 @@ class StreamingDiscrepancyReport:
             )
         return "\n".join(lines)
 
-
-def build_discrepancy_report(
-    wave_streams: Iterable[Tuple[int, Iterable]],
-    report: Optional[StreamingDiscrepancyReport] = None,
-) -> StreamingDiscrepancyReport:
-    """Fold ``(wave, record stream)`` pairs into one report."""
-    report = report or StreamingDiscrepancyReport()
-    for wave, stream in wave_streams:
-        report.consume(stream, wave=wave)
-    return report

@@ -33,12 +33,6 @@ class Figure1:
     shares: List[Tuple[str, float]] = field(default_factory=list)
     total_sites: int = 0
 
-    def share_of(self, category: str) -> float:
-        for name, share in self.shares:
-            if name == category:
-                return share
-        return 0.0
-
     def render(self) -> str:
         lines = ["Figure 1: categories of websites showing cookiewalls"]
         for name, share in self.shares:
@@ -144,6 +138,7 @@ class Figure2:
         return "\n".join(lines)
 
 
+# reprolint: disable=test-only-definition -- oracle: the list path the streaming analysis is tested against
 def compute_fig2(wall_records: Iterable[VisitRecord]) -> Figure2:
     """Extract and normalise prices from detected wall banner text.
 
@@ -164,9 +159,6 @@ def compute_fig2(wall_records: Iterable[VisitRecord]) -> Figure2:
 class Figure3:
     #: category -> list of monthly prices (EUR)
     by_category: Dict[str, List[float]] = field(default_factory=dict)
-
-    def mean_price(self, category: str) -> float:
-        return mean(self.by_category[category])
 
     def render(self) -> str:
         lines = ["Figure 3: website category vs subscription price"]
@@ -195,7 +187,7 @@ def compute_fig3(figure2: Figure2, category_db: WebFilterDB) -> Figure3:
 
 @dataclass
 class CookieComparison:
-    """Median (and distribution) comparison of two measurement groups."""
+    """Median comparison of two measurement groups."""
 
     title: str
     label_a: str
@@ -234,28 +226,8 @@ class CookieComparison:
             lines.append(f"{label:<26}{fp:>12.1f}{tp:>13.1f}{tr:>10.1f}")
         return "\n".join(lines)
 
-    def render_distribution(self) -> str:
-        """Box plots per metric (the paper's figures are box plots)."""
-        from repro.analysis.render import ascii_boxplot
 
-        sections = [self.render(), ""]
-        for metric, attribute in (
-            ("first-party", "avg_first_party"),
-            ("third-party", "avg_third_party"),
-            ("tracking", "avg_tracking"),
-        ):
-            groups = {
-                self.label_a: [getattr(m, attribute) for m in self.group_a],
-                self.label_b: [getattr(m, attribute) for m in self.group_b],
-            }
-            if not any(groups.values()):
-                continue
-            sections.append(f"{metric} cookies (log scale):")
-            sections.append(ascii_boxplot(groups, log_scale=True))
-            sections.append("")
-        return "\n".join(sections).rstrip()
-
-
+# reprolint: disable=test-only-definition -- oracle: the list path the streaming analysis is tested against
 def compute_fig4(
     regular: Sequence[CookieMeasurement], walls: Sequence[CookieMeasurement]
 ) -> CookieComparison:
@@ -269,6 +241,7 @@ def compute_fig4(
     )
 
 
+# reprolint: disable=test-only-definition -- oracle: the list path the streaming analysis is tested against
 def compute_fig5(
     accept: Sequence[CookieMeasurement],
     subscription: Sequence[CookieMeasurement],
@@ -306,17 +279,6 @@ class Figure6:
             f"Pearson r = {self.correlation:+.3f}",
         ]
         return "\n".join(lines)
-
-    def render_scatter(self) -> str:
-        from repro.analysis.render import ascii_scatter
-
-        if not self.points:
-            return self.render()
-        return self.render() + "\n" + ascii_scatter(
-            self.points,
-            x_label="avg tracking cookies",
-            y_label="price EUR/month",
-        )
 
 
 def compute_fig6(

@@ -4,8 +4,8 @@ Two families live here.  The list-based functions (:func:`mean`,
 :func:`median`, :func:`quantile`, :func:`ecdf`, :func:`ecdf_at`,
 :func:`pearson`) materialise their input; they are the *differential
 oracles* the streaming analysis layer is tested against.  The
-single-pass aggregators (:class:`OnlineStats`, :class:`StreamingECDF`,
-:class:`TopK`) consume a value stream once with bounded state, so an
+single-pass aggregators (:class:`OnlineStats`, :class:`StreamingECDF`)
+consume a value stream once with bounded state, so an
 analysis fed from :func:`~repro.measure.storage.iter_records` or
 :meth:`~repro.api.result.RunResult.iter_records` never holds the
 record stream in memory.
@@ -87,29 +87,24 @@ def ecdf_at(values: Sequence[float], threshold: float) -> float:
 
 
 class OnlineStats:
-    """Single-pass count/mean/variance/min/max (Welford's algorithm).
+    """Single-pass count/mean/min/max.
 
-    O(1) state however long the stream; mean and variance are
-    numerically stable (no sum-of-squares cancellation).  ``variance``
-    is the population variance, matching
-    ``sum((x - mean)**2 for x in xs) / len(xs)``.
+    O(1) state however long the stream; the running mean is updated
+    incrementally (Welford), so it never sums the whole stream.
     """
 
-    __slots__ = ("count", "mean", "_m2", "min", "max")
+    __slots__ = ("count", "mean", "min", "max")
 
     def __init__(self) -> None:
         self.count = 0
         self.mean = 0.0
-        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
 
     def add(self, value: float) -> "OnlineStats":
         value = float(value)
         self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
+        self.mean += (value - self.mean) / self.count
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -121,12 +116,6 @@ class OnlineStats:
             self.add(value)
         return self
 
-    @property
-    def variance(self) -> float:
-        if self.count == 0:
-            raise AnalysisError("variance of empty OnlineStats")
-        return self._m2 / self.count
-
     def merge(self, other: "OnlineStats") -> "OnlineStats":
         """Absorb *other* (Chan's parallel-Welford combination)."""
         if other.count == 0:
@@ -134,13 +123,11 @@ class OnlineStats:
         if self.count == 0:
             self.count = other.count
             self.mean = other.mean
-            self._m2 = other._m2
             self.min = other.min
             self.max = other.max
             return self
         total = self.count + other.count
         delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
         self.mean += delta * other.count / total
         self.count = total
         self.min = min(self.min, other.min)
@@ -269,45 +256,6 @@ class StreamingECDF:
             seen += weight
             out.append((value, seen / self.count))
         return out
-
-
-class TopK:
-    """Streaming frequency counter with oracle-identical ranking.
-
-    Counts are exact (one dict entry per distinct key — bounded by the
-    key domain, e.g. website categories or price buckets, never by the
-    stream length).  :meth:`ranked` sorts by descending count with
-    Python's stable sort, so ties keep first-seen stream order —
-    exactly what the list-based figure computations produce; ``k``
-    truncates the ranking.  :meth:`mode` matches ``max(counts,
-    key=counts.get)``: the first-seen key among the most frequent.
-    """
-
-    def __init__(self) -> None:
-        self.counts: Dict[object, int] = {}
-        self.total = 0
-
-    def add(self, key, weight: int = 1) -> "TopK":
-        self.counts[key] = self.counts.get(key, 0) + weight
-        self.total += weight
-        return self
-
-    def extend(self, keys: Iterable) -> "TopK":
-        for key in keys:
-            self.add(key)
-        return self
-
-    def ranked(self, k: Optional[int] = None) -> List[Tuple[object, int]]:
-        items = sorted(self.counts.items(), key=lambda item: -item[1])
-        return items if k is None else items[:k]
-
-    def mode(self):
-        if not self.counts:
-            raise AnalysisError("mode() of empty TopK")
-        return max(self.counts, key=lambda key: self.counts[key])
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -27,11 +27,9 @@ before they reach :meth:`add`; nothing here retains them.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.analysis.figures import (
-    CookieComparison,
     Figure1,
     Figure2,
     Figure3,
@@ -39,10 +37,6 @@ from repro.analysis.figures import (
     compute_fig1,
     compute_fig3,
     compute_fig6,
-)
-from repro.analysis.render import (
-    FiveNumberSummary,
-    ascii_boxplot_from_summaries,
 )
 from repro.analysis.report import LandscapeReport, landscape_from_aggregates
 from repro.analysis.stats import StreamingECDF
@@ -119,10 +113,6 @@ class StreamingCrawlAnalysis:
     # ------------------------------------------------------------------
     # Finalisers (all O(aggregate), stream already consumed)
     # ------------------------------------------------------------------
-    def detected_wall_domains(self) -> List[str]:
-        """Unique wall domains from any VP, first-seen order."""
-        return list(self._wall_order)
-
     def verified_wall_domains(self) -> List[str]:
         """Detections surviving the §3 manual verification."""
         return [
@@ -161,48 +151,34 @@ class StreamingCrawlAnalysis:
         return compute_fig6(wall_measurements, self._figure2)
 
 
-#: (metric label, CookieMeasurement attribute) pairs in figure order.
-_COOKIE_METRICS: Tuple[Tuple[str, str], ...] = (
-    ("first-party", "avg_first_party"),
-    ("third-party", "avg_third_party"),
-    ("tracking", "avg_tracking"),
+#: CookieMeasurement attributes in figure order.
+_COOKIE_METRICS: Tuple[str, ...] = (
+    "avg_first_party", "avg_third_party", "avg_tracking",
 )
 
 
 class _GroupSketch:
-    """Per-group distribution state: one ECDF pair per cookie metric.
-
-    The ``raw`` sketches answer medians/ratios; the ``log`` sketches
-    hold ``log10(v + 1)``-transformed values for the box-plot renders
-    (the transform is applied per value *before* sketching, exactly as
-    the materialised renderer applies it before computing quantiles —
-    interpolated quantiles do not commute with the transform, so
-    sketching raw values only would break byte-identity).
-    """
+    """Per-group distribution state: one ECDF per cookie metric."""
 
     def __init__(self, max_points: int) -> None:
-        self.count = 0
-        self.raw = [StreamingECDF(max_points) for _ in _COOKIE_METRICS]
-        self.log = [StreamingECDF(max_points) for _ in _COOKIE_METRICS]
+        self.ecdfs = [StreamingECDF(max_points) for _ in _COOKIE_METRICS]
 
     def add(self, measurement: CookieMeasurement) -> None:
-        self.count += 1
-        for index, (_, attribute) in enumerate(_COOKIE_METRICS):
-            value = getattr(measurement, attribute)
-            self.raw[index].add(value)
-            self.log[index].add(math.log10(value + 1))
+        for ecdf, attribute in zip(self.ecdfs, _COOKIE_METRICS):
+            ecdf.add(getattr(measurement, attribute))
 
 
 class StreamingCookieComparison:
-    """Bounded-memory stand-in for :class:`CookieComparison` (Figs 4/5).
+    """Bounded-memory stand-in for
+    :class:`~repro.analysis.figures.CookieComparison` (Figs 4/5).
 
     Instead of retaining both measurement groups, each group folds
     into :class:`~repro.analysis.stats.StreamingECDF` sketches per
     metric.  While the sketches stay exact (distinct cookie-count
     averages under the point budget — always true at paper scale),
-    :meth:`medians`, :meth:`ratio`, :meth:`max_tracking`,
-    :meth:`render` and :meth:`render_distribution` are byte-identical
-    to the materialised class over the same streams.
+    :meth:`medians`, :meth:`ratio`, :meth:`max_tracking` and
+    :meth:`render` are byte-identical to the materialised class over
+    the same streams.
     """
 
     def __init__(
@@ -221,16 +197,6 @@ class StreamingCookieComparison:
             "b": _GroupSketch(max_points),
         }
 
-    @classmethod
-    def like(
-        cls, oracle: CookieComparison, *, max_points: int = 4096
-    ) -> "StreamingCookieComparison":
-        """An empty streaming comparison with *oracle*'s labelling."""
-        return cls(
-            oracle.title, oracle.label_a, oracle.label_b,
-            max_points=max_points,
-        )
-
     # ------------------------------------------------------------------
     # Consumption
     # ------------------------------------------------------------------
@@ -245,15 +211,12 @@ class StreamingCookieComparison:
             sketch.add(measurement)
         return self
 
-    def group_size(self, group: str) -> int:
-        return self._groups[group].count
-
     # ------------------------------------------------------------------
     # CookieComparison-compatible aggregations
     # ------------------------------------------------------------------
     def medians(self, group: str) -> Tuple[float, float, float]:
         sketch = self._groups["a" if group == "a" else "b"]
-        first, third, tracking = (ecdf.median() for ecdf in sketch.raw)
+        first, third, tracking = (ecdf.median() for ecdf in sketch.ecdfs)
         return (first, third, tracking)
 
     def ratio(self, metric: str) -> float:
@@ -266,7 +229,7 @@ class StreamingCookieComparison:
 
     def max_tracking(self, group: str) -> float:
         sketch = self._groups["a" if group == "a" else "b"]
-        ecdf = sketch.raw[2]
+        ecdf = sketch.ecdfs[2]
         if ecdf.count == 0:
             return 0.0
         return ecdf.quantile(1.0)
@@ -281,42 +244,6 @@ class StreamingCookieComparison:
             fp, tp, tr = self.medians(group)
             lines.append(f"{label:<26}{fp:>12.1f}{tp:>13.1f}{tr:>10.1f}")
         return "\n".join(lines)
-
-    def _log_summary(
-        self, group: str, index: int
-    ) -> Optional[FiveNumberSummary]:
-        ecdf = self._groups[group].log[index]
-        if ecdf.count == 0:
-            return None
-        return (
-            ecdf.quantile(0.0),
-            ecdf.quantile(0.25),
-            ecdf.quantile(0.5),
-            ecdf.quantile(0.75),
-            ecdf.quantile(1.0),
-        )
-
-    def render_distribution(self) -> str:
-        """Box plots per metric from the log-transformed sketches."""
-        sections = [self.render(), ""]
-        for index, (metric, _) in enumerate(_COOKIE_METRICS):
-            summaries = {
-                self.label_a: self._log_summary("a", index),
-                self.label_b: self._log_summary("b", index),
-            }
-            present = [s for s in summaries.values() if s is not None]
-            if not present:
-                continue
-            low = min(s[0] for s in present)
-            high = max(s[4] for s in present)
-            sections.append(f"{metric} cookies (log scale):")
-            sections.append(
-                ascii_boxplot_from_summaries(
-                    summaries, low=low, high=high, log_scale=True
-                )
-            )
-            sections.append("")
-        return "\n".join(sections).rstrip()
 
 
 def streaming_fig4(*, max_points: int = 4096) -> StreamingCookieComparison:

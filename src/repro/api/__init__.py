@@ -15,7 +15,7 @@ True
 """
 
 from repro.api.result import RESULT_VERSION, RunFailure, RunResult
-from repro.api.session import Session, iter_run_records, run
+from repro.api.session import Session, run
 from repro.api.spec import (
     EXECUTOR_BACKENDS,
     MEASURE_MODES,
@@ -60,7 +60,6 @@ __all__ = [
     "SpecError",
     "SpecVersionError",
     "WorldSpec",
-    "iter_run_records",
     "migrate_spec_payload",
     "run",
     "spec_migration",

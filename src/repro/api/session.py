@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.api.result import RunFailure, RunResult
 from repro.api.spec import (
@@ -144,11 +144,6 @@ class Session:
         Default per-task progress hook ``(done, total, task)`` wired
         into every engine this session builds — the single event path
         all entry points share.
-    spool_dir:
-        Directory for *named* products (``session.execute(plan,
-        name=...)`` spools to ``<spool_dir>/<name>.jsonl``) — the
-        :class:`~repro.experiments.context.ExperimentContext`
-        persistence mode.
     """
 
     def __init__(
@@ -161,7 +156,6 @@ class Session:
         crawler: Optional[Crawler] = None,
         event_log: Optional[EventLog] = None,
         progress: Optional[ProgressHook] = None,
-        spool_dir: Union[str, Path, None] = None,
     ) -> None:
         self._default_spec: Optional[RunSpec] = None
         if isinstance(world, RunSpec):
@@ -198,7 +192,6 @@ class Session:
         self.chaos_spec.validate()
         self.event_log = event_log
         self.progress = progress
-        self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self._crawler = crawler
 
     # ------------------------------------------------------------------
@@ -236,7 +229,6 @@ class Session:
             crawler=self._crawler,
             event_log=self.event_log,
             progress=self.progress,
-            spool_dir=self.spool_dir,
         )
 
     # ------------------------------------------------------------------
@@ -246,7 +238,6 @@ class Session:
         self,
         plan: CrawlPlan,
         *,
-        name: Optional[str] = None,
         output: Optional[OutputSpec] = None,
         spool_path: Union[str, Path, None] = None,
         crawler: Optional[Crawler] = None,
@@ -255,18 +246,16 @@ class Session:
         """Run a compiled plan through an engine with this session's
         configuration.
 
-        The spool path comes from, in order: an explicit *spool_path*,
-        ``output.path``, or ``<spool_dir>/<name>.jsonl``.  A spooled
-        run checkpoints to ``<spool>.checkpoint`` and honours the
-        engine spec's ``resume``; an in-memory run writes nothing,
+        The spool path is an explicit *spool_path*, else
+        ``output.path``.  A spooled run checkpoints to
+        ``<spool>.checkpoint`` and honours the engine spec's
+        ``resume``; an in-memory run writes nothing,
         which keeps the serial visit-id regime — and therefore
         byte-identical records — of the pre-session harness.
         """
         self._add_chaos(plan)
         if spool_path is None and output is not None and output.path:
             spool_path = output.path
-        if spool_path is None and self.spool_dir is not None and name:
-            spool_path = self.spool_dir / f"{name}.jsonl"
         if self.engine_spec.resume and spool_path is None:
             # Silently re-running everything while the caller believes
             # the checkpoint was honoured is the one behaviour resume
@@ -651,8 +640,3 @@ class Session:
 def run(spec: RunSpec) -> RunResult:
     """One-shot convenience: ``Session(spec).run()``."""
     return Session(spec).run()
-
-
-def iter_run_records(manifest: Union[str, Path]) -> Iterable:
-    """Stream the records of a saved :class:`RunResult` manifest."""
-    return RunResult.load(manifest).iter_records()

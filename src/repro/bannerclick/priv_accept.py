@@ -73,6 +73,7 @@ class PrivAccept:
         return result
 
 
+# reprolint: disable=test-only-definition -- oracle: the related-work baseline bench_baseline.py compares BannerClick against
 def compare_detection(
     browser_factory,
     domains: List[str],

@@ -9,7 +9,7 @@ one — the same semantics DOMAIN-ONLY filter lists use.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, Optional, Set
 
 from repro import thirdparty
 from repro.httpkit import Cookie
@@ -67,9 +67,6 @@ class JustDomainsList:
     def is_tracking_cookie(self, cookie: Cookie) -> bool:
         """The paper's classification: cookie domain is on the list."""
         return self.matches_domain(cookie.domain)
-
-    def count_tracking(self, cookies: Iterable[Cookie]) -> int:
-        return sum(1 for c in cookies if self.is_tracking_cookie(c))
 
     # ------------------------------------------------------------------
     def __contains__(self, domain: object) -> bool:

@@ -129,8 +129,5 @@ class Page:
             return ""
         return body.text_content(pierce=True)
 
-    def is_scrollable(self) -> bool:
-        return not self.scroll_locked
-
     def __repr__(self) -> str:
         return f"<Page {self.url} requests={len(self.requests)}>"

@@ -45,6 +45,7 @@ class WebElement:
 
     # -- inspection -----------------------------------------------------
     @property
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def tag_name(self) -> str:
         return self.element.tag
 
@@ -56,6 +57,7 @@ class WebElement:
     def get_attribute(self, name: str) -> Optional[str]:
         return self.element.get_attribute(name)
 
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def is_displayed(self) -> bool:
         return self.element.is_visible()
 
@@ -103,9 +105,11 @@ class WebDriver:
     # ------------------------------------------------------------------
     # Context switching
     # ------------------------------------------------------------------
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def switch_to_default_content(self) -> None:
         self._context = self.page.document
 
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def switch_to_frame(self, frame: Union[WebElement, Element]) -> None:
         element = frame.element if isinstance(frame, WebElement) else frame
         if element.tag != "iframe" or element.content_document is None:
@@ -119,6 +123,7 @@ class WebDriver:
         """All matches in the current context (no shadow/frame pierce)."""
         return self._find_in(self._context, by, value)
 
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def find_element(self, by: str, value: str) -> WebElement:
         found = self.find_elements(by, value)
         if not found:
@@ -141,6 +146,7 @@ class WebDriver:
     # ------------------------------------------------------------------
     # Shadow DOM discovery helpers
     # ------------------------------------------------------------------
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def elements_with_shadow_root(self) -> List[WebElement]:
         """Elements in the current context that host an *open* root.
 
@@ -153,6 +159,7 @@ class WebDriver:
             if el.shadow_root is not None
         ]
 
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def pierce_shadow_root(self, element: Union[WebElement, Element]) -> ShadowContext:
         """Privileged (devtools-level) access to any shadow root.
 
@@ -166,6 +173,7 @@ class WebDriver:
             raise NoSuchElementError(f"<{el.tag}> has no shadow root")
         return ShadowContext(self, root)
 
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def elements_with_any_shadow_root(self) -> List[WebElement]:
         """Privileged scan that also reveals closed shadow hosts."""
         return [
@@ -177,6 +185,7 @@ class WebDriver:
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def iframe_elements(self) -> List[WebElement]:
         """All loaded iframes in the current context."""
         return [
@@ -186,11 +195,13 @@ class WebDriver:
         ]
 
     @property
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def page_source(self) -> str:
         from repro.dom import to_html
 
         return to_html(self.page.document)
 
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.browser.webdriver.query_selector_all (ROADMAP item 10)
     def execute_append_clone(self, source: Node, target_parent: Element) -> Node:
         """Clone *source* and append the clone to *target_parent*.
 

@@ -8,7 +8,7 @@ world generator — the analysis code only ever sees the service API.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.urlkit import registrable_domain
 
@@ -73,6 +73,3 @@ class WebFilterDB:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def categories_present(self) -> List[str]:
-        return sorted(set(self._entries.values()))

@@ -465,6 +465,79 @@ def _run_spec_command(kind: str, spec: RunSpec) -> int:
     return 0
 
 
+def _report(args) -> int:
+    """``report``: summarise saved record files."""
+    import re
+    from collections import Counter
+    from pathlib import Path
+
+    from repro.measure.storage import iter_records
+
+    # A campaign --out-dir may be passed directly; expand it to its
+    # wave spools (sorted, so wave offsets parse in order).
+    record_paths: List[str] = []
+    for entry in args.records:
+        if Path(entry).is_dir():
+            spools = sorted(Path(entry).glob("wave-*.jsonl"))
+            if not spools:
+                print(f"no wave-*.jsonl spools under {entry}",
+                      file=sys.stderr)
+                return 2
+            record_paths.extend(str(spool) for spool in spools)
+        else:
+            record_paths.append(entry)
+
+    if args.product == "failures":
+        from repro.analysis import StreamingFailureTaxonomy
+
+        taxonomy = StreamingFailureTaxonomy()
+        for position, path in enumerate(record_paths):
+            # Same wave attribution as the discrepancy product, so
+            # campaign spools stay distinguishable in the table.
+            match = re.search(r"wave-(\d+)", Path(path).name)
+            wave = int(match.group(1)) if match else None
+            for record in iter_records(path):
+                taxonomy.add(record, wave=wave)
+        print(taxonomy.render())
+        return 0
+
+    if args.product == "discrepancy":
+        from repro.analysis import StreamingDiscrepancyReport
+
+        report = StreamingDiscrepancyReport()
+        for position, path in enumerate(record_paths):
+            # wave-<MM>.jsonl spools carry their wave offset in the
+            # name; anything else is attributed by argument order.
+            match = re.search(r"wave-(\d+)", Path(path).name)
+            wave = int(match.group(1)) if match else position
+            report.consume(iter_records(path), wave=wave)
+        print(report.render())
+        return 0
+
+    count = 0
+    vps = set()
+    per_vp = Counter()
+    banners = Counter()
+    wall_domains = set()
+    for path in record_paths:
+        for record in iter_records(path):
+            if getattr(record, "is_cookiewall", None) is None:
+                continue
+            count += 1
+            vps.add(record.vp)
+            if record.is_cookiewall:
+                per_vp[record.vp] += 1
+                wall_domains.add(record.domain)
+            if record.banner_found:
+                banners[record.vp] += 1
+    print(f"records: {count}")
+    for vp in sorted(vps):
+        print(f"  {vp}: {banners.get(vp, 0)} banners, "
+              f"{per_vp.get(vp, 0)} cookiewalls")
+    print(f"unique cookiewall domains: {len(wall_domains)}")
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # `spec <kind>` and `submit <kind>` compile like `<kind>` itself.
@@ -547,75 +620,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "report":
-        import re
-        from collections import Counter
-        from pathlib import Path
-
-        from repro.measure.storage import iter_records
-
-        # A campaign --out-dir may be passed directly; expand it to its
-        # wave spools (sorted, so wave offsets parse in order).
-        record_paths: List[str] = []
-        for entry in args.records:
-            if Path(entry).is_dir():
-                spools = sorted(Path(entry).glob("wave-*.jsonl"))
-                if not spools:
-                    print(f"no wave-*.jsonl spools under {entry}",
-                          file=sys.stderr)
-                    return 2
-                record_paths.extend(str(spool) for spool in spools)
-            else:
-                record_paths.append(entry)
-
-        if args.product == "failures":
-            from repro.analysis import StreamingFailureTaxonomy
-
-            taxonomy = StreamingFailureTaxonomy()
-            for position, path in enumerate(record_paths):
-                # Same wave attribution as the discrepancy product, so
-                # campaign spools stay distinguishable in the table.
-                match = re.search(r"wave-(\d+)", Path(path).name)
-                wave = int(match.group(1)) if match else None
-                for record in iter_records(path):
-                    taxonomy.add(record, wave=wave)
-            print(taxonomy.render())
-            return 0
-
-        if args.product == "discrepancy":
-            from repro.analysis import StreamingDiscrepancyReport
-
-            report = StreamingDiscrepancyReport()
-            for position, path in enumerate(record_paths):
-                # wave-<MM>.jsonl spools carry their wave offset in the
-                # name; anything else is attributed by argument order.
-                match = re.search(r"wave-(\d+)", Path(path).name)
-                wave = int(match.group(1)) if match else position
-                report.consume(iter_records(path), wave=wave)
-            print(report.render())
-            return 0
-
-        count = 0
-        vps = set()
-        per_vp = Counter()
-        banners = Counter()
-        wall_domains = set()
-        for path in record_paths:
-            for record in iter_records(path):
-                if getattr(record, "is_cookiewall", None) is None:
-                    continue
-                count += 1
-                vps.add(record.vp)
-                if record.is_cookiewall:
-                    per_vp[record.vp] += 1
-                    wall_domains.add(record.domain)
-                if record.banner_found:
-                    banners[record.vp] += 1
-        print(f"records: {count}")
-        for vp in sorted(vps):
-            print(f"  {vp}: {banners.get(vp, 0)} banners, "
-                  f"{per_vp.get(vp, 0)} cookiewalls")
-        print(f"unique cookiewall domains: {len(wall_domains)}")
-        return 0
+        try:
+            return _report(args)
+        except ValueError as error:  # a malformed record line
+            print(f"error: {error}", file=sys.stderr)
+            return 2
 
     if args.command == "export-toplists":
         from repro.webgen.crux import export_all

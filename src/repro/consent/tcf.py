@@ -37,15 +37,8 @@ class ConsentRecord:
     signal: str = "accept"   # accept | reject
 
     @property
-    def is_blanket_accept(self) -> bool:
-        return self.signal == "accept" and self.purposes == ALL_PURPOSES
-
-    @property
     def is_reject(self) -> bool:
         return self.signal == "reject"
-
-    def allows_purpose(self, purpose: int) -> bool:
-        return purpose in self.purposes
 
 
 def _purposes_bits(purposes: FrozenSet[int]) -> str:

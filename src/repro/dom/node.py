@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ClosedShadowRootError, DOMError
+from repro.errors import DOMError
 
 
 @lru_cache(maxsize=1024)
@@ -121,12 +121,6 @@ class Node:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def ancestors(self) -> Iterator["Node"]:
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
     def descendants(
         self,
         *,
@@ -278,8 +272,7 @@ class Element(Node):
         super().__init__()
         self.tag = tag.lower()
         #: Raw attribute map.  Runtime code must mutate attributes via
-        #: :meth:`set_attribute` / :meth:`remove_attribute` /
-        #: :meth:`add_class` — writing this dict directly skips the
+        #: :meth:`set_attribute` — writing this dict directly skips the
         #: revision bump that invalidates the document's query index
         #: (only the parser does so, during tree construction, before
         #: any index can exist).
@@ -317,12 +310,6 @@ class Element(Node):
         self._bump_revision()
         self.attrs[name.lower()] = value
 
-    def remove_attribute(self, name: str) -> None:
-        name = name.lower()
-        if name in self.attrs:
-            self._bump_revision()
-            del self.attrs[name]
-
     def has_attribute(self, name: str) -> bool:
         return name.lower() in self.attrs
 
@@ -333,13 +320,6 @@ class Element(Node):
     @property
     def classes(self) -> List[str]:
         return self.attrs.get("class", "").split()
-
-    def add_class(self, name: str) -> None:
-        classes = self.classes
-        if name not in classes:
-            self._bump_revision()
-            classes.append(name)
-            self.attrs["class"] = " ".join(classes)
 
     # -- shadow DOM -----------------------------------------------------
     def attach_shadow(self, *, mode: str = "open") -> "ShadowRoot":
@@ -356,9 +336,8 @@ class Element(Node):
     def shadow_root(self) -> Optional["ShadowRoot"]:
         """Script-visible shadow root (None when closed — browser parity).
 
-        Raises :class:`ClosedShadowRootError` is *not* raised here; like
-        ``element.shadowRoot`` in a real browser, a closed root is simply
-        invisible.  Crawler code that needs guaranteed access must use
+        No error is raised here; like ``element.shadowRoot`` in a real
+        browser, a closed root is simply invisible.  Crawler code that needs guaranteed access must use
         :attr:`attached_shadow_root` via a privileged hook.
         """
         if self._shadow_root is not None and self._shadow_root.mode == "closed":
@@ -369,17 +348,6 @@ class Element(Node):
     def attached_shadow_root(self) -> Optional["ShadowRoot"]:
         """Privileged access to the shadow root regardless of mode."""
         return self._shadow_root
-
-    def require_open_shadow_root(self) -> "ShadowRoot":
-        """Return the open shadow root or raise for closed/missing ones."""
-        root = self.shadow_root
-        if root is None:
-            if self._shadow_root is not None:
-                raise ClosedShadowRootError(
-                    f"<{self.tag}> hosts a closed shadow root"
-                )
-            raise DOMError(f"<{self.tag}> hosts no shadow root")
-        return root
 
     # -- visibility -----------------------------------------------------
     @property
@@ -553,11 +521,6 @@ class Document(Node):
             if el.tag == "title":
                 return el.text_content()
         return ""
-
-    def get_element_by_id(self, element_id: str) -> Optional[Element]:
-        from repro.dom.selector import first_element_by_id
-
-        return first_element_by_id(self, element_id)
 
     def _clone_self(self) -> "Document":
         return Document(self.url)

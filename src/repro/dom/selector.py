@@ -368,25 +368,6 @@ def _usable_index(root: Node) -> Optional[Tuple[_QueryIndex, Optional[Element]]]
     return None
 
 
-def first_element_by_id(document: Document, element_id: str) -> Optional[Element]:
-    """Document-order first element whose ``id`` equals *element_id*.
-
-    Serves ``Document.get_element_by_id`` from the id bucket when the
-    index is usable; empty ids (which only match elements *without* an
-    id attribute) and un-indexed roots fall back to the walk.
-    """
-    if element_id:
-        info = _usable_index(document)
-        if info is not None:
-            index, _ = info
-            bucket = index.by_id.get(element_id, ())
-            return bucket[0] if bucket else None
-    for el in document.elements():
-        if el.id == element_id:
-            return el
-    return None
-
-
 def iter_elements_by_tags(root: Node, tags) -> List[Element]:
     """Document-order elements under *root* whose tag is in *tags*.
 
@@ -405,6 +386,7 @@ def iter_elements_by_tags(root: Node, tags) -> List[Element]:
 # Matching
 # ---------------------------------------------------------------------------
 
+# reprolint: disable=test-only-definition -- oracle: the per-element predicate the property tests check query results against
 def matches_selector(element: Element, selector: str) -> bool:
     """True when *element* matches any chain in the selector group."""
     chains = _chains_for(selector)

@@ -130,9 +130,3 @@ def xpath_all(root: Node, expression: str) -> List[Element]:
         if not current:
             break
     return [n for n in current if isinstance(n, Element)]
-
-
-def xpath_first(root: Node, expression: str) -> Optional[Element]:
-    """First result of :func:`xpath_all` or None."""
-    results = xpath_all(root, expression)
-    return results[0] if results else None

@@ -15,26 +15,21 @@ engine leaves the shared serial visit-id counter where a one-core run
 leaves it.  The cookie, contentpass and uBlock measurements, whose
 values the world keys on visit ids, run in-process on that counter.
 So every product is byte-identical to the pre-engine serial harness on
-any number of CPUs.  A ``spool_dir`` switches every product to the
-engine's per-task visit-id streams instead: values stay deterministic
-but differ from the serial baseline's.
+any number of CPUs.
 
 Every paper artefact is aggregated in a single pass over the run's
 record stream (:class:`~repro.analysis.streaming.StreamingCrawlAnalysis`
-/ :class:`~repro.analysis.streaming.StreamingCookieComparison`) — when
-the context also has a ``spool_dir``, records stream straight from the
-JSONL spools and analysis memory stays bounded by the result size,
-independent of world scale.  The list-based ``compute_*`` functions
-remain the reference implementations; the differential tests run every
-experiment over them too and require byte-identical artefacts.
+/ :class:`~repro.analysis.streaming.StreamingCookieComparison`).  The
+list-based ``compute_*`` functions remain the reference
+implementations; the differential tests run every experiment over them
+too and require byte-identical artefacts.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.analysis.figures import Figure1, Figure2, Figure3, Figure6
 from repro.analysis.report import LandscapeReport
@@ -62,12 +57,17 @@ def default_workers(crawler: Crawler) -> int:
     two (each forked worker holds its own world and document cache, and
     more than two has not been measured), or 1 when the wire cannot
     rebuild *crawler*: a crawler or detector subclass, or a hand-tuned
-    world."""
+    world.  Usable CPUs are the affinity mask where the OS has one
+    (Linux), else the CPU count."""
     try:
         check_process_portable(crawler)
     except ValueError:
         return 1
-    return min(len(os.sched_getaffinity(0)), 2)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
 
 
 class ExperimentContext:
@@ -87,8 +87,6 @@ class ExperimentContext:
         vps: Optional[Sequence[str]] = None,
         sample_seed: int = 1234,
         event_log: Optional[EventLog] = None,
-        spool_dir: Union[str, Path, None] = None,
-        resume: bool = False,
     ) -> None:
         self.world = world
         self.crawler = crawler or Crawler(world)
@@ -97,35 +95,24 @@ class ExperimentContext:
         self.sample_seed = sample_seed
         self.workers = default_workers(self.crawler)
         self.event_log = event_log
-        #: With a spool_dir every cached product persists to
-        #: ``<spool_dir>/<name>.jsonl`` with a resumable checkpoint
-        #: alongside; ``resume=True`` replays completed tasks after a
-        #: crash.  A spooled run uses the engine's per-task visit-id
-        #: streams even when serial (see the engine docs), so a
-        #: spool_dir changes cookie/uBlock values; without one nothing
-        #: is written.
-        self.spool_dir = Path(spool_dir) if spool_dir is not None else None
-        if resume and self.spool_dir is None:
-            raise ValueError("resume=True requires a spool_dir")
-        self.resume = resume
-        #: All engine wiring (spool/checkpoint paths, retry, events,
-        #: progress) is owned by a Session — the same path the CLI and
-        #: library entry points use: an in-process one for every
-        #: product, and one on :attr:`workers` for the detection crawl.
+        #: All engine wiring (retry, events, progress) is owned by a
+        #: Session — the same path the CLI and library entry points use:
+        #: an in-process one for every product, and one on
+        #: :attr:`workers` for the detection crawl.  Nothing is written:
+        #: every product merges in memory.
         def session(workers: int) -> Session:
             return Session(
                 world,
-                engine=EngineSpec(workers=workers, resume=resume),
+                engine=EngineSpec(workers=workers),
                 crawler=self.crawler,
                 event_log=event_log,
-                spool_dir=self.spool_dir,
             )
 
         self.session = session(1)
         self._detection_session = (
             self.session if self.workers == 1 else session(self.workers)
         )
-        #: Finished runs by product name, which also names the spool.
+        #: Finished runs by product name.
         self._products: Dict[str, EngineResult] = {}
         self._detection_analysis: Optional[StreamingCrawlAnalysis] = None
         self._account_ready = False
@@ -136,14 +123,10 @@ class ExperimentContext:
     ) -> EngineResult:
         """The run of product *name* on *session* (default: the
         in-process one); ``plan()`` is built and executed on the first
-        call only.  The :class:`~repro.measure.engine.EngineResult` is
-        kept rather than a materialised list so spool-backed products
-        can be re-streamed on demand.
+        call only.
         """
         if name not in self._products:
-            self._products[name] = (session or self.session).execute(
-                plan(), name=name
-            )
+            self._products[name] = (session or self.session).execute(plan())
         return self._products[name]
 
     # ------------------------------------------------------------------
@@ -173,10 +156,6 @@ class ExperimentContext:
         for record in self.detection_result().iter_records():
             if vp is None or record.vp == vp:
                 yield record
-
-    def detected_wall_domains(self) -> List[str]:
-        """Unique domains flagged as cookiewalls from any VP."""
-        return self.detection_analysis().detected_wall_domains()
 
     def verified_wall_domains(self) -> List[str]:
         """Detections surviving the paper's manual verification step.

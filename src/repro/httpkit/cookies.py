@@ -38,10 +38,6 @@ class Cookie:
         return registrable_domain(self.domain)
 
     @property
-    def is_session(self) -> bool:
-        return self.max_age is None
-
-    @property
     def expired(self) -> bool:
         return self.max_age is not None and self.max_age <= 0
 
@@ -351,20 +347,6 @@ class CookieJar:
     def has(self, name: str, domain: str) -> bool:
         return self.get(name, domain) is not None
 
-    # ------------------------------------------------------------------
-    # Party-ness (paper §4.3 accounting)
-    # ------------------------------------------------------------------
-    def partition_by_party(self, page_site: str) -> Tuple[List[Cookie], List[Cookie]]:
-        """Split into (first-party, third-party) relative to *page_site*."""
-        first: List[Cookie] = []
-        third: List[Cookie] = []
-        for cookie in self._cookies.values():
-            if cookie.site == page_site:
-                first.append(cookie)
-            else:
-                third.append(cookie)
-        return first, third
-
     def snapshot(self) -> "CookieJar":
         """An independent copy of the jar."""
         copy = type(self)()
@@ -378,6 +360,7 @@ class CookieJar:
         return copy
 
 
+# reprolint: disable=test-only-definition -- oracle: the linear-scan jar the differential tests hold the indexed jar to
 class NaiveCookieJar(CookieJar):
     """The pre-index jar: :meth:`cookies_for` scans every stored cookie.
 

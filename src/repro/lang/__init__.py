@@ -7,13 +7,12 @@ languages observed among cookiewalls (German, English, Italian,
 French, Spanish, Dutch, Danish).
 """
 
-from repro.lang.corpus import CORPORA, LANGUAGES, sample_sentences
+from repro.lang.corpus import CORPORA, LANGUAGES
 from repro.lang.detector import LanguageDetector, LanguageResult, detect_language
 
 __all__ = [
     "LANGUAGES",
     "CORPORA",
-    "sample_sentences",
     "LanguageDetector",
     "LanguageResult",
     "detect_language",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.lang.corpus import CORPORA
 
@@ -81,10 +81,6 @@ class LanguageDetector:
                 for gram, count in counter.items()
             }
             self._fallback[language] = math.log(1 / denominator)
-
-    @property
-    def languages(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._log_probs))
 
     # ------------------------------------------------------------------
     def scores(self, text: str) -> Dict[str, float]:

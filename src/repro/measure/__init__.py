@@ -16,7 +16,6 @@ from repro.measure.engine import (
     CrawlPlan,
     CrawlTask,
     EngineResult,
-    FaultInjectingExecutor,
     RetryPolicy,
     SerialExecutor,
     TaskOutcome,
@@ -41,7 +40,6 @@ __all__ = [
     "TaskOutcome",
     "RetryPolicy",
     "SerialExecutor",
-    "FaultInjectingExecutor",
     "EXECUTOR_BACKENDS",
     "VisitRecord",
     "CookieMeasurement",

@@ -89,6 +89,7 @@ def audit_sample(
     return random.Random(seed).sample(pool, min(sample_size, len(pool)))
 
 
+# reprolint: disable=test-only-definition -- oracle: the re-visit audit that tests and bench_accuracy_ublock.py compare crawled_audit against
 def random_audit(
     world: World,
     crawler: Crawler,
@@ -134,35 +135,3 @@ def crawled_audit(
     world.network.skip_visit_ids(len(sample))
     return evaluate_records(world, [crawled[domain] for domain in sample])
 
-
-def audit_with_screenshots(
-    world: World,
-    crawler: Crawler,
-    output_dir,
-    *,
-    vp: str = "DE",
-    sample_size: int = 100,
-    seed: int = 99,
-) -> AccuracyReport:
-    """Random audit that also saves text screenshots for inspection.
-
-    The paper's reviewers worked from screenshots (§3); this writes a
-    text rendering of every page flagged as a cookiewall into
-    *output_dir* so a human can repeat the verification.
-    """
-    from pathlib import Path
-
-    from repro.browser.screenshot import screenshot
-
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    records = []
-    for domain in audit_sample(world, sample_size=sample_size, seed=seed):
-        record = crawler.visit(vp, domain)
-        records.append(record)
-        if record.is_cookiewall:
-            browser = world.browser(vp)
-            page = browser.visit(domain)
-            path = output_dir / f"{domain.replace('.', '_')}.txt"
-            path.write_text(screenshot(page) + "\n", encoding="utf-8")
-    return evaluate_records(world, records)

@@ -61,6 +61,7 @@ class CrawlResult:
     def cookiewall_domains(self, vp: Optional[str] = None) -> List[str]:
         return cookiewall_domains(self.records, vp)
 
+    # reprolint: disable=test-only-definition -- oracle: the list path the streaming regular-banner pool is tested against
     def regular_banner_domains(self, vp: str) -> List[str]:
         return [
             r.domain for r in self.by_vp(vp)

@@ -198,6 +198,10 @@ TASK_MODES = ("detect", "accept", "reject", "subscription", "ublock")
 #: run-constant state.
 EXECUTOR_BACKENDS = ("serial", "distributed")
 
+#: A ``progress`` event is emitted every this many completed tasks, and
+#: once more for the last one.
+PROGRESS_EVERY = 1000
+
 #: ``progress(done, total, task)`` — invoked after every completed task.
 ProgressHook = Callable[[int, int, "CrawlTask"], None]
 
@@ -998,33 +1002,6 @@ class SerialExecutor(Executor):
             _run_local_bundle(bundle, on_shard, shared)
 
 
-class FaultInjectingExecutor(SerialExecutor):
-    """Chaos harness for the checkpoint/resume path: kills the chosen
-    shards either before they run or — with ``partial=True`` — after
-    half their tasks completed (and were checkpointed), which is what a
-    worker dying mid-shard looks like.  Every other shard runs and
-    checkpoints normally; the first injected crash is raised after the
-    last shard, exactly as under a real crash of one worker.
-    Used by the crash-safety tests and benchmarks; never the default.
-    """
-
-    def __init__(self, fail_shards, *, partial: bool = False):
-        self.fail_shards = set(fail_shards)
-        self.partial = partial
-
-    def run_bundles(self, bundles, on_shard, shared):
-        crashed = [b["shard"] for b in bundles if b["shard"] in self.fail_shards]
-        for bundle in bundles:
-            if bundle["shard"] in crashed:
-                if not self.partial:
-                    continue
-                tasks = bundle["tasks"]
-                bundle = dict(bundle, tasks=tasks[: len(tasks) // 2])
-            _run_local_bundle(bundle, on_shard, shared)
-        if crashed:
-            raise RuntimeError(f"injected crash in shard {crashed[0]}")
-
-
 class CrawlEngine:
     """Compiles nothing, schedules everything: executes a
     :class:`CrawlPlan` through an executor and merges the outcomes.
@@ -1082,9 +1059,8 @@ class CrawlEngine:
         simply starts fresh.
     executor:
         Override the transport (e.g. a preconfigured
-        :class:`~repro.distributed.DistributedExecutor`, or the serial
-        :class:`FaultInjectingExecutor` crash harness); its ``backend``
-        then names the run's backend.  By default chosen from
+        :class:`~repro.distributed.DistributedExecutor`); its
+        ``backend`` then names the run's backend.  By default chosen from
         *backend* and *workers* as described above.
     """
 
@@ -1098,7 +1074,6 @@ class CrawlEngine:
         retry: Optional[RetryPolicy] = None,
         event_log: Optional[EventLog] = None,
         progress: Optional[ProgressHook] = None,
-        progress_every: int = 1000,
         spool_path: Union[str, Path, None] = None,
         resume: bool = False,
         executor: Optional[Executor] = None,
@@ -1130,7 +1105,6 @@ class CrawlEngine:
         self.retry = retry or RetryPolicy()
         self.event_log = event_log
         self.progress = progress
-        self.progress_every = max(progress_every, 1)
         self.spool_path = Path(spool_path) if spool_path is not None else None
         if resume and self.spool_path is None:
             # A silently ignored resume would re-run everything while
@@ -1633,7 +1607,7 @@ class CrawlEngine:
         with self._lock:
             self._done += 1
             done, total = self._done, self._total
-            if done % self.progress_every == 0 or done == total:
+            if done % PROGRESS_EVERY == 0 or done == total:
                 self._emit_locked("progress", "engine://progress", {
                     "done": done, "total": total,
                 })

@@ -136,20 +136,6 @@ class EventLog(Instrument):
                 seen.append(event.visit_id)
         return seen
 
-    def for_visit(self, visit_id: int) -> List[Event]:
-        return [e for e in self.events if e.visit_id == visit_id]
-
-    def third_party_requests(self) -> List[Event]:
-        return [
-            e for e in self.by_kind("request")
-            if e.detail.get("third_party")
-        ]
-
-    def cookie_names_set(self) -> List[str]:
-        return [
-            str(e.detail["cookie_name"]) for e in self.by_kind("set-cookie")
-        ]
-
     def clear(self) -> None:
         self.events.clear()
 

@@ -38,6 +38,7 @@ from typing import (
     Union,
 )
 
+from repro import schema
 from repro.durable import atomic_write
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 
@@ -45,6 +46,13 @@ _RECORD_TYPES = {
     "VisitRecord": VisitRecord,
     "CookieMeasurement": CookieMeasurement,
     "UBlockRecord": UBlockRecord,
+}
+
+#: Each record type's body shape: :func:`decode_record` refuses an
+#: unknown key, a missing key or a wrong type with a ValueError naming it.
+_RECORD_BODIES = {
+    name: schema.compile(schema.fields_shape(cls), ValueError, root=name)
+    for name, cls in _RECORD_TYPES.items()
 }
 
 
@@ -71,7 +79,7 @@ def decode_record(payload: Dict[str, object]):
     record_cls = _RECORD_TYPES.get(type_name)
     if record_cls is None:
         raise ValueError(f"unknown record type {type_name!r}")
-    return record_cls.from_dict(payload["data"])
+    return record_cls.from_dict(_RECORD_BODIES[type_name](payload["data"]))
 
 
 def record_decode_count() -> int:
@@ -91,6 +99,7 @@ def record_decode_count() -> int:
 _TORN_LINES = 0
 
 
+# reprolint: disable=test-only-definition -- probe: the chaos tests read the torn-line counter through it
 def torn_line_count() -> int:
     """How many torn trailing JSONL lines this process has skipped."""
     return _TORN_LINES
@@ -170,11 +179,6 @@ class RawRecord:
         the original line, so the wrapper stays write-through exact.
         """
         return cls(json.dumps(payload, ensure_ascii=False))
-
-    @classmethod
-    def from_record(cls, record) -> "RawRecord":
-        """Serialize a typed record once, up front."""
-        return cls(encode_record_line(record))
 
     def materialize(self):
         """The typed record (decoded on first call, then cached)."""

@@ -8,6 +8,6 @@ measurement browser and the websites: it resolves hostnames, routes
 """
 
 from repro.netsim.network import Network, VisitorContext
-from repro.netsim.server import OriginServer, StaticServer
+from repro.netsim.server import OriginServer
 
-__all__ = ["Network", "VisitorContext", "OriginServer", "StaticServer"]
+__all__ = ["Network", "VisitorContext", "OriginServer"]

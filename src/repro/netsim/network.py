@@ -41,7 +41,6 @@ class Network:
 
     def __init__(self) -> None:
         self._servers: Dict[str, OriginServer] = {}
-        self._exact_hosts: Dict[str, OriginServer] = {}
         self._unreachable: set = set()
         self._visit_counter = itertools.count(1)
         #: Total number of requests served (for stats/benchmarks).
@@ -74,10 +73,6 @@ class Network:
         site = registrable_domain(domain) or domain.lower()
         self._servers[site] = server
 
-    def register_host(self, host: str, server: OriginServer) -> None:
-        """Register *server* for one exact host (overrides domain route)."""
-        self._exact_hosts[host.lower()] = server
-
     def mark_unreachable(self, domain: str) -> None:
         """Make a domain refuse connections (dead site in the toplist)."""
         site = registrable_domain(domain) or domain.lower()
@@ -85,8 +80,6 @@ class Network:
 
     def knows(self, host: str) -> bool:
         """True when DNS would resolve *host*."""
-        if host.lower() in self._exact_hosts:
-            return True
         site = registrable_domain(host) or host.lower()
         return site in self._servers or site in self._unreachable
 
@@ -108,8 +101,6 @@ class Network:
     def resolve(self, host: str) -> OriginServer:
         """Resolve *host* to a server, raising DNS/connection errors."""
         host = host.lower()
-        if host in self._exact_hosts:
-            return self._exact_hosts[host]
         site = registrable_domain(host) or host
         if site in self._unreachable:
             raise ConnectionRefused(f"{host} refused the connection")

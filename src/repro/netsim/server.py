@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.httpkit import Headers, Request, Response
 
@@ -43,18 +43,3 @@ class OriginServer:
     def not_found(request: Request) -> Response:
         return Response(request=request, status=404, body="not found")
 
-
-class StaticServer(OriginServer):
-    """Serves one fixed HTML body for every path (useful in tests)."""
-
-    def __init__(self, body: str, status: int = 200,
-                 set_cookies: Optional[list] = None) -> None:
-        self.body = body
-        self.status = status
-        self.set_cookies = list(set_cookies or [])
-
-    def handle(self, request: Request, visitor: "VisitorContext") -> Response:
-        response = self.html(request, self.body, self.status)
-        for header in self.set_cookies:
-            response.add_cookie(header)
-        return response

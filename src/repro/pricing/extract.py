@@ -57,11 +57,6 @@ class ExtractedPrice:
     def monthly_eur(self) -> float:
         return self.monthly_eur_cents / 100.0
 
-    @property
-    def price_bucket(self) -> int:
-        """The Figure 2 bucket: bucket *b* covers ((b−1) €, b €]."""
-        return max((self.monthly_eur_cents + 99) // 100, 1)
-
 
 def _parse_amount(text: str) -> int:
     """'2,99' / '2.99' / '3' → cents."""

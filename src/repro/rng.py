@@ -66,28 +66,3 @@ class SeedSequence:
 
     def __hash__(self) -> int:
         return hash(("SeedSequence", self.seed))
-
-
-def stable_shuffle(items, rng: random.Random) -> list:
-    """Return a new list with *items* shuffled by *rng* (input untouched)."""
-    out = list(items)
-    rng.shuffle(out)
-    return out
-
-
-def weighted_choice(rng: random.Random, weighted: dict):
-    """Pick a key from ``{value: weight}`` proportionally to its weight."""
-    if not weighted:
-        raise ValueError("weighted_choice() requires a non-empty mapping")
-    total = float(sum(weighted.values()))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive number")
-    point = rng.random() * total
-    acc = 0.0
-    last = None
-    for value, weight in weighted.items():
-        acc += weight
-        last = value
-        if point < acc:
-            return value
-    return last

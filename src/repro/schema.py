@@ -256,14 +256,20 @@ def field(default, **rule):
     return dataclasses.field(default=default, metadata={"rule": rule})
 
 
-def fields_shape(cls) -> Dict[str, Omittable]:
+def fields_shape(cls) -> Dict[str, object]:
     """Dataclass *cls*'s object shape, from its annotations and
-    :func:`field` rules; every key may be absent (its default fills in)."""
+    :func:`field` rules; a key with a default may be absent (the default
+    fills in), one without must be present."""
     hints = typing.get_type_hints(cls)
-    return {
-        f.name: Omittable(_annotated(hints[f.name], f.metadata.get("rule", {})))
-        for f in dataclasses.fields(cls)
-    }
+    shape = {}
+    for f in dataclasses.fields(cls):
+        sub = _annotated(hints[f.name], f.metadata.get("rule", {}))
+        has_default = (
+            f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING
+        )
+        shape[f.name] = Omittable(sub) if has_default else sub
+    return shape
 
 
 def _annotated(hint, rule: Dict):
@@ -271,10 +277,11 @@ def _annotated(hint, rule: Dict):
     if origin is typing.Union:
         (inner,) = (arg for arg in args if arg is not type(None))
         return (None, _annotated(inner, rule))
-    if origin is tuple:
+    if origin in (tuple, list):
         return [_annotated(args[0], rule)]
-    if origin is collections.abc.Mapping:
-        return {str: _annotated(args[1], rule)}
+    if origin in (dict, collections.abc.Mapping):
+        # ``Dict[str, object]`` holds any JSON values.
+        return dict if args[1] is object else {str: _annotated(args[1], rule)}
     if "one_of" in rule:
         return OneOf(tuple(rule["one_of"]))
     return Range(hint, **rule) if rule else hint

@@ -12,13 +12,12 @@ provides the equivalent, end to end:
   ``get_text`` / ``select``.
 """
 
-from repro.soup.api import Soup, make_soup
+from repro.soup.api import Soup
 from repro.soup.cache import DocumentCache, shared_document_cache
 from repro.soup.parser import parse_document, parse_fragment
 
 __all__ = [
     "Soup",
-    "make_soup",
     "parse_document",
     "parse_fragment",
     "DocumentCache",

@@ -11,7 +11,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.dom.node import Element, Node, Text
 from repro.dom.selector import query_selector_all
-from repro.soup.parser import parse_document
 
 _AttrFilter = Dict[str, Union[str, bool, Callable[[Optional[str]], bool]]]
 
@@ -21,13 +20,6 @@ class Soup:
 
     def __init__(self, node: Node) -> None:
         self.node = node
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_html(cls, html: str, url: str = "about:blank") -> "Soup":
-        return cls(parse_document(html, url=url))
 
     # ------------------------------------------------------------------
     # Searching
@@ -72,6 +64,7 @@ class Soup:
         )
         return results[0] if results else None
 
+    # reprolint: disable=test-only-definition -- perfbench: patches repro.soup.api.query_selector_all, which only this method calls
     def select(self, selector: str) -> List["Soup"]:
         """CSS selection (does not pierce shadow/frames, like browsers)."""
         return [Soup(el) for el in query_selector_all(self.node, selector)]
@@ -109,10 +102,6 @@ class Soup:
         return value
 
     @property
-    def tag_name(self) -> Optional[str]:
-        return self.node.tag if isinstance(self.node, Element) else None
-
-    @property
     def attrs(self) -> Dict[str, str]:
         return dict(self.node.attrs) if isinstance(self.node, Element) else {}
 
@@ -126,17 +115,6 @@ class Soup:
 
     def __repr__(self) -> str:
         return f"Soup({self.node!r})"
-
-
-def make_soup(source: Union[str, Node, "Soup"]) -> Soup:
-    """Coerce HTML text / DOM node / Soup into a :class:`Soup`."""
-    if isinstance(source, Soup):
-        return source
-    if isinstance(source, str):
-        return Soup.from_html(source)
-    if isinstance(source, Node):
-        return Soup(source)
-    raise TypeError(f"cannot make soup from {type(source).__name__}")
 
 
 def _matches(

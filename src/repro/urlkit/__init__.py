@@ -6,7 +6,6 @@ Public API:
 - :func:`parse` — parse an absolute or scheme-relative URL string.
 - :func:`registrable_domain` — eTLD+1 per the embedded public-suffix set.
 - :func:`public_suffix` — the matched public suffix of a host.
-- :func:`is_same_site` — registrable-domain equality (cookie "site").
 - :func:`is_subdomain_of` — strict/loose subdomain tests.
 """
 
@@ -18,7 +17,6 @@ from repro.urlkit.psl import (
 )
 from repro.urlkit.url import (
     URL,
-    is_same_site,
     is_subdomain_of,
     parse,
 )
@@ -30,6 +28,5 @@ __all__ = [
     "public_suffix",
     "is_public_suffix",
     "registrable_domain",
-    "is_same_site",
     "is_subdomain_of",
 ]

@@ -37,11 +37,6 @@ class URL:
     # Derived properties
     # ------------------------------------------------------------------
     @property
-    def effective_port(self) -> int:
-        """The port in use, defaulting per scheme."""
-        return self.port if self.port is not None else _DEFAULT_PORTS[self.scheme]
-
-    @property
     def origin(self) -> str:
         """The (scheme, host, port) origin string."""
         default = _DEFAULT_PORTS[self.scheme]
@@ -193,17 +188,6 @@ def _normalize_path(path: str) -> str:
     if path.endswith("/") and normalized != "/":
         normalized += "/"
     return normalized
-
-
-def is_same_site(a: "URL | str", b: "URL | str") -> bool:
-    """True when both URLs/hosts share a registrable domain."""
-    host_a = a.host if isinstance(a, URL) else str(a)
-    host_b = b.host if isinstance(b, URL) else str(b)
-    site_a = registrable_domain(host_a)
-    site_b = registrable_domain(host_b)
-    if site_a is None or site_b is None:
-        return host_a.lower() == host_b.lower()
-    return site_a == site_b
 
 
 @lru_cache(maxsize=16384)

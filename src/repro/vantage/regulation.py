@@ -35,21 +35,6 @@ class Regulation(enum.Enum):
     LGPD = "lgpd"
     NONE = "none"
 
-    @property
-    def requires_opt_in(self) -> bool:
-        """True when consent must be collected before tracking."""
-        return self is Regulation.GDPR
-
-    @property
-    def requires_opt_out(self) -> bool:
-        """True when users must merely be able to object."""
-        return self in (Regulation.CCPA, Regulation.LGPD)
-
-    @property
-    def banner_expected(self) -> bool:
-        """True when websites typically render a consent banner."""
-        return self is not Regulation.NONE
-
 
 #: Named regulation regimes a multi-vantage campaign can run under.
 #: ``baseline`` is the paper's setup (every VP browses from home);

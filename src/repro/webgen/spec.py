@@ -38,20 +38,6 @@ class WallSpec:
     anti_adblock: bool = False       # shows 'disable your ad blocker'
     fp_scroll_lock: bool = False     # first-party scroll lock script
 
-    @property
-    def blocked_by_annoyances(self) -> bool:
-        """Whether uBlock's Annoyances lists suppress this wall.
-
-        Derived, not measured: the measured equivalent comes from the
-        §4.5 experiment.  Used only for test invariants.
-        """
-        if self.serving == "inline":
-            return False
-        if self.serving == "smp":
-            return True
-        from repro import thirdparty
-
-        return self.provider in thirdparty.annoyances_domains()
 
 
 @dataclass

@@ -55,9 +55,6 @@ class Toplist:
             return None
         return BUCKET_TOP1K if index < self.top_bucket else BUCKET_TOP10K
 
-    def membership(self) -> Set[str]:
-        return set(self._index)
-
 
 def union_of(toplists: Iterable[Toplist]) -> List[str]:
     """The deduplicated union of several toplists (stable order)."""

@@ -12,9 +12,10 @@ import pytest
 import repro.distributed.worker as worker_mod
 from repro.errors import WorkerLostError
 from repro.experiments import ExperimentContext
-from repro.measure import CrawlEngine, FaultInjectingExecutor
+from repro.measure import CrawlEngine
 from repro.measure.crawl import Crawler
 from repro.webgen import build_world
+from tests.faults import FaultInjectingExecutor
 
 #: Armed shard -> the marker files of its kills, one per worker it
 #: may take (see kill_workers).

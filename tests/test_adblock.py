@@ -21,8 +21,9 @@ from repro.adblock.filters import (
 from repro.browser import Browser
 from repro.errors import FilterSyntaxError
 from repro.httpkit import Request
-from repro.netsim import Network, StaticServer
+from repro.netsim import Network
 from repro.vantage import VANTAGE_POINTS
+from tests.servers import StaticServer
 
 
 def req(url, initiator="https://site.de/", rtype="script"):
@@ -133,9 +134,6 @@ class TestEngine:
         assert engine.cosmetic_selectors("www.example.de") == [".wall"]
         assert engine.cosmetic_selectors("other.net") == [".ad"]
 
-    def test_filter_count(self):
-        assert self.make_engine().filter_count == 3
-
 
 class TestFilterTokens:
     def test_bounded_runs_are_good(self):
@@ -181,7 +179,7 @@ class TestHitCounting:
             engine.should_block(req("https://a.net/x.js"))
         engine.should_block(req("https://b.net/x.js"))
         engine.explain(req("https://a.net/x.js"))  # must not count
-        assert engine.top_filters() == [("||a.net^", 3), ("||b.net^", 1)]
+        assert engine.hit_counts.most_common() == [("||a.net^", 3), ("||b.net^", 1)]
 
     def test_shared_engine_concurrent_counts_are_exact(self, engine_cls):
         """Regression: a shared engine under the parallel executor must

@@ -73,7 +73,7 @@ class TestFigureComputation:
         db = WebFilterDB({"a.de": "Sports", "b.de": "Games", "c.de": "Sports"})
         figure = compute_fig1(["a.de", "b.de", "c.de"], db)
         assert sum(s for _, s in figure.shares) == pytest.approx(1.0)
-        assert figure.share_of("Sports") == pytest.approx(2 / 3)
+        assert dict(figure.shares)["Sports"] == pytest.approx(2 / 3)
         assert "Sports" in figure.render()
 
     def test_fig2_extraction_and_buckets(self):
@@ -99,7 +99,7 @@ class TestFigureComputation:
         ])
         db = WebFilterDB({"a.de": "Sports", "b.de": "Sports"})
         figure = compute_fig3(figure2, db)
-        assert figure.mean_price("Sports") == pytest.approx(3.99)
+        assert mean(figure.by_category["Sports"]) == pytest.approx(3.99)
 
     def test_fig4_ratios(self):
         regular = [

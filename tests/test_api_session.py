@@ -22,9 +22,10 @@ from repro.api import (
     WorldSpec,
 )
 from repro.cli import main
-from repro.measure import Crawler, CrawlEngine, FaultInjectingExecutor
+from repro.measure import Crawler, CrawlEngine
 from repro.measure.records import CookieMeasurement, VisitRecord
 from repro.webgen import build_world
+from tests.faults import FaultInjectingExecutor
 
 WORLD = WorldSpec(scale=0.01, seed=3)
 

@@ -11,10 +11,12 @@ from repro.bannerclick import (
 )
 from repro.bannerclick.corpus import has_accept_words, has_banner_words
 from repro.browser import Browser
+from repro.dom.selector import query_selector
 from repro.errors import MeasurementError
-from repro.netsim import Network, StaticServer
+from repro.netsim import Network
 from repro.vantage import VANTAGE_POINTS
 from repro.webgen import BannerKind
+from tests.servers import StaticServer
 
 
 def page_for(html):
@@ -213,7 +215,7 @@ class TestDetectionShadowDOM:
     def test_mapped_button_is_in_live_shadow_tree(self):
         browser, page = page_for(self.wall_in_shadow("open"))
         detection = BannerClick().detect(page)
-        host = page.document.get_element_by_id("cw-host")
+        host = query_selector(page.document, "#cw-host")
         shadow = host.attached_shadow_root
         assert detection.accept_element.owner_document is page.document
         node = detection.accept_element

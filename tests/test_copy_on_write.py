@@ -27,11 +27,12 @@ from repro.browser.webdriver import By, WebDriver
 from repro.dom import Document, Element, to_html
 from repro.dom.selector import query_selector, query_selector_all
 from repro.errors import DOMError
-from repro.netsim import Network, OriginServer, StaticServer
+from repro.netsim import Network, OriginServer
 from repro.soup import parse_document
 from repro.soup.cache import DocumentCache
 from repro.urlkit import parse
 from repro.vantage import VANTAGE_POINTS
+from tests.servers import StaticServer
 
 URL = "https://site.de/"
 
@@ -50,7 +51,7 @@ GUARD_HTML = (
 
 
 def _by_id(doc, element_id):
-    return doc.get_element_by_id(element_id)
+    return query_selector(doc, "#" + element_id)
 
 
 def _shadow(doc):
@@ -75,8 +76,6 @@ MUTATORS = {
         _by_id(d, "f"), "content_document", None
     ),
     "set_attribute": lambda d: _by_id(d, "a").set_attribute("data-k", "w"),
-    "remove_attribute": lambda d: _by_id(d, "a").remove_attribute("data-k"),
-    "add_class": lambda d: _by_id(d, "a").add_class("y"),
     "attach_shadow": lambda d: _by_id(d, "plain").attach_shadow(mode="closed"),
     "on_click": lambda d: setattr(_by_id(d, "a"), "on_click", lambda el: None),
     "shadow_append_child": lambda d: _shadow(d).append_child(Element("b")),
@@ -184,9 +183,9 @@ class TestLoadTimeWriters:
             {"op": "append-html", "target": "#slot", "html": "<p>injected</p>"}
         ])
         browser, page, master, pristine = _warm_visit(html, {"fx.net": fx})
-        slot = page.document.get_element_by_id("slot")
+        slot = query_selector(page.document, "#slot")
         assert slot.text_content() == "injected"
-        assert not master.get_element_by_id("slot").children
+        assert not query_selector(master, "#slot").children
         self._check(page, browser, master, pristine)
 
     def test_lock_scroll(self):
@@ -217,7 +216,7 @@ class TestLoadTimeWriters:
         )
         frame = page.iframes()[0].content_document
         assert frame is not None and not frame.shared
-        assert frame.get_element_by_id("framed") is not None
+        assert query_selector(frame, "#framed") is not None
         assert master.body.children[0].content_document is None
         self._check(page, browser, master, pristine)
 
@@ -303,12 +302,12 @@ class TestPostLoadWriters:
         browser, page, master, pristine = _warm_visit(
             '<button id="b" data-action="none">x</button>'
         )
-        button = page.writable(page.document.get_element_by_id("b"))
+        button = page.writable(query_selector(page.document, "#b"))
         fired = []
         button.on_click = lambda el: fired.append(el)
-        browser.click(page, master.get_element_by_id("b"))
+        browser.click(page, query_selector(master, "#b"))
         assert fired == [button]
-        assert master.get_element_by_id("b").on_click is None
+        assert query_selector(master, "#b").on_click is None
         self._check(page, browser, master, pristine)
 
     def test_shadow_clone_workaround(self):
@@ -322,7 +321,7 @@ class TestPostLoadWriters:
         assert detection.found and detection.location == "shadow-closed"
         # The detection points into the page's copy, and the clones the
         # workaround appended to the body are gone again.
-        assert detection.shadow_host is page.document.get_element_by_id("host")
+        assert detection.shadow_host is query_selector(page.document, "#host")
         assert detection.container.owner_document is page.document
         assert to_html(page.document) == pristine
         assert accept_banner(browser, page, detection).removed_banner

@@ -16,7 +16,6 @@ from repro.measure import (
     CrawlEngine,
     CrawlPlan,
     CrawlTask,
-    FaultInjectingExecutor,
     RetryPolicy,
     iter_records,
     plan_fingerprint,
@@ -27,6 +26,7 @@ from repro.measure.engine import _run_shard_bundle, id_free_plan, shard_of
 from repro.measure.instrumentation import EventLog
 from repro.resilience.chaos import ChaosSpec
 from repro.webgen import build_world
+from tests.faults import FaultInjectingExecutor
 
 #: Where :func:`_logged_shard_bundle` records each bundle it starts.
 _BUNDLE_LOG = {}
@@ -330,7 +330,6 @@ class TestEngineEvents:
         log = EventLog()
         engine = CrawlEngine(
             medium_crawler, workers=2, shards=4, event_log=log,
-            progress_every=10,
         )
         plan = medium_crawler.plan_detection_crawl(
             ["DE"], medium_world.crawl_targets[:30]
@@ -615,15 +614,20 @@ class TestProgressReporting:
             (done, 37) for done in range(1, 38)
         ]
 
-    def test_batches_and_final_report(self, medium_world, medium_crawler):
-        """``progress`` events are batched every ``progress_every``
+    def test_batches_and_final_report(
+        self, monkeypatch, medium_world, medium_crawler
+    ):
+        """``progress`` events are batched every ``PROGRESS_EVERY``
         tasks, with one more for the final partial batch."""
+        import repro.measure.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "PROGRESS_EVERY", 10)
         log = EventLog()
-        CrawlEngine(
-            medium_crawler, event_log=log, progress_every=10
-        ).execute(medium_crawler.plan_detection_crawl(
-            ["DE"], medium_world.crawl_targets[:25]
-        ))
+        CrawlEngine(medium_crawler, event_log=log).execute(
+            medium_crawler.plan_detection_crawl(
+                ["DE"], medium_world.crawl_targets[:25]
+            )
+        )
         assert [
             (e.detail["done"], e.detail["total"])
             for e in log.by_kind("progress")

@@ -1,4 +1,4 @@
-"""Tests for world validation, temporal drift, profiles, and datasets."""
+"""Tests for world validation, temporal drift, and datasets."""
 
 import json
 import os
@@ -9,9 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.dataset import export_dataset, load_dataset
-from repro.browser.profile import load_profile, save_profile
-from repro.errors import ParseError
-from repro.httpkit import Cookie, CookieJar
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 from repro.webgen import BannerKind, build_world
 from repro.webgen.evolve import evolve_world
@@ -152,52 +149,6 @@ class TestEvolve:
         assert summaries[2] == summaries[0]
 
 
-class TestProfiles:
-    def make_jar(self):
-        jar = CookieJar()
-        jar.set_cookie(Cookie(name="session", value="abc", domain="smp.net",
-                              host_only=False, max_age=3600))
-        jar.set_cookie(Cookie(name="consent", value="accept", domain="a.de"))
-        return jar
-
-    def test_round_trip(self, tmp_path):
-        jar = self.make_jar()
-        path = tmp_path / "profile.json"
-        assert save_profile(jar, path) == 2
-        loaded = load_profile(path)
-        assert len(loaded) == 2
-        cookie = loaded.get("session", "smp.net")
-        assert cookie.value == "abc"
-        assert cookie.max_age == 3600
-        assert not cookie.host_only
-
-    def test_smp_login_survives_profile_reload(self, medium_world, tmp_path):
-        platform = medium_world.platforms["contentpass"]
-        if "prof@t.st" not in platform.accounts:
-            platform.create_account("prof@t.st", "pw")
-        platform.purchase_subscription("prof@t.st")
-        browser = medium_world.browser("DE")
-        browser.visit(
-            f"https://{platform.domain}/login?email=prof@t.st&password=pw"
-        )
-        path = tmp_path / "profile.json"
-        save_profile(browser.jar, path)
-        # A new browser session with the restored profile is still
-        # recognised as a subscriber.
-        restored = medium_world.browser("DE", jar=load_profile(path))
-        page = restored.visit(platform.partner_domains[0])
-        assert page.flags.get("smp_subscriber")
-
-    def test_bad_profile_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(ParseError):
-            load_profile(bad)
-        bad.write_text("not json")
-        with pytest.raises(ParseError):
-            load_profile(bad)
-
-
 class TestDataset:
     def test_export_and_load(self, small_world, tmp_path):
         visits = [
@@ -220,10 +171,12 @@ class TestDataset:
         dataset = load_dataset(directory)
         assert dataset.manifest["description"] == "test bundle"
         assert dataset.manifest["seed"] == small_world.config.seed
-        assert len(dataset.visit_records) == 2
+        assert len(list(dataset.iter_visit_records())) == 2
         assert dataset.cookiewall_domains() == ["a.de"]
-        assert dataset.cookie_measurements[0].avg_tracking == 40.0
-        assert dataset.ublock_records[0].suppressed
+        (cookie,) = dataset.iter_cookie_measurements()
+        assert cookie.avg_tracking == 40.0
+        (ublock_record,) = dataset.iter_ublock_records()
+        assert ublock_record.suppressed
         assert len(dataset.toplists) == 7
         assert "doubleclick.net" in dataset.tracking_domains
 

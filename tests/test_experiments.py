@@ -188,3 +188,9 @@ class TestParallelDetectionCrawl:
             # A crawler the wire cannot rebuild crawls in-process.
             assert default_workers(Tuned(world)) == 1
             assert ExperimentContext(world, crawler=Tuned(world)).workers == 1
+        # macOS and Windows have no affinity mask: the CPU count decides.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for count, workers in ((None, 1), (1, 1), (8, 2)):
+            monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+            assert default_workers(Crawler(world)) == workers
+            assert ExperimentContext(world).workers == workers

@@ -1,25 +1,20 @@
 """Tests for the extension features: Priv-Accept baseline, OpenWPM-style
 instrumentation, bot detection, reject measurements, CrUX export,
-ad-block hit logging, and the ASCII renderers."""
+and ad-block hit logging."""
 
 import pytest
 
 from repro.adblock import FilterEngine, easylist
-from repro.analysis.render import (
-    ascii_boxplot,
-    ascii_heatmap,
-    ascii_scatter,
-)
 from repro.bannerclick import BannerClick
 from repro.bannerclick.priv_accept import PrivAccept, compare_detection
 from repro.browser import Browser
-from repro.errors import AnalysisError
 from repro.httpkit import Request
 from repro.measure.instrumentation import Event, EventLog
-from repro.netsim import Network, StaticServer
+from repro.netsim import Network
 from repro.vantage import VANTAGE_POINTS
 from repro.webgen import BannerKind
 from repro.webgen.crux import export_all, export_toplist, import_toplist
+from tests.servers import StaticServer
 
 
 def page_for(html, extra_hosts=()):
@@ -111,8 +106,12 @@ class TestInstrumentation:
         assert len(log.by_kind("navigation")) == 1
         assert len(log.by_kind("request")) == 2
         assert len(log.by_kind("response")) == 2
-        assert log.cookie_names_set() == ["sid"]
-        assert len(log.third_party_requests()) == 1
+        assert [
+            e.detail["cookie_name"] for e in log.by_kind("set-cookie")
+        ] == ["sid"]
+        assert [
+            e.url for e in log.by_kind("request") if e.detail["third_party"]
+        ] == ["https://tracker.net/p.gif"]
 
     def test_blocked_and_failed_events(self):
         from repro.adblock import UBlockOrigin
@@ -142,8 +141,7 @@ class TestInstrumentation:
         browser.visit("site.de")
         browser.visit("site.de")
         assert len(log.visits()) == 2
-        first = log.visits()[0]
-        assert all(e.visit_id == first for e in log.for_visit(first))
+        assert {e.visit_id for e in log.events} == set(log.visits())
 
     def test_save_load_round_trip(self, tmp_path):
         log = EventLog()
@@ -260,9 +258,7 @@ class TestAdblockLogger:
         )
         assert engine.should_block(request)
         assert engine.should_block(request)
-        top = engine.top_filters(limit=1)
-        assert top[0][0] == "||doubleclick.net^"
-        assert top[0][1] == 2
+        assert engine.hit_counts.most_common(1) == [("||doubleclick.net^", 2)]
 
     def test_explain(self):
         engine = FilterEngine()
@@ -273,60 +269,3 @@ class TestAdblockLogger:
                        resource_type="script")
         assert engine.explain(hit) == "||blocked.net^"
         assert engine.explain(miss) is None
-
-
-class TestAsciiRender:
-    def test_boxplot_contains_all_labels(self):
-        text = ascii_boxplot({"a": [1, 2, 3, 4, 5], "b": [10, 20, 30]})
-        assert "a" in text and "b" in text and "#" in text
-
-    def test_boxplot_log_scale(self):
-        text = ascii_boxplot({"x": [1, 10, 100]}, log_scale=True)
-        assert "log scale" in text
-
-    def test_boxplot_empty_raises(self):
-        with pytest.raises(AnalysisError):
-            ascii_boxplot({})
-
-    def test_scatter_renders_points(self):
-        text = ascii_scatter([(1, 1), (2, 2), (3, 3)], x_label="t", y_label="p")
-        assert "o" in text
-        assert "t (" in text and "p (" in text
-
-    def test_scatter_empty_raises(self):
-        with pytest.raises(AnalysisError):
-            ascii_scatter([])
-
-    def test_scatter_overlap_marks(self):
-        text = ascii_scatter([(1, 1)] * 5 + [(2, 2)])
-        assert "@" in text or "O" in text
-
-    def test_heatmap(self):
-        text = ascii_heatmap({"de": {3: 155, 2: 23}, "it": {1: 3}})
-        assert "de" in text and "155" in text
-
-    def test_heatmap_empty_raises(self):
-        with pytest.raises(AnalysisError):
-            ascii_heatmap({})
-
-    def test_comparison_distribution_render(self):
-        from repro.analysis.figures import compute_fig4
-        from repro.measure.records import CookieMeasurement
-
-        groups = [
-            CookieMeasurement(vp="DE", domain=f"x{i}.de", mode="accept",
-                              avg_first_party=10 + i, avg_third_party=5,
-                              avg_tracking=i)
-            for i in range(6)
-        ]
-        comparison = compute_fig4(groups[:3], groups[3:])
-        text = comparison.render_distribution()
-        assert "tracking cookies" in text
-        assert "log scale" in text
-
-    def test_fig6_scatter_render(self):
-        from repro.analysis.figures import Figure6
-
-        figure = Figure6(points=[(10, 2.99), (50, 3.99), (100, 1.99)])
-        text = figure.render_scatter()
-        assert "Pearson" in text and "o" in text

@@ -119,8 +119,9 @@ class TestDetectorRobustness:
     def test_detector_handles_arbitrary_pages(self, text):
         from repro.bannerclick import BannerClick
         from repro.browser import Browser
-        from repro.netsim import Network, StaticServer
+        from repro.netsim import Network
         from repro.vantage import VANTAGE_POINTS
+        from tests.servers import StaticServer
 
         net = Network()
         net.register("fuzz.de", StaticServer(text))

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.analysis import StreamingDiscrepancyReport, build_discrepancy_report
+from repro.analysis import StreamingDiscrepancyReport
 from repro.measure import (
     CheckpointMismatch,
     CrawlEngine,
@@ -289,10 +289,9 @@ class TestDiscrepancyReport:
         assert discrepancies["wall_partial"]["examples"] == ["a.example"]
 
     def test_wall_drift_across_waves(self):
-        report = build_discrepancy_report([
-            (0, [wall("DE", "a.example")]),
-            (3, [plain("DE", "a.example")]),
-        ])
+        report = StreamingDiscrepancyReport()
+        report.consume([wall("DE", "a.example")], wave=0)
+        report.consume([plain("DE", "a.example")], wave=3)
         assert report.waves == (0, 3)
         assert report.discrepancies()["wall_drift"]["domains"] == 1
 

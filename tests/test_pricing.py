@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis.figures import PriceRecord
 from repro.pricing import (
     FX_RATES_PER_EUR,
-    ExtractedPrice,
     extract_price,
     format_amount,
     to_eur_cents,
@@ -83,10 +83,9 @@ class TestExtraction:
         assert price.amount_cents == 499
 
     def test_price_bucket(self):
-        assert ExtractedPrice(299, "EUR", "month", 299).price_bucket == 3
-        assert ExtractedPrice(300, "EUR", "month", 300).price_bucket == 3
-        assert ExtractedPrice(301, "EUR", "month", 301).price_bucket == 4
-        assert ExtractedPrice(99, "EUR", "month", 99).price_bucket == 1
+        """Figure 2's bucket *b* covers ((b-1) EUR, b EUR]."""
+        for cents, bucket in ((299, 3), (300, 3), (301, 4), (99, 1)):
+            assert PriceRecord("a.de", "de", cents).bucket == bucket
 
     @given(
         cents=st.integers(min_value=50, max_value=999),
@@ -104,11 +103,11 @@ class TestExtraction:
     def test_wall_template_prices_extract(self, medium_world):
         """Every generated wall's displayed price must round-trip."""
         from repro.webgen.cookiewalls import wall_body_html
-        from repro.soup import make_soup
+        from repro.soup import Soup, parse_document
 
         for domain in sorted(medium_world.wall_domains):
             spec = medium_world.sites[domain]
-            text = make_soup(wall_body_html(spec)).get_text()
+            text = Soup(parse_document(wall_body_html(spec))).get_text()
             price = extract_price(text)
             assert price is not None, (domain, text)
             assert abs(

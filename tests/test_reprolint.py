@@ -9,6 +9,7 @@ unlocked shared mutation, a ``pickle`` import) and one
 ``good_*`` near-miss it must not.
 """
 
+import ast
 import json
 import re
 import subprocess
@@ -26,6 +27,11 @@ from tools.reprolint.core import (
 )
 from tools.reprolint.cli import DEFAULT_PATHS, main
 from tools.reprolint.rules import all_rules, rules_by_name
+from tools.reprolint.rules.surface import (
+    KEEP_REASONS,
+    TestOnlyDefinitionRule,
+    program_users,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "reprolint"
 REPO = Path(__file__).resolve().parent.parent
@@ -34,8 +40,24 @@ REPO = Path(__file__).resolve().parent.parent
 META_RULES = {"bad-pragma", "unused-suppression"}
 
 
+def defined_names(tree: ast.AST) -> set:
+    """Every function and class name *tree* defines."""
+    return {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def snippet_rules(src: SourceFile):
+    """Every rule, with *src*'s own definitions treated as used by the
+    program tree: a snippet written for another rule must not depend on
+    which names the real tree happens to use."""
+    return all_rules(used_names=defined_names(src.tree))
+
+
 def load_fixture(path: Path):
-    """Parse a fixture's ``lint-as`` / ``expect`` header."""
+    """Parse a fixture's ``lint-as`` / ``expect`` / ``used-elsewhere``
+    header."""
     text = path.read_text(encoding="utf-8")
     lint_as = re.search(r"^# lint-as:\s*(\S+)", text, re.MULTILINE)
     expect = re.search(r"^# expect:\s*(.+)$", text, re.MULTILINE)
@@ -46,9 +68,19 @@ def load_fixture(path: Path):
     return SourceFile(text, rel=lint_as.group(1)), expected
 
 
+def fixture_rules(src: SourceFile):
+    """The rules for a fixture: a ``# used-elsewhere: NAME...`` header
+    lists the names the program tree uses; without one, every name the
+    fixture defines counts as used (see :func:`snippet_rules`)."""
+    used = re.search(r"^# used-elsewhere:(.*)$", src.text, re.MULTILINE)
+    if used is None:
+        return snippet_rules(src)
+    return all_rules(used_names=used.group(1).split())
+
+
 def lint_fixture(path: Path):
     src, expected = load_fixture(path)
-    return src, expected, lint_sources([src], all_rules())
+    return src, expected, lint_sources([src], fixture_rules(src))
 
 
 def fixture_files():
@@ -96,7 +128,7 @@ def test_every_rule_has_bad_and_good_fixtures():
 
 def _lint_snippet(text: str, rel: str, rules=None):
     src = SourceFile(text, rel=rel)
-    return lint_sources([src], rules or all_rules())
+    return lint_sources([src], rules or snippet_rules(src))
 
 
 def test_reintroduced_salted_hash_seed_fails():
@@ -138,6 +170,90 @@ def test_unlocked_shared_mutation_fails():
     findings = _lint_snippet(text, rel="src/repro/measure/fake_stats.py")
     assert [f.rule for f in findings] == ["unlocked-mutation"]
     assert findings[0].line == 10
+
+
+# ---------------------------------------------------------------------------
+# test-only-definition
+# ---------------------------------------------------------------------------
+
+def _surface_findings(text, rel="src/repro/analysis/fake.py", used=None):
+    src = SourceFile(text, rel=rel)
+    return lint_sources([src], [TestOnlyDefinitionRule(used_names=used)])
+
+
+def test_test_only_definition_flags_each_unreached_name():
+    _, _, findings = lint_fixture(FIXTURES / "bad_test_only_definition.py")
+    flagged = {re.search(r"`(\w+)`", f.message).group(1) for f in findings}
+    assert flagged == {"shares_table", "countdown", "as_markdown", "row_count"}
+
+
+def test_test_only_definition_scope():
+    text = "def helper():\n    return 1\n"
+    assert [f.rule for f in _surface_findings(text, used=())] == [
+        "test-only-definition"
+    ]
+    assert _surface_findings(text, used={"helper"}) == []
+    for rel in (
+        "src/repro/analysis/__init__.py",
+        "tests/test_fake.py",
+        "benchmarks/bench_fake.py",
+        "tools/fake.py",
+    ):
+        assert _surface_findings(text, rel=rel, used=()) == []
+
+
+def test_test_only_definition_reads_the_program_tree():
+    """Without injected names the rule reads the real tree: perfbench
+    names ``compare_with_paper``, nothing names the other function."""
+    findings = _surface_findings(
+        "def compare_with_paper():\n    pass\n\n"
+        "def zz_named_by_nothing():\n    pass\n"
+    )
+    assert [f.line for f in findings] == [4]
+
+
+def test_program_users_counts_programs_not_tests_or_reexports(tmp_path):
+    files = {
+        "src/repro/pkg/__init__.py": (
+            "from repro.pkg.mod import helper\n__all__ = ['helper']\n"
+        ),
+        "src/repro/pkg/mod.py": "def helper():\n    return hook\n",
+        "examples/demo.py": "PATCH = 'repro.pkg.mod:patched'\n",
+        "perfbench/layers.py": "import repro.pkg.mod as mod\nmod.traced()\n",
+        "README.md": "Call `documented()` to start.\n",
+        "tests/test_pkg.py": "only_tested()\n",
+        "benchmarks/bench_pkg.py": "only_benched()\n",
+    }
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    users = program_users(tmp_path)
+    assert "helper" not in users  # defined and re-exported, never used
+    assert users["hook"] == {"src/repro/pkg/mod.py"}
+    assert users["patched"] == {"examples/demo.py"}
+    assert users["traced"] == {"perfbench/layers.py"}
+    assert users["documented"] == {"README.md"}
+    assert "only_tested" not in users and "only_benched" not in users
+
+
+def test_test_only_definition_pragmas_give_a_keep_reason():
+    """Every kept test-only definition says which of the four reasons
+    keeps it, and none is grandfathered in the baseline."""
+    reasons = []
+    for src in load_sources([Path("src/repro")], root=REPO):
+        for pragma in src.pragmas.values():
+            if "test-only-definition" in pragma.rules:
+                reasons.append(pragma.justification or "")
+    assert reasons
+    assert all(reason.startswith(KEEP_REASONS) for reason in reasons), reasons
+    baseline = json.loads(
+        (REPO / "tools" / "reprolint" / "baseline.json").read_text(encoding="utf-8")
+    )
+    assert not [
+        entry for entry in baseline["entries"]
+        if entry["rule"] == "test-only-definition"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +315,7 @@ def test_baseline_absorbs_matching_finding():
     src = SourceFile(
         "def f(d):\n    return hash(d)\n", rel="src/repro/webgen/x.py"
     )
-    assert lint_sources([src], all_rules(), baseline=baseline) == []
+    assert lint_sources([src], snippet_rules(src), baseline=baseline) == []
     assert baseline.stale_entries() == []
 
 
@@ -218,7 +334,7 @@ def test_baseline_count_budget_is_per_occurrence():
         ]
     )
     src = SourceFile(text, rel="src/repro/webgen/x.py")
-    survivors = lint_sources([src], all_rules(), baseline=baseline)
+    survivors = lint_sources([src], snippet_rules(src), baseline=baseline)
     assert len(survivors) == 1  # second occurrence is NOT absorbed
 
 
@@ -289,7 +405,7 @@ def test_cli_github_format_on_failing_file(tmp_path, capsys):
     # falls back to the absolute posix path, so fake the layout under
     # a real repo-root-relative prefix instead by linting in-process.
     src = SourceFile(bad.read_text(), rel="src/repro/webgen/bad.py")
-    findings = lint_sources([src], all_rules())
+    findings = lint_sources([src], snippet_rules(src))
     assert findings and findings[0].render_github().startswith(
         "::error file=src/repro/webgen/bad.py,line=2,"
     )

@@ -9,7 +9,7 @@ from repro.measure.crawl import CrawlResult
 from repro.measure.instrumentation import EventLog
 from repro.measure.longitudinal import compare_rounds, smp_growth
 from repro.measure.records import VisitRecord
-from repro.rng import SeedSequence, derive_seed, stable_shuffle, weighted_choice
+from repro.rng import SeedSequence, derive_seed
 
 
 class TestSeedSequence:
@@ -50,45 +50,6 @@ class TestSeedSequence:
         a = SeedSequence(seed).stream("t")
         b = SeedSequence(seed).stream("t")
         assert a.random() == b.random()
-
-
-class TestRngHelpers:
-    def test_stable_shuffle_leaves_input(self):
-        import random
-
-        items = [1, 2, 3, 4]
-        out = stable_shuffle(items, random.Random(1))
-        assert items == [1, 2, 3, 4]
-        assert sorted(out) == items
-
-    def test_weighted_choice_respects_zero_weight(self):
-        import random
-
-        rng = random.Random(3)
-        picks = {weighted_choice(rng, {"a": 1.0, "b": 0.0}) for _ in range(50)}
-        assert picks == {"a"}
-
-    def test_weighted_choice_empty_raises(self):
-        import random
-
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(1), {})
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(1), {"a": 0.0})
-
-    @given(
-        weights=st.dictionaries(
-            st.sampled_from("abcdef"),
-            st.floats(min_value=0.1, max_value=10),
-            min_size=1,
-        ),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_property_weighted_choice_in_keys(self, weights, seed):
-        import random
-
-        assert weighted_choice(random.Random(seed), weights) in weights
 
 
 def crawl_with_walls(domains):

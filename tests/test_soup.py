@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dom import Document, Element, to_html
-from repro.soup import Soup, make_soup, parse_document, parse_fragment
+from repro.dom.selector import query_selector
+from repro.soup import Soup, parse_document, parse_fragment
 from repro.soup.tokenizer import decode_entities, tokenize, StartTag, TextToken
 
 
@@ -109,7 +110,7 @@ class TestParser:
         doc = parse_document(
             '<div id="host"><template shadowrootmode="open"><p>s</p></template></div>'
         )
-        host = doc.get_element_by_id("host")
+        host = query_selector(doc, "#host")
         assert host.shadow_root is not None
         assert host.shadow_root.children[0].tag == "p"
 
@@ -117,7 +118,7 @@ class TestParser:
         doc = parse_document(
             '<div id="host"><template shadowrootmode="closed"><p>s</p></template></div>'
         )
-        host = doc.get_element_by_id("host")
+        host = query_selector(doc, "#host")
         assert host.shadow_root is None
         assert host.attached_shadow_root.mode == "closed"
 
@@ -146,7 +147,7 @@ class TestParser:
         )
         doc = parse_document(html)
         doc2 = parse_document(to_html(doc))
-        host = doc2.get_element_by_id("host")
+        host = query_selector(doc2, "#host")
         assert host.attached_shadow_root is not None
         assert "wall €3.99" in host.text_content(pierce=True)
         iframe = next(e for e in doc2.body.elements() if e.tag == "iframe")
@@ -154,7 +155,7 @@ class TestParser:
 
 
 class TestSoupAPI:
-    SOUP = make_soup(
+    SOUP = Soup(parse_document(
         """
         <div class="banner" id="b1">
           <p>We use cookies. <a href="/privacy">Privacy</a></p>
@@ -163,7 +164,7 @@ class TestSoupAPI:
         </div>
         <iframe srcdoc="&lt;button class='accept'&gt;frame accept&lt;/button&gt;"></iframe>
         """
-    )
+    ))
 
     def test_find_by_name(self):
         assert self.SOUP.find("button").get_text() == "Accept"
@@ -215,12 +216,6 @@ class TestSoupAPI:
     def test_limit(self):
         assert len(self.SOUP.find_all("button", limit=1)) == 1
 
-    def test_make_soup_coercions(self):
-        assert isinstance(make_soup("<p>x</p>"), Soup)
-        assert isinstance(make_soup(self.SOUP), Soup)
-        assert isinstance(make_soup(Document()), Soup)
-        with pytest.raises(TypeError):
-            make_soup(42)
 
 
 class TestParserProperties:

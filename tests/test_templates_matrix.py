@@ -10,15 +10,16 @@ import pytest
 from repro.bannerclick import BannerClick
 from repro.browser import Browser
 from repro.lang import detect_language
-from repro.netsim import Network, StaticServer
+from repro.netsim import Network
 from repro.pricing import extract_price
-from repro.soup import make_soup
+from repro.soup import Soup, parse_document
 from repro.vantage import VANTAGE_POINTS
 from repro.webgen.banners import _TEXTS as BANNER_LANGS
 from repro.webgen.banners import regular_banner_html
 from repro.webgen.cookiewalls import _TEXTS as WALL_LANGS
 from repro.webgen.cookiewalls import wall_markup
 from repro.webgen.spec import SiteSpec, WallSpec, BannerKind
+from tests.servers import StaticServer
 
 ALL_REGIONS = frozenset(VANTAGE_POINTS)
 
@@ -71,7 +72,7 @@ class TestRegularBannerMatrix:
 
     @pytest.mark.parametrize("language", sorted(BANNER_LANGS))
     def test_banner_language_is_detectable(self, language):
-        text = make_soup(regular_banner_html(language)).get_text()
+        text = Soup(parse_document(regular_banner_html(language))).get_text()
         # Banner text alone is short; it must at least not be mistaken
         # for a *different* language with high confidence.
         result = detect_language(text)
@@ -95,7 +96,7 @@ class TestWallMatrix:
     @pytest.mark.parametrize("period", ["month", "year"])
     def test_wall_price_extracts(self, language, period):
         spec = wall_spec(language, "main", period=period)
-        text = make_soup(wall_markup(spec)).get_text()
+        text = Soup(parse_document(wall_markup(spec))).get_text()
         price = extract_price(text)
         assert price is not None, (language, period)
         assert price.period == period
@@ -106,7 +107,7 @@ class TestWallMatrix:
     )
     def test_wall_currency_variants_extract(self, currency):
         spec = wall_spec("en", "main", currency=currency)
-        text = make_soup(wall_markup(spec)).get_text()
+        text = Soup(parse_document(wall_markup(spec))).get_text()
         price = extract_price(text)
         assert price is not None, currency
         assert price.currency == currency
@@ -115,7 +116,7 @@ class TestWallMatrix:
     @pytest.mark.parametrize("cents", [99, 199, 299, 499, 899, 999])
     def test_wall_price_levels_extract(self, cents):
         spec = wall_spec("de", "main", cents=cents)
-        text = make_soup(wall_markup(spec)).get_text()
+        text = Soup(parse_document(wall_markup(spec))).get_text()
         price = extract_price(text)
         assert price is not None
         assert abs(price.monthly_eur_cents - cents) <= 2
@@ -126,6 +127,6 @@ class TestWallMatrix:
         from repro.bannerclick.corpus import has_reject_words
 
         spec = wall_spec(language, "main")
-        buttons = make_soup(wall_markup(spec)).find_all("button")
+        buttons = Soup(parse_document(wall_markup(spec))).find_all("button")
         for button in buttons:
             assert not has_reject_words(button.get_text()), language

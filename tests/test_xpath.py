@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dom.xpath import parse_xpath, xpath_all, xpath_first
+from repro.dom.xpath import parse_xpath, xpath_all
 from repro.errors import SelectorError
 from repro.soup import parse_document
 
@@ -72,7 +72,6 @@ class TestPredicates:
 
     def test_no_match(self, doc):
         assert xpath_all(doc, "//section") == []
-        assert xpath_first(doc, "//section") is None
 
 
 class TestBoundaries:

@@ -48,7 +48,7 @@ def _visit_record(i=0):
 
 def test_raw_record_round_trip_and_laziness():
     record = _visit_record(3)
-    raw = RawRecord.from_record(record)
+    raw = RawRecord(encode_record_line(record))
     before = record_decode_count()
     # Wrapping and re-serialising is pure pass-through.
     assert raw.raw == encode_record_line(record)
@@ -64,11 +64,11 @@ def test_raw_record_round_trip_and_laziness():
 
 def test_raw_record_equality_both_directions():
     record = _visit_record(1)
-    raw = RawRecord.from_record(record)
+    raw = RawRecord(encode_record_line(record))
     assert raw == record
     assert record == raw  # dataclass __eq__ reflects to RawRecord's
-    assert raw == RawRecord.from_record(record)
-    assert raw != RawRecord.from_record(_visit_record(2))
+    assert raw == RawRecord(encode_record_line(record))
+    assert raw != RawRecord(encode_record_line(_visit_record(2)))
     assert materialize_record(raw) is raw.materialize()
     assert materialize_record(record) is record
 
@@ -86,11 +86,36 @@ def test_save_records_raw_passthrough_byte_identical(tmp_path):
     save_records(records, typed_path)
     before = record_decode_count()
     save_records(
-        (RawRecord.from_record(r) for r in records), raw_path
+        (RawRecord(encode_record_line(r)) for r in records), raw_path
     )
     assert record_decode_count() == before
     assert raw_path.read_bytes() == typed_path.read_bytes()
     assert list(iter_records(raw_path)) == records
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"type": "VisitRecord", "data": {"vp": "DE", "domain": "a.de", "bogus": 1}},
+     "VisitRecord: unknown key(s) bogus"),
+    ({"type": "VisitRecord", "data": {"domain": "a.de"}},
+     "VisitRecord: missing key(s) vp"),
+    ({"type": "VisitRecord", "data": {"vp": 7, "domain": ["x"]}},
+     "VisitRecord.vp: expected str, got 7"),
+    ({"type": "CookieMeasurement", "data": {"vp": "DE", "domain": "a.de"}},
+     "CookieMeasurement: missing key(s) mode"),
+    ({"type": "CookieMeasurement",
+      "data": {"vp": "DE", "domain": "a.de", "mode": "accept", "repeats": "5"}},
+     "CookieMeasurement.repeats: expected int, got '5'"),
+    ({"type": "UBlockRecord", "data": {"domain": "a.de", "extra": True}},
+     "UBlockRecord: unknown key(s) extra"),
+    ({"type": "UBlockRecord", "data": {"domain": "a.de", "suppressed": 1}},
+     "UBlockRecord.suppressed: expected bool, got 1"),
+])
+def test_decode_record_checks_the_body(payload, message):
+    """A record body must fit its type's fields: no unknown or missing
+    key, no wrong type; the error names the field."""
+    with pytest.raises(ValueError) as raised:
+        decode_record(payload)
+    assert str(raised.value).startswith(message)
 
 
 def test_validate_record_payload_refusals():
@@ -126,7 +151,7 @@ def test_outcome_line_splice_byte_identical(wrap):
     task = CrawlTask(vp="DE", domain="site-0.example", mode="detect")
     record = _visit_record(0)
     if wrap == "raw":
-        record = RawRecord.from_record(record)
+        record = RawRecord(encode_record_line(record))
     outcome = TaskOutcome(index=7, task=task, record=record, attempts=2)
     line = CrawlEngine._outcome_line(outcome)
     assert line == _oracle_outcome_line(outcome)

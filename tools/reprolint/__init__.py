@@ -21,6 +21,8 @@ lint time instead of after an expensive crawl matrix:
   a fault without a trace.
 - **trust boundaries** (``no-pickle``): ``src/`` imports no
   object-serialisation module; what crosses a boundary is JSON data.
+- **public surface** (``test-only-definition``): every public
+  ``src/repro`` definition is named by a program, not only by tests.
 
 Run ``python -m tools.reprolint --list-rules`` for the registry and
 ``--explain RULE`` for the full rationale of one rule.
